@@ -4,7 +4,8 @@ Subcommands: norm, kcurve, interpnorm, verify, generate.  Outputs are
 byte-stable for fixed inputs and seeds: JSON is emitted with indent=2
 and round-trip float formatting, CSV uses repr() floats and '.' decimal
 regardless of locale.  Exit codes: 0 success, 1 verification failure,
-2 usage or data errors, 3 numeric or budget errors.
+2 usage or data errors, 3 numeric (including any ArithmeticError) or
+budget errors.
 """
 
 from __future__ import annotations
@@ -262,7 +263,9 @@ def main(argv=None) -> int:
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (BudgetError, NumericError) as exc:
+    except (BudgetError, NumericError, ArithmeticError) as exc:
+        # ArithmeticError: overflow, division by zero or a floating-point
+        # trap left in a numeric route is a numeric failure, not a crash
         print(f"error: {exc}", file=sys.stderr)
         return 3
 

@@ -22,7 +22,7 @@ import numpy as np
 from .coeffs import CoeffField
 from .errors import NumericError, UsageError
 from .grid import BesovIndex
-from .kfunc import InterpQuery, _logcell_integral, k_dispatch, k_weighted_seq
+from .kfunc import InterpQuery, _logcell_integral, _method_plan, _seq_plan
 from .norms import besov_norm, weighted_lq_norm
 
 __all__ = [
@@ -86,15 +86,15 @@ def _interp_from_kfun(kfun, theta: float, r: float, quad: QuadratureSpec,
                       method: str) -> InterpReport:
     """Quadrature driver shared by field-level and sequence-level norms.
 
-    kfun maps t -> K(t).  Cells integrate in closed form under the
-    log-linear model; tails use the exact asymptotics.  The window
-    expands until the tails carry under tail_rel_tol of the total (for
-    r = inf, until the sup detaches from the window edge).
+    kfun maps a t array to its K values.  Cells integrate in closed
+    form under the log-linear model; tails use the exact asymptotics.
+    The window expands until the tails carry under tail_rel_tol of the
+    total (for r = inf, until the sup detaches from the window edge).
     """
     lo_exp, hi_exp = quad.t_min_exp, quad.t_max_exp
     for _ in range(_MAX_EXPANSIONS):
         ts = _window_grid(lo_exp, hi_exp, quad.points_per_decade)
-        ks = np.array([kfun(float(t)) for t in ts])
+        ks = kfun(ts)
         if not ks.any():
             return InterpReport(0.0, method, lo_exp, hi_exp, len(ts),
                                 0.0, 0.0, 0.0)
@@ -115,8 +115,7 @@ def _interp_from_kfun(kfun, theta: float, r: float, quad: QuadratureSpec,
             continue
         us = np.log(ts)
         gs = (ts**-theta * ks) ** r
-        mid = sum(_logcell_integral(us[i], us[i + 1], float(gs[i]), float(gs[i + 1]))
-                  for i in range(len(ts) - 1))
+        mid = float(np.sum(_logcell_integral(us[:-1], us[1:], gs[:-1], gs[1:])))
         e_lo = (1.0 - theta) * r
         e_hi = theta * r
         tail_lo = slope1**r * ts[0] ** e_lo / e_lo
@@ -136,25 +135,13 @@ def _interp_from_kfun(kfun, theta: float, r: float, quad: QuadratureSpec,
         f"meeting tail tolerance {quad.tail_rel_tol}")
 
 
-def _field_kfun(field, query, method, budget):
-    if method == "formula":
-        return lambda t: k_dispatch(field, query, t, budget=budget)[0]
-    if method == "oracle":
-        from .oracle import vertex_tables
-
-        tables = vertex_tables(field, query.idx0, query.idx1, budget=budget)
-        xi = query.xi
-        return lambda t: tables.k(t, xi)
-    raise UsageError(f"unknown method {method!r}; use 'formula' or 'oracle'")
-
-
 def interp_norm_report(field: CoeffField, query: InterpQuery,
                        method: str = "formula",
                        quad: QuadratureSpec | None = None,
                        budget=None) -> InterpReport:
     """interp_norm plus window and tail diagnostics."""
     quad = quad or QuadratureSpec()
-    kfun = _field_kfun(field, query, method, budget)
+    kfun = _method_plan(field, query, method, budget).k
     return _interp_from_kfun(kfun, query.theta, query.r, quad, method)
 
 
@@ -225,7 +212,7 @@ def reiteration_check(a, s_a: float, s_b: float, theta0: float, theta1: float,
     c0 = (1.0 - theta0) * s_a + theta0 * s_b
     c1 = (1.0 - theta1) * s_a + theta1 * s_b
     s_final = (1.0 - eta) * c0 + eta * c1
-    kfun = lambda t: k_weighted_seq(arr, c0, q0, c1, q1, t)
+    kfun = _seq_plan(arr, c0, q0, c1, q1).k
     lhs = _interp_from_kfun(kfun, eta, q, quad, "formula").value
     rhs = weighted_lq_norm(arr, s_final, q)
     if rhs == 0.0:

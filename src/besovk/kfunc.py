@@ -27,12 +27,17 @@ rank: the side with the smaller exponent takes the floor(T) largest
 entries.  The one-sided formula against a sup norm keeps the exact
 fractional integral, which is classical and exact.  At a single
 coefficient every route collapses to min(w0, t*w1) * c exactly.
+
+Every route is a plan (k_plan): the route is selected once per (field,
+query) and everything that does not depend on t (main-grid reduction,
+rearrangements, split tables, calibration limits, kinf tables) is built
+once; the plan then evaluates K on a whole t array.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
@@ -41,7 +46,7 @@ from .coeffs import CoeffField, weighted_layer
 from .errors import NumericError, UsageError
 from .grid import BesovIndex, layer_weight
 from .norms import besov_norm, lp_norm, main_grid_reduce
-from .rearrange import partial_power_integral, rearrangement
+from .rearrange import rearrangement
 
 __all__ = [
     "CaseTag",
@@ -196,34 +201,109 @@ def solve_monotone(g, target: float, bracket: tuple[float, float] = (1e-200, 1e2
 
 
 # ---------------------------------------------------------------------------
+# prepared plans
+
+
+class KPlan:
+    """One K evaluation with its t-independent state built once.
+
+    label names the route; k(ts) evaluates K at every t of a 1-d array
+    through the route's evaluator and undoes the plan's rescale factor.
+    Every K value this module returns goes through k.
+    """
+
+    def __init__(self, label: str, fn, fac: float = 1.0):
+        self.label = label
+        self._fn = fn
+        self._fac = fac
+
+    def k(self, ts) -> np.ndarray:
+        ts = np.asarray(ts, dtype=float)
+        bad = ts[~(ts > 0.0)]
+        if len(bad):
+            raise UsageError(f"t must be positive, got {bad[0]}")
+        # powers of t overflow to inf and underflow to 0 by design (the
+        # closed forms take those limits), and np.where evaluates both
+        # branches; neither is worth a warning
+        with np.errstate(all="ignore"):
+            return self._fn(ts) / self._fac
+
+
+def _zeros(ts: np.ndarray) -> np.ndarray:
+    return np.zeros(len(ts))
+
+
+def _scaled_plan(label: str, vmax: float, build) -> KPlan:
+    """The one rescaling rule.  Data whose largest entry vmax lies
+    outside 2^(+-100) is pulled back toward 1 by an exact power of two
+    fac, and K(f) = K(fac f) / fac by exact 1-homogeneity; this keeps
+    q-th powers representable, and a clamped two-power factor cannot
+    overflow the way 1/vmax can for subnormal data.  build(fac) returns
+    the evaluator for the data scaled by fac."""
+    if vmax == 0.0:
+        return KPlan(label, _zeros)
+    fac = 1.0
+    if not 2.0**-100 < vmax < 2.0**100:
+        fac = 2.0 ** max(min(-math.frexp(vmax)[1], 1000), -1000)
+    return KPlan(label, build(fac), fac)
+
+
+def _at(plan: KPlan, t: float) -> float:
+    return float(plan.k(np.array([t], dtype=float))[0])
+
+
+# ---------------------------------------------------------------------------
 # vector kernels on plain l^p couples
 
 
-def _k_vec_sum(r: np.ndarray, p0: float, p1: float, t: float) -> float:
-    """Sum-form K of a nonincreasing vector between l^p0 and l^p1.
+class _SplitSum:
+    """Sum-form K of a fixed vector between l^p0 and l^p1, evaluated on
+    a t array.
 
     p0 = p1 gives min(1, t) times the norm.  Against a sup norm the
     exact fractional integral applies; two finite exponents split at
     the integer rank floor(t^alpha), the smaller exponent taking the
     largest entries.  Larger-first exponents route through the exact
-    commutation K(t, A0, A1) = t K(1/t, A1, A0).
+    commutation K(t, A0, A1) = t K(1/t, A1, A0).  Power sums of the
+    rearrangement are tabulated once, so each t costs one lookup.
     """
-    if t <= 0.0:
-        return 0.0
-    if p0 == p1:
-        return min(1.0, t) * lp_norm(r, p0)
-    if p0 > p1:
-        return t * _k_vec_sum(r, p1, p0, 1.0 / t)
-    if math.isinf(p1):
-        T = t**p0
-        return partial_power_integral(r, p0, T) ** (1.0 / p0)
-    alpha = 1.0 / (1.0 / p0 - 1.0 / p1)
-    T = t**alpha
-    m = len(r)
-    k = m if T >= m else int(T)
-    head = float(np.sum(r[:k] ** p0)) ** (1.0 / p0)
-    tail = float(np.sum(r[k:] ** p1)) ** (1.0 / p1)
-    return head + t * tail
+
+    def __init__(self, v, p0: float, p1: float):
+        r = rearrangement(v)
+        self.swap = p0 > p1
+        if self.swap:
+            p0, p1 = p1, p0
+        self.p0, self.p1, self.m = p0, p1, len(r)
+        if p0 == p1:
+            self.norm = lp_norm(r, p0)
+            return
+        # head[k]: sum of the k largest p0-th powers; tail[k]: the rest in p1
+        self.pow0 = r**p0
+        self.head = np.concatenate(([0.0], np.cumsum(self.pow0)))
+        if not math.isinf(p1):
+            self.alpha = 1.0 / (1.0 / p0 - 1.0 / p1)
+            self.tail = np.concatenate((np.cumsum((r**p1)[::-1])[::-1], [0.0]))
+
+    def __call__(self, ts: np.ndarray) -> np.ndarray:
+        if self.swap:
+            return ts * self._eval(1.0 / ts)
+        return self._eval(ts)
+
+    def _eval(self, t: np.ndarray) -> np.ndarray:
+        if self.p0 == self.p1:
+            return np.minimum(1.0, t) * self.norm
+        m, p0 = self.m, self.p0
+        if math.isinf(self.p1):
+            T = t**p0
+            k = np.minimum(T, m).astype(np.intp)
+            frac = np.where(T < m, T - k, 0.0)
+            total = self.head[k] + frac * self.pow0[np.minimum(k, m - 1)]
+            return total ** (1.0 / p0)
+        T = t**self.alpha
+        k = np.minimum(T, m).astype(np.intp)
+        # tail[m] = 0, and t * 0 is nan at t = inf (1/t of a subnormal t)
+        tail = np.where(k < m, t * self.tail[k] ** (1.0 / self.p1), 0.0)
+        return self.head[k] ** (1.0 / p0) + tail
 
 
 class _LayerKinf:
@@ -276,18 +356,21 @@ class _LayerKinf:
 # layer-level operations
 
 
+def _layer_fn(field: CoeffField, query: InterpQuery, j: int):
+    """Evaluator of K for layer j: weight0 * K(t * 2^(j*s_tilde)) on the
+    plain l^p couple."""
+    w0 = layer_weight(field.spec, query.idx0, j)
+    shift = 2.0 ** (j * query.s_tilde(field.spec.n))
+    split = _SplitSum(field.layers[j], query.idx0.p, query.idx1.p)
+    return lambda ts: w0 * split(ts * shift)
+
+
 def k_layer(field: CoeffField, query: InterpQuery, j: int, t: float) -> float:
     """K of a single layer between the two Besov spaces.
 
     Scales to weight0 * K(t * 2^(j*s_tilde)) on the plain l^p couple.
     """
-    if t <= 0:
-        raise UsageError(f"t must be positive, got {t}")
-    st = query.s_tilde(field.spec.n)
-    w0 = layer_weight(field.spec, query.idx0, j)
-    tau = t * 2.0 ** (j * st)
-    r = rearrangement(field.layers[j])
-    return w0 * _k_vec_sum(r, query.idx0.p, query.idx1.p, tau)
+    return _at(KPlan("", _layer_fn(field, query, j)), t)
 
 
 def k_maingrid_W(a, s_a: float, s_b: float, q: float, t: float) -> float:
@@ -297,23 +380,23 @@ def k_maingrid_W(a, s_a: float, s_b: float, q: float, t: float) -> float:
     the rest at t * 2^(j*s_b); both groups aggregate in l^q.  At q = 1
     this equals the exact decoupled sum of per-layer minima.
     """
-    if not s_a < s_b:
-        raise UsageError(f"requires s_a < s_b, got {s_a} >= {s_b}")
-    if t <= 0:
-        raise UsageError(f"t must be positive, got {t}")
-    arr = np.asarray(a, dtype=float)
-    js = np.arange(len(arr), dtype=float)
-    in_set = t * 2.0 ** (js * (s_b - s_a)) > 1.0
-    high = lp_norm(2.0 ** (js[in_set] * s_a) * arr[in_set], q)
-    low = lp_norm(2.0 ** (js[~in_set] * s_b) * arr[~in_set], q)
-    return high + t * low
+    return _at(KPlan("", _WCurve(np.asarray(a, dtype=float), s_a, s_b, q)), t)
 
 
 def k_rearr_mainq(a, q0: float, q1: float, t: float) -> float:
     """K of a plain sequence between l^q0 and l^q1 via its rearrangement."""
-    if t <= 0:
-        raise UsageError(f"t must be positive, got {t}")
-    return _k_vec_sum(rearrangement(a), q0, q1, t)
+    return _at(KPlan("", _SplitSum(a, q0, q1)), t)
+
+
+def _lq_across(rows: list, q: float) -> np.ndarray:
+    """Elementwise l^q aggregate of equal-length arrays (sup at q = inf),
+    accumulated row by row so that no entry depends on the others."""
+    if math.isinf(q):
+        return np.max(rows, axis=0)
+    total = 0.0
+    for row in rows:
+        total = total + row**q
+    return total ** (1.0 / q)
 
 
 # ---------------------------------------------------------------------------
@@ -321,85 +404,175 @@ def k_rearr_mainq(a, q0: float, q1: float, t: float) -> float:
 
 
 class _WCurve:
-    """The split sum W(sigma) = sum_{j in N_sigma} 2^(j*a) x_j
-    + sigma * sum_{j notin N_sigma} 2^(j*b) x_j at q = 1, as a fast
-    piecewise function of sigma.  N_sigma = {j : sigma * 2^(j*(b-a)) > 1}
+    """The split sum W(sigma) = ||(2^(j*a) x_j) over j in N_sigma||_q
+    + sigma * ||(2^(j*b) x_j) over j notin N_sigma||_q as a fast piecewise
+    function of a sigma array.  N_sigma = {j : sigma * 2^(j*(b-a)) > 1}
     flips one layer at each breakpoint sigma_j = 2^(-j*(b-a)); W is
-    continuous there and exactly linear below the smallest breakpoint
-    and constant above the largest.
+    continuous there, linear between breakpoints, exactly linear below
+    the smallest and constant above the largest.
     """
 
-    def __init__(self, x: np.ndarray, a: float, b: float):
+    def __init__(self, x: np.ndarray, a: float, b: float, q: float = 1.0):
         if not a < b:
             raise UsageError(f"requires a < b, got {a} >= {b}")
         J = len(x)
         js = np.arange(J, dtype=float)
         wa = 2.0 ** (js * a) * x
         wb = 2.0 ** (js * b) * x
-        # suffix sums of wa: layers j >= k; prefix sums of wb: layers j < k
-        self._suffix_a = np.concatenate((np.cumsum(wa[::-1])[::-1], [0.0]))
-        self._prefix_b = np.concatenate(([0.0], np.cumsum(wb)))
-        self._sigma_desc = 2.0 ** (-js * (b - a))  # decreasing in j
-        self._sigma_asc = self._sigma_desc[::-1].copy()
-        self.lo = float(self._sigma_desc[-1])  # below: W = sigma * norm_b
-        self.hi = float(self._sigma_desc[0])   # above: W = norm_a
+        # l^q norms of layers j >= k (side a) and of layers j < k (side b)
+        if math.isinf(q):
+            suffix_a = np.maximum.accumulate(wa[::-1])[::-1]
+            prefix_b = np.maximum.accumulate(wb)
+        else:
+            suffix_a = np.cumsum((wa**q)[::-1])[::-1] ** (1.0 / q)
+            prefix_b = np.cumsum(wb**q) ** (1.0 / q)
+        self._suffix_a = np.concatenate((suffix_a, [0.0]))
+        self._prefix_b = np.concatenate(([0.0], prefix_b))
+        self.breaks = 2.0 ** (-js[::-1] * (b - a))  # ascending
+        self.lo = float(self.breaks[0])   # below: W = sigma * norm_b
+        self.hi = float(self.breaks[-1])  # above: W = norm_a
         self.norm_a = float(self._suffix_a[0])
         self.norm_b = float(self._prefix_b[-1])
 
-    def _k_of(self, sigma):
-        # number of layers with sigma_j >= sigma (not yet flipped in)
-        sig = np.asarray(sigma, dtype=float)
-        return len(self._sigma_asc) - np.searchsorted(self._sigma_asc, sig, side="left")
+    def __call__(self, sigma: np.ndarray) -> np.ndarray:
+        # k = number of layers with sigma_j >= sigma (not yet flipped in)
+        k = len(self.breaks) - np.searchsorted(self.breaks, sigma, side="left")
+        return self._suffix_a[k] + sigma * self._prefix_b[k]
 
-    def __call__(self, sigma):
-        sig = np.asarray(sigma, dtype=float)
-        k = self._k_of(sig)
-        out = self._suffix_a[k] + sig * self._prefix_b[k]
-        return out if out.shape else float(out)
-
-    def pieces(self, lo: float, hi: float):
-        """Constant-coefficient pieces (lo', hi', A, B) with W = A + sigma*B
-        covering [lo, hi]; breakpoints inside the range bound the pieces."""
-        if not lo < hi:
-            return
-        cuts = [lo] + [s for s in self._sigma_asc if lo < s < hi] + [hi]
-        for a, b in zip(cuts[:-1], cuts[1:]):
-            midk = self._k_of(math.sqrt(a * b))
-            yield a, b, float(self._suffix_a[midk]), float(self._prefix_b[midk])
+    def phi_at_breaks(self, theta: float) -> np.ndarray:
+        """sigma^-theta W(sigma) at each breakpoint."""
+        return self.breaks**-theta * self(self.breaks)
 
 
-def _logcell_integral(u_lo: float, u_hi: float, g_lo: float, g_hi: float) -> float:
-    """Integral of g over [u_lo, u_hi] in log coordinates, modeling g as
-    an exponential between its endpoint values (exact for power-law g)."""
+def _logcell_integral(u_lo, u_hi, g_lo, g_hi) -> np.ndarray:
+    """Integral of g over each cell [u_lo, u_hi] in log coordinates,
+    modeling g as an exponential between its endpoint values (exact for
+    power-law g); the trapezoid where an endpoint value is not positive
+    or the two nearly agree, and zero on an empty cell.  Arrays in, one
+    entry per cell out."""
     h = u_hi - u_lo
-    if h <= 0:
-        return 0.0
-    if g_lo <= 0.0 or g_hi <= 0.0:
-        return 0.5 * (g_lo + g_hi) * h
-    ratio = g_hi / g_lo
-    lr = math.log(ratio)
-    if abs(lr) < 1e-9:
-        return 0.5 * (g_lo + g_hi) * h
-    return (g_hi - g_lo) * h / lr
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        lr = np.log(g_hi / g_lo)
+        expo = (g_hi - g_lo) * h / lr
+    trap = 0.5 * (g_lo + g_hi) * h
+    exact = (g_lo > 0.0) & (g_hi > 0.0) & (np.abs(lr) >= 1e-9)
+    return np.where(h > 0, np.where(exact, expo, trap), 0.0)
 
 
-def _grid_integral(fun, lo: float, hi: float, points_per_decade: float) -> float:
-    """Log-grid quadrature of fun(sigma) d sigma/sigma over [lo, hi]."""
-    if not lo < hi:
-        return 0.0
-    u_lo, u_hi = math.log(lo), math.log(hi)
-    decades = (u_hi - u_lo) / math.log(2.0)
-    cells = max(1, int(math.ceil(decades * points_per_decade)))
-    us = np.linspace(u_lo, u_hi, cells + 1)
-    gs = np.array([fun(math.exp(u)) for u in us])
-    return float(sum(_logcell_integral(us[i], us[i + 1], gs[i], gs[i + 1])
-                     for i in range(cells)))
+def _grid_integral(fun, lo, hi, points_per_decade: float) -> np.ndarray:
+    """Log-grid quadrature of fun(sigma) d sigma/sigma over [lo, hi] for
+    each pair of (broadcast) bounds, zero where lo >= hi.
+
+    A range of D binary decades gets ceil(D * points_per_decade) cells
+    (at least one) with nodes spaced as np.linspace spaces them.  The
+    ranges are laid end to end, so fun runs once on every node, and
+    each range's cells are summed on their own.
+    """
+    lo, hi = np.broadcast_arrays(np.asarray(lo, dtype=float),
+                                 np.asarray(hi, dtype=float))
+    out = np.zeros(lo.shape)
+    live = lo < hi
+    if not live.any():
+        return out
+    u_lo, u_hi = np.log(lo[live]), np.log(hi[live])
+    cells = np.maximum(1, np.ceil((u_hi - u_lo) / math.log(2.0) * points_per_decade))
+    cells = cells.astype(np.intp)
+    first = np.cumsum(cells + 1) - (cells + 1)  # first node of each range
+    last = first + cells
+    seg = np.repeat(np.arange(len(cells)), cells + 1)
+    us = (np.arange(len(seg)) - first[seg]) * ((u_hi - u_lo) / cells)[seg] + u_lo[seg]
+    us[last] = u_hi
+    gs = fun(np.exp(us))
+    left = np.delete(np.arange(len(us)), last)
+    vals = _logcell_integral(us[left], us[left + 1], gs[left], gs[left + 1])
+    out[live] = np.add.reduceat(vals, first - np.arange(len(cells)))
+    return out
 
 
-def _power_tail_low(C: float, X: float, expo: float) -> float:
-    """Integral over (0, X] of (sigma^k C)^q d sigma/sigma with
-    k*q = expo > 0 collapsed: C^q X^expo / expo, C already powered in."""
-    return C * X**expo / expo if C else 0.0
+def _piece_low(W: _WCurve, theta: float, q: float, ppd: float):
+    """Evaluator of (int_0^X (sig^-theta W)^q dsig/sig)^(1/q) on an X
+    array; the sup form at q = inf."""
+    if math.isinf(q):
+        # sig^-theta W is increasing below the hull, decreasing above it,
+        # and has no interior maximum on a linear piece of W, so its sup
+        # over (0, X] sits at X or at a breakpoint below X
+        peak = np.concatenate(([0.0], np.maximum.accumulate(W.phi_at_breaks(theta))))
+
+        def sup(X):
+            Xc = np.clip(X, W.lo, W.hi)
+            inner = np.maximum(Xc**-theta * W(Xc),
+                               peak[np.searchsorted(W.breaks, Xc, side="right")])
+            return np.where(X <= W.lo, np.minimum(X, W.lo) ** (1.0 - theta) * W.norm_b,
+                            inner)
+
+        return sup
+    e_lo, e_hi = (1.0 - theta) * q, theta * q
+    fun = lambda s: (s**-theta * W(s)) ** q
+
+    def integral(X):
+        total = W.norm_b**q * np.minimum(X, W.lo) ** e_lo / e_lo
+        total = total + _grid_integral(fun, W.lo, np.minimum(X, W.hi), ppd)
+        total = total + np.where(X > W.hi, W.norm_a**q * (W.hi**-e_hi - X**-e_hi) / e_hi,
+                                 0.0)
+        return total ** (1.0 / q)
+
+    return integral
+
+
+def _piece_high(W: _WCurve, theta: float, q: float, ppd: float):
+    """Evaluator of (int_X^inf (sig^-theta W)^q dsig/sig)^(1/q) on an X
+    array; the sup form at q = inf."""
+    if math.isinf(q):
+        # as in _piece_low: the sup over [X, inf) sits at X or at a
+        # breakpoint above X
+        peak = np.concatenate((np.maximum.accumulate(W.phi_at_breaks(theta)[::-1])[::-1],
+                               [0.0]))
+
+        def sup(X):
+            Xc = np.clip(X, W.lo, W.hi)
+            inner = np.maximum(Xc**-theta * W(Xc),
+                               peak[np.searchsorted(W.breaks, Xc, side="left")])
+            return np.where(X >= W.hi, np.maximum(X, W.hi) ** -theta * W.norm_a, inner)
+
+        return sup
+    e_lo, e_hi = (1.0 - theta) * q, theta * q
+    fun = lambda s: (s**-theta * W(s)) ** q
+
+    def integral(X):
+        total = W.norm_a**q * np.maximum(X, W.hi) ** -e_hi / e_hi
+        total = total + _grid_integral(fun, np.maximum(X, W.lo), W.hi, ppd)
+        total = total + np.where(X < W.lo, W.norm_b**q * (W.lo**e_lo - X**e_lo) / e_lo,
+                                 0.0)
+        return total ** (1.0 / q)
+
+    return integral
+
+
+def _holmstedt(a: np.ndarray, s0: float, q0: float, s1: float, q1: float,
+               ppd: float):
+    """Evaluator of the composed K of k_holmstedt_weighted: the curve W,
+    the norms N0, N1 and the calibration limits M0, M1 are built here,
+    once; each t then costs the two split integrals."""
+    if s0 > s1:
+        swapped = _holmstedt(a, s1, q1, s0, q0, ppd)
+        return lambda ts: ts * swapped(1.0 / ts)
+    if not a.any():
+        return _zeros
+    W = _WCurve(a, 2.0 * s0 - s1, 2.0 * s1 - s0)
+    js = np.arange(len(a), dtype=float)
+    n0 = lp_norm(2.0 ** (js * s0) * a, q0)
+    n1 = lp_norm(2.0 ** (js * s1) * a, q1)
+    low = _piece_low(W, 1.0 / 3.0, q0, ppd)
+    high = _piece_high(W, 2.0 / 3.0, q1, ppd)
+    m0 = float(low(np.array([math.inf]))[0])  # raw K(inf)
+    m1 = float(high(np.array([0.0]))[0])      # raw K(t)/t at 0
+
+    def k(ts):
+        tt = ts * (n1 * m0) / (m1 * n0)
+        X = tt**3.0  # split point tt^(1/(th1-th0))
+        return (n0 / m0) * (low(X) + tt * high(X))
+
+    return k
 
 
 def k_holmstedt_weighted(a, s0: float, q0: float, s1: float, q1: float, t: float,
@@ -431,117 +604,46 @@ def k_holmstedt_weighted(a, s0: float, q0: float, s1: float, q1: float, t: float
     """
     if s0 == s1 or q0 == q1:
         raise UsageError("requires s0 != s1 and q0 != q1")
-    if t <= 0:
-        raise UsageError(f"t must be positive, got {t}")
-    if s0 > s1:
-        return t * k_holmstedt_weighted(a, s1, q1, s0, q0, 1.0 / t,
-                                        points_per_decade)
     arr = np.asarray(a, dtype=float)
-    if not arr.any():
-        return 0.0
-    th0, th1 = 1.0 / 3.0, 2.0 / 3.0
-    ppd = points_per_decade
-    W = _WCurve(arr, 2.0 * s0 - s1, 2.0 * s1 - s0)
-    js = np.arange(len(arr), dtype=float)
-    n0 = lp_norm(2.0 ** (js * s0) * arr, q0)
-    n1 = lp_norm(2.0 ** (js * s1) * arr, q1)
-    m0 = _interp_piece_low(W, math.inf, th0, q0, ppd)   # raw K(inf)
-    m1 = _interp_piece_high(W, 0.0, th1, q1, ppd)       # raw K(t)/t at 0
-    tt = t * (n1 * m0) / (m1 * n0)
-    X = tt ** 3.0  # split point tt^(1/(th1-th0))
-    lo_part = _interp_piece_low(W, X, th0, q0, ppd)
-    hi_part = _interp_piece_high(W, X, th1, q1, ppd)
-    return (n0 / m0) * (lo_part + tt * hi_part)
-
-
-def _interp_piece_low(W: _WCurve, X: float, theta: float, q: float,
-                      ppd: float) -> float:
-    """(int_0^X (sig^-theta W)^q dsig/sig)^(1/q), sup form at q = inf."""
-    if math.isinf(q):
-        best = min(X, W.lo) ** (1.0 - theta) * W.norm_b
-        for lo, hi, A, B in W.pieces(W.lo, min(X, W.hi)):
-            best = max(best, _piece_sup(lo, hi, A, B, theta))
-        if X > W.hi:
-            best = max(best, W.hi ** (-theta) * W.norm_a)
-        return best
-    total = _power_tail_low(W.norm_b**q, min(X, W.lo), (1.0 - theta) * q)
-    total += _grid_integral(lambda s: (s**-theta * W(s)) ** q, W.lo, min(X, W.hi), ppd)
-    if X > W.hi:
-        e = theta * q
-        total += W.norm_a**q * (W.hi**-e - X**-e) / e
-    return total ** (1.0 / q)
-
-
-def _interp_piece_high(W: _WCurve, X: float, theta: float, q: float,
-                       ppd: float) -> float:
-    """(int_X^inf (sig^-theta W)^q dsig/sig)^(1/q), sup form at q = inf."""
-    if math.isinf(q):
-        best = max(X, W.hi) ** (-theta) * W.norm_a
-        for lo, hi, A, B in W.pieces(max(X, W.lo), W.hi):
-            best = max(best, _piece_sup(lo, hi, A, B, theta))
-        if X < W.lo:
-            best = max(best, W.lo ** (1.0 - theta) * W.norm_b)
-        return best
-    e_hi = theta * q
-    total = W.norm_a**q * max(X, W.hi) ** -e_hi / e_hi
-    total += _grid_integral(lambda s: (s**-theta * W(s)) ** q, max(X, W.lo), W.hi, ppd)
-    if X < W.lo:
-        e = (1.0 - theta) * q
-        total += W.norm_b**q * (W.lo**e - X**e) / e
-    return total ** (1.0 / q)
-
-
-def _piece_sup(lo: float, hi: float, A: float, B: float, theta: float) -> float:
-    """Exact sup of sigma^-theta (A + sigma B) over [lo, hi]."""
-    cands = [lo, hi]
-    if A > 0 and B > 0:
-        star = theta * A / ((1.0 - theta) * B)
-        if lo < star < hi:
-            cands.append(star)
-    return max(s**-theta * (A + s * B) for s in cands)
+    return _at(KPlan("", _holmstedt(arr, s0, q0, s1, q1, points_per_decade)), t)
 
 
 # ---------------------------------------------------------------------------
 # regime routes
 
 
+def _seq_route(a: np.ndarray, s_a: float, q0: float, s_b: float, q1: float):
+    """Evaluator of K for a main-grid sequence between the weighted
+    spaces l^{s_a,q0} and l^{s_b,q1}, routed by which exponents coincide."""
+    if s_a == s_b:
+        return _SplitSum(2.0 ** (np.arange(len(a), dtype=float) * s_a) * a, q0, q1)
+    if q0 == q1:
+        if s_a < s_b:
+            return _WCurve(a, s_a, s_b, q0)
+        W = _WCurve(a, s_b, s_a, q0)
+        return lambda ts: ts * W(1.0 / ts)
+    return _holmstedt(a, s_a, q0, s_b, q1, 8.0)
+
+
 def k_weighted_seq(a, s_a: float, q0: float, s_b: float, q1: float,
                    t: float) -> float:
     """K of a main-grid sequence between the weighted spaces l^{s_a,q0}
     and l^{s_b,q1}, routed by which exponents coincide."""
-    if t <= 0:
-        raise UsageError(f"t must be positive, got {t}")
+    return _at(_seq_plan(a, s_a, q0, s_b, q1), t)
+
+
+def _seq_plan(a, s_a: float, q0: float, s_b: float, q1: float) -> KPlan:
+    """Plan for k_weighted_seq, for evaluation on many t."""
     arr = np.asarray(a, dtype=float)
-    amax = float(arr.max()) if arr.size else 0.0
-    if amax == 0.0:
-        return 0.0
-    if not 2.0**-100 < amax < 2.0**100:
-        # pull extreme scales back to O(1); every route is exactly
-        # 1-homogeneous, and this keeps q-th powers representable
-        return amax * k_weighted_seq(arr / amax, s_a, q0, s_b, q1, t)
-    js = np.arange(len(arr), dtype=float)
-    if s_a == s_b:
-        if q0 == q1:
-            return min(1.0, t) * lp_norm(2.0 ** (js * s_a) * arr, q0)
-        return k_rearr_mainq(2.0 ** (js * s_a) * arr, q0, q1, t)
-    if q0 == q1:
-        if s_a < s_b:
-            return k_maingrid_W(arr, s_a, s_b, q0, t)
-        return t * k_maingrid_W(arr, s_b, s_a, q0, 1.0 / t)
-    return k_holmstedt_weighted(arr, s_a, q0, s_b, q1, t)
+    return _scaled_plan("", float(arr.max()) if arr.size else 0.0,
+                        lambda fac: _seq_route(arr * fac, s_a, q0, s_b, q1))
 
 
 def k_p_equal(field: CoeffField, query: InterpQuery, t: float) -> float:
     """K when both spaces share p: everything happens on the layer axis."""
-    i0, i1 = query.idx0, query.idx1
-    if i0.p != i1.p:
+    if query.idx0.p != query.idx1.p:
         raise UsageError("k_p_equal requires p0 == p1")
-    if t <= 0:
-        raise UsageError(f"t must be positive, got {t}")
-    n = field.spec.n
-    a = main_grid_reduce(field, i0.p)
-    return k_weighted_seq(a, i0.weight_exponent(n), i0.q,
-                          i1.weight_exponent(n), i1.q, t)
+    return _at(k_plan(field, query), t)
 
 
 def k_q_equal(field: CoeffField, query: InterpQuery, t: float) -> float:
@@ -551,8 +653,7 @@ def k_q_equal(field: CoeffField, query: InterpQuery, t: float) -> float:
         raise UsageError("k_q_equal requires q0 == q1")
     if i0.p == i1.p:
         raise UsageError("k_q_equal requires p0 != p1")
-    vals = [k_layer(field, query, j, t) for j in range(field.spec.J)]
-    return lp_norm(vals, i0.q)
+    return _at(k_plan(field, query), t)
 
 
 def _power_layer_solve(lay01: _LayerKinf, lay10: _LayerKinf,
@@ -563,11 +664,18 @@ def _power_layer_solve(lay01: _LayerKinf, lay10: _LayerKinf,
     Thresholds beyond the table's exact extreme regimes resolve in
     closed form (kinf is exactly linear below the first breakpoint and
     exactly flat above the last), so the outer solver may probe any
-    representable s without the inner bracketing failing.
+    representable s without the inner bracketing failing.  A relation
+    value past the double range reads as inf, which keeps it monotone.
     """
     if q1 < q0:
         lay, d = lay01, q0 - q1
-        g = lambda u: u**q1 * lay.kinf(u) ** d
+
+        def g(u):
+            try:
+                return u**q1 * lay.kinf(u) ** d
+            except OverflowError:
+                return math.inf
+
         lo, hi = lay.lin_below, lay.sat_above
         if s >= g(hi):
             return lay.plateau ** q0
@@ -576,7 +684,13 @@ def _power_layer_solve(lay01: _LayerKinf, lay10: _LayerKinf,
         tau = solve_monotone(g, s, bracket=(lo, hi))
         return lay.kinf(tau) ** q0
     lay, d = lay10, q1 - q0
-    g = lambda u: u**q0 * lay.kinf(u) ** d
+
+    def g(u):
+        try:
+            return u**q0 * lay.kinf(u) ** d
+        except OverflowError:
+            return math.inf
+
     lo, hi = lay.lin_below, lay.sat_above
     r = 1.0 / s
     if r >= g(hi):
@@ -611,6 +725,37 @@ def k_power_layer(b, p0: float, p1: float, q0: float, q1: float, s: float) -> fl
                               q0, q1, s)
 
 
+def _general_k(layers: list, q0: float, q1: float, t: float) -> float:
+    """Max-form K at one t from the per-layer kinf tables of k_general."""
+
+    def KX(u: float) -> float:
+        return sum(_power_layer_solve(l01, l10, q0, q1, u * sc)
+                   for l01, l10, sc in layers)
+
+    if q0 < q1:
+        expo = 1.0 / q0 - 1.0 / q1
+
+        def g(s):
+            try:
+                return s ** (1.0 / q1) * KX(s) ** expo
+            except OverflowError:
+                return math.inf
+
+        return KX(solve_monotone(g, t)) ** (1.0 / q0)
+    expo = 1.0 / q1 - 1.0 / q0
+
+    def M(s):
+        return s * KX(1.0 / s)
+
+    def g(s):
+        try:
+            return s ** (1.0 / q0) * M(s) ** expo
+        except OverflowError:
+            return math.inf
+
+    return t * M(solve_monotone(g, 1.0 / t)) ** (1.0 / q1)
+
+
 def k_general(field: CoeffField, query: InterpQuery, t: float) -> float:
     """Max-form K for p and q both different (both q finite).
 
@@ -624,19 +769,34 @@ def k_general(field: CoeffField, query: InterpQuery, t: float) -> float:
     i0, i1 = query.idx0, query.idx1
     if i0.p == i1.p or i0.q == i1.q or math.isinf(i0.q) or math.isinf(i1.q):
         raise UsageError("k_general requires p0 != p1 and finite q0 != q1")
-    if t <= 0:
-        raise UsageError(f"t must be positive, got {t}")
-    scale = field.max_abs()
-    if scale == 0.0:
-        return 0.0
-    if not 2.0**-100 < scale < 2.0**100:
-        # pull extreme scales back toward 1 by an exact power of two;
-        # K is exactly 1-homogeneous, and a clamped two-power factor
-        # cannot overflow the way 1/scale can for subnormal fields
-        fac = 2.0 ** max(min(-math.frexp(scale)[1], 1000), -1000)
-        return k_general(field.scaled(fac), query, t) / fac
+    return _at(k_plan(field, query), t)
+
+
+# ---------------------------------------------------------------------------
+# route table and dispatch
+
+
+def _degenerate_route(field, query, budget):
+    norm = besov_norm(field, query.idx0)
+    return lambda ts: np.minimum(1.0, ts) * norm
+
+
+def _p_equal_route(field, query, budget):
+    i0, i1 = query.idx0, query.idx1
     n = field.spec.n
-    st = query.s_tilde(n)
+    return _seq_route(main_grid_reduce(field, i0.p), i0.weight_exponent(n), i0.q,
+                      i1.weight_exponent(n), i1.q)
+
+
+def _q_equal_route(field, query, budget):
+    layers = [_layer_fn(field, query, j) for j in range(field.spec.J)]
+    q = query.idx0.q
+    return lambda ts: _lq_across([f(ts) for f in layers], q)
+
+
+def _general_route(field, query, budget):
+    i0, i1 = query.idx0, query.idx1
+    st = query.s_tilde(field.spec.n)
     q0, q1 = i0.q, i1.q
     layers = []
     for j in range(field.spec.J):
@@ -645,78 +805,75 @@ def k_general(field: CoeffField, query: InterpQuery, t: float) -> float:
             layers.append((_LayerKinf(b, i0.p, i1.p), _LayerKinf(b, i1.p, i0.p),
                            2.0 ** (j * st * q1)))
     if not layers:
-        return 0.0
-
-    def KX(u: float) -> float:
-        return sum(_power_layer_solve(l01, l10, q0, q1, u * sc)
-                   for l01, l10, sc in layers)
-
-    if q0 < q1:
-        expo = 1.0 / q0 - 1.0 / q1
-        s_star = solve_monotone(lambda s: s ** (1.0 / q1) * KX(s) ** expo, t)
-        return KX(s_star) ** (1.0 / q0)
-    expo = 1.0 / q1 - 1.0 / q0
-    M = lambda s: s * KX(1.0 / s)
-    s_star = solve_monotone(lambda s: s ** (1.0 / q0) * M(s) ** expo, 1.0 / t)
-    return t * M(s_star) ** (1.0 / q1)
+        return _zeros
+    return lambda ts: np.array([_general_k(layers, q0, q1, float(t)) for t in ts])
 
 
-# ---------------------------------------------------------------------------
-# dispatch
+def _vertex_route(field, query, budget):
+    from .oracle import vertex_tables
 
-_FORMULA_TAGS = {
-    CaseTag.DEGENERATE: "formula:degenerate",
-    CaseTag.P_EQUAL_S_DIFF_Q_EQUAL: "formula:p-equal:weighted-split",
-    CaseTag.P_EQUAL_S_DIFF_Q_DIFF: "formula:p-equal:composed-split",
-    CaseTag.P_EQUAL_S_EQUAL: "formula:p-equal:rearrangement",
-    CaseTag.Q_EQUAL_P_DIFF: "formula:q-equal:layer-sum",
-    CaseTag.GENERAL: "formula:general:power-composition-kinf",
-    CaseTag.ORACLE_ONLY: "oracle:vertex-enumeration",
+    tables = vertex_tables(field, query.idx0, query.idx1, budget=budget)
+    xi = query.xi
+    return lambda ts: np.array([tables.k(float(t), xi) for t in ts])
+
+
+# case -> (route label, builder(field, query, budget) -> evaluator of a t array)
+_ROUTES = {
+    CaseTag.DEGENERATE: ("formula:degenerate", _degenerate_route),
+    CaseTag.P_EQUAL_S_DIFF_Q_EQUAL: ("formula:p-equal:weighted-split", _p_equal_route),
+    CaseTag.P_EQUAL_S_DIFF_Q_DIFF: ("formula:p-equal:composed-split", _p_equal_route),
+    CaseTag.P_EQUAL_S_EQUAL: ("formula:p-equal:rearrangement", _p_equal_route),
+    CaseTag.Q_EQUAL_P_DIFF: ("formula:q-equal:layer-sum", _q_equal_route),
+    CaseTag.GENERAL: ("formula:general:power-composition-kinf", _general_route),
+    CaseTag.ORACLE_ONLY: ("oracle:vertex-enumeration", _vertex_route),
 }
 
 
-def k_dispatch(field: CoeffField, query: InterpQuery, t: float,
-               budget=None) -> tuple[float, str]:
-    """Route a K evaluation by index regime; returns (value, method tag).
+def k_plan(field: CoeffField, query: InterpQuery, budget=None) -> KPlan:
+    """Select the route for the query's index regime once and build its
+    t-independent state; the plan's k(ts) then evaluates K on t arrays.
 
     The GENERAL route computes the max-form functional (within a factor
     2 of the sum form); other routes target the sum form.  Queries with
     p and q both different and a q = inf fall outside the closed forms
     and are answered by the enumeration oracle, subject to its budget.
     """
-    tag = query.case
-    label = _FORMULA_TAGS[tag]
-    if tag is CaseTag.DEGENERATE:
-        if t <= 0:
-            raise UsageError(f"t must be positive, got {t}")
-        return min(1.0, t) * besov_norm(field, query.idx0), label
-    if tag in (CaseTag.P_EQUAL_S_DIFF_Q_EQUAL, CaseTag.P_EQUAL_S_DIFF_Q_DIFF,
-               CaseTag.P_EQUAL_S_EQUAL):
-        return k_p_equal(field, query, t), label
-    if tag is CaseTag.Q_EQUAL_P_DIFF:
-        return k_q_equal(field, query, t), label
-    if tag is CaseTag.GENERAL:
-        return k_general(field, query, t), label
-    from .oracle import k_vertex_exact
+    label, build = _ROUTES[query.case]
 
-    return k_vertex_exact(field, query.idx0, query.idx1, t, xi=query.xi,
-                          budget=budget), label
+    def scaled(fac):
+        return build(field.scaled(fac) if fac != 1.0 else field, query, budget)
+
+    return _scaled_plan(label, field.max_abs(), scaled)
+
+
+def k_dispatch(field: CoeffField, query: InterpQuery, t: float,
+               budget=None) -> tuple[float, str]:
+    """Route a K evaluation by index regime; returns (value, method tag).
+
+    One-t use of k_plan, which describes the routes.
+    """
+    plan = k_plan(field, query, budget)
+    return _at(plan, t), plan.label
+
+
+def _method_plan(field: CoeffField, query: InterpQuery, method: str,
+                 budget=None) -> KPlan:
+    """Plan for method 'formula' (the route table) or 'oracle' (vertex
+    enumeration whatever the index regime)."""
+    if method == "formula":
+        return k_plan(field, query, budget)
+    if method == "oracle":
+        return KPlan(_ROUTES[CaseTag.ORACLE_ONLY][0], _vertex_route(field, query, budget))
+    raise UsageError(f"unknown method {method!r}; use 'formula' or 'oracle'")
 
 
 def k_curve(field: CoeffField, query: InterpQuery, ts=None, method: str = "formula",
             budget=None) -> KCurve:
-    """Sample K on a t grid; method 'formula' or 'oracle'."""
-    grid = default_t_grid() if ts is None else np.asarray(ts, dtype=float)
-    if method == "formula":
-        vals, label = [], None
-        for t in grid:
-            v, label = k_dispatch(field, query, float(t), budget=budget)
-            vals.append(v)
-        return KCurve(grid, np.array(vals), label)
-    if method == "oracle":
-        from .oracle import oracle_curve
+    """Sample K on a t grid; method 'formula' or 'oracle'.
 
-        ks = oracle_curve(field, query.idx0, query.idx1, grid, xi=query.xi,
-                          budget=budget)
-        return KCurve(grid, ks, "oracle:vertex-enumeration")
-    raise UsageError(f"unknown method {method!r}; use 'formula' or 'oracle'")
+    The t-independent state is built once and the whole grid is
+    evaluated from it.
+    """
+    grid = default_t_grid() if ts is None else np.asarray(ts, dtype=float)
+    plan = _method_plan(field, query, method, budget)
+    return KCurve(grid, plan.k(grid), plan.label)

@@ -474,6 +474,7 @@ SUITES = {
     "q-equal": run_q_equal,
     "general": run_general,
     "identities": run_identities,
+    "endpoints": run_endpoints,
 }
 
 

@@ -3,6 +3,7 @@ import math
 
 import pytest
 
+import besovk.cli
 import besovk.verify
 from besovk.cli import main
 from besovk.coeffs import read_field
@@ -162,6 +163,14 @@ def test_verify_negative_control(capsys, monkeypatch):
     assert "layer-sum-band" in failed
 
 
+def test_verify_endpoints_suite(capsys):
+    code, out = run(capsys, ["verify", "--suite", "endpoints"])
+    assert code == 0
+    doc = json.loads(out)
+    assert doc["suite"] == "endpoints"
+    assert doc["passed"] is True
+
+
 def test_verify_unknown_suite_exit_2(capsys):
     with pytest.raises(SystemExit):
         main(["verify", "--suite", "bogus"])  # argparse choice failure
@@ -173,6 +182,16 @@ def test_budget_refusal_exit_3(capsys):
         "--q1", "2", "--method", "oracle", "--budget", "2",
         "--t-min-exp", "0", "--t-max-exp", "0"])
     assert code == 3
+
+
+def test_numeric_overflow_exit_3(capsys, monkeypatch):
+    def overflow(*args, **kwargs):
+        raise OverflowError("(34, 'Numerical result out of range')")
+
+    monkeypatch.setattr(besovk.cli, "k_curve", overflow)
+    code = main(["kcurve"] + SPIKE + ["--t-min-exp", "0", "--t-max-exp", "0"])
+    assert code == 3
+    assert capsys.readouterr().err.startswith("error: ")
 
 
 def test_generate_rejects_input_flag(capsys, tmp_path):

@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from besovk.coeffs import CoeffField
 from besovk.errors import NumericError, UsageError
@@ -15,6 +15,7 @@ from besovk.kfunc import (
     k_dispatch,
     k_general,
     k_layer,
+    k_plan,
     k_maingrid_W,
     k_p_equal,
     k_power_layer,
@@ -22,6 +23,7 @@ from besovk.kfunc import (
     k_rearr_mainq,
     k_weighted_seq,
     solve_monotone,
+    _logcell_integral,
 )
 from besovk.norms import besov_norm, lp_norm
 from besovk.oracle import k_inf_vertex, k_vertex_exact
@@ -358,6 +360,10 @@ _pool = st.sampled_from([0.5, 1.0, 1.5, 2.0, math.inf])
 
 
 @settings(max_examples=50, deadline=None)
+# GENERAL route on a field spanning 262 decades: the inner relation
+# u^q1 kinf(u)^d is probed past the double range
+@example(layers=[[1.0, 4.2e-262]], s0=0.0, p0=0.5, q0=1.5, s1=0.0, p1=1.0,
+         q1=2.0, t=1.0)
 @given(st.lists(st.lists(st.floats(0.0, 3.0), min_size=1, max_size=3),
                 min_size=1, max_size=3),
        st.floats(-1.5, 1.5), _pool, _pool, st.floats(-1.5, 1.5), _pool, _pool,
@@ -371,3 +377,85 @@ def test_formula_routes_commute(layers, s0, p0, q0, s1, p1, q1, t):
     fwd, _ = k_dispatch(field, fwd_q, t)
     rev, _ = k_dispatch(field, fwd_q.swapped(), 1.0 / t)
     assert fwd == pytest.approx(t * rev, rel=1e-9, abs=1e-300)
+
+
+# --- prepared plans ---------------------------------------------------------
+
+_PLAN_FIELD = [(1.0, 0.3), (0.7,), (0.2, 0.9), (0.5, 0.1, 0.4, 0.8)]
+
+
+@pytest.mark.parametrize("i0, i1, label", [
+    (BesovIndex(0.25, 1.5, 2.0), BesovIndex(0.25, 1.5, 2.0), "formula:degenerate"),
+    (BesovIndex(0.8, 2.0, 1.5), BesovIndex(-0.4, 2.0, 1.5),
+     "formula:p-equal:weighted-split"),
+    (BesovIndex(0.8, 2.0, 1.0), BesovIndex(-0.6, 2.0, 3.0),
+     "formula:p-equal:composed-split"),
+    (BesovIndex(-0.5, 1.5, math.inf), BesovIndex(0.5, 1.5, 1.0),
+     "formula:p-equal:composed-split"),
+    (BesovIndex(-0.5, 1.5, 2.0), BesovIndex(0.5, 1.5, math.inf),
+     "formula:p-equal:composed-split"),
+    (BesovIndex(0.3, 1.0, 0.5), BesovIndex(0.3, 1.0, math.inf),
+     "formula:p-equal:rearrangement"),
+    (BesovIndex(0.4, 1.0, 2.0), BesovIndex(-0.4, math.inf, 2.0),
+     "formula:q-equal:layer-sum"),
+    (BesovIndex(0.9, 1.0, 2.0), BesovIndex(-0.7, 2.0, 1.0),
+     "formula:general:power-composition-kinf"),
+])
+def test_plan_matches_dispatch_exactly(i0, i1, label):
+    field = _field(_PLAN_FIELD)
+    query = InterpQuery(i0, i1)
+    ts = np.concatenate((2.0 ** np.arange(-30.0, 31.0, 3.0), np.geomspace(1e-7, 3e6, 17)))
+    plan = k_plan(field, query)
+    assert plan.label == label
+    want = [k_dispatch(field, query, float(t)) for t in ts]
+    assert {tag for _, tag in want} == {label}
+    assert plan.k(ts).tolist() == [k for k, _ in want]
+
+
+def _logcell_scalar(u_lo, u_hi, g_lo, g_hi):
+    """Reference: the cell rule one scalar cell at a time."""
+    h = u_hi - u_lo
+    if h <= 0:
+        return 0.0
+    if g_lo <= 0.0 or g_hi <= 0.0:
+        return 0.5 * (g_lo + g_hi) * h
+    lr = math.log(g_hi / g_lo)
+    if abs(lr) < 1e-9:
+        return 0.5 * (g_lo + g_hi) * h
+    return (g_hi - g_lo) * h / lr
+
+
+def test_logcell_integral_matches_scalar_rule():
+    rng = np.random.default_rng(3)
+    n = 200
+    u_lo = rng.uniform(-5.0, 5.0, n)
+    h = rng.uniform(0.0, 0.5, n)
+    h[:5] = 0.0
+    g_lo = 10.0 ** rng.uniform(-3.0, 3.0, n)
+    g_hi = g_lo * 10.0 ** rng.uniform(-1.0, 1.0, n)
+    g_lo[10:20] = 0.0
+    g_hi[20:25] = 0.0
+    g_hi[25:30] = -g_hi[25:30]
+    g_hi[30:40] = g_lo[30:40] * (1.0 + rng.uniform(-1e-10, 1e-10, 10))
+    got = _logcell_integral(u_lo, u_lo + h, g_lo, g_hi)
+    want = [_logcell_scalar(*cell) for cell in zip(u_lo, u_lo + h, g_lo, g_hi)]
+    np.testing.assert_allclose(got, want, rtol=1e-12, atol=0.0)
+
+
+@pytest.mark.parametrize("i0, i1, want", [
+    (BesovIndex(0.8, 2.0, 1.0), BesovIndex(-0.6, 2.0, 3.0),
+     [0.0021596309794630086, 0.6136007777241503, 2.0501672118228975,
+      6.616679373347488, 10.486522290495456]),
+    (BesovIndex(-0.5, 1.5, math.inf), BesovIndex(0.5, 1.5, 1.0),
+     [0.011632083009983337, 1.4538491563973088, 2.486138039734401,
+      2.1358244769326986, 1.1081264792600192]),
+    (BesovIndex(-0.5, 1.5, 2.0), BesovIndex(0.5, 1.5, math.inf),
+     [0.0048763049423221645, 1.0063690668562162, 1.6153573248749828,
+      1.366327400634671, 1.2879858380587534]),
+])
+def test_k_curve_composed_split_frozen(i0, i1, want):
+    # values recorded from the per-t scalar quadrature this plan replaced
+    curve = k_curve(_field(_PLAN_FIELD), InterpQuery(i0, i1),
+                    ts=[2.0**-9, 0.3, 1.0, 5.5, 2.0**12])
+    assert curve.method == "formula:p-equal:composed-split"
+    assert curve.k.tolist() == pytest.approx(want, rel=1e-9)
