@@ -17,10 +17,11 @@ the route:
 - q0 = q1: layers decouple; aggregate per-layer K values in l^q
   (k_q_equal / k_layer).
 - p, q both different (finite q): a three-level composition through
-  power-space functionals, each level solved as a monotone implicit
-  equation by bisection (k_general / k_power_layer).  The value
-  computed is the max-form (split) functional; it matches the sum form
-  within a factor 2.
+  power-space functionals (k_general / k_power_layer).  Each layer's
+  powered split functional is an exact lower envelope of hinges, the
+  layer sum is piecewise linear, and the outer relation is inverted on
+  its pieces.  The value computed is the max-form (split) functional;
+  it matches the sum form within a factor 2.
 
 Threshold splits in the two-sided formulas classify coefficients by
 rank: the side with the smaller exponent takes the floor(T) largest
@@ -30,8 +31,8 @@ coefficient every route collapses to min(w0, t*w1) * c exactly.
 
 Every route is a plan (k_plan): the route is selected once per (field,
 query) and everything that does not depend on t (main-grid reduction,
-rearrangements, split tables, calibration limits, kinf tables) is built
-once; the plan then evaluates K on a whole t array.
+rearrangements, split tables, calibration limits, hinge envelopes) is
+built once; the plan then evaluates K on a whole t array.
 """
 
 from __future__ import annotations
@@ -307,49 +308,69 @@ class _SplitSum:
 
 
 class _LayerKinf:
-    """Max-form split K on one vector between l^p0 and l^p1.
+    """Max-form split K on one vector between the powered norms
+    ||.||_p0^q0 and ||.||_p1^q1, as a function of the threshold x:
 
-    Minimizes max(||v 1_S||_p0, t ||v 1_Sc||_p1) over the rank-split
-    family: S = the k largest or the k smallest entries, k = 0..m.
-    Continuous and nondecreasing in t, exact for a single entry, and
-    closed under complements so the commutation identity is exact.
+        kinf(x) = min_k max(A_k, x B_k),
+        A_k = ||v 1_S||_p0^q0,  B_k = ||v 1_Sc||_p1^q1,
+
+    over the rank-split family: S = the k largest or the k smallest
+    entries, k = 0..m.  Continuous and nondecreasing in x, exact for a
+    single entry, and closed under complements so the commutation
+    identity is exact.
+
+    Each term is a hinge, flat at A_k up to its kink A_k / B_k and the
+    line x B_k beyond.  With the terms sorted by kink, those whose kink
+    lies at or above x contribute the suffix minimum of A, the others x
+    times the prefix minimum of B.  Between consecutive kinks kinf is
+    the smaller of that constant and that line, which cross at most
+    once, so the kinks and those crossings (breaks, kept as logs) cut
+    kinf into pieces that are each constant or linear through the
+    origin.  Thresholds are taken as logs, so a kink past the double
+    range still has its place.
     """
 
-    def __init__(self, v: np.ndarray, p0: float, p1: float):
+    def __init__(self, v: np.ndarray, p0: float, p1: float, q0: float, q1: float):
         r = np.sort(np.asarray(v, dtype=float))[::-1]
-        m = len(r)
 
         def prefix_norm(vals: np.ndarray, p: float) -> np.ndarray:
             # ||first k entries||_p for k = 0..m, vals sorted any way
             if math.isinf(p):
-                out = np.maximum.accumulate(np.concatenate(([0.0], vals)))
-                return out
+                return np.maximum.accumulate(np.concatenate(([0.0], vals)))
             return np.concatenate(([0.0], np.cumsum(vals**p))) ** (1.0 / p)
 
-        top0 = prefix_norm(r, p0)          # k largest in side-0 norm
-        top1 = prefix_norm(r, p1)
-        bot0 = prefix_norm(r[::-1], p0)    # k smallest in side-0 norm
-        bot1 = prefix_norm(r[::-1], p1)
-        # side-0 takes k entries, side-1 the complement
-        self._a = np.concatenate((top0, bot0))
-        self._b = np.concatenate((bot1[::-1], top1[::-1]))
-        # exact extreme regimes: kinf(t) = plateau for t >= sat_above,
-        # kinf(t) = slope * t for t <= lin_below; clamped so the solver
-        # brackets stay representable (the clamp only bites when some
-        # entry is vanishing relative to the layer, where its
-        # contribution is below double precision anyway)
-        self.plateau = float(self._a[self._b == 0.0].min())
-        self.slope = float(self._b[self._a == 0.0].min())
-        pos_a = self._a[self._a > 0.0]
-        pos_b = self._b[self._b > 0.0]
-        sat = self.plateau / float(pos_b.min()) if len(pos_b) else 1.0
-        lin = (float(pos_a.min()) / self.slope
-               if len(pos_a) and self.slope > 0 else 1.0)
-        self.sat_above = min(max(sat, 1e-300), 1e300)
-        self.lin_below = min(max(lin, 1e-300), 1e300)
+        # side-0 takes the k largest or the k smallest, side-1 the complement
+        a = np.concatenate((prefix_norm(r, p0), prefix_norm(r[::-1], p0))) ** q0
+        b = np.concatenate((prefix_norm(r[::-1], p1)[::-1], prefix_norm(r, p1)[::-1])) ** q1
+        with np.errstate(divide="ignore", invalid="ignore"):
+            # -inf where a = 0, inf where b = 0, nan where both are
+            # (that split costs nothing and kinf vanishes)
+            kinks = np.log(a) - np.log(b)
+            order = np.argsort(kinks)
+            kinks = kinks[order]
+            self._suf_a = np.concatenate((np.minimum.accumulate(a[order][::-1])[::-1],
+                                          [np.inf]))
+            self._log_pre_b = np.log(np.concatenate(([np.inf],
+                                                     np.minimum.accumulate(b[order]))))
+            self._log_suf_a = np.log(self._suf_a)
+            cross = self._log_suf_a - self._log_pre_b
+        self.live = not np.isnan(kinks).any()
+        edges = np.concatenate(([-np.inf], kinks, [np.inf]))
+        cuts = np.concatenate((kinks, cross[(edges[:-1] < cross) & (cross < edges[1:])]))
+        self.breaks = np.sort(cuts[np.isfinite(cuts)])
+        # the finite kinks, offset by the kinks at -inf, so that x -> 0
+        # reads the slope and x -> inf the plateau
+        self._lo = int(np.searchsorted(kinks, -np.inf, side="right"))
+        self._kinks = kinks[self._lo:np.searchsorted(kinks, np.inf)]
 
-    def kinf(self, t: float) -> float:
-        return float(np.maximum(self._a, t * self._b).min())
+    def parts(self, lx: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """The piece of kinf at each log threshold lx, as its constant
+        (0 on a linear piece) and the log of its slope (-inf on a
+        constant piece).  lx = -inf and inf give the two limits."""
+        i = self._lo + np.searchsorted(self._kinks, lx)
+        lb = self._log_pre_b[i]
+        line = lx + lb < self._log_suf_a[i]
+        return np.where(line, 0.0, self._suf_a[i]), np.where(line, lb, -np.inf)
 
 
 # ---------------------------------------------------------------------------
@@ -656,59 +677,13 @@ def k_q_equal(field: CoeffField, query: InterpQuery, t: float) -> float:
     return _at(k_plan(field, query), t)
 
 
-def _power_layer_solve(lay01: _LayerKinf, lay10: _LayerKinf,
-                       q0: float, q1: float, s: float) -> float:
-    """Max-form K at threshold s between the powered layer norms
-    ||.||_p0^q0 and ||.||_p1^q1, via the monotone inner relation.
-
-    Thresholds beyond the table's exact extreme regimes resolve in
-    closed form (kinf is exactly linear below the first breakpoint and
-    exactly flat above the last), so the outer solver may probe any
-    representable s without the inner bracketing failing.  A relation
-    value past the double range reads as inf, which keeps it monotone.
-    """
-    if q1 < q0:
-        lay, d = lay01, q0 - q1
-
-        def g(u):
-            try:
-                return u**q1 * lay.kinf(u) ** d
-            except OverflowError:
-                return math.inf
-
-        lo, hi = lay.lin_below, lay.sat_above
-        if s >= g(hi):
-            return lay.plateau ** q0
-        if s <= g(lo):
-            return s * lay.slope ** q1
-        tau = solve_monotone(g, s, bracket=(lo, hi))
-        return lay.kinf(tau) ** q0
-    lay, d = lay10, q1 - q0
-
-    def g(u):
-        try:
-            return u**q0 * lay.kinf(u) ** d
-        except OverflowError:
-            return math.inf
-
-    lo, hi = lay.lin_below, lay.sat_above
-    r = 1.0 / s
-    if r >= g(hi):
-        return s * lay.plateau ** q1
-    if r <= g(lo):
-        return lay.slope ** q0
-    tau = solve_monotone(g, r, bracket=(lo, hi))
-    return s * lay.kinf(tau) ** q1
-
-
 def k_power_layer(b, p0: float, p1: float, q0: float, q1: float, s: float) -> float:
     """Max-form K of one weighted layer between powered l^p norms.
 
-    The inner implicit relation s = tau^q1 K(tau)^(q0-q1) (or its
-    reciprocal form for q0 < q1) is strictly increasing in tau and is
-    solved by bracketed bisection; the result is exact over the
-    rank-split family and collapses to min(c^q0, s c^q1) for a single
-    coefficient.
+    The value min_k max(A_k, s B_k) over the rank-split family, with
+    A_k, B_k the q0-th and q1-th powers of the split's l^p0 and l^p1
+    norms (_LayerKinf), read off the layer's hinge envelope; it
+    collapses to min(c^q0, s c^q1) for a single coefficient.
     """
     if p0 == p1:
         raise UsageError("requires p0 != p1")
@@ -716,55 +691,72 @@ def k_power_layer(b, p0: float, p1: float, q0: float, q1: float, s: float) -> fl
         raise UsageError("requires finite q0 != q1")
     if s <= 0:
         raise UsageError(f"threshold must be positive, got {s}")
-    if hasattr(b, "values"):
-        b = b.values
     arr = np.asarray(b, dtype=float)
     if not arr.any():
         return 0.0
-    return _power_layer_solve(_LayerKinf(arr, p0, p1), _LayerKinf(arr, p1, p0),
-                              q0, q1, s)
+    ls = math.log(s)
+    const, lslope = _LayerKinf(arr, p0, p1, q0, q1).parts(np.array([ls]))
+    return float(const[0] + np.exp(lslope[0] + ls))
 
 
-def _general_k(layers: list, q0: float, q1: float, t: float) -> float:
-    """Max-form K at one t from the per-layer kinf tables of k_general."""
+def _power_composition(layers: list, q0: float, q1: float):
+    """Evaluator of the max-form K from the layer envelopes (lay, log sc).
 
-    def KX(u: float) -> float:
-        return sum(_power_layer_solve(l01, l10, q0, q1, u * sc)
-                   for l01, l10, sc in layers)
+    The layer sum KX(u) = sum_j kinf_j(u sc) is constant plus linear on
+    each piece between the merged layer breaks (in log u).  K solves
+    u^(1/q1) KX(u)^(1/q0 - 1/q1) = t, strictly increasing in u for
+    either order of q0, q1, and is KX(u)^(1/q0).  The left side at each
+    break places every t on its piece: a linear piece gives
+    K = t slope^(1/q1) (below the first break, t ||f||_A1), a constant
+    piece K = const^(1/q0) (above the last, ||f||_A0), and a mixed piece
+    is bisected in log u, vectorised over t.
+    """
+    e = 1.0 / q0 - 1.0 / q1
+    lv = np.sort(np.concatenate([lay.breaks - lsc for lay, lsc in layers]))
+    reps = np.concatenate(([-np.inf], 0.5 * (lv[:-1] + lv[1:]), [np.inf]))
+    const = np.zeros(len(reps))
+    lslope = np.full(len(reps), -np.inf)
+    for lay, lsc in layers:
+        c, lb = lay.parts(reps + lsc)
+        const += c
+        lslope = np.logaddexp(lslope, lb + lsc)
+    with np.errstate(divide="ignore"):
+        lconst = np.log(const)
+    # log of the left side at each break, from the piece right of it
+    lg = lv / q1 + e * np.logaddexp(lconst[1:], lslope[1:] + lv)
 
-    if q0 < q1:
-        expo = 1.0 / q0 - 1.0 / q1
+    def k(ts):
+        lt = np.log(ts)
+        p = np.searchsorted(lg, lt)
+        lc, lb = lconst[p], lslope[p]
+        out = np.where(lc == -np.inf, np.exp(lt + lb / q1), np.exp(lc / q0))
+        mixed = np.flatnonzero((lc > -np.inf) & (lb > -np.inf))
+        if len(mixed):
+            lc, lb, lt = lc[mixed], lb[mixed], lt[mixed]
+            lo, hi = lv[p[mixed] - 1], lv[p[mixed]]
+            # each bracket stops on its own width, so a t gets the same
+            # value whatever else is evaluated with it
+            while (wide := hi - lo > 1e-14 * np.maximum(1.0, np.abs(lo))).any():
+                mid = 0.5 * (lo + hi)
+                up = mid / q1 + e * np.logaddexp(lc, lb + mid) > lt
+                lo, hi = np.where(wide & ~up, mid, lo), np.where(wide & up, mid, hi)
+            out[mixed] = np.exp(np.logaddexp(lc, lb + 0.5 * (lo + hi)) / q0)
+        return out
 
-        def g(s):
-            try:
-                return s ** (1.0 / q1) * KX(s) ** expo
-            except OverflowError:
-                return math.inf
-
-        return KX(solve_monotone(g, t)) ** (1.0 / q0)
-    expo = 1.0 / q1 - 1.0 / q0
-
-    def M(s):
-        return s * KX(1.0 / s)
-
-    def g(s):
-        try:
-            return s ** (1.0 / q0) * M(s) ** expo
-        except OverflowError:
-            return math.inf
-
-    return t * M(solve_monotone(g, 1.0 / t)) ** (1.0 / q1)
+    return k
 
 
 def k_general(field: CoeffField, query: InterpQuery, t: float) -> float:
     """Max-form K for p and q both different (both q finite).
 
-    Composition: (1) the outer threshold s solves a strictly monotone
-    scalar relation tying t to the power-space value; (2) that value is
-    the layer sum of max-form power K's at thresholds s * 2^(j*s_tilde*q1);
-    (3) each layer resolves its own inner threshold (k_power_layer).
-    Endpoints recover the two Besov norms exactly in the limits, and a
-    single coefficient collapses to min(w0, t*w1) * c exactly.
+    Composition: (1) the outer threshold u solves the strictly monotone
+    relation u^(1/q1) KX(u)^(1/q0 - 1/q1) = t, and K = KX(u)^(1/q0);
+    (2) KX(u) is the layer sum of max-form power K's at thresholds
+    u * 2^(j*s_tilde*q1); (3) each of those is the layer's hinge
+    envelope (k_power_layer).  KX is piecewise linear, so the relation
+    is closed-form on its outer and pure pieces and bisected on the
+    rest.  Endpoints recover the two Besov norms exactly in the limits,
+    and a single coefficient collapses to min(w0, t*w1) * c exactly.
     """
     i0, i1 = query.idx0, query.idx1
     if i0.p == i1.p or i0.q == i1.q or math.isinf(i0.q) or math.isinf(i1.q):
@@ -796,17 +788,16 @@ def _q_equal_route(field, query, budget):
 
 def _general_route(field, query, budget):
     i0, i1 = query.idx0, query.idx1
-    st = query.s_tilde(field.spec.n)
     q0, q1 = i0.q, i1.q
+    lsc = query.s_tilde(field.spec.n) * q1 * math.log(2.0)  # log sc_j = j * lsc
     layers = []
     for j in range(field.spec.J):
-        b = weighted_layer(field, i0, j).values
-        if b.any():
-            layers.append((_LayerKinf(b, i0.p, i1.p), _LayerKinf(b, i1.p, i0.p),
-                           2.0 ** (j * st * q1)))
+        lay = _LayerKinf(weighted_layer(field, i0, j).values, i0.p, i1.p, q0, q1)
+        if lay.live:
+            layers.append((lay, j * lsc))
     if not layers:
         return _zeros
-    return lambda ts: np.array([_general_k(layers, q0, q1, float(t)) for t in ts])
+    return _power_composition(layers, q0, q1)
 
 
 def _vertex_route(field, query, budget):

@@ -23,7 +23,7 @@ import numpy as np
 from .coeffs import CoeffField
 from .grid import BesovIndex, GridSpec
 from .interp import besov_identity_check, interp_norm, reiteration_check
-from .kfunc import InterpQuery, k_dispatch, k_general, k_p_equal, k_q_equal
+from .kfunc import InterpQuery, k_dispatch, k_general, k_p_equal, k_plan, k_q_equal
 from .norms import besov_norm, main_grid_reduce
 from .oracle import OracleBudget, k_cuboid_continuous, vertex_tables
 
@@ -328,9 +328,9 @@ def run_general(seed: int = 105, count: int = 50) -> dict:
         idx0 = BesovIndex(float(rng.uniform(-2, 2)), float(p0), float(q0))
         idx1 = BesovIndex(float(rng.uniform(-2, 2)), float(p1), float(q1))
         query = InterpQuery(idx0, idx1)
-        ratios = _ratio_sweep(field, query,
-                              lambda t: k_general(field, query, t),
-                              xi=math.inf)
+        # one plan for the whole grid; its values equal per-t k_general
+        ks = dict(zip(_T_GRID.tolist(), k_plan(field, query).k(_T_GRID)))
+        ratios = _ratio_sweep(field, query, ks.__getitem__, xi=math.inf)
         if not ratios:
             continue
         worst_band = max(worst_band, max(_band(r) for r in ratios))

@@ -1,0 +1,53 @@
+"""A first K evaluation must not import modules lazily.
+
+A module imported on first use (numpy.ma, say) costs every fresh
+interpreter its import time and memory, the CLI included.  This runs one
+k_dispatch, k_curve and interp_norm per formula route in a fresh
+interpreter and checks that sys.modules holds nothing new afterwards.
+"""
+
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+_SRC = Path(__file__).resolve().parents[1] / "src"
+
+_SCRIPT = r"""
+import json, math, sys
+import numpy as np
+import besovk
+from besovk import (BesovIndex, CoeffField, GridSpec, InterpQuery, interp_norm,
+                    k_curve, k_dispatch)
+
+before = set(sys.modules)
+field = CoeffField(GridSpec(n=1, J=3, layer_sizes=(1, 2, 3)),
+                   [np.array([1.0]), np.array([0.5, 0.25]), np.array([0.3, 0.0, 0.1])])
+couples = [
+    ((0.25, 1.5, 2.0), (0.25, 1.5, 2.0)),   # degenerate
+    ((0.8, 2.0, 1.5), (-0.4, 2.0, 1.5)),    # weighted-split
+    ((0.8, 2.0, 1.0), (-0.6, 2.0, 3.0)),    # composed-split
+    ((0.3, 1.0, 0.5), (0.3, 1.0, math.inf)),  # rearrangement
+    ((0.4, 1.0, 2.0), (-0.4, math.inf, 2.0)),  # layer-sum
+    ((0.9, 1.0, 2.0), (-0.7, 2.0, 1.0)),    # general
+]
+routes = []
+for i0, i1 in couples:
+    query = InterpQuery(BesovIndex(*i0), BesovIndex(*i1))
+    routes.append(k_dispatch(field, query, 1.3)[1])
+    k_curve(field, query)
+    interp_norm(field, query)
+print(json.dumps({"routes": routes, "new": sorted(set(sys.modules) - before)}))
+"""
+
+
+def test_formula_routes_import_nothing_lazily():
+    env = dict(os.environ, PYTHONPATH=str(_SRC))
+    proc = subprocess.run([sys.executable, "-c", _SCRIPT], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    doc = json.loads(proc.stdout)
+    assert len(set(doc["routes"])) == 6
+    assert all(r.startswith("formula:") for r in doc["routes"])
+    assert doc["new"] == []

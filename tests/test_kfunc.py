@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from besovk.coeffs import CoeffField
 from besovk.errors import NumericError, UsageError
@@ -264,6 +264,45 @@ def test_k_power_layer_monotone_in_s():
     assert all(x <= y + 1e-12 * max(1.0, y) for x, y in zip(vals, vals[1:]))
 
 
+def _power_layer_brute(b, p0, p1, q0, q1, s):
+    """Reference: max(||S||_p0^q0, s ||Sc||_p1^q1) minimized over all
+    2(m+1) rank splits, S the k largest or the k smallest entries."""
+    r = sorted(b, reverse=True)
+    m = len(r)
+
+    def norm(vals, p):
+        if not vals:
+            return 0.0
+        if math.isinf(p):
+            return max(vals)
+        return sum(x**p for x in vals) ** (1.0 / p)
+
+    best = math.inf
+    for k in range(m + 1):
+        for side0, side1 in ((r[:k], r[k:]), (r[m - k:], r[:m - k])):
+            best = min(best, max(norm(side0, p0) ** q0, s * norm(side1, p1) ** q1))
+    return best
+
+
+def test_k_power_layer_matches_rank_split_minimum():
+    rng = np.random.default_rng(12)
+    for case in range(400):
+        m = int(rng.integers(1, 7))
+        if case % 2:
+            # a unit entry and the rest spread over 300 decades below it
+            b = 10.0 ** rng.uniform(-300.0, 0.0, m)
+            b[0] = 1.0
+            b[1:][rng.random(m - 1) < 0.3] = 0.0
+        else:
+            b = rng.uniform(0.0, 2.0, m)
+            b[rng.random(m) < 0.3] = 0.0
+        p0, p1 = (float(x) for x in rng.choice((0.5, 1.0, 2.0, math.inf), 2, replace=False))
+        q0, q1 = (float(x) for x in rng.choice((0.5, 1.0, 2.0, 3.0), 2, replace=False))
+        s = float(10.0 ** rng.uniform(-6.0, 6.0))
+        want = _power_layer_brute(b.tolist(), p0, p1, q0, q1, s)
+        assert k_power_layer(b, p0, p1, q0, q1, s) == pytest.approx(want, rel=1e-12)
+
+
 def test_k_general_single_coefficient_collapse():
     field = _field([(0.0,), (0.0,), (1.1,)])
     i0 = BesovIndex(0.7, 1.0, 1.0)
@@ -459,3 +498,46 @@ def test_k_curve_composed_split_frozen(i0, i1, want):
                     ts=[2.0**-9, 0.3, 1.0, 5.5, 2.0**12])
     assert curve.method == "formula:p-equal:composed-split"
     assert curve.k.tolist() == pytest.approx(want, rel=1e-9)
+
+
+@pytest.mark.parametrize("i0, i1, want", [
+    (BesovIndex(-0.3, math.inf, 0.5), BesovIndex(0.6, 1.0, 2.0),
+     [0.005780850269195414, 0.8606334225611224, 2.7040074092689945,
+      10.438812754994736, 16.70871899099467]),
+    (BesovIndex(0.9, 1.0, 2.0), BesovIndex(-0.7, 2.0, 1.0),
+     [0.004032110677845244, 0.6061230048356724, 1.6259720660385384,
+      2.894225395509889, 4.828249804141563]),
+])
+def test_k_curve_general_frozen(i0, i1, want):
+    # values recorded from the nested bisection this envelope replaced,
+    # which solved each level to 1e-10 relative
+    curve = k_curve(_field(_PLAN_FIELD), InterpQuery(i0, i1),
+                    ts=[2.0**-9, 0.3, 1.0, 5.5, 2.0**12])
+    assert curve.method == "formula:general:power-composition-kinf"
+    assert curve.k.tolist() == pytest.approx(want, rel=1e-8)
+
+
+_WIDE = st.one_of(st.just(0.0), st.floats(-300.0, 0.0).map(lambda e: 10.0**e))
+_P_GENERAL = st.sampled_from([0.5, 1.0, 2.0, math.inf])
+_Q_GENERAL = st.sampled_from([0.5, 1.0, 1.5, 2.0, 3.0])
+
+
+@settings(max_examples=50, deadline=None)
+@example(layers=[[1.0, 4.2e-262]], s0=0.0, p0=0.5, q0=1.5, s1=0.0, p1=1.0, q1=2.0)
+@given(st.lists(st.lists(_WIDE, min_size=1, max_size=4), min_size=1, max_size=3),
+       st.floats(-1.5, 1.5), _P_GENERAL, _Q_GENERAL,
+       st.floats(-1.5, 1.5), _P_GENERAL, _Q_GENERAL)
+def test_general_curve_monotone_wide_range(layers, s0, p0, q0, s1, p1, q1):
+    assume(p0 != p1 and q0 != q1)
+    # entries span up to 300 decades below the largest, scaled to 1 so
+    # that K stays clear of subnormals on the grid
+    top = max(max(v) for v in layers)
+    assume(top > 0.0)
+    field = _field([[x / top for x in v] for v in layers])
+    query = InterpQuery(BesovIndex(s0, p0, q0), BesovIndex(s1, p1, q1))
+    curve = k_curve(field, query, ts=default_t_grid(-40, 40, 1.0))
+    assert curve.method == "formula:general:power-composition-kinf"
+    k, k_over_t = curve.k, curve.k / curve.t
+    assert np.isfinite(k).all() and (k > 0).all()
+    assert (np.diff(k) >= -1e-12 * k[1:]).all()
+    assert (np.diff(k_over_t) <= 1e-12 * k_over_t[:-1]).all()
