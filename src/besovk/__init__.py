@@ -51,7 +51,6 @@ from .oracle import (
     OracleBudget,
     VertexTables,
     k_cuboid_continuous,
-    k_inf_vertex,
     k_vertex_exact,
     oracle_curve,
     vertex_tables,
@@ -92,7 +91,6 @@ __all__ = [
     "k_curve",
     "k_dispatch",
     "k_general",
-    "k_inf_vertex",
     "k_p_equal",
     "k_q_equal",
     "k_vertex_exact",

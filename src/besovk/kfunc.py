@@ -804,8 +804,7 @@ def _vertex_route(field, query, budget):
     from .oracle import vertex_tables
 
     tables = vertex_tables(field, query.idx0, query.idx1, budget=budget)
-    xi = query.xi
-    return lambda ts: np.array([tables.k(float(t), xi) for t in ts])
+    return lambda ts: tables.curve(ts, query.xi)
 
 
 # case -> (route label, builder(field, query, budget) -> evaluator of a t array)

@@ -29,7 +29,6 @@ __all__ = [
     "VertexTables",
     "vertex_tables",
     "k_vertex_exact",
-    "k_inf_vertex",
     "k_cuboid_continuous",
     "oracle_curve",
 ]
@@ -94,19 +93,21 @@ class VertexTables:
                 tot = (contrib[:, None] + tot[None, :]).ravel()
         return tot ** (1.0 / q) if not math.isinf(q) else tot
 
-    def k(self, t: float, xi: float = 1.0) -> float:
+    def _split_values(self, t: float, xi: float) -> np.ndarray:
+        """(||f 1_S||_A0^xi + t^xi ||f 1_Sc||_A1^xi)^(1/xi) for every mask S."""
         if math.isinf(xi):
-            vals = np.maximum(self.a, t * self.b_comp)
-        else:
-            vals = (self.a**xi + (t * self.b_comp) ** xi) ** (1.0 / xi)
-        return float(vals.min())
+            return np.maximum(self.a, t * self.b_comp)
+        return (self.a**xi + (t * self.b_comp) ** xi) ** (1.0 / xi)
+
+    def k(self, t: float, xi: float = 1.0) -> float:
+        return float(self._split_values(t, xi).min())
 
     def best_split(self, t: float, xi: float = 1.0) -> int:
-        if math.isinf(xi):
-            vals = np.maximum(self.a, t * self.b_comp)
-        else:
-            vals = (self.a**xi + (t * self.b_comp) ** xi) ** (1.0 / xi)
-        return int(vals.argmin())
+        return int(self._split_values(t, xi).argmin())
+
+    def curve(self, ts, xi: float = 1.0) -> np.ndarray:
+        """k at each t of ts."""
+        return np.array([self.k(float(t), xi) for t in np.asarray(ts, dtype=float)])
 
 
 def vertex_tables(field: CoeffField, idx0: BesovIndex, idx1: BesovIndex,
@@ -122,17 +123,10 @@ def k_vertex_exact(field: CoeffField, idx0: BesovIndex, idx1: BesovIndex, t: flo
     return vertex_tables(field, idx0, idx1, budget).k(t, xi)
 
 
-def k_inf_vertex(field: CoeffField, idx0: BesovIndex, idx1: BesovIndex, t: float,
-                 budget: OracleBudget | None = None) -> float:
-    """Max-form split infimum; exact for the xi = inf K-functional."""
-    return k_vertex_exact(field, idx0, idx1, t, xi=math.inf, budget=budget)
-
-
 def oracle_curve(field: CoeffField, idx0: BesovIndex, idx1: BesovIndex, ts,
                  xi: float = 1.0, budget: OracleBudget | None = None) -> np.ndarray:
     """Vertex-exact K at each t, sharing one enumeration pass."""
-    tables = vertex_tables(field, idx0, idx1, budget)
-    return np.array([tables.k(float(t), xi) for t in np.asarray(ts, dtype=float)])
+    return vertex_tables(field, idx0, idx1, budget).curve(ts, xi)
 
 
 class _SideAccum:
@@ -140,59 +134,49 @@ class _SideAccum:
 
     def __init__(self, field: CoeffField, idx: BesovIndex, vecs):
         self.p, self.q = idx.p, idx.q
+        self.p_inf, self.q_inf = math.isinf(idx.p), math.isinf(idx.q)
+        self.ip, self.iq = 1.0 / idx.p, 1.0 / idx.q
         self.w = [layer_weight(field.spec, idx, j) for j in range(field.spec.J)]
         self.vecs = [v.copy() for v in vecs]
-        self._rebuild()
-
-    def _layer_base(self, j: int) -> float:
-        v = self.vecs[j]
-        return float(v.max()) if math.isinf(self.p) else float(np.sum(v**self.p))
-
-    def _term(self, j: int, base: float) -> float:
-        lp = base if math.isinf(self.p) else base ** (1.0 / self.p)
-        wlp = self.w[j] * lp
-        return wlp if math.isinf(self.q) else wlp**self.q
-
-    def _rebuild(self):
-        self.base = [self._layer_base(j) for j in range(len(self.vecs))]
+        self.base = [float(v.max()) if self.p_inf else float(np.sum(v**self.p))
+                     for v in self.vecs]
         self.terms = [self._term(j, b) for j, b in enumerate(self.base)]
 
-    def norm(self) -> float:
-        if math.isinf(self.q):
-            return max(self.terms)
-        return sum(self.terms) ** (1.0 / self.q)
+    def _term(self, j: int, base: float) -> float:
+        lp = base if self.p_inf else base**self.ip
+        wlp = self.w[j] * lp
+        return wlp if self.q_inf else wlp**self.q
 
-    def prepare(self, j: int, i: int):
-        """Stash layer-j state with coordinate i removed, for 1-D evals."""
+    def norm(self) -> float:
+        if self.q_inf:
+            return max(self.terms)
+        return sum(self.terms) ** self.iq
+
+    def prepare(self, j: int, i: int) -> tuple[float, float, float]:
+        """Stash layer-j state with coordinate i removed; returns what a
+        1-D evaluation needs: (layer rest, layer weight, other layers)."""
         self._j, self._i = j, i
         v = self.vecs[j]
-        if math.isinf(self.p):
-            self._rest = float(np.max(np.delete(v, i))) if len(v) > 1 else 0.0
+        if self.p_inf:
+            others = v.tolist()
+            del others[i]
+            rest = max(others, default=0.0)
         else:
-            self._rest = self.base[j] - float(v[i] ** self.p)
-            if self._rest < 0.0:
-                self._rest = 0.0
-        if math.isinf(self.q):
-            others = self.terms[:j] + self.terms[j + 1 :]
-            self._agg_rest = max(others) if others else 0.0
+            rest = self.base[j] - float(v[i] ** self.p)
+            if rest < 0.0:
+                rest = 0.0
+        self._rest = rest
+        if self.q_inf:
+            agg_rest = max(self.terms[:j] + self.terms[j + 1 :], default=0.0)
         else:
-            self._agg_rest = sum(self.terms) - self.terms[j]
-
-    def eval_with(self, x: float) -> float:
-        if math.isinf(self.p):
-            base = max(self._rest, x)
-        else:
-            base = self._rest + x**self.p
-        term = self._term(self._j, base)
-        if math.isinf(self.q):
-            return max(self._agg_rest, term)
-        return (self._agg_rest + term) ** (1.0 / self.q)
+            agg_rest = sum(self.terms) - self.terms[j]
+        return rest, self.w[j], agg_rest
 
     def commit(self, x: float):
         j = self._j
         self.vecs[j][self._i] = x
-        if math.isinf(self.p):
-            self.base[j] = float(self.vecs[j].max())
+        if self.p_inf:
+            self.base[j] = max(self._rest, x)
         else:
             self.base[j] = self._rest + x**self.p
         self.terms[j] = self._term(j, self.base[j])
@@ -234,6 +218,14 @@ def k_cuboid_continuous(field: CoeffField, idx0: BesovIndex, idx1: BesovIndex, t
     multi-started from g = 0, g = f, and the best vertex split (when
     enumeration fits the budget), so the returned value never exceeds
     the vertex minimum.
+
+    Each line search minimises one fused scalar objective: both sides'
+    norms with the other coordinates held fixed, evaluated inline from
+    per-side (layer rest, layer weight, other layers) state.  A start
+    stops when a sweep improves by at most 1e-12 relative, or after
+    coord_descent_iters sweeps; line searches stop at 1e-10 * max(1, f_i).
+    Non-smooth couples (a p or q = inf) can stall coordinate descent and
+    run the full coord_descent_iters.
     """
     budget = budget or OracleBudget()
     for name, v in (("p0", idx0.p), ("q0", idx0.q), ("p1", idx1.p), ("q1", idx1.q)):
@@ -259,6 +251,9 @@ def k_cuboid_continuous(field: CoeffField, idx0: BesovIndex, idx1: BesovIndex, t
             bit += len(v)
         starts.append(tuple(g_layers))
 
+    p0, q0, p1, q1 = idx0.p, idx0.q, idx1.p, idx1.q
+    p0_inf, q0_inf, p1_inf, q1_inf = (math.isinf(v) for v in (p0, q0, p1, q1))
+    ip0, iq0, ip1, iq1 = 1.0 / p0, 1.0 / q0, 1.0 / p1, 1.0 / q1
     best = math.inf
     coords = [(j, i) for j in range(field.spec.J) for i in range(len(field.layers[j]))]
     for g0 in starts:
@@ -271,11 +266,17 @@ def k_cuboid_continuous(field: CoeffField, idx0: BesovIndex, idx1: BesovIndex, t
                 fi = float(field.layers[j][i])
                 if fi == 0.0:
                     continue
-                side0.prepare(j, i)
-                side1.prepare(j, i)
+                r0, w0, a0 = side0.prepare(j, i)
+                r1, w1, a1 = side1.prepare(j, i)
 
-                def obj(x, _fi=fi):
-                    return side0.eval_with(x) + t * side1.eval_with(_fi - x)
+                def obj(x):
+                    # both sides' norms with coordinate (j, i) split x | fi - x
+                    y = fi - x
+                    u0 = w0 * ((x if x > r0 else r0) if p0_inf else (r0 + x**p0) ** ip0)
+                    u1 = w1 * ((y if y > r1 else r1) if p1_inf else (r1 + y**p1) ** ip1)
+                    u0 = (u0 if u0 > a0 else a0) if q0_inf else (a0 + u0**q0) ** iq0
+                    u1 = (u1 if u1 > a1 else a1) if q1_inf else (a1 + u1**q1) ** iq1
+                    return u0 + t * u1
 
                 x_star = _golden_min(obj, 0.0, fi, 1e-10 * max(1.0, fi))
                 side0.commit(x_star)

@@ -207,15 +207,9 @@ def run_vertex_band(seed: int = 102, count: int = 200) -> dict:
 
 def _ratio_sweep(field, query, formula_fun, xi: float = 1.0):
     """Formula/oracle ratios across the shared t grid."""
-    tabs = vertex_tables(field, query.idx0, query.idx1)
-    out = []
-    for t in _T_GRID:
-        t = float(t)
-        oracle = tabs.k(t, xi)
-        if oracle == 0.0:
-            continue
-        out.append(formula_fun(t) / oracle)
-    return out
+    oracles = vertex_tables(field, query.idx0, query.idx1).curve(_T_GRID, xi)
+    return [formula_fun(float(t)) / float(oracle)
+            for t, oracle in zip(_T_GRID, oracles) if oracle != 0.0]
 
 
 def run_p_equal(seed: int = 103, per_case: int = 100) -> dict:

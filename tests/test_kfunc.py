@@ -26,7 +26,7 @@ from besovk.kfunc import (
     _logcell_integral,
 )
 from besovk.norms import besov_norm, lp_norm
-from besovk.oracle import k_inf_vertex, k_vertex_exact
+from besovk.oracle import k_vertex_exact
 
 
 def _field(layers, n=1):
@@ -332,7 +332,7 @@ def test_k_general_band_vs_max_form_oracle():
     ratios = []
     for t in 2.0 ** np.arange(-20.0, 21.0, 4.0):
         ratios.append(k_general(field, query, float(t))
-                      / k_inf_vertex(field, i0, i1, float(t)))
+                      / k_vertex_exact(field, i0, i1, float(t), xi=math.inf))
     assert all(1.0 / 16.0 <= r <= 16.0 for r in ratios)
     assert max(ratios) / min(ratios) <= 16.0
 

@@ -8,11 +8,11 @@ from hypothesis import given, settings, strategies as st
 from besovk.coeffs import CoeffField
 from besovk.errors import BudgetError
 from besovk.grid import BesovIndex, GridSpec
+from besovk import oracle as oracle_mod
 from besovk.norms import besov_norm
 from besovk.oracle import (
     OracleBudget,
     k_cuboid_continuous,
-    k_inf_vertex,
     k_vertex_exact,
     oracle_curve,
     vertex_tables,
@@ -87,7 +87,7 @@ def test_three_coefficient_max_form_hand_enumeration():
     idx0 = BesovIndex(0.5, 1.0, 1.0)
     idx1 = BesovIndex(-0.5, math.inf, math.inf)
     for t in (0.2, 1.0, 5.0):
-        got = k_inf_vertex(field, idx0, idx1, t)
+        got = k_vertex_exact(field, idx0, idx1, t, xi=math.inf)
         want = _hand_vertex(field, idx0, idx1, t, xi=math.inf)
         assert got == pytest.approx(want, rel=1e-12)
 
@@ -179,3 +179,65 @@ def test_sandwich(layers, t):
     assert k_inf <= k_2 + 1e-12 * k_2
     assert k_2 <= k_1 + 1e-12 * k_1
     assert k_1 <= 2.0 ** (1 - 0.5) * k_2 * (1 + 1e-12) + 1e-300
+
+
+# (p0, q0, p1, q1) -> k_cuboid_continuous on _FROZEN_FIELD with
+# (s0, s1, t) = (1, -0.5, 2): every finite/inf combination, finite
+# values from {1.5, 2}; both sides shape each optimum.
+_FROZEN_FIELD = [[0.9, 0.0, 1.3], [0.4], [1.1, 0.6]]
+_CUBOID_FROZEN = {
+    (1.5, 2.0, 2.0, 1.5): 2.993629947214586,
+    (1.5, 2.0, 2.0, math.inf): 2.3264962507680393,
+    (1.5, 2.0, math.inf, 1.5): 3.619541250653452,
+    (1.5, 2.0, math.inf, math.inf): 2.3999999869912236,
+    (1.5, math.inf, 2.0, 1.5): 2.542943623828234,
+    (1.5, math.inf, 2.0, math.inf): 2.188128725991168,
+    (1.5, math.inf, math.inf, 1.5): 2.85466190478144,
+    (1.5, math.inf, math.inf, math.inf): 2.308037611700783,
+    (math.inf, 2.0, 2.0, 1.5): 2.67414465612542,
+    (math.inf, 2.0, 2.0, math.inf): 2.1086987591969764,
+    (math.inf, 2.0, math.inf, 1.5): 3.6073031185602034,
+    (math.inf, 2.0, math.inf, math.inf): 2.3999999977380004,
+    (math.inf, math.inf, 2.0, 1.5): 2.31253944160886,
+    (math.inf, math.inf, 2.0, math.inf): 1.973526613759534,
+    (math.inf, math.inf, math.inf, 1.5): 3.1417075845932616,
+    (math.inf, math.inf, math.inf, math.inf): 2.371428571463208,
+}
+
+# A non-smooth couple on which two of the three descent starts run to
+# the sweep cap: p0 = 1 with q0 = inf against p1 = inf.
+_STALLED = dict(
+    layers=[[0.8262644140577073, 0.6428309983502755, 0.0],
+            [1.346197464293376, 1.7192093602682121]],
+    idx0=BesovIndex(-0.8459417052882885, 1.0, math.inf),
+    idx1=BesovIndex(1.5652004212060224, math.inf, 2.0),
+    t=0.5405045797104697,
+)
+
+
+def test_cuboid_continuous_frozen():
+    field = _field(_FROZEN_FIELD)
+    for (p0, q0, p1, q1), want in _CUBOID_FROZEN.items():
+        got = k_cuboid_continuous(field, BesovIndex(1.0, p0, q0),
+                                  BesovIndex(-0.5, p1, q1), 2.0)
+        assert got == pytest.approx(want, rel=1e-13), (p0, q0, p1, q1)
+    s = _STALLED
+    got = k_cuboid_continuous(_field(s["layers"]), s["idx0"], s["idx1"], s["t"])
+    assert got == pytest.approx(1.3481684867019943, rel=1e-13)
+
+
+def test_cuboid_continuous_line_search_count(monkeypatch):
+    # sweeps and tolerances fix the descent's work: 4020 line searches
+    # on the stalled couple (two starts capped at 500 sweeps of 4 live
+    # coordinates, one converged after 5)
+    calls = []
+    golden = oracle_mod._golden_min
+
+    def counted(*args):
+        calls.append(1)
+        return golden(*args)
+
+    monkeypatch.setattr(oracle_mod, "_golden_min", counted)
+    s = _STALLED
+    k_cuboid_continuous(_field(s["layers"]), s["idx0"], s["idx1"], s["t"])
+    assert len(calls) == 4020
