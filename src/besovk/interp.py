@@ -90,11 +90,20 @@ def _interp_from_kfun(kfun, theta: float, r: float, quad: QuadratureSpec,
     form under the log-linear model; tails use the exact asymptotics.
     The window expands until the tails carry under tail_rel_tol of the
     total (for r = inf, until the sup detaches from the window edge).
+    A widened window reuses K at every node equal, bit for bit, to one
+    already evaluated, and evaluates it on the rest only.
     """
     lo_exp, hi_exp = quad.t_min_exp, quad.t_max_exp
+    ts, ks = np.empty(0), np.empty(0)
     for _ in range(_MAX_EXPANSIONS):
+        old_ts, old_ks = ts, ks
         ts = _window_grid(lo_exp, hi_exp, quad.points_per_decade)
-        ks = kfun(ts)
+        pos = np.searchsorted(old_ts, ts)
+        seen = pos < len(old_ts)
+        seen[seen] = old_ts[pos[seen]] == ts[seen]
+        ks = np.empty(len(ts))
+        ks[seen] = old_ks[pos[seen]]
+        ks[~seen] = kfun(ts[~seen])
         if not ks.any():
             return InterpReport(0.0, method, lo_exp, hi_exp, len(ts),
                                 0.0, 0.0, 0.0)

@@ -20,8 +20,9 @@ the route:
   power-space functionals (k_general / k_power_layer).  Each layer's
   powered split functional is an exact lower envelope of hinges, the
   layer sum is piecewise linear, and the outer relation is inverted on
-  its pieces.  The value computed is the max-form (split) functional;
-  it matches the sum form within a factor 2.
+  its pieces, in closed form or by Newton's method.  The value computed
+  is the max-form (split) functional; it matches the sum form within a
+  factor 2.
 
 Threshold splits in the two-sided formulas classify coefficients by
 rank: the side with the smaller exponent takes the floor(T) largest
@@ -44,9 +45,9 @@ from enum import Enum
 import numpy as np
 
 from .coeffs import CoeffField, weighted_layer
-from .errors import NumericError, UsageError
+from .errors import UsageError
 from .grid import BesovIndex, layer_weight
-from .norms import besov_norm, lp_norm, main_grid_reduce
+from .norms import _pow2_factor, besov_norm, lp_norm, main_grid_reduce
 from .rearrange import rearrangement
 
 __all__ = [
@@ -54,7 +55,6 @@ __all__ = [
     "InterpQuery",
     "KCurve",
     "default_t_grid",
-    "solve_monotone",
     "k_layer",
     "k_maingrid_W",
     "k_rearr_mainq",
@@ -153,54 +153,6 @@ def default_t_grid(t_min_exp: float = -20.0, t_max_exp: float = 20.0,
     return np.logspace(t_min_exp, t_max_exp, count, base=2.0)
 
 
-def solve_monotone(g, target: float, bracket: tuple[float, float] = (1e-200, 1e200),
-                   rel_tol: float = 1e-10, max_steps: int = 200) -> float:
-    """Invert a nondecreasing map: find t with g(t) close to target.
-
-    Bracket endpoints double outward (up to 200 times each way) until
-    they straddle target, then bisect in log t.  Returns t once
-    |g(t) - target| <= rel_tol * target, or the bracket midpoint when
-    the bracket collapses (a plateau or jump of g at target).  Raises
-    NumericError when no straddling bracket exists.
-    """
-    if not (target > 0) or math.isinf(target):
-        raise UsageError(f"target must be positive and finite, got {target}")
-    lo, hi = bracket
-    if not (0 < lo < hi):
-        raise UsageError(f"bad bracket {bracket}")
-    glo, ghi = g(lo), g(hi)
-    for _ in range(200):
-        if not glo > target:
-            break
-        lo /= 2.0
-        glo = g(lo)
-    else:
-        raise NumericError(f"no lower bracket: g({lo}) = {glo} > target {target}")
-    for _ in range(200):
-        if not ghi < target:
-            break
-        hi *= 2.0
-        ghi = g(hi)
-    else:
-        raise NumericError(f"no upper bracket: g({hi}) = {ghi} < target {target}")
-    llo, lhi = math.log(lo), math.log(hi)
-    mid = math.exp(0.5 * (llo + lhi))
-    for _ in range(max_steps):
-        mid = math.exp(0.5 * (llo + lhi))
-        gm = g(mid)
-        if abs(gm - target) <= rel_tol * target:
-            return mid
-        if math.isnan(gm):
-            raise NumericError(f"monotone map returned NaN at {mid}")
-        if gm < target:
-            llo = 0.5 * (llo + lhi)
-        else:
-            lhi = 0.5 * (llo + lhi)
-        if lhi - llo <= 1e-13:
-            return math.exp(0.5 * (llo + lhi))
-    return mid
-
-
 # ---------------------------------------------------------------------------
 # prepared plans
 
@@ -235,17 +187,13 @@ def _zeros(ts: np.ndarray) -> np.ndarray:
 
 
 def _scaled_plan(label: str, vmax: float, build) -> KPlan:
-    """The one rescaling rule.  Data whose largest entry vmax lies
-    outside 2^(+-100) is pulled back toward 1 by an exact power of two
-    fac, and K(f) = K(fac f) / fac by exact 1-homogeneity; this keeps
-    q-th powers representable, and a clamped two-power factor cannot
-    overflow the way 1/vmax can for subnormal data.  build(fac) returns
-    the evaluator for the data scaled by fac."""
+    """A plan on data whose largest entry is vmax, scaled by the one
+    rescaling rule (_pow2_factor): K(f) = K(fac f) / fac by exact
+    1-homogeneity, which keeps q-th powers representable.  build(fac)
+    returns the evaluator for the data scaled by fac."""
     if vmax == 0.0:
         return KPlan(label, _zeros)
-    fac = 1.0
-    if not 2.0**-100 < vmax < 2.0**100:
-        fac = 2.0 ** max(min(-math.frexp(vmax)[1], 1000), -1000)
+    fac = _pow2_factor(vmax)
     return KPlan(label, build(fac), fac)
 
 
@@ -333,20 +281,23 @@ class _LayerKinf:
     def __init__(self, v: np.ndarray, p0: float, p1: float, q0: float, q1: float):
         r = np.sort(np.asarray(v, dtype=float))[::-1]
 
-        def prefix_norm(vals: np.ndarray, p: float) -> np.ndarray:
-            # ||first k entries||_p for k = 0..m, vals sorted any way
+        def rank_norms(p: float) -> np.ndarray:
+            # ||k largest entries||_p, then ||k smallest||_p, k = 0..m
             if math.isinf(p):
-                return np.maximum.accumulate(np.concatenate(([0.0], vals)))
-            return np.concatenate(([0.0], np.cumsum(vals**p))) ** (1.0 / p)
+                return np.concatenate((np.maximum.accumulate(np.concatenate(([0.0], r))),
+                                       np.maximum.accumulate(np.concatenate(([0.0], r[::-1])))))
+            pw = r**p
+            return np.concatenate(([0.0], pw.cumsum(), [0.0], pw[::-1].cumsum())) ** (1.0 / p)
 
-        # side-0 takes the k largest or the k smallest, side-1 the complement
-        a = np.concatenate((prefix_norm(r, p0), prefix_norm(r[::-1], p0))) ** q0
-        b = np.concatenate((prefix_norm(r[::-1], p1)[::-1], prefix_norm(r, p1)[::-1])) ** q1
+        # side-0 takes the k largest or the k smallest, side-1 the
+        # complement: the m - k smallest or largest, the table read backwards
+        a = rank_norms(p0) ** q0
+        b = rank_norms(p1)[::-1] ** q1
         with np.errstate(divide="ignore", invalid="ignore"):
             # -inf where a = 0, inf where b = 0, nan where both are
             # (that split costs nothing and kinf vanishes)
             kinks = np.log(a) - np.log(b)
-            order = np.argsort(kinks)
+            order = kinks.argsort()
             kinks = kinks[order]
             self._suf_a = np.concatenate((np.minimum.accumulate(a[order][::-1])[::-1],
                                           [np.inf]))
@@ -357,17 +308,18 @@ class _LayerKinf:
         self.live = not np.isnan(kinks).any()
         edges = np.concatenate(([-np.inf], kinks, [np.inf]))
         cuts = np.concatenate((kinks, cross[(edges[:-1] < cross) & (cross < edges[1:])]))
-        self.breaks = np.sort(cuts[np.isfinite(cuts)])
+        self.breaks = cuts[np.isfinite(cuts)]
+        self.breaks.sort()
         # the finite kinks, offset by the kinks at -inf, so that x -> 0
         # reads the slope and x -> inf the plateau
-        self._lo = int(np.searchsorted(kinks, -np.inf, side="right"))
-        self._kinks = kinks[self._lo:np.searchsorted(kinks, np.inf)]
+        self._lo = int(kinks.searchsorted(-np.inf, side="right"))
+        self._kinks = kinks[self._lo:kinks.searchsorted(np.inf)]
 
     def parts(self, lx: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """The piece of kinf at each log threshold lx, as its constant
         (0 on a linear piece) and the log of its slope (-inf on a
         constant piece).  lx = -inf and inf give the two limits."""
-        i = self._lo + np.searchsorted(self._kinks, lx)
+        i = self._lo + self._kinks.searchsorted(lx)
         lb = self._log_pre_b[i]
         line = lx + lb < self._log_suf_a[i]
         return np.where(line, 0.0, self._suf_a[i]), np.where(line, lb, -np.inf)
@@ -699,27 +651,47 @@ def k_power_layer(b, p0: float, p1: float, q0: float, q1: float, s: float) -> fl
     return float(const[0] + np.exp(lslope[0] + ls))
 
 
+def _fold_layers(layers: list) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The layer sum KX(u) = sum_j kinf_j(u sc_j) of the layer envelopes
+    (lay, log sc_j) as a table: the merged breaks lv (in log u), and on
+    each of the len(lv) + 1 pieces between them the constant and the log
+    of the slope of KX.
+
+    The table is folded one layer at a time, fewest breaks first: merge
+    the layer's breaks into the running ones, carry the running piece
+    over to each merged piece and add the layer's own.  Every term is
+    nonnegative (constants add, log slopes combine by logaddexp), so
+    nothing cancels, and the work is that of the breaks seen so far,
+    not the layer count times all breaks.
+    """
+    lv = np.empty(0)
+    const, lslope = np.zeros(1), np.full(1, -np.inf)
+    for lay, lsc in sorted(layers, key=lambda pair: len(pair[0].breaks)):
+        merged = np.concatenate((lv, lay.breaks - lsc))
+        merged.sort()
+        reps = np.concatenate(([-np.inf], 0.5 * (merged[:-1] + merged[1:]), [np.inf]))
+        run = lv.searchsorted(reps)
+        c, lb = lay.parts(reps + lsc)
+        const = const[run] + c
+        lslope = np.logaddexp(lslope[run], lb + lsc)
+        lv = merged
+    return lv, const, lslope
+
+
 def _power_composition(layers: list, q0: float, q1: float):
     """Evaluator of the max-form K from the layer envelopes (lay, log sc).
 
     The layer sum KX(u) = sum_j kinf_j(u sc) is constant plus linear on
-    each piece between the merged layer breaks (in log u).  K solves
-    u^(1/q1) KX(u)^(1/q0 - 1/q1) = t, strictly increasing in u for
-    either order of q0, q1, and is KX(u)^(1/q0).  The left side at each
-    break places every t on its piece: a linear piece gives
+    each piece between the merged layer breaks (in log u, _fold_layers).
+    K solves u^(1/q1) KX(u)^(1/q0 - 1/q1) = t, strictly increasing in u
+    for either order of q0, q1, and is KX(u)^(1/q0).  The left side at
+    each break places every t on its piece: a linear piece gives
     K = t slope^(1/q1) (below the first break, t ||f||_A1), a constant
     piece K = const^(1/q0) (above the last, ||f||_A0), and a mixed piece
-    is bisected in log u, vectorised over t.
+    is solved by Newton's method in log u, vectorised over t.
     """
     e = 1.0 / q0 - 1.0 / q1
-    lv = np.sort(np.concatenate([lay.breaks - lsc for lay, lsc in layers]))
-    reps = np.concatenate(([-np.inf], 0.5 * (lv[:-1] + lv[1:]), [np.inf]))
-    const = np.zeros(len(reps))
-    lslope = np.full(len(reps), -np.inf)
-    for lay, lsc in layers:
-        c, lb = lay.parts(reps + lsc)
-        const += c
-        lslope = np.logaddexp(lslope, lb + lsc)
+    lv, const, lslope = _fold_layers(layers)
     with np.errstate(divide="ignore"):
         lconst = np.log(const)
     # log of the left side at each break, from the piece right of it
@@ -727,20 +699,27 @@ def _power_composition(layers: list, q0: float, q1: float):
 
     def k(ts):
         lt = np.log(ts)
-        p = np.searchsorted(lg, lt)
+        p = lg.searchsorted(lt)
         lc, lb = lconst[p], lslope[p]
         out = np.where(lc == -np.inf, np.exp(lt + lb / q1), np.exp(lc / q0))
         mixed = np.flatnonzero((lc > -np.inf) & (lb > -np.inf))
         if len(mixed):
             lc, lb, lt = lc[mixed], lb[mixed], lt[mixed]
-            lo, hi = lv[p[mixed] - 1], lv[p[mixed]]
-            # each bracket stops on its own width, so a t gets the same
-            # value whatever else is evaluated with it
-            while (wide := hi - lo > 1e-14 * np.maximum(1.0, np.abs(lo))).any():
-                mid = 0.5 * (lo + hi)
-                up = mid / q1 + e * np.logaddexp(lc, lb + mid) > lt
-                lo, hi = np.where(wide & ~up, mid, lo), np.where(wide & up, mid, hi)
-            out[mixed] = np.exp(np.logaddexp(lc, lb + 0.5 * (lo + hi)) / q0)
+            # F(v) = v/q1 + e logaddexp(lc, lb + v) - lt rises with slope
+            # between 1/q1 and 1/q0 and is convex for e > 0, concave for
+            # e < 0, so Newton from the piece's right (e > 0) or left end
+            # moves monotonically onto the root; a step the other way is
+            # rounding at the root.  Each t stops on its own step, so it
+            # gets the same value whatever else is evaluated with it.
+            v = lv[p[mixed] - (e < 0)]
+            go = np.ones(len(v), dtype=bool)
+            while go.any():
+                lx = np.logaddexp(lc, lb + v)
+                step = (v / q1 + e * lx - lt) / (1.0 / q1 + e * np.exp(lb + v - lx))
+                go &= step * e > 0
+                v = np.where(go, v - step, v)
+                go &= np.abs(step) > 1e-14 * np.maximum(1.0, np.abs(v))
+            out[mixed] = np.exp(np.logaddexp(lc, lb + v) / q0)
         return out
 
     return k
@@ -754,9 +733,10 @@ def k_general(field: CoeffField, query: InterpQuery, t: float) -> float:
     (2) KX(u) is the layer sum of max-form power K's at thresholds
     u * 2^(j*s_tilde*q1); (3) each of those is the layer's hinge
     envelope (k_power_layer).  KX is piecewise linear, so the relation
-    is closed-form on its outer and pure pieces and bisected on the
-    rest.  Endpoints recover the two Besov norms exactly in the limits,
-    and a single coefficient collapses to min(w0, t*w1) * c exactly.
+    is closed-form on its outer and pure pieces and solved by Newton's
+    method on the rest.  Endpoints recover the two Besov norms exactly
+    in the limits, and a single coefficient collapses to
+    min(w0, t*w1) * c exactly.
     """
     i0, i1 = query.idx0, query.idx1
     if i0.p == i1.p or i0.q == i1.q or math.isinf(i0.q) or math.isinf(i1.q):

@@ -30,14 +30,32 @@ __all__ = [
 ]
 
 
+def _pow2_factor(vmax: float) -> float:
+    """The one rescaling rule: 1 when the largest entry vmax lies within
+    2^(+-100), else the exact power of two, clamped to 2^(+-1000), that
+    pulls vmax back toward 1.  Scaling by it is exact, and a clamped
+    two-power factor cannot overflow the way 1/vmax can for subnormal
+    data."""
+    if 2.0**-100 < vmax < 2.0**100:
+        return 1.0
+    return 2.0 ** max(min(-math.frexp(vmax)[1], 1000), -1000)
+
+
 def lp_norm(v, p: float) -> float:
-    """l^p quasi-norm of a nonnegative vector; sup at p = inf."""
+    """l^p quasi-norm of a nonnegative vector; sup at p = inf.
+
+    The p-th powers are taken at the scale _pow2_factor picks, so that
+    they neither underflow nor overflow; in range it is 1, and the
+    result is bit for bit the unscaled one."""
     arr = np.asarray(v, dtype=float)
     if len(arr) == 0:
         return 0.0
     if math.isinf(p):
         return float(arr.max())
-    return float(np.sum(arr**p) ** (1.0 / p))
+    fac = _pow2_factor(float(arr.max()))
+    if fac != 1.0:
+        arr = arr * fac
+    return float((arr**p).sum() ** (1.0 / p)) / fac
 
 
 def lp_layer_norm(field: CoeffField, j: int, p: float) -> float:

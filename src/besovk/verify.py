@@ -23,7 +23,7 @@ import numpy as np
 from .coeffs import CoeffField
 from .grid import BesovIndex, GridSpec
 from .interp import besov_identity_check, interp_norm, reiteration_check
-from .kfunc import InterpQuery, k_dispatch, k_general, k_p_equal, k_plan, k_q_equal
+from .kfunc import InterpQuery, k_dispatch, k_plan
 from .norms import besov_norm, main_grid_reduce
 from .oracle import OracleBudget, k_cuboid_continuous, vertex_tables
 
@@ -205,11 +205,11 @@ def run_vertex_band(seed: int = 102, count: int = 200) -> dict:
     return _report("vertex-band", seed, count, checks, t0)
 
 
-def _ratio_sweep(field, query, formula_fun, xi: float = 1.0):
-    """Formula/oracle ratios across the shared t grid."""
+def _ratio_sweep(field, query, ks, xi: float = 1.0):
+    """Formula/oracle ratios across the shared t grid, ks the formula's
+    K values on it."""
     oracles = vertex_tables(field, query.idx0, query.idx1).curve(_T_GRID, xi)
-    return [formula_fun(float(t)) / float(oracle)
-            for t, oracle in zip(_T_GRID, oracles) if oracle != 0.0]
+    return [float(k) / float(oracle) for k, oracle in zip(ks, oracles) if oracle != 0.0]
 
 
 def run_p_equal(seed: int = 103, per_case: int = 100) -> dict:
@@ -249,18 +249,18 @@ def run_p_equal(seed: int = 103, per_case: int = 100) -> dict:
                 idx0 = BesovIndex(idx0.s, idx0.p, 1.0)
                 idx1 = BesovIndex(idx1.s, idx1.p, 1.0)
             query = InterpQuery(idx0, idx1)
-            for ratio in _ratio_sweep(field, query,
-                                      lambda t: k_p_equal(field, query, t)):
+            plan = k_plan(field, query)
+            for ratio in _ratio_sweep(field, query, plan.k(_T_GRID)):
                 worst[key] = max(worst[key], _band(ratio))
             if kind == "weighted-split" and idx0.q == 1.0:
                 n = field.spec.n
                 a = main_grid_reduce(field, idx0.p)
                 sa, sb = idx0.weight_exponent(n), idx1.weight_exponent(n)
                 js = np.arange(len(a))
-                for t in (0.125, 1.0, 7.3):
+                ts = (0.125, 1.0, 7.3)
+                for t, got in zip(ts, plan.k(ts).tolist()):
                     exact = float(np.sum(np.minimum(2.0 ** (js * sa),
                                                     t * 2.0 ** (js * sb)) * a))
-                    got = k_p_equal(field, query, t)
                     if exact > 0:
                         worst["q1-decoupled-exact"] = max(
                             worst["q1-decoupled-exact"],
@@ -287,8 +287,7 @@ def run_q_equal(seed: int = 104, count: int = 100) -> dict:
         idx0 = BesovIndex(float(rng.uniform(-2, 2)), float(p0), q)
         idx1 = BesovIndex(float(rng.uniform(-2, 2)), float(p1), q)
         query = InterpQuery(idx0, idx1)
-        for ratio in _ratio_sweep(field, query,
-                                  lambda t: k_q_equal(field, query, t)):
+        for ratio in _ratio_sweep(field, query, k_plan(field, query).k(_T_GRID)):
             worst_band = max(worst_band, _band(ratio))
     for _ in range(20):
         field = _single_nonzero_field(rng)
@@ -297,10 +296,9 @@ def run_q_equal(seed: int = 104, count: int = 100) -> dict:
         q = float(rng.choice(_FULL_POOL))
         idx0 = BesovIndex(float(rng.uniform(-2, 2)), float(p0), q)
         idx1 = BesovIndex(float(rng.uniform(-2, 2)), float(p1), q)
-        query = InterpQuery(idx0, idx1)
-        for t in (0.03125, 1.0, 19.7):
+        ts = (0.03125, 1.0, 19.7)
+        for t, got in zip(ts, k_plan(field, InterpQuery(idx0, idx1)).k(ts).tolist()):
             exact = _single_min(field, idx0, idx1, t)
-            got = k_q_equal(field, query, t)
             worst_single = max(worst_single, abs(got - exact) / exact)
     checks = [_check("layer-sum-band", worst_band, 8.0),
               _check("single-coefficient-exact", worst_single, 1e-9)]
@@ -322,9 +320,7 @@ def run_general(seed: int = 105, count: int = 50) -> dict:
         idx0 = BesovIndex(float(rng.uniform(-2, 2)), float(p0), float(q0))
         idx1 = BesovIndex(float(rng.uniform(-2, 2)), float(p1), float(q1))
         query = InterpQuery(idx0, idx1)
-        # one plan for the whole grid; its values equal per-t k_general
-        ks = dict(zip(_T_GRID.tolist(), k_plan(field, query).k(_T_GRID)))
-        ratios = _ratio_sweep(field, query, ks.__getitem__, xi=math.inf)
+        ratios = _ratio_sweep(field, query, k_plan(field, query).k(_T_GRID), xi=math.inf)
         if not ratios:
             continue
         worst_band = max(worst_band, max(_band(r) for r in ratios))
@@ -335,10 +331,9 @@ def run_general(seed: int = 105, count: int = 50) -> dict:
         q0, q1 = rng.choice(np.array((0.5, 1.0, 2.0, 3.0)), size=2, replace=False)
         idx0 = BesovIndex(float(rng.uniform(-2, 2)), float(p0), float(q0))
         idx1 = BesovIndex(float(rng.uniform(-2, 2)), float(p1), float(q1))
-        query = InterpQuery(idx0, idx1)
-        for t in (0.0625, 1.0, 11.3):
+        ts = (0.0625, 1.0, 11.3)
+        for t, got in zip(ts, k_plan(field, InterpQuery(idx0, idx1)).k(ts).tolist()):
             exact = _single_min(field, idx0, idx1, t)
-            got = k_general(field, query, t)
             worst_single = max(worst_single, abs(got - exact) / exact)
     checks = [_check("composition-band", worst_band, 16.0),
               _check("ratio-spread", worst_spread, 16.0),

@@ -1,6 +1,7 @@
 import json
 import math
 
+import numpy as np
 import pytest
 
 import besovk.cli
@@ -9,7 +10,7 @@ from besovk.cli import main
 from besovk.coeffs import read_field
 from besovk.grid import BesovIndex
 from besovk.interp import interp_norm
-from besovk.kfunc import InterpQuery
+from besovk.kfunc import InterpQuery, KPlan
 from besovk.norms import besov_norm
 
 SPIKE = ["--generate", "single-spike", "--spec", "2,1,2,3", "--seed", "7"]
@@ -153,8 +154,8 @@ def test_verify_axioms_seed_1_passes(capsys):
 
 def test_verify_negative_control(capsys, monkeypatch):
     # corrupt the shared-q formula; the suite must fail its named check
-    monkeypatch.setattr(besovk.verify, "k_q_equal",
-                        lambda field, query, t: 1e6)
+    monkeypatch.setattr(besovk.verify, "k_plan",
+                        lambda field, query: KPlan("corrupt", lambda ts: np.full(len(ts), 1e6)))
     code, out = run(capsys, ["verify", "--suite", "q-equal"])
     assert code == 1
     doc = json.loads(out)

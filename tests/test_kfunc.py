@@ -5,7 +5,7 @@ import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
 from besovk.coeffs import CoeffField
-from besovk.errors import NumericError, UsageError
+from besovk.errors import UsageError
 from besovk.grid import BesovIndex, GridSpec
 from besovk.kfunc import (
     CaseTag,
@@ -22,7 +22,8 @@ from besovk.kfunc import (
     k_q_equal,
     k_rearr_mainq,
     k_weighted_seq,
-    solve_monotone,
+    _LayerKinf,
+    _fold_layers,
     _logcell_integral,
 )
 from besovk.norms import besov_norm, lp_norm
@@ -62,29 +63,6 @@ def test_query_validation():
         InterpQuery(idx, idx, r=0.0)
     with pytest.raises(UsageError):
         InterpQuery(idx, idx, xi=0.5)
-
-
-# --- scalar solver ----------------------------------------------------------
-
-def test_solve_monotone_identity():
-    assert solve_monotone(lambda t: t, 5.0) == pytest.approx(5.0, rel=1e-9)
-
-
-def test_solve_monotone_square():
-    assert solve_monotone(lambda t: t * t, 9.0) == pytest.approx(3.0, rel=1e-9)
-
-
-def test_solve_monotone_plateau_insensitive():
-    # g has a plateau exactly at the target; any plateau point is a
-    # valid answer and the downstream K value is identical for all
-    g = lambda t: min(max(t, 2.0), 5.0)
-    root = solve_monotone(g, 2.0)
-    assert g(root) == pytest.approx(2.0, rel=1e-9)
-
-
-def test_solve_monotone_no_bracket():
-    with pytest.raises(NumericError):
-        solve_monotone(lambda t: 1.0 / (1.0 + 1.0 / t), 2.0)
 
 
 def test_default_t_grid():
@@ -335,6 +313,118 @@ def test_k_general_band_vs_max_form_oracle():
                       / k_vertex_exact(field, i0, i1, float(t), xi=math.inf))
     assert all(1.0 / 16.0 <= r <= 16.0 for r in ratios)
     assert max(ratios) / min(ratios) <= 16.0
+
+
+def _split_powers(b, p0, p1, q0, q1):
+    """A_k = ||S||_p0^q0 and B_k = ||Sc||_p1^q1 over all 2(m+1) rank
+    splits, S the k largest or the k smallest entries."""
+    r = sorted(b, reverse=True)
+    m = len(r)
+
+    def norm(vals, p):
+        if not vals:
+            return 0.0
+        if math.isinf(p):
+            return max(vals)
+        return sum(x**p for x in vals) ** (1.0 / p)
+
+    a, bb = [], []
+    for k in range(m + 1):
+        for side0, side1 in ((r[:k], r[k:]), (r[m - k:], r[:m - k])):
+            a.append(norm(side0, p0) ** q0)
+            bb.append(norm(side1, p1) ** q1)
+    return np.array(a), np.array(bb)
+
+
+def _general_k_bisection(field, query, ts):
+    """Reference max-form K: bisect u^(1/q1) KX(u)^(1/q0 - 1/q1) = t in
+    log u, KX(u) = sum_j min_k max(A_jk, u sc_j B_jk) from the rank
+    splits of each weighted layer, sc_j = 2^(j s_tilde q1).  Returns K
+    and whether each root lies on a mixed piece of KX: some layer on the
+    flat side of its hinge and another on the line."""
+    i0, i1 = query.idx0, query.idx1
+    q0, q1, n = i0.q, i1.q, field.spec.n
+    lsc = query.s_tilde(n) * q1 * math.log(2.0)
+    terms = []
+    for j, v in enumerate(field.layers):
+        a, b = _split_powers((2.0 ** (j * i0.weight_exponent(n)) * v).tolist(),
+                             i0.p, i1.p, q0, q1)
+        with np.errstate(divide="ignore"):
+            terms.append((np.log(a)[:, None], np.log(b)[:, None] + j * lsc))
+
+    def log_kx(lu):
+        return np.logaddexp.reduce(
+            [np.min(np.maximum(la, lb + lu), axis=0) for la, lb in terms], axis=0)
+
+    lt = np.log(ts)
+    lo, hi = np.full(len(ts), -1e4), np.full(len(ts), 1e4)
+    for _ in range(100):
+        mid = 0.5 * (lo + hi)
+        up = mid / q1 + (1.0 / q0 - 1.0 / q1) * log_kx(mid) > lt
+        lo, hi = np.where(up, lo, mid), np.where(up, mid, hi)
+    lu = 0.5 * (lo + hi)
+    flat, line = np.zeros(len(ts), dtype=bool), np.zeros(len(ts), dtype=bool)
+    for la, lb in terms:
+        on_flat = np.min(np.where(la >= lb + lu, la, np.inf), axis=0)
+        on_line = np.min(np.where(la < lb + lu, lb + lu, np.inf), axis=0)
+        live = np.minimum(on_flat, on_line) > -np.inf
+        flat |= live & (on_flat <= on_line)
+        line |= live & (on_line < on_flat)
+    return np.exp(log_kx(lu) / q0), flat & line
+
+
+def test_general_mixed_pieces_match_reference_bisection():
+    rng = np.random.default_rng(21)
+    mixed = 0
+    for case in range(150):
+        layers = []
+        for _ in range(int(rng.integers(2, 4))):
+            m = int(rng.integers(1, 5))
+            # every third field spreads its entries over 300 decades
+            v = 10.0 ** rng.uniform(-300.0, 0.0, m) if case % 3 == 0 else rng.uniform(0.0, 2.0, m)
+            v[rng.random(m) < 0.2] = 0.0
+            layers.append(v)
+        top = max(float(v.max()) for v in layers)
+        if top == 0.0:
+            continue
+        field = _field([v / top for v in layers])
+        p0, p1 = (float(x) for x in rng.choice((0.5, 1.0, 2.0, math.inf), 2, replace=False))
+        q0, q1 = (float(x) for x in rng.choice((0.5, 1.0, 1.5, 2.0, 3.0), 2, replace=False))
+        s0, s1 = (float(x) for x in rng.uniform(-1.5, 1.5, 2))
+        query = InterpQuery(BesovIndex(s0, p0, q0), BesovIndex(s1, p1, q1))
+        ts = 2.0 ** rng.uniform(-12.0, 12.0, 40)
+        want, on_mixed = _general_k_bisection(field, query, ts)
+        mixed += int(on_mixed.sum())
+        np.testing.assert_allclose(k_plan(field, query).k(ts), want, rtol=1e-12, atol=0.0)
+    # over a fifth of the t above land on mixed pieces, where K takes
+    # Newton steps
+    assert mixed >= 1000
+
+
+def test_fold_matches_per_layer_sum():
+    rng = np.random.default_rng(22)
+    span = 0.0
+    for _ in range(60):
+        p0, p1 = (float(x) for x in rng.choice((0.5, 1.0, 2.0, math.inf), 2, replace=False))
+        q0, q1 = (float(x) for x in rng.choice((1.0, 1.5, 2.0, 3.0), 2, replace=False))
+        lsc = float(rng.uniform(-3.0, 3.0))
+        layers = []
+        for j in range(int(rng.integers(2, 6))):
+            # layer scales from 1 down to 1e-24: plateaus of the layers
+            # differ by up to 1e24 and more after the q0-th power
+            v = rng.uniform(0.1, 1.0, int(rng.integers(1, 6))) * 1e-8 ** rng.integers(0, 4)
+            layers.append((_LayerKinf(v, p0, p1, q0, q1), j * lsc))
+        lv, const, lslope = _fold_layers(layers)
+        assert (np.diff(lv) >= 0).all()
+        reps = np.concatenate(([-np.inf], 0.5 * (lv[:-1] + lv[1:]), [np.inf]))
+        for x, c, lb in zip(reps, const, lslope):
+            parts = [lay.parts(np.array([x + sh])) for lay, sh in layers]
+            want_c = math.fsum(float(pc[0]) for pc, _ in parts)
+            want_lb = np.logaddexp.reduce([plb[0] + sh for (_, plb), (_, sh) in zip(parts, layers)])
+            assert c == pytest.approx(want_c, rel=1e-13, abs=0.0)
+            assert lb == pytest.approx(want_lb, rel=0.0, abs=1e-13)
+        span = max(span, float(const.max() / const[const > 0].min()))
+    assert span > 1e15
 
 
 # --- dispatch and curves ----------------------------------------------------

@@ -71,6 +71,26 @@ def test_besov_norm_matches_double_loop():
         assert besov_norm(field, idx) == pytest.approx(want, rel=1e-12)
 
 
+def test_norms_scale_robust_at_both_extremes():
+    # p-th powers of entries far from 1 underflow to 0 or overflow to inf
+    assert lp_norm([1e-200], 2.0) == pytest.approx(1e-200, rel=1e-15)
+    assert lp_norm([1e200, 1e200], 2.0) == pytest.approx(math.sqrt(2.0) * 1e200, rel=1e-15)
+    assert lp_norm([5e-324, 5e-324], 0.5) == 2e-323
+    idx = BesovIndex(0.5, 2.0, 1.5)
+    base = _field([(3.0, 4.0), (1.0,)])
+    for scale in (1e-250, 1e-200, 1e200, 1e250):
+        for p in (0.5, 1.0, 2.0, 3.0):
+            assert lp_norm([3.0 * scale, 4.0 * scale], p) == pytest.approx(
+                scale * lp_norm([3.0, 4.0], p), rel=1e-14)
+        assert besov_norm(base.scaled(scale), idx) == pytest.approx(
+            scale * besov_norm(base, idx), rel=1e-14)
+        assert weighted_lq_norm([scale, 2.0 * scale], 0.5, 2.0) == pytest.approx(
+            scale * weighted_lq_norm([1.0, 2.0], 0.5, 2.0), rel=1e-14)
+    # within 2^(+-100) the value is the unscaled sum, bit for bit
+    v = np.random.default_rng(4).uniform(1e-20, 1e20, 7)
+    assert lp_norm(v, 1.5) == float(np.sum(v**1.5) ** (1.0 / 1.5))
+
+
 def test_main_grid_reduce_single_spike():
     field = generate(GridSpec(n=1, J=3, layer_sizes=(2, 2, 2)), "single-spike", 1)
     a = main_grid_reduce(field, 2.0)
