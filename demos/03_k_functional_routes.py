@@ -4,9 +4,11 @@ K-functionals between two Besov sequence spaces
 
 K(t) = inf over splits f = g + h of ||g||_0 + t*||h||_1.  The solver
 routes each index couple to a closed form when one exists and reports
-which route it took.  Every route satisfies the same axioms: K is
-nondecreasing, K(t)/t is nonincreasing, and swapping the two spaces
-commutes exactly via K(t; A0, A1) = t * K(1/t; A1, A0).
+which route it took.  On every route swapping the two spaces commutes
+exactly via K(t; A0, A1) = t * K(1/t; A1, A0).  Only the degenerate and
+general routes are also nondecreasing in t, with K(t)/t nonincreasing;
+the split routes move a whole layer or coefficient across their split
+at a breakpoint of t, and K can drop there (see README).
 """
 
 import numpy as np

@@ -33,10 +33,6 @@ from .kfunc import (
     default_t_grid,
     k_curve,
     k_dispatch,
-    k_general,
-    k_p_equal,
-    k_q_equal,
-    k_weighted_seq,
 )
 from .norms import (
     besov_lorentz_norm,
@@ -44,7 +40,6 @@ from .norms import (
     lorentz_seq_norm,
     lp_norm,
     main_grid_reduce,
-    power_space_norm,
     weighted_lq_norm,
 )
 from .oracle import (
@@ -52,7 +47,6 @@ from .oracle import (
     VertexTables,
     k_cuboid_continuous,
     k_vertex_exact,
-    oracle_curve,
     vertex_tables,
 )
 from .rearrange import rearrangement, threshold_split
@@ -90,17 +84,11 @@ __all__ = [
     "k_cuboid_continuous",
     "k_curve",
     "k_dispatch",
-    "k_general",
-    "k_p_equal",
-    "k_q_equal",
     "k_vertex_exact",
-    "k_weighted_seq",
     "layer_weight",
     "lorentz_seq_norm",
     "lp_norm",
     "main_grid_reduce",
-    "oracle_curve",
-    "power_space_norm",
     "read_field",
     "rearrangement",
     "reiteration_check",

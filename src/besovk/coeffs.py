@@ -21,13 +21,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DataError, UsageError
-from .grid import BesovIndex, GridSpec, layer_weight, validate_compat
+from .grid import GridSpec, validate_compat
 
 __all__ = [
     "CoeffField",
-    "WeightedLayer",
     "abs_reduce",
-    "weighted_layer",
     "generate",
     "GENERATOR_KINDS",
     "write_field",
@@ -69,14 +67,6 @@ class CoeffField:
         return max(float(v.max()) if len(v) else 0.0 for v in self.layers)
 
 
-@dataclass(frozen=True)
-class WeightedLayer:
-    """One layer's magnitudes premultiplied by its dyadic weight."""
-
-    j: int
-    values: np.ndarray
-
-
 def abs_reduce(spec: GridSpec, raw_layers) -> CoeffField:
     """Build a field from signed/complex per-layer data by taking moduli."""
     cleaned = []
@@ -87,12 +77,6 @@ def abs_reduce(spec: GridSpec, raw_layers) -> CoeffField:
             raise DataError(f"layer {j} contains NaN")
         cleaned.append(arr)
     return CoeffField(spec, tuple(cleaned))
-
-
-def weighted_layer(field: CoeffField, index: BesovIndex, j: int) -> WeightedLayer:
-    """Layer j scaled by 2^(j * weight_exponent(index))."""
-    w = layer_weight(field.spec, index, j)
-    return WeightedLayer(j, _freeze(w * field.layers[j]))
 
 
 def generate(spec: GridSpec, kind: str, seed: int) -> CoeffField:

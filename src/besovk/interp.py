@@ -15,14 +15,14 @@ automatically until the tail mass is negligible.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .coeffs import CoeffField
 from .errors import NumericError, UsageError
 from .grid import BesovIndex
-from .kfunc import InterpQuery, _logcell_integral, _method_plan, _seq_plan
+from .kfunc import InterpQuery, KPlan, _logcell_integral, _method_plan, _seq_plan
 from .norms import besov_norm, weighted_lq_norm
 
 __all__ = [
@@ -82,17 +82,19 @@ def _window_grid(lo_exp: float, hi_exp: float, ppd: int) -> np.ndarray:
     return np.logspace(lo_exp, hi_exp, count, base=2.0)
 
 
-def _interp_from_kfun(kfun, theta: float, r: float, quad: QuadratureSpec,
-                      method: str) -> InterpReport:
+def _interp_scaled(plan: KPlan, theta: float, r: float, quad: QuadratureSpec | None,
+                   method: str) -> InterpReport:
     """Quadrature driver shared by field-level and sequence-level norms.
 
-    kfun maps a t array to its K values.  Cells integrate in closed
-    form under the log-linear model; tails use the exact asymptotics.
-    The window expands until the tails carry under tail_rel_tol of the
-    total (for r = inf, until the sup detaches from the window edge).
-    A widened window reuses K at every node equal, bit for bit, to one
+    Integrates K of the plan's scaled field, whose r-th powers stay in
+    range; callers unscale the result.  Cells integrate in closed form
+    under the log-linear model; tails use the exact asymptotics.  The
+    window expands until the tails carry under tail_rel_tol of the total
+    (for r = inf, until the sup detaches from the window edge).  A
+    widened window reuses K at every node equal, bit for bit, to one
     already evaluated, and evaluates it on the rest only.
     """
+    quad = quad or QuadratureSpec()
     lo_exp, hi_exp = quad.t_min_exp, quad.t_max_exp
     ts, ks = np.empty(0), np.empty(0)
     for _ in range(_MAX_EXPANSIONS):
@@ -103,12 +105,12 @@ def _interp_from_kfun(kfun, theta: float, r: float, quad: QuadratureSpec,
         seen[seen] = old_ts[pos[seen]] == ts[seen]
         ks = np.empty(len(ts))
         ks[seen] = old_ks[pos[seen]]
-        ks[~seen] = kfun(ts[~seen])
+        ks[~seen] = plan.k_scaled(ts[~seen])
         if not ks.any():
             return InterpReport(0.0, method, lo_exp, hi_exp, len(ts),
                                 0.0, 0.0, 0.0)
         slope1 = ks[0] / ts[0]      # K(t)/t at the low edge, tends to ||f||_A1
-        level0 = float(ks[-1])      # K at the high edge, tends to ||f||_A0
+        level0 = ks[-1]             # K at the high edge, tends to ||f||_A0
         if math.isinf(r):
             vals = ts**-theta * ks
             imax = int(np.argmax(vals))
@@ -144,14 +146,33 @@ def _interp_from_kfun(kfun, theta: float, r: float, quad: QuadratureSpec,
         f"meeting tail tolerance {quad.tail_rel_tol}")
 
 
+def _unscale(x, fac: float, r: float = 1.0) -> float:
+    """x / fac^r, for a quantity of degree r in K computed on a plan's
+    field scaled by the power of two fac; NumericError when that leaves
+    double range."""
+    if fac != 1.0:
+        e = (math.frexp(fac)[1] - 1) * r  # fac^r = 2^e
+        try:
+            x = math.ldexp(x * 2.0 ** (math.floor(e) - e), -math.floor(e))
+        except OverflowError:
+            x = math.inf
+    if not math.isfinite(x):
+        raise NumericError("interpolation result leaves double range")
+    return x
+
+
 def interp_norm_report(field: CoeffField, query: InterpQuery,
                        method: str = "formula",
                        quad: QuadratureSpec | None = None,
                        budget=None) -> InterpReport:
-    """interp_norm plus window and tail diagnostics."""
-    quad = quad or QuadratureSpec()
-    kfun = _method_plan(field, query, method, budget).k
-    return _interp_from_kfun(kfun, query.theta, query.r, quad, method)
+    """interp_norm plus window and tail diagnostics; NumericError when a
+    tail mass (of degree r in K) leaves double range."""
+    plan = _method_plan(field, query, method, budget)
+    rep = _interp_scaled(plan, query.theta, query.r, quad, method)
+    deg = 1.0 if math.isinf(query.r) else query.r
+    return replace(rep, value=_unscale(rep.value, plan.fac),
+                   tail_low=_unscale(rep.tail_low, plan.fac, deg),
+                   tail_high=_unscale(rep.tail_high, plan.fac, deg))
 
 
 def interp_norm(field: CoeffField, query: InterpQuery, method: str = "formula",
@@ -162,9 +183,12 @@ def interp_norm(field: CoeffField, query: InterpQuery, method: str = "formula",
     integrates cells in closed form under log-linear K, adds the exact
     power-law tails, and widens the window until the tails carry less
     than quad.tail_rel_tol of the total (or, for r = inf, until the
-    sup detaches from the window edge).
+    sup detaches from the window edge).  NumericError when the norm
+    leaves double range.
     """
-    return interp_norm_report(field, query, method, quad, budget).value
+    plan = _method_plan(field, query, method, budget)
+    return _unscale(_interp_scaled(plan, query.theta, query.r, quad, method).value,
+                    plan.fac)
 
 
 def intermediate_index(query: InterpQuery) -> BesovIndex:
@@ -216,13 +240,12 @@ def reiteration_check(a, s_a: float, s_b: float, theta0: float, theta1: float,
     if s_a == s_b:
         raise UsageError("need distinct endpoint smoothness")
     q0, q1, q = qs
-    quad = quad or QuadratureSpec()
     arr = np.asarray(a, dtype=float)
     c0 = (1.0 - theta0) * s_a + theta0 * s_b
     c1 = (1.0 - theta1) * s_a + theta1 * s_b
     s_final = (1.0 - eta) * c0 + eta * c1
-    kfun = _seq_plan(arr, c0, q0, c1, q1).k
-    lhs = _interp_from_kfun(kfun, eta, q, quad, "formula").value
+    plan = _seq_plan(arr, c0, q0, c1, q1)
+    lhs = _unscale(_interp_scaled(plan, eta, q, quad, "formula").value, plan.fac)
     rhs = weighted_lq_norm(arr, s_final, q)
     if rhs == 0.0:
         raise UsageError("zero sequence has no reiteration ratio")

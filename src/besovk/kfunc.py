@@ -9,20 +9,20 @@ Exhaustive minimization is exponential in the coefficient count; this
 module evaluates K through closed forms, with the index regime deciding
 the route:
 
-- p0 = p1: collapse layers to their l^p norms and work on the layer
-  axis.  Equal q gives a two-weight split sum (k_maingrid_W); equal s
-  gives a rearrangement threshold pair on the weighted layer norms
-  (k_rearr_mainq); both different composes the split sum through a
-  two-sided integral decomposition (k_holmstedt_weighted).
-- q0 = q1: layers decouple; aggregate per-layer K values in l^q
-  (k_q_equal / k_layer).
-- p, q both different (finite q): a three-level composition through
-  power-space functionals (k_general / k_power_layer).  Each layer's
-  powered split functional is an exact lower envelope of hinges, the
-  layer sum is piecewise linear, and the outer relation is inverted on
-  its pieces, in closed form or by Newton's method.  The value computed
-  is the max-form (split) functional; it matches the sum form within a
-  factor 2.
+- p0 = p1 (_p_equal_route): collapse layers to their l^p norms and
+  work on the layer axis.  Equal q gives a two-weight split sum
+  (_WCurve); equal s gives a rearrangement threshold pair on the
+  weighted layer norms (_SplitSum); both different composes the split
+  sum through a two-sided integral decomposition (_holmstedt).
+- q0 = q1 (_q_equal_route): layers decouple; aggregate the per-layer K
+  values (_layer_fn) in l^q.
+- p, q both different (finite q, _general_route): a three-level
+  composition through power-space functionals (_power_composition).
+  Each layer's powered split functional is an exact lower envelope of
+  hinges (_LayerKinf), the layer sum is piecewise linear, and the outer
+  relation is inverted on its pieces, in closed form or by Newton's
+  method.  The value computed is the max-form (split) functional; it
+  matches the sum form within a factor 2.
 
 Threshold splits in the two-sided formulas classify coefficients by
 rank: the side with the smaller exponent takes the floor(T) largest
@@ -33,7 +33,8 @@ coefficient every route collapses to min(w0, t*w1) * c exactly.
 Every route is a plan (k_plan): the route is selected once per (field,
 query) and everything that does not depend on t (main-grid reduction,
 rearrangements, split tables, calibration limits, hinge envelopes) is
-built once; the plan then evaluates K on a whole t array.
+built once; the plan then evaluates K on a whole t array.  k_dispatch
+evaluates one t from a plan, k_curve a t grid.
 """
 
 from __future__ import annotations
@@ -44,7 +45,7 @@ from enum import Enum
 
 import numpy as np
 
-from .coeffs import CoeffField, weighted_layer
+from .coeffs import CoeffField
 from .errors import UsageError
 from .grid import BesovIndex, layer_weight
 from .norms import _pow2_factor, besov_norm, lp_norm, main_grid_reduce
@@ -55,15 +56,6 @@ __all__ = [
     "InterpQuery",
     "KCurve",
     "default_t_grid",
-    "k_layer",
-    "k_maingrid_W",
-    "k_rearr_mainq",
-    "k_holmstedt_weighted",
-    "k_weighted_seq",
-    "k_p_equal",
-    "k_q_equal",
-    "k_power_layer",
-    "k_general",
     "k_dispatch",
     "k_curve",
 ]
@@ -160,17 +152,18 @@ def default_t_grid(t_min_exp: float = -20.0, t_max_exp: float = 20.0,
 class KPlan:
     """One K evaluation with its t-independent state built once.
 
-    label names the route; k(ts) evaluates K at every t of a 1-d array
-    through the route's evaluator and undoes the plan's rescale factor.
-    Every K value this module returns goes through k.
+    label names the route.  The state is built on the field scaled by
+    fac (_scaled_plan); k_scaled(ts) evaluates K of the scaled field at
+    every t of a 1-d array, and k(ts) undoes the factor.  Every K value
+    this module returns goes through k.
     """
 
     def __init__(self, label: str, fn, fac: float = 1.0):
         self.label = label
+        self.fac = fac
         self._fn = fn
-        self._fac = fac
 
-    def k(self, ts) -> np.ndarray:
+    def k_scaled(self, ts) -> np.ndarray:
         ts = np.asarray(ts, dtype=float)
         bad = ts[~(ts > 0.0)]
         if len(bad):
@@ -179,7 +172,11 @@ class KPlan:
         # closed forms take those limits), and np.where evaluates both
         # branches; neither is worth a warning
         with np.errstate(all="ignore"):
-            return self._fn(ts) / self._fac
+            return self._fn(ts)
+
+    def k(self, ts) -> np.ndarray:
+        with np.errstate(all="ignore"):
+            return self.k_scaled(ts) / self.fac
 
 
 def _zeros(ts: np.ndarray) -> np.ndarray:
@@ -195,10 +192,6 @@ def _scaled_plan(label: str, vmax: float, build) -> KPlan:
         return KPlan(label, _zeros)
     fac = _pow2_factor(vmax)
     return KPlan(label, build(fac), fac)
-
-
-def _at(plan: KPlan, t: float) -> float:
-    return float(plan.k(np.array([t], dtype=float))[0])
 
 
 # ---------------------------------------------------------------------------
@@ -338,29 +331,6 @@ def _layer_fn(field: CoeffField, query: InterpQuery, j: int):
     return lambda ts: w0 * split(ts * shift)
 
 
-def k_layer(field: CoeffField, query: InterpQuery, j: int, t: float) -> float:
-    """K of a single layer between the two Besov spaces.
-
-    Scales to weight0 * K(t * 2^(j*s_tilde)) on the plain l^p couple.
-    """
-    return _at(KPlan("", _layer_fn(field, query, j)), t)
-
-
-def k_maingrid_W(a, s_a: float, s_b: float, q: float, t: float) -> float:
-    """Two-weight split sum on the layer axis, s_a < s_b.
-
-    Layers with t * 2^(j*(s_b - s_a)) > 1 contribute at weight 2^(j*s_a),
-    the rest at t * 2^(j*s_b); both groups aggregate in l^q.  At q = 1
-    this equals the exact decoupled sum of per-layer minima.
-    """
-    return _at(KPlan("", _WCurve(np.asarray(a, dtype=float), s_a, s_b, q)), t)
-
-
-def k_rearr_mainq(a, q0: float, q1: float, t: float) -> float:
-    """K of a plain sequence between l^q0 and l^q1 via its rearrangement."""
-    return _at(KPlan("", _SplitSum(a, q0, q1)), t)
-
-
 def _lq_across(rows: list, q: float) -> np.ndarray:
     """Elementwise l^q aggregate of equal-length arrays (sup at q = inf),
     accumulated row by row so that no entry depends on the others."""
@@ -382,7 +352,8 @@ class _WCurve:
     function of a sigma array.  N_sigma = {j : sigma * 2^(j*(b-a)) > 1}
     flips one layer at each breakpoint sigma_j = 2^(-j*(b-a)); W is
     continuous there, linear between breakpoints, exactly linear below
-    the smallest and constant above the largest.
+    the smallest and constant above the largest.  At q = 1 it is the
+    exact decoupled sum of per-layer minima.
     """
 
     def __init__(self, x: np.ndarray, a: float, b: float, q: float = 1.0):
@@ -523,9 +494,35 @@ def _piece_high(W: _WCurve, theta: float, q: float, ppd: float):
 
 def _holmstedt(a: np.ndarray, s0: float, q0: float, s1: float, q1: float,
                ppd: float):
-    """Evaluator of the composed K of k_holmstedt_weighted: the curve W,
-    the norms N0, N1 and the calibration limits M0, M1 are built here,
-    once; each t then costs the two split integrals."""
+    """Evaluator of the composed K on a main-grid sequence a between the
+    weighted spaces l^{s0,q0} and l^{s1,q1}, s0 != s1 and q0 != q1 (the
+    p-equal case with s and q both different).
+
+    Realizes the couple as interpolation spaces at parameters 1/3 and
+    2/3 of an inner two-weight couple (exponents 2*s0 - s1 and
+    2*s1 - s0, inner aggregation exponent 1), whose split sum W is
+    piecewise linear in sigma.  The two-sided integral decomposition
+    splits at t^3:
+
+        K(t) = (int_0^(t^3) (sig^(-1/3) W)^q0 dsig/sig)^(1/q0)
+             + t (int_(t^3)^inf (sig^(-2/3) W)^q1 dsig/sig)^(1/q1)
+
+    with sup forms when an exponent is infinite.  Outside the
+    breakpoint hull of W the integrands are exact power laws and the
+    tails integrate in closed form; the hull is quadratured on a log
+    grid at ppd cells per binary decade.
+
+    The raw composition has endpoint limits that are equivalent, not
+    equal, to the couple's norms, so the result is calibrated: with
+    N0, N1 the weighted l^q norms and M0, M1 the raw limits of K and
+    K/t, the returned value is (N0/M0) * raw((N1 M0)/(M1 N0) * t).
+    Calibration keeps homogeneity, monotonicity, and the equivalence
+    band, and makes K(inf) = N0 and K(t)/t -> N1 exact.
+
+    s0 > s1 is routed through the exact commutation identity.  W, N0,
+    N1, M0 and M1 are built once; each t then costs the two split
+    integrals.
+    """
     if s0 > s1:
         swapped = _holmstedt(a, s1, q1, s0, q0, ppd)
         return lambda ts: ts * swapped(1.0 / ts)
@@ -548,39 +545,6 @@ def _holmstedt(a: np.ndarray, s0: float, q0: float, s1: float, q1: float,
     return k
 
 
-def k_holmstedt_weighted(a, s0: float, q0: float, s1: float, q1: float, t: float,
-                         points_per_decade: float = 8.0) -> float:
-    """Composed K for the p-equal case with s and q both different.
-
-    Realizes the couple as interpolation spaces at parameters 1/3 and
-    2/3 of an inner two-weight couple (exponents 2*s0 - s1 and
-    2*s1 - s0, inner aggregation exponent 1), whose split sum W is
-    piecewise linear in sigma.  The two-sided integral decomposition
-    splits at t^3:
-
-        K(t) = (int_0^(t^3) (sig^(-1/3) W)^q0 dsig/sig)^(1/q0)
-             + t (int_(t^3)^inf (sig^(-2/3) W)^q1 dsig/sig)^(1/q1)
-
-    with sup forms when an exponent is infinite.  Outside the
-    breakpoint hull of W the integrands are exact power laws and the
-    tails integrate in closed form; the hull is quadratured on a log
-    grid at points_per_decade cells per binary decade.
-
-    The raw composition has endpoint limits that are equivalent, not
-    equal, to the couple's norms, so the result is calibrated: with
-    N0, N1 the weighted l^q norms and M0, M1 the raw limits of K and
-    K/t, the returned value is (N0/M0) * raw((N1 M0)/(M1 N0) * t).
-    Calibration keeps homogeneity, monotonicity, and the equivalence
-    band, and makes K(inf) = N0 and K(t)/t -> N1 exact.
-
-    s0 > s1 is routed through the exact commutation identity.
-    """
-    if s0 == s1 or q0 == q1:
-        raise UsageError("requires s0 != s1 and q0 != q1")
-    arr = np.asarray(a, dtype=float)
-    return _at(KPlan("", _holmstedt(arr, s0, q0, s1, q1, points_per_decade)), t)
-
-
 # ---------------------------------------------------------------------------
 # regime routes
 
@@ -598,57 +562,12 @@ def _seq_route(a: np.ndarray, s_a: float, q0: float, s_b: float, q1: float):
     return _holmstedt(a, s_a, q0, s_b, q1, 8.0)
 
 
-def k_weighted_seq(a, s_a: float, q0: float, s_b: float, q1: float,
-                   t: float) -> float:
-    """K of a main-grid sequence between the weighted spaces l^{s_a,q0}
-    and l^{s_b,q1}, routed by which exponents coincide."""
-    return _at(_seq_plan(a, s_a, q0, s_b, q1), t)
-
-
 def _seq_plan(a, s_a: float, q0: float, s_b: float, q1: float) -> KPlan:
-    """Plan for k_weighted_seq, for evaluation on many t."""
+    """Plan of K for a main-grid sequence between the weighted spaces
+    l^{s_a,q0} and l^{s_b,q1} (_seq_route), for reiteration_check."""
     arr = np.asarray(a, dtype=float)
     return _scaled_plan("", float(arr.max()) if arr.size else 0.0,
                         lambda fac: _seq_route(arr * fac, s_a, q0, s_b, q1))
-
-
-def k_p_equal(field: CoeffField, query: InterpQuery, t: float) -> float:
-    """K when both spaces share p: everything happens on the layer axis."""
-    if query.idx0.p != query.idx1.p:
-        raise UsageError("k_p_equal requires p0 == p1")
-    return _at(k_plan(field, query), t)
-
-
-def k_q_equal(field: CoeffField, query: InterpQuery, t: float) -> float:
-    """K when both spaces share q: l^q aggregate of per-layer K values."""
-    i0, i1 = query.idx0, query.idx1
-    if i0.q != i1.q:
-        raise UsageError("k_q_equal requires q0 == q1")
-    if i0.p == i1.p:
-        raise UsageError("k_q_equal requires p0 != p1")
-    return _at(k_plan(field, query), t)
-
-
-def k_power_layer(b, p0: float, p1: float, q0: float, q1: float, s: float) -> float:
-    """Max-form K of one weighted layer between powered l^p norms.
-
-    The value min_k max(A_k, s B_k) over the rank-split family, with
-    A_k, B_k the q0-th and q1-th powers of the split's l^p0 and l^p1
-    norms (_LayerKinf), read off the layer's hinge envelope; it
-    collapses to min(c^q0, s c^q1) for a single coefficient.
-    """
-    if p0 == p1:
-        raise UsageError("requires p0 != p1")
-    if q0 == q1 or math.isinf(q0) or math.isinf(q1):
-        raise UsageError("requires finite q0 != q1")
-    if s <= 0:
-        raise UsageError(f"threshold must be positive, got {s}")
-    arr = np.asarray(b, dtype=float)
-    if not arr.any():
-        return 0.0
-    ls = math.log(s)
-    const, lslope = _LayerKinf(arr, p0, p1, q0, q1).parts(np.array([ls]))
-    return float(const[0] + np.exp(lslope[0] + ls))
 
 
 def _fold_layers(layers: list) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -725,25 +644,6 @@ def _power_composition(layers: list, q0: float, q1: float):
     return k
 
 
-def k_general(field: CoeffField, query: InterpQuery, t: float) -> float:
-    """Max-form K for p and q both different (both q finite).
-
-    Composition: (1) the outer threshold u solves the strictly monotone
-    relation u^(1/q1) KX(u)^(1/q0 - 1/q1) = t, and K = KX(u)^(1/q0);
-    (2) KX(u) is the layer sum of max-form power K's at thresholds
-    u * 2^(j*s_tilde*q1); (3) each of those is the layer's hinge
-    envelope (k_power_layer).  KX is piecewise linear, so the relation
-    is closed-form on its outer and pure pieces and solved by Newton's
-    method on the rest.  Endpoints recover the two Besov norms exactly
-    in the limits, and a single coefficient collapses to
-    min(w0, t*w1) * c exactly.
-    """
-    i0, i1 = query.idx0, query.idx1
-    if i0.p == i1.p or i0.q == i1.q or math.isinf(i0.q) or math.isinf(i1.q):
-        raise UsageError("k_general requires p0 != p1 and finite q0 != q1")
-    return _at(k_plan(field, query), t)
-
-
 # ---------------------------------------------------------------------------
 # route table and dispatch
 
@@ -772,7 +672,8 @@ def _general_route(field, query, budget):
     lsc = query.s_tilde(field.spec.n) * q1 * math.log(2.0)  # log sc_j = j * lsc
     layers = []
     for j in range(field.spec.J):
-        lay = _LayerKinf(weighted_layer(field, i0, j).values, i0.p, i1.p, q0, q1)
+        lay = _LayerKinf(layer_weight(field.spec, i0, j) * field.layers[j],
+                         i0.p, i1.p, q0, q1)
         if lay.live:
             layers.append((lay, j * lsc))
     if not layers:
@@ -808,12 +709,7 @@ def k_plan(field: CoeffField, query: InterpQuery, budget=None) -> KPlan:
     p and q both different and a q = inf fall outside the closed forms
     and are answered by the enumeration oracle, subject to its budget.
     """
-    label, build = _ROUTES[query.case]
-
-    def scaled(fac):
-        return build(field.scaled(fac) if fac != 1.0 else field, query, budget)
-
-    return _scaled_plan(label, field.max_abs(), scaled)
+    return _method_plan(field, query, "formula", budget)
 
 
 def k_dispatch(field: CoeffField, query: InterpQuery, t: float,
@@ -823,18 +719,21 @@ def k_dispatch(field: CoeffField, query: InterpQuery, t: float,
     One-t use of k_plan, which describes the routes.
     """
     plan = k_plan(field, query, budget)
-    return _at(plan, t), plan.label
+    return float(plan.k(np.array([t], dtype=float))[0]), plan.label
 
 
 def _method_plan(field: CoeffField, query: InterpQuery, method: str,
                  budget=None) -> KPlan:
     """Plan for method 'formula' (the route table) or 'oracle' (vertex
     enumeration whatever the index regime)."""
-    if method == "formula":
-        return k_plan(field, query, budget)
-    if method == "oracle":
-        return KPlan(_ROUTES[CaseTag.ORACLE_ONLY][0], _vertex_route(field, query, budget))
-    raise UsageError(f"unknown method {method!r}; use 'formula' or 'oracle'")
+    if method not in ("formula", "oracle"):
+        raise UsageError(f"unknown method {method!r}; use 'formula' or 'oracle'")
+    label, build = _ROUTES[query.case if method == "formula" else CaseTag.ORACLE_ONLY]
+
+    def scaled(fac):
+        return build(field.scaled(fac) if fac != 1.0 else field, query, budget)
+
+    return _scaled_plan(label, field.max_abs(), scaled)
 
 
 def k_curve(field: CoeffField, query: InterpQuery, ts=None, method: str = "formula",

@@ -20,13 +20,11 @@ from .rearrange import rearrangement
 
 __all__ = [
     "lp_norm",
-    "lp_layer_norm",
     "besov_norm",
     "main_grid_reduce",
     "weighted_lq_norm",
     "lorentz_seq_norm",
     "besov_lorentz_norm",
-    "power_space_norm",
 ]
 
 
@@ -58,14 +56,10 @@ def lp_norm(v, p: float) -> float:
     return float((arr**p).sum() ** (1.0 / p)) / fac
 
 
-def lp_layer_norm(field: CoeffField, j: int, p: float) -> float:
-    return lp_norm(field.layers[j], p)
-
-
 def besov_norm(field: CoeffField, index: BesovIndex) -> float:
     """Weighted l^q across layers of the per-layer l^p norms."""
     terms = [
-        layer_weight(field.spec, index, j) * lp_layer_norm(field, j, index.p)
+        layer_weight(field.spec, index, j) * lp_norm(field.layers[j], index.p)
         for j in range(field.spec.J)
     ]
     return lp_norm(terms, index.q)
@@ -73,7 +67,7 @@ def besov_norm(field: CoeffField, index: BesovIndex) -> float:
 
 def main_grid_reduce(field: CoeffField, p: float) -> np.ndarray:
     """Collapse each layer to its l^p norm; the main-grid sequence."""
-    return np.array([lp_layer_norm(field, j, p) for j in range(field.spec.J)])
+    return np.array([lp_norm(v, p) for v in field.layers])
 
 
 def weighted_lq_norm(a, s: float, q: float) -> float:
@@ -168,10 +162,3 @@ def besov_lorentz_norm(field: CoeffField, s: float, p: float, q: float, r: float
         )
         terms.append(L)
     return weighted_lq_norm(np.asarray(terms), s, q)
-
-
-def power_space_norm(x: float, exponent: float) -> float:
-    """Value of a norm raised to a fixed power (quasi-norm functional)."""
-    if x < 0:
-        raise UsageError("norm values are nonnegative")
-    return float(x**exponent)

@@ -23,6 +23,7 @@ import numpy as np
 from .coeffs import CoeffField
 from .errors import BudgetError, UsageError
 from .grid import BesovIndex, layer_weight
+from .norms import _pow2_factor
 
 __all__ = [
     "OracleBudget",
@@ -30,7 +31,6 @@ __all__ = [
     "vertex_tables",
     "k_vertex_exact",
     "k_cuboid_continuous",
-    "oracle_curve",
 ]
 
 
@@ -56,7 +56,8 @@ class VertexTables:
 
     Bit gamma of a mask selects flat coefficient gamma (layers
     concatenated in order).  The complement of mask S is 2^N - 1 - S,
-    so the A1 norms of complements are just the reversed table.
+    so the A1 norms of complements are just the reversed table.  They
+    hold the field scaled by fac (norms._pow2_factor); k undoes it.
     """
 
     def __init__(self, field: CoeffField, idx0: BesovIndex, idx1: BesovIndex,
@@ -72,7 +73,9 @@ class VertexTables:
             raise BudgetError(
                 f"2^{N} subsets exceed the enumeration budget ({budget.max_subsets})"
             )
-        self.n_coeffs = N
+        self.fac = _pow2_factor(field.max_abs())
+        if self.fac != 1.0:
+            field = field.scaled(self.fac)
         self.a = self._side_table(field, idx0)
         self.b = self._side_table(field, idx1)
         self.b_comp = self.b[::-1]
@@ -100,7 +103,7 @@ class VertexTables:
         return (self.a**xi + (t * self.b_comp) ** xi) ** (1.0 / xi)
 
     def k(self, t: float, xi: float = 1.0) -> float:
-        return float(self._split_values(t, xi).min())
+        return float(self._split_values(t, xi).min()) / self.fac
 
     def best_split(self, t: float, xi: float = 1.0) -> int:
         return int(self._split_values(t, xi).argmin())
@@ -121,12 +124,6 @@ def k_vertex_exact(field: CoeffField, idx0: BesovIndex, idx1: BesovIndex, t: flo
     if t < 0:
         raise UsageError(f"t must be nonnegative, got {t}")
     return vertex_tables(field, idx0, idx1, budget).k(t, xi)
-
-
-def oracle_curve(field: CoeffField, idx0: BesovIndex, idx1: BesovIndex, ts,
-                 xi: float = 1.0, budget: OracleBudget | None = None) -> np.ndarray:
-    """Vertex-exact K at each t, sharing one enumeration pass."""
-    return vertex_tables(field, idx0, idx1, budget).curve(ts, xi)
 
 
 class _SideAccum:

@@ -10,11 +10,10 @@ from besovk.coeffs import (
     abs_reduce,
     generate,
     read_field,
-    weighted_layer,
     write_field,
 )
 from besovk.errors import DataError, UsageError
-from besovk.grid import BesovIndex, GridSpec, layer_weight
+from besovk.grid import GridSpec
 
 
 def test_abs_reduce_complex_moduli():
@@ -50,32 +49,6 @@ def test_field_requires_nonnegative_entries():
     spec = GridSpec(n=1, J=1, layer_sizes=(2,))
     with pytest.raises(DataError):
         CoeffField(spec, [np.array([1.0, -1.0])])
-
-
-def test_weighted_layer_identity_at_base():
-    spec = GridSpec(n=1, J=2, layer_sizes=(3, 1))
-    field = CoeffField(spec, [np.array([1.0, 2.0, 3.0]), np.array([4.0])])
-    idx = BesovIndex(1.3, 0.7, 2.0)
-    assert weighted_layer(field, idx, 0).values.tolist() == [1.0, 2.0, 3.0]
-
-
-def test_weighted_layer_single_coefficient():
-    spec = GridSpec(n=1, J=3, layer_sizes=(1, 1, 1))
-    field = CoeffField(spec, [np.zeros(1), np.zeros(1), np.ones(1)])
-    # exponent s + n/2 = 1.5 at p = inf, j = 2
-    got = weighted_layer(field, BesovIndex(1.0, math.inf, 1.0), 2)
-    assert got.values[0] == pytest.approx(2.0**3, rel=1e-15)
-
-
-def test_weighted_layer_matches_layer_weight():
-    rng = np.random.default_rng(11)
-    spec = GridSpec(n=2, J=4, layer_sizes=(2, 3, 1, 2))
-    field = CoeffField(spec, [rng.uniform(size=m) for m in spec.layer_sizes])
-    idx = BesovIndex(-0.7, 1.5, 1.0)
-    for j in range(spec.J):
-        w = layer_weight(spec, idx, j)
-        assert weighted_layer(field, idx, j).values == pytest.approx(
-            w * field.layers[j], rel=1e-15)
 
 
 def test_generate_single_spike():

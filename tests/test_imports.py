@@ -1,13 +1,20 @@
-"""A first K evaluation must not import modules lazily.
+"""Import-level guards on the package.
 
-A module imported on first use (numpy.ma, say) costs every fresh
-interpreter its import time and memory, the CLI included.  This runs one
-k_dispatch, k_curve and interp_norm per formula route in a fresh
-interpreter and checks that sys.modules holds nothing new afterwards.
+A first K evaluation must not import modules lazily.  A module imported
+on first use (numpy.ma, say) costs every fresh interpreter its import
+time and memory, the CLI included.  This runs one k_dispatch, k_curve
+and interp_norm per formula route in a fresh interpreter and checks that
+sys.modules holds nothing new afterwards.
+
+Every public name must resolve: each name in besovk.__all__ and in a
+submodule's __all__ exists, and each besovk.__all__ name is exported by
+some submodule, so that a deleted function leaves no stale export.
 """
 
+import importlib
 import json
 import os
+import pkgutil
 import subprocess
 import sys
 from pathlib import Path
@@ -51,3 +58,17 @@ def test_formula_routes_import_nothing_lazily():
     assert len(set(doc["routes"])) == 6
     assert all(r.startswith("formula:") for r in doc["routes"])
     assert doc["new"] == []
+
+
+def test_public_names_resolve():
+    import besovk
+
+    exported = set()
+    for info in pkgutil.iter_modules(besovk.__path__):
+        if info.name == "__main__":
+            continue
+        mod = importlib.import_module(f"besovk.{info.name}")
+        assert [a for a in mod.__all__ if not hasattr(mod, a)] == [], mod.__name__
+        exported.update(mod.__all__)
+    assert [a for a in besovk.__all__ if not hasattr(besovk, a)] == []
+    assert sorted(set(besovk.__all__) - exported) == []

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from besovk.coeffs import CoeffField
+from besovk.errors import NumericError
 from besovk.grid import BesovIndex, GridSpec
 from besovk.interp import (
     QuadratureSpec,
@@ -13,7 +14,7 @@ from besovk.interp import (
     interp_norm_report,
     reiteration_check,
 )
-from besovk.kfunc import InterpQuery
+from besovk.kfunc import InterpQuery, k_dispatch
 
 
 def _field(layers, n=1):
@@ -65,6 +66,40 @@ def test_interp_norm_homogeneous():
     base = interp_norm(field, query)
     assert interp_norm(field.scaled(3.0), query) == pytest.approx(
         3.0 * base, rel=1e-9)
+
+
+@pytest.mark.parametrize("i0, i1, label", [
+    ((0.25, 1.5, 2.0), (0.25, 1.5, 2.0), "formula:degenerate"),
+    ((0.8, 2.0, 1.5), (-0.4, 2.0, 1.5), "formula:p-equal:weighted-split"),
+    ((0.8, 2.0, 1.0), (-0.6, 2.0, 3.0), "formula:p-equal:composed-split"),
+    ((0.3, 1.0, 0.5), (0.3, 1.0, math.inf), "formula:p-equal:rearrangement"),
+    ((0.4, 1.0, 2.0), (-0.4, math.inf, 2.0), "formula:q-equal:layer-sum"),
+    ((0.9, 1.0, 2.0), (-0.7, 2.0, 1.0), "formula:general:power-composition-kinf"),
+])
+@pytest.mark.parametrize("r", [1.0, 2.0, math.inf])
+def test_interp_norm_scale_robust(i0, i1, label, r):
+    # the r-th powers of K at 2^+-1000 leave double range; the norm does not
+    field = _field([(1.0, 0.3), (0.7,), (0.2, 0.9)])
+    query = InterpQuery(BesovIndex(*i0), BesovIndex(*i1), r=r)
+    assert k_dispatch(field, query, 1.0)[1] == label
+    base = interp_norm(field, query)
+    for k in (-1000, -900, 900):
+        assert interp_norm(field.scaled(2.0**k), query) == pytest.approx(
+            2.0**k * base, rel=1e-9)
+
+
+def test_interp_norm_finite_at_both_ends_of_double_range():
+    query = InterpQuery(BesovIndex(0.5, 2.0, 2.0), BesovIndex(-0.5, 2.0, 2.0), r=2.0)
+    big = _field([(1e300,), (3e299, 1e-10)])
+    small = _field([(1e-300,), (3e-301, 0.0)])
+    got_big, got_small = interp_norm(big, query), interp_norm(small, query)
+    assert math.isfinite(got_big) and got_big > 0
+    assert math.isfinite(got_small) and got_small > 0
+    assert got_big / 1e300 == pytest.approx(got_small * 1e300, rel=1e-9)
+    # the report's tail masses are of degree r = 2 in K, about 1e594 here
+    with pytest.raises(NumericError):
+        interp_norm_report(big, query)
+    assert interp_norm_report(small, query).value == got_small
 
 
 def test_intermediate_index_interpolates_s():

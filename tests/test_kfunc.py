@@ -13,18 +13,14 @@ from besovk.kfunc import (
     default_t_grid,
     k_curve,
     k_dispatch,
-    k_general,
-    k_layer,
     k_plan,
-    k_maingrid_W,
-    k_p_equal,
-    k_power_layer,
-    k_q_equal,
-    k_rearr_mainq,
-    k_weighted_seq,
     _LayerKinf,
+    _SplitSum,
+    _WCurve,
     _fold_layers,
+    _layer_fn,
     _logcell_integral,
+    _seq_plan,
 )
 from besovk.norms import besov_norm, lp_norm
 from besovk.oracle import k_vertex_exact
@@ -33,6 +29,15 @@ from besovk.oracle import k_vertex_exact
 def _field(layers, n=1):
     spec = GridSpec(n=n, J=len(layers), layer_sizes=tuple(len(v) for v in layers))
     return CoeffField(spec, [np.asarray(v, dtype=float) for v in layers])
+
+
+def _at(fn, t):
+    """fn, an evaluator of a t array, at the single t."""
+    return float(fn(np.array([t], dtype=float))[0])
+
+
+def _k(field, query, t):
+    return k_dispatch(field, query, t)[0]
 
 
 # --- case routing -----------------------------------------------------------
@@ -79,7 +84,7 @@ def test_k_layer_two_entry_partial_integral():
     # rearrangement is 2; the 4-subset vertex minimum agrees
     field = _field([(2.0, 1.0)])
     query = InterpQuery(BesovIndex(0.0, 1.0, 1.0), BesovIndex(0.0, math.inf, 1.0))
-    assert k_layer(field, query, 0, 1.0) == pytest.approx(2.0, rel=1e-12)
+    assert _at(_layer_fn(field, query, 0), 1.0) == pytest.approx(2.0, rel=1e-12)
 
 
 def test_k_layer_single_coefficient():
@@ -90,28 +95,28 @@ def test_k_layer_single_coefficient():
     w1 = 2.0 ** i1.weight_exponent(1)
     query = InterpQuery(i0, i1)
     for t in (0.1, 2.0, 40.0):
-        assert k_layer(field, query, 1, t) == pytest.approx(
+        assert _at(_layer_fn(field, query, 1), t) == pytest.approx(
             1.5 * min(w0, t * w1), rel=1e-12)
 
 
 def test_k_layer_large_t_recovers_first_norm():
     field = _field([(1.0, 0.25, 0.5)])
     query = InterpQuery(BesovIndex(0.3, 1.5, 1.0), BesovIndex(0.0, 2.0, 1.0))
-    big = k_layer(field, query, 0, 2.0**60)
+    big = _at(_layer_fn(field, query, 0), 2.0**60)
     assert big == pytest.approx(lp_norm(field.layers[0], 1.5), rel=1e-12)
 
 
 # --- shared-p routes --------------------------------------------------------
 
 def test_k_maingrid_W_two_ones():
-    assert k_maingrid_W(np.array([1.0, 1.0]), 0.0, 1.0, 1.0, 1.0) == pytest.approx(
+    assert _at(_WCurve(np.array([1.0, 1.0]), 0.0, 1.0, 1.0), 1.0) == pytest.approx(
         2.0, rel=1e-12)
 
 
 def test_k_maingrid_W_single_spike():
     a = np.array([3.0, 0.0, 0.0])
     for t in (0.25, 1.0, 4.0):
-        got = k_maingrid_W(a, 0.0, 1.0, 1.5, t)
+        got = _at(_WCurve(a, 0.0, 1.0, 1.5), t)
         assert got == pytest.approx(3.0 * min(1.0, t), rel=1e-12)
 
 
@@ -119,19 +124,19 @@ def test_k_maingrid_W_single_spike():
        st.floats(0.1, 10.0), st.floats(0.5, 3.0))
 def test_k_maingrid_W_homogeneous(a, t, c):
     a = np.array(a)
-    base = k_maingrid_W(a, 0.0, 0.75, 1.0, t)
-    assert k_maingrid_W(c * a, 0.0, 0.75, 1.0, t) == pytest.approx(
+    base = _at(_WCurve(a, 0.0, 0.75, 1.0), t)
+    assert _at(_WCurve(c * a, 0.0, 0.75, 1.0), t) == pytest.approx(
         c * base, rel=1e-12, abs=1e-300)
 
 
 def test_k_rearr_single_entry():
     for t in (0.2, 1.0, 5.0):
-        assert k_rearr_mainq(np.array([2.7]), 1.0, 2.0, t) == pytest.approx(
+        assert _at(_SplitSum(np.array([2.7]), 1.0, 2.0), t) == pytest.approx(
             2.7 * min(1.0, t), rel=1e-12)
 
 
 def test_k_rearr_two_entries_q1_qinf():
-    got = k_rearr_mainq(np.array([2.0, 1.0]), 1.0, math.inf, 1.0)
+    got = _at(_SplitSum(np.array([2.0, 1.0]), 1.0, math.inf), 1.0)
     assert got == pytest.approx(2.0, rel=1e-12)
 
 
@@ -139,8 +144,8 @@ def test_k_rearr_two_entries_q1_qinf():
        st.floats(0.05, 20.0))
 def test_k_rearr_commutation_exact(a, t):
     a = np.array(a)
-    fwd = k_rearr_mainq(a, 1.0, 2.0, t)
-    rev = t * k_rearr_mainq(a, 2.0, 1.0, 1.0 / t)
+    fwd = _at(_SplitSum(a, 1.0, 2.0), t)
+    rev = t * _at(_SplitSum(a, 2.0, 1.0), 1.0 / t)
     assert fwd == pytest.approx(rev, rel=1e-12)
 
 
@@ -149,10 +154,10 @@ def test_k_weighted_seq_routes_match_manual():
     t = 1.7
     # equal exponents, equal q: degenerate min(1,t)*norm
     want = min(1.0, t) * lp_norm(2.0 ** (np.arange(3) * 0.5) * a, 1.5)
-    assert k_weighted_seq(a, 0.5, 1.5, 0.5, 1.5, t) == pytest.approx(want, rel=1e-12)
+    assert _at(_seq_plan(a, 0.5, 1.5, 0.5, 1.5).k, t) == pytest.approx(want, rel=1e-12)
     # swapped smoothness reduces to the commuted W
-    fwd = k_weighted_seq(a, 1.0, 1.0, 0.0, 1.0, t)
-    rev = t * k_weighted_seq(a, 0.0, 1.0, 1.0, 1.0, 1.0 / t)
+    fwd = _at(_seq_plan(a, 1.0, 1.0, 0.0, 1.0).k, t)
+    rev = t * _at(_seq_plan(a, 0.0, 1.0, 1.0, 1.0).k, 1.0 / t)
     assert fwd == pytest.approx(rev, rel=1e-12)
 
 
@@ -163,7 +168,7 @@ def test_holmstedt_route_band_vs_oracle():
     i1 = BesovIndex(-0.6, 2.0, 3.0)
     query = InterpQuery(i0, i1)
     for t in 2.0 ** np.arange(-8.0, 9.0, 2.0):
-        formula = k_p_equal(field, query, float(t))
+        formula = _k(field, query, float(t))
         oracle = k_vertex_exact(field, i0, i1, float(t))
         ratio = formula / oracle
         assert 1.0 / 8.0 <= ratio <= 8.0
@@ -175,15 +180,8 @@ def test_p_equal_single_spike_matches_k_layer():
     i1 = BesovIndex(-0.2, 1.5, 1.0)
     query = InterpQuery(i0, i1)
     for t in (0.3, 1.0, 6.0):
-        assert k_p_equal(field, query, t) == pytest.approx(
-            k_layer(field, query, 1, t), rel=1e-12)
-
-
-def test_p_equal_rejects_distinct_p():
-    field = _field([(1.0,)])
-    query = InterpQuery(BesovIndex(0.0, 1.0, 1.0), BesovIndex(0.0, 2.0, 1.0))
-    with pytest.raises(UsageError):
-        k_p_equal(field, query, 1.0)
+        assert _k(field, query, t) == pytest.approx(
+            _at(_layer_fn(field, query, 1), t), rel=1e-12)
 
 
 # --- shared-q route ---------------------------------------------------------
@@ -194,8 +192,8 @@ def test_q_equal_single_spike_matches_k_layer():
     i1 = BesovIndex(-0.4, math.inf, 2.0)
     query = InterpQuery(i0, i1)
     for t in (0.2, 1.0, 11.0):
-        assert k_q_equal(field, query, t) == pytest.approx(
-            k_layer(field, query, 1, t), rel=1e-12)
+        assert _k(field, query, t) == pytest.approx(
+            _at(_layer_fn(field, query, 1), t), rel=1e-12)
 
 
 def test_q_equal_two_layers_q1_sums():
@@ -204,10 +202,10 @@ def test_q_equal_two_layers_q1_sums():
     i1 = BesovIndex(-0.3, 2.0, 1.0)
     query = InterpQuery(i0, i1)
     t = 1.3
-    want = k_layer(field, query, 0, t) + k_layer(field, query, 1, t)
-    assert k_q_equal(field, query, t) == pytest.approx(want, rel=1e-12)
+    want = _at(_layer_fn(field, query, 0), t) + _at(_layer_fn(field, query, 1), t)
+    assert _k(field, query, t) == pytest.approx(want, rel=1e-12)
     oracle = k_vertex_exact(field, i0, i1, t)
-    assert 1.0 / 8.0 <= k_q_equal(field, query, t) / oracle <= 8.0
+    assert 1.0 / 8.0 <= _k(field, query, t) / oracle <= 8.0
 
 
 @given(st.floats(0.05, 20.0))
@@ -215,30 +213,40 @@ def test_q_equal_commutation_exact(t):
     field = _field([(1.0, 0.5), (0.8, 0.1)])
     i0 = BesovIndex(0.6, 1.0, 1.5)
     i1 = BesovIndex(-0.3, math.inf, 1.5)
-    fwd = k_q_equal(field, InterpQuery(i0, i1), t)
-    rev = t * k_q_equal(field, InterpQuery(i1, i0), 1.0 / t)
+    fwd = _k(field, InterpQuery(i0, i1), t)
+    rev = t * _k(field, InterpQuery(i1, i0), 1.0 / t)
     assert fwd == pytest.approx(rev, rel=1e-12)
 
 
 # --- general route ----------------------------------------------------------
 
+def _kinf(lay, ss):
+    """The envelope lay, min_k max(A_k, s B_k), at each threshold s of ss."""
+    const, lslope = lay.parts(np.log(ss))
+    return const + np.exp(lslope + np.log(ss))
+
+
 def test_k_power_layer_single_coefficient():
     c = 1.9
     for q0, q1 in ((1.0, 2.0), (2.0, 0.5), (0.5, 3.0)):
-        for s in (1e-6, 0.3, 1.0, 7.0, 1e8):
-            got = k_power_layer(np.array([c]), 1.0, 2.0, q0, q1, s)
-            assert got == pytest.approx(min(c**q0, s * c**q1), rel=1e-6)
+        ss = np.array([1e-6, 0.3, 1.0, 7.0, 1e8])
+        got = _kinf(_LayerKinf(np.array([c]), 1.0, 2.0, q0, q1), ss)
+        for s, k in zip(ss.tolist(), got.tolist()):
+            assert k == pytest.approx(min(c**q0, s * c**q1), rel=1e-6)
 
 
 def test_k_power_layer_zero():
-    assert k_power_layer(np.zeros(3), 1.0, 2.0, 1.0, 2.0, 1.0) == 0.0
+    # a zero layer has no live envelope, so the GENERAL route leaves it out
+    assert not _LayerKinf(np.zeros(3), 1.0, 2.0, 1.0, 2.0).live
+    query = InterpQuery(BesovIndex(0.5, 1.0, 1.0), BesovIndex(-0.5, 2.0, 2.0))
+    assert _k(_field([(0.0, 0.0, 0.0)]), query, 1.0) == 0.0
 
 
 def test_k_power_layer_monotone_in_s():
     rng = np.random.default_rng(9)
     b = rng.uniform(0.1, 2.0, size=5)
     ss = np.logspace(-6, 6, 50)
-    vals = [k_power_layer(b, 1.0, math.inf, 2.0, 1.0, float(s)) for s in ss]
+    vals = _kinf(_LayerKinf(b, 1.0, math.inf, 2.0, 1.0), ss).tolist()
     assert all(x <= y + 1e-12 * max(1.0, y) for x, y in zip(vals, vals[1:]))
 
 
@@ -278,7 +286,8 @@ def test_k_power_layer_matches_rank_split_minimum():
         q0, q1 = (float(x) for x in rng.choice((0.5, 1.0, 2.0, 3.0), 2, replace=False))
         s = float(10.0 ** rng.uniform(-6.0, 6.0))
         want = _power_layer_brute(b.tolist(), p0, p1, q0, q1, s)
-        assert k_power_layer(b, p0, p1, q0, q1, s) == pytest.approx(want, rel=1e-12)
+        got = _kinf(_LayerKinf(b, p0, p1, q0, q1), np.array([s]))[0]
+        assert got == pytest.approx(want, rel=1e-12)
 
 
 def test_k_general_single_coefficient_collapse():
@@ -289,15 +298,15 @@ def test_k_general_single_coefficient_collapse():
     w1 = 2.0 ** (2 * i1.weight_exponent(1))
     query = InterpQuery(i0, i1)
     for t in (0.05, 1.0, 17.0):
-        assert k_general(field, query, t) == pytest.approx(
+        assert _k(field, query, t) == pytest.approx(
             1.1 * min(w0, t * w1), rel=1e-6)
 
 
 def test_k_general_homogeneous():
     field = _field([(1.0, 0.4), (0.6,)])
     query = InterpQuery(BesovIndex(0.5, 1.0, 2.0), BesovIndex(-0.5, 2.0, 1.0))
-    base = k_general(field, query, 1.3)
-    got = k_general(field.scaled(2.7), query, 1.3)
+    base = _k(field, query, 1.3)
+    got = _k(field.scaled(2.7), query, 1.3)
     assert got == pytest.approx(2.7 * base, rel=1e-6)
 
 
@@ -309,7 +318,7 @@ def test_k_general_band_vs_max_form_oracle():
     query = InterpQuery(i0, i1)
     ratios = []
     for t in 2.0 ** np.arange(-20.0, 21.0, 4.0):
-        ratios.append(k_general(field, query, float(t))
+        ratios.append(_k(field, query, float(t))
                       / k_vertex_exact(field, i0, i1, float(t), xi=math.inf))
     assert all(1.0 / 16.0 <= r <= 16.0 for r in ratios)
     assert max(ratios) / min(ratios) <= 16.0

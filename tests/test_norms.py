@@ -10,10 +10,8 @@ from besovk.norms import (
     besov_lorentz_norm,
     besov_norm,
     lorentz_seq_norm,
-    lp_layer_norm,
     lp_norm,
     main_grid_reduce,
-    power_space_norm,
     weighted_lq_norm,
 )
 
@@ -24,11 +22,11 @@ def _field(layers, n=1):
 
 
 def test_lp_layer_norm_345():
-    assert lp_layer_norm(_field([(3, 4)]), 0, 2.0) == pytest.approx(5.0)
+    assert lp_norm(_field([(3, 4)]).layers[0], 2.0) == pytest.approx(5.0)
 
 
 def test_lp_layer_norm_sup():
-    assert lp_layer_norm(_field([(3, 4)]), 0, math.inf) == 4.0
+    assert lp_norm(_field([(3, 4)]).layers[0], math.inf) == 4.0
 
 
 def test_lp_layer_norm_accumulation():
@@ -37,7 +35,7 @@ def test_lp_layer_norm_accumulation():
     total = 0.0
     for x in v:
         total += x
-    assert lp_layer_norm(_field([v]), 0, 1.0) == pytest.approx(total, rel=1e-12)
+    assert lp_norm(_field([v]).layers[0], 1.0) == pytest.approx(total, rel=1e-12)
 
 
 def test_besov_norm_unit_spike():
@@ -197,13 +195,3 @@ def test_besov_lorentz_matches_dyadic_oracle():
         got = besov_lorentz_norm(field, s, p, q, r)
         assert got == pytest.approx(want, rel=1e-4)
 
-
-def test_power_space_norm():
-    assert power_space_norm(1.0, 3.7) == 1.0
-    assert power_space_norm(2.0, 3.0) == 8.0
-
-
-@given(st.floats(0.001, 100.0), st.floats(0.1, 5.0))
-def test_power_space_norm_log_identity(x, e):
-    got = power_space_norm(x, e)
-    assert math.log(got) == pytest.approx(e * math.log(x), rel=1e-9, abs=1e-12)
