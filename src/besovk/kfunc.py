@@ -152,16 +152,22 @@ def default_t_grid(t_min_exp: float = -20.0, t_max_exp: float = 20.0,
 class KPlan:
     """One K evaluation with its t-independent state built once.
 
-    label names the route.  The state is built on the field scaled by
-    fac (_scaled_plan); k_scaled(ts) evaluates K of the scaled field at
-    every t of a 1-d array, and k(ts) undoes the factor.  Every K value
-    this module returns goes through k.
+    label names the route, form the functional ("sum", "max", or
+    "xi=<xi>" for another oracle aggregation power).  The state is built
+    on the field scaled by fac (_scaled_plan); k_scaled(ts) evaluates K
+    of the scaled field at every t of a 1-d array, and k(ts) undoes the
+    factor.  Every K value this module returns goes through k.
     """
 
-    def __init__(self, label: str, fn, fac: float = 1.0):
+    def __init__(self, label: str, fn, fac: float = 1.0, form: str = "sum"):
         self.label = label
+        self._form = form
         self.fac = fac
         self._fn = fn
+
+    @property
+    def form(self) -> str:
+        return self._form
 
     def k_scaled(self, ts) -> np.ndarray:
         ts = np.asarray(ts, dtype=float)
@@ -183,15 +189,15 @@ def _zeros(ts: np.ndarray) -> np.ndarray:
     return np.zeros(len(ts))
 
 
-def _scaled_plan(label: str, vmax: float, build) -> KPlan:
+def _scaled_plan(label: str, vmax: float, build, form: str = "sum") -> KPlan:
     """A plan on data whose largest entry is vmax, scaled by the one
     rescaling rule (_pow2_factor): K(f) = K(fac f) / fac by exact
     1-homogeneity, which keeps q-th powers representable.  build(fac)
     returns the evaluator for the data scaled by fac."""
     if vmax == 0.0:
-        return KPlan(label, _zeros)
+        return KPlan(label, _zeros, form=form)
     fac = _pow2_factor(vmax)
-    return KPlan(label, build(fac), fac)
+    return KPlan(label, build(fac), fac, form)
 
 
 # ---------------------------------------------------------------------------
@@ -405,37 +411,42 @@ def _logcell_integral(u_lo, u_hi, g_lo, g_hi) -> np.ndarray:
 
 def _grid_integral(fun, lo, hi, points_per_decade: float) -> np.ndarray:
     """Log-grid quadrature of fun(sigma) d sigma/sigma over [lo, hi] for
-    each pair of (broadcast) bounds, zero where lo >= hi.
+    each pair of bounds, zero where lo >= hi.  Each bound is a scalar or
+    an array; a scalar pairs with every entry of the other.
 
     A range of D binary decades gets ceil(D * points_per_decade) cells
     (at least one) with nodes spaced as np.linspace spaces them.  The
     ranges are laid end to end, so fun runs once on every node, and
     each range's cells are summed on their own.
     """
-    lo, hi = np.broadcast_arrays(np.asarray(lo, dtype=float),
-                                 np.asarray(hi, dtype=float))
-    out = np.zeros(lo.shape)
+    lo, hi = np.asarray(lo, dtype=float), np.asarray(hi, dtype=float)
     live = lo < hi
-    if not live.any():
+    out = np.zeros(live.shape)
+    n = np.count_nonzero(live)
+    if not n:
         return out
-    u_lo, u_hi = np.log(lo[live]), np.log(hi[live])
+    u_lo = np.log(lo[live] if lo.ndim else lo.repeat(n))
+    u_hi = np.log(hi[live] if hi.ndim else hi.repeat(n))
     cells = np.maximum(1, np.ceil((u_hi - u_lo) / math.log(2.0) * points_per_decade))
     cells = cells.astype(np.intp)
     first = np.cumsum(cells + 1) - (cells + 1)  # first node of each range
     last = first + cells
-    seg = np.repeat(np.arange(len(cells)), cells + 1)
+    seg = np.arange(n).repeat(cells + 1)
     us = (np.arange(len(seg)) - first[seg]) * ((u_hi - u_lo) / cells)[seg] + u_lo[seg]
     us[last] = u_hi
     gs = fun(np.exp(us))
-    left = np.delete(np.arange(len(us)), last)
-    vals = _logcell_integral(us[left], us[left + 1], gs[left], gs[left + 1])
-    out[live] = np.add.reduceat(vals, first - np.arange(len(cells)))
+    cell = np.ones(len(us) - 1, dtype=bool)  # node i opens a cell unless it ends a range
+    cell[last[:-1]] = False
+    vals = _logcell_integral(us[:-1][cell], us[1:][cell], gs[:-1][cell], gs[1:][cell])
+    out[live] = np.add.reduceat(vals, first - np.arange(n))
     return out
 
 
 def _piece_low(W: _WCurve, theta: float, q: float, ppd: float):
     """Evaluator of (int_0^X (sig^-theta W)^q dsig/sig)^(1/q) on an X
-    array; the sup form at q = inf."""
+    array; the sup form at q = inf.  The whole hull [W.lo, W.hi] is
+    quadratured once: an X inside it costs the quadrature of [W.lo, X],
+    one outside it closed forms only."""
     if math.isinf(q):
         # sig^-theta W is increasing below the hull, decreasing above it,
         # and has no interior maximum on a linear piece of W, so its sup
@@ -452,10 +463,13 @@ def _piece_low(W: _WCurve, theta: float, q: float, ppd: float):
         return sup
     e_lo, e_hi = (1.0 - theta) * q, theta * q
     fun = lambda s: (s**-theta * W(s)) ** q
+    full = float(_grid_integral(fun, W.lo, W.hi, ppd))
 
     def integral(X):
-        total = W.norm_b**q * np.minimum(X, W.lo) ** e_lo / e_lo
-        total = total + _grid_integral(fun, W.lo, np.minimum(X, W.hi), ppd)
+        hull = np.where(X >= W.hi, full, 0.0)
+        mid = (W.lo < X) & (X < W.hi)
+        hull[mid] = _grid_integral(fun, W.lo, X[mid], ppd)
+        total = W.norm_b**q * np.minimum(X, W.lo) ** e_lo / e_lo + hull
         total = total + np.where(X > W.hi, W.norm_a**q * (W.hi**-e_hi - X**-e_hi) / e_hi,
                                  0.0)
         return total ** (1.0 / q)
@@ -465,7 +479,8 @@ def _piece_low(W: _WCurve, theta: float, q: float, ppd: float):
 
 def _piece_high(W: _WCurve, theta: float, q: float, ppd: float):
     """Evaluator of (int_X^inf (sig^-theta W)^q dsig/sig)^(1/q) on an X
-    array; the sup form at q = inf."""
+    array; the sup form at q = inf.  As in _piece_low, only an X inside
+    the hull costs a quadrature, of [X, W.hi]."""
     if math.isinf(q):
         # as in _piece_low: the sup over [X, inf) sits at X or at a
         # breakpoint above X
@@ -481,10 +496,13 @@ def _piece_high(W: _WCurve, theta: float, q: float, ppd: float):
         return sup
     e_lo, e_hi = (1.0 - theta) * q, theta * q
     fun = lambda s: (s**-theta * W(s)) ** q
+    full = float(_grid_integral(fun, W.lo, W.hi, ppd))
 
     def integral(X):
-        total = W.norm_a**q * np.maximum(X, W.hi) ** -e_hi / e_hi
-        total = total + _grid_integral(fun, np.maximum(X, W.lo), W.hi, ppd)
+        hull = np.where(X <= W.lo, full, 0.0)
+        mid = (W.lo < X) & (X < W.hi)
+        hull[mid] = _grid_integral(fun, X[mid], W.hi, ppd)
+        total = W.norm_a**q * np.maximum(X, W.hi) ** -e_hi / e_hi + hull
         total = total + np.where(X < W.lo, W.norm_b**q * (W.lo**e_lo - X**e_lo) / e_lo,
                                  0.0)
         return total ** (1.0 / q)
@@ -520,8 +538,10 @@ def _holmstedt(a: np.ndarray, s0: float, q0: float, s1: float, q1: float,
     band, and makes K(inf) = N0 and K(t)/t -> N1 exact.
 
     s0 > s1 is routed through the exact commutation identity.  W, N0,
-    N1, M0 and M1 are built once; each t then costs the two split
-    integrals.
+    N1, M0 and M1 and the full-hull quadrature of both pieces are built
+    once.  A t whose split point t^3 lies outside the hull then costs
+    closed forms only; one inside it costs the two partial-hull
+    quadratures.
     """
     if s0 > s1:
         swapped = _holmstedt(a, s1, q1, s0, q0, ppd)
@@ -688,15 +708,18 @@ def _vertex_route(field, query, budget):
     return lambda ts: tables.curve(ts, query.xi)
 
 
-# case -> (route label, builder(field, query, budget) -> evaluator of a t array)
+# case -> (route label, form, builder(field, query, budget) -> evaluator of
+# a t array); the oracle's form (None) follows the query's xi
 _ROUTES = {
-    CaseTag.DEGENERATE: ("formula:degenerate", _degenerate_route),
-    CaseTag.P_EQUAL_S_DIFF_Q_EQUAL: ("formula:p-equal:weighted-split", _p_equal_route),
-    CaseTag.P_EQUAL_S_DIFF_Q_DIFF: ("formula:p-equal:composed-split", _p_equal_route),
-    CaseTag.P_EQUAL_S_EQUAL: ("formula:p-equal:rearrangement", _p_equal_route),
-    CaseTag.Q_EQUAL_P_DIFF: ("formula:q-equal:layer-sum", _q_equal_route),
-    CaseTag.GENERAL: ("formula:general:power-composition-kinf", _general_route),
-    CaseTag.ORACLE_ONLY: ("oracle:vertex-enumeration", _vertex_route),
+    CaseTag.DEGENERATE: ("formula:degenerate", "sum", _degenerate_route),
+    CaseTag.P_EQUAL_S_DIFF_Q_EQUAL: ("formula:p-equal:weighted-split", "sum",
+                                     _p_equal_route),
+    CaseTag.P_EQUAL_S_DIFF_Q_DIFF: ("formula:p-equal:composed-split", "sum",
+                                    _p_equal_route),
+    CaseTag.P_EQUAL_S_EQUAL: ("formula:p-equal:rearrangement", "sum", _p_equal_route),
+    CaseTag.Q_EQUAL_P_DIFF: ("formula:q-equal:layer-sum", "sum", _q_equal_route),
+    CaseTag.GENERAL: ("formula:general:power-composition-kinf", "max", _general_route),
+    CaseTag.ORACLE_ONLY: ("oracle:vertex-enumeration", None, _vertex_route),
 }
 
 
@@ -728,12 +751,14 @@ def _method_plan(field: CoeffField, query: InterpQuery, method: str,
     enumeration whatever the index regime)."""
     if method not in ("formula", "oracle"):
         raise UsageError(f"unknown method {method!r}; use 'formula' or 'oracle'")
-    label, build = _ROUTES[query.case if method == "formula" else CaseTag.ORACLE_ONLY]
+    label, form, build = _ROUTES[query.case if method == "formula" else CaseTag.ORACLE_ONLY]
+    if form is None:  # the oracle computes the form that xi selects
+        form = {1.0: "sum", math.inf: "max"}.get(query.xi, f"xi={query.xi:g}")
 
     def scaled(fac):
         return build(field.scaled(fac) if fac != 1.0 else field, query, budget)
 
-    return _scaled_plan(label, field.max_abs(), scaled)
+    return _scaled_plan(label, field.max_abs(), scaled, form)
 
 
 def k_curve(field: CoeffField, query: InterpQuery, ts=None, method: str = "formula",

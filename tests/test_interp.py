@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from besovk.coeffs import CoeffField
-from besovk.errors import NumericError
+from besovk.errors import BesovkError, NumericError
 from besovk.grid import BesovIndex, GridSpec
 from besovk.interp import (
     QuadratureSpec,
@@ -14,7 +14,8 @@ from besovk.interp import (
     interp_norm_report,
     reiteration_check,
 )
-from besovk.kfunc import InterpQuery, k_dispatch
+from besovk.kfunc import CaseTag, InterpQuery, k_curve, k_dispatch
+from besovk.norms import besov_norm
 
 
 def _field(layers, n=1):
@@ -156,3 +157,66 @@ def test_quadrature_spec_validation():
         QuadratureSpec(points_per_decade=0)
     with pytest.raises(Exception):
         QuadratureSpec(t_min_exp=5.0, t_max_exp=-5.0)
+
+
+# --- every route on fields spanning the double range -------------------------
+
+_P_ANY = [0.5, 0.8, 1.0, 1.5, 2.0, 3.0, math.inf]
+_Q_FINITE = [0.5, 0.7, 1.0, 1.5, 2.0, 4.0]
+
+
+def _route_indices(rng, case):
+    """Random (s, p, q) pairs whose couple falls in the given case."""
+    s0, s1 = rng.uniform(-1.5, 1.5, 2)
+    p0, p1 = (float(p) for p in rng.choice(_P_ANY, 2, replace=False))
+    finite = case in (CaseTag.GENERAL, CaseTag.ORACLE_ONLY)
+    qs = _Q_FINITE if finite else _Q_FINITE + [math.inf]
+    q0, q1 = (float(q) for q in rng.choice(qs, 2, replace=False))
+    if case is CaseTag.ORACLE_ONLY:
+        q0, q1 = (q0, math.inf) if rng.random() < 0.5 else (math.inf, q1)
+    return {
+        CaseTag.DEGENERATE: ((s0, p0, q0), (s0, p0, q0)),
+        CaseTag.P_EQUAL_S_DIFF_Q_EQUAL: ((s0, p0, q0), (s1, p0, q0)),
+        CaseTag.P_EQUAL_S_DIFF_Q_DIFF: ((s0, p0, q0), (s1, p0, q1)),
+        CaseTag.P_EQUAL_S_EQUAL: ((s0, p0, q0), (s0, p0, q1)),
+        CaseTag.Q_EQUAL_P_DIFF: ((s0, p0, q0), (s1, p1, q0)),
+        CaseTag.GENERAL: ((s0, p0, q0), (s1, p1, q1)),
+        CaseTag.ORACLE_ONLY: ((s0, p0, q0), (s1, p1, q1)),
+    }[case]
+
+
+def _wide_layers(rng):
+    """Up to 4 layers of up to 3 entries (few enough for the oracle's
+    budget) over 1e-320..1e300, with zeros and the smallest subnormal."""
+    layers = []
+    for _ in range(int(rng.integers(1, 5))):
+        v = 10.0 ** rng.uniform(-320.0, 300.0, int(rng.integers(1, 4)))
+        v[rng.random(len(v)) < 0.2] = 0.0
+        v[rng.random(len(v)) < 0.05] = 5e-324
+        layers.append(v)
+    return layers
+
+
+def _finite_or_refused(call):
+    try:
+        out = np.asarray(call(), dtype=float)
+    except BesovkError:
+        return
+    assert np.isfinite(out).all() and (out >= 0.0).all()
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("case", list(CaseTag))
+def test_every_route_finite_or_refused_across_double_range(case):
+    rng = np.random.default_rng([2024, list(CaseTag).index(case)])
+    for _ in range(60):
+        i0, i1 = _route_indices(rng, case)
+        query = InterpQuery(BesovIndex(*i0), BesovIndex(*i1),
+                            theta=float(rng.uniform(0.1, 0.9)),
+                            r=float(rng.choice([0.6, 1.0, 2.0, math.inf])))
+        assert query.case is case
+        field = _field(_wide_layers(rng))
+        _finite_or_refused(lambda: [besov_norm(field, query.idx0),
+                                    besov_norm(field, query.idx1)])
+        _finite_or_refused(lambda: k_curve(field, query).k)
+        _finite_or_refused(lambda: interp_norm(field, query))

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
+from besovk import kfunc
 from besovk.coeffs import CoeffField
 from besovk.errors import UsageError
 from besovk.grid import BesovIndex, GridSpec
@@ -548,6 +549,91 @@ def test_plan_matches_dispatch_exactly(i0, i1, label):
     want = [k_dispatch(field, query, float(t)) for t in ts]
     assert {tag for _, tag in want} == {label}
     assert plan.k(ts).tolist() == [k for k, _ in want]
+
+
+def test_composed_split_quadratures_the_hull_once(monkeypatch):
+    # both q finite, so both split pieces are integrals; s0 < s1, so the
+    # split point is X = (c t)^3 for the plan's calibration constant c
+    field = _field(_PLAN_FIELD)
+    query = InterpQuery(BesovIndex(-0.5, 2.0, 2.0), BesovIndex(0.5, 2.0, 1.0))
+    real = kfunc._grid_integral
+    calls = []
+
+    def counting(fun, lo, hi, ppd):
+        lo_b, hi_b = np.broadcast_arrays(np.asarray(lo, dtype=float),
+                                         np.asarray(hi, dtype=float))
+        live = lo_b < hi_b
+        calls.append((fun, list(zip(lo_b[live].tolist(), hi_b[live].tolist()))))
+        return real(fun, lo, hi, ppd)
+
+    def ranges_of(run):
+        calls.clear()
+        run()
+        return [r for _, rs in calls for r in rs]
+
+    monkeypatch.setattr(kfunc, "_grid_integral", counting)
+    plan = k_plan(field, query)
+    assert plan.label == "formula:p-equal:composed-split"
+    # the build integrates the full hull once per side (two integrands)
+    built = [(fun, rs) for fun, rs in calls if rs]
+    assert len(built) == 2 and built[0][0] is not built[1][0]
+    assert built[0][1] == built[1][1] and len(built[0][1]) == 1
+    (lo, hi), = built[0][1]
+    assert lo < hi
+
+    # split points outside the hull cost no quadrature at all
+    assert ranges_of(lambda: plan.k(2.0 ** np.array([-40.0, -30.0, 30.0, 40.0]))) == []
+
+    # a t inside integrates [lo, X] and [X, hi] once each; X reads c
+    t_mid = hi ** (1.0 / 3.0) / 4.0
+    (lo1, x), (x2, hi1) = ranges_of(lambda: plan.k(np.array([t_mid])))
+    assert (lo1, hi1) == (lo, hi) and x == x2 and lo < x < hi
+    c = x ** (1.0 / 3.0) / t_mid
+
+    # k_curve builds its plan (the full hull twice), then integrates only
+    # the default grid's t inside the hull
+    grid = default_t_grid()
+    xs = (c * grid) ** 3
+    inside = (lo < xs) & (xs < hi)
+    assert 0 < inside.sum() < len(grid)
+    got = ranges_of(lambda: k_curve(field, query))
+    assert got.count((lo, hi)) == 2 and len(got) == 2 + 2 * inside.sum()
+    low_ends = sorted(x for a, x in got if a == lo and x < hi)
+    assert low_ends == pytest.approx(xs[inside].tolist(), rel=1e-12)
+
+    # just below, inside and just above the hull: the plan equals one-t dispatch
+    t_lo, t_hi = lo ** (1.0 / 3.0) / c, hi ** (1.0 / 3.0) / c
+    ts = np.concatenate((t_lo * np.array([1.0 - 1e-9, 1.0 + 1e-9]),
+                         np.geomspace(t_lo, t_hi, 7)[1:-1],
+                         t_hi * np.array([1.0 - 1e-9, 1.0 + 1e-9])))
+    got = ranges_of(lambda: plan.k(ts))
+    assert len(got) == 2 * (len(ts) - 2)
+    assert plan.k(ts).tolist() == [_k(field, query, float(t)) for t in ts]
+
+
+_FORM_CASES = [
+    (BesovIndex(0.25, 1.5, 2.0), BesovIndex(0.25, 1.5, 2.0), 1.0, "sum"),
+    (BesovIndex(0.8, 2.0, 1.5), BesovIndex(-0.4, 2.0, 1.5), 1.0, "sum"),
+    (BesovIndex(0.8, 2.0, 1.0), BesovIndex(-0.6, 2.0, 3.0), 1.0, "sum"),
+    (BesovIndex(0.3, 1.0, 0.5), BesovIndex(0.3, 1.0, math.inf), 1.0, "sum"),
+    (BesovIndex(0.4, 1.0, 2.0), BesovIndex(-0.4, math.inf, 2.0), 1.0, "sum"),
+    (BesovIndex(0.9, 1.0, 2.0), BesovIndex(-0.7, 2.0, 1.0), 1.0, "max"),
+    (BesovIndex(1.0, 1.0, math.inf), BesovIndex(0.0, 2.0, 2.0), 1.0, "sum"),
+    (BesovIndex(1.0, 1.0, math.inf), BesovIndex(0.0, 2.0, 2.0), math.inf, "max"),
+    (BesovIndex(1.0, 1.0, math.inf), BesovIndex(0.0, 2.0, 2.0), 2.5, "xi=2.5"),
+]
+
+
+@pytest.mark.parametrize("i0, i1, xi, form", _FORM_CASES)
+def test_plan_form_follows_route(i0, i1, xi, form):
+    field = _field(_PLAN_FIELD)
+    plan = k_plan(field, InterpQuery(i0, i1, xi=xi))
+    assert plan.form == form
+    with pytest.raises(AttributeError):
+        plan.form = "sum"
+    # the oracle method reports the form its xi selects
+    oracle = kfunc._method_plan(field, InterpQuery(i0, i1, xi=xi), "oracle")
+    assert oracle.form == ("sum" if xi == 1.0 else form)
 
 
 def _logcell_scalar(u_lo, u_hi, g_lo, g_hi):
