@@ -19,10 +19,10 @@ the route:
 - p, q both different (finite q, _general_route): a three-level
   composition through power-space functionals (_power_composition).
   Each layer's powered split functional is an exact lower envelope of
-  hinges (_LayerKinf), the layer sum is piecewise linear, and the outer
-  relation is inverted on its pieces, in closed form or by Newton's
-  method.  The value computed is the max-form (split) functional; it
-  matches the sum form within a factor 2.
+  hinges (_LayerKinf, built for batches of similar-size layers), the
+  layer sum is piecewise linear, and the outer relation is inverted on
+  its pieces, in closed form or by Newton's method.  The value computed
+  is the max-form (split) functional; within a factor 2 of the sum form.
 
 Threshold splits in the two-sided formulas classify coefficients by
 rank: the side with the smaller exponent takes the floor(T) largest
@@ -170,6 +170,12 @@ class KPlan:
         return self._form
 
     def k_scaled(self, ts) -> np.ndarray:
+        return self._eval(ts, 1.0)
+
+    def k(self, ts) -> np.ndarray:
+        return self._eval(ts, self.fac)
+
+    def _eval(self, ts, fac: float) -> np.ndarray:
         ts = np.asarray(ts, dtype=float)
         bad = ts[~(ts > 0.0)]
         if len(bad):
@@ -178,11 +184,7 @@ class KPlan:
         # closed forms take those limits), and np.where evaluates both
         # branches; neither is worth a warning
         with np.errstate(all="ignore"):
-            return self._fn(ts)
-
-    def k(self, ts) -> np.ndarray:
-        with np.errstate(all="ignore"):
-            return self.k_scaled(ts) / self.fac
+            return self._fn(ts) / fac
 
 
 def _zeros(ts: np.ndarray) -> np.ndarray:
@@ -254,6 +256,21 @@ class _SplitSum:
         return self.head[k] ** (1.0 / p0) + tail
 
 
+# A batch of layer envelopes takes about 45 array calls whatever its size,
+# which cost about as much as this many cells of zero padding (_batches).
+_PAD_CELLS = 512
+
+
+def _batches(sizes) -> list[list[int]]:
+    """Layer indices by ascending size, cut so no batch pads over _PAD_CELLS cells."""
+    out = [[]]
+    for j in sorted(range(len(sizes)), key=sizes.__getitem__):
+        if sum(sizes[j] - sizes[i] for i in out[-1]) > _PAD_CELLS:
+            out.append([])
+        out[-1].append(j)
+    return out
+
+
 class _LayerKinf:
     """Max-form split K on one vector between the powered norms
     ||.||_p0^q0 and ||.||_p1^q1, as a function of the threshold x:
@@ -275,44 +292,66 @@ class _LayerKinf:
     kinf into pieces that are each constant or linear through the
     origin.  Thresholds are taken as logs, so a kink past the double
     range still has its place.
+
+    batch builds layers as the rows of one zero-padded matrix (at most
+    _PAD_CELLS padded cells, _batches).  The zeros are exact: their
+    splits ("k largest", k > m: B = 0; "k smallest" in the pads: A = 0)
+    repeat the layer's own terms.  _LayerKinf(v, ...) is a batch of one.
     """
 
-    def __init__(self, v: np.ndarray, p0: float, p1: float, q0: float, q1: float):
-        r = np.sort(np.asarray(v, dtype=float))[::-1]
+    def __new__(cls, v, p0: float, p1: float, q0: float, q1: float):
+        return cls.batch([v], p0, p1, q0, q1)[0]
+
+    @classmethod
+    def batch(cls, vs: list, p0: float, p1: float, q0: float, q1: float) -> list:
+        """The envelopes of the nonnegative vectors vs, built together."""
+        rows = len(vs)
+        r = np.zeros((rows, max(map(len, vs))))
+        for row, v in zip(r, vs):
+            row[:len(v)] = v
+        r.sort(axis=1)
+        z, inf = np.zeros((rows, 1)), np.full((rows, 1), np.inf)
+        halves = np.concatenate((z, r[:, ::-1], z, r), 1).reshape(rows, 2, -1)
 
         def rank_norms(p: float) -> np.ndarray:
-            # ||k largest entries||_p, then ||k smallest||_p, k = 0..m
+            # ||k largest entries||_p, then ||k smallest||_p, k = 0..m, from
+            # the halves: 0 and the entries descending, 0 and them ascending
             if math.isinf(p):
-                return np.concatenate((np.maximum.accumulate(np.concatenate(([0.0], r))),
-                                       np.maximum.accumulate(np.concatenate(([0.0], r[::-1])))))
-            pw = r**p
-            return np.concatenate(([0.0], pw.cumsum(), [0.0], pw[::-1].cumsum())) ** (1.0 / p)
+                return np.maximum.accumulate(halves, 2).reshape(rows, -1)
+            return (halves**p).cumsum(2).reshape(rows, -1) ** (1.0 / p)
 
         # side-0 takes the k largest or the k smallest, side-1 the
         # complement: the m - k smallest or largest, the table read backwards
         a = rank_norms(p0) ** q0
-        b = rank_norms(p1)[::-1] ** q1
+        b = rank_norms(p1)[:, ::-1] ** q1
         with np.errstate(divide="ignore", invalid="ignore"):
             # -inf where a = 0, inf where b = 0, nan where both are
             # (that split costs nothing and kinf vanishes)
             kinks = np.log(a) - np.log(b)
-            order = kinks.argsort()
-            kinks = kinks[order]
-            self._suf_a = np.concatenate((np.minimum.accumulate(a[order][::-1])[::-1],
-                                          [np.inf]))
-            self._log_pre_b = np.log(np.concatenate(([np.inf],
-                                                     np.minimum.accumulate(b[order]))))
-            self._log_suf_a = np.log(self._suf_a)
-            cross = self._log_suf_a - self._log_pre_b
-        self.live = not np.isnan(kinks).any()
-        edges = np.concatenate(([-np.inf], kinks, [np.inf]))
-        cuts = np.concatenate((kinks, cross[(edges[:-1] < cross) & (cross < edges[1:])]))
-        self.breaks = cuts[np.isfinite(cuts)]
-        self.breaks.sort()
-        # the finite kinks, offset by the kinks at -inf, so that x -> 0
-        # reads the slope and x -> inf the plateau
-        self._lo = int(kinks.searchsorted(-np.inf, side="right"))
-        self._kinks = kinks[self._lo:kinks.searchsorted(np.inf)]
+            # a row is two nondecreasing runs (A grows, B shrinks with k),
+            # which a stable sort merges; flat indices let take gather it
+            order = kinks.argsort(1, kind="stable") + kinks.shape[1] * np.arange(rows)[:, None]
+            kinks = kinks.take(order)
+            suf_a = np.concatenate((np.minimum.accumulate(a.take(order)[:, ::-1], 1)[:, ::-1],
+                                    inf), 1)
+            log_pre_b = np.log(np.concatenate((inf, np.minimum.accumulate(b.take(order), 1)), 1))
+            log_suf_a = np.log(suf_a)
+            # the crossing left of each kink, where it lies strictly after the
+            # kink before: the crossings and finite kinks interleave in order
+            cross = log_suf_a[:, :-1] - log_pre_b[:, :-1]
+            keep = np.stack(((np.concatenate((-inf, kinks[:, :-1]), 1) < cross) & (cross < kinks),
+                             np.isfinite(kinks)), 2).reshape(rows, -1)
+        cuts = np.stack((cross, kinks), 2).reshape(rows, -1)[keep]
+        ends = keep.sum(1).cumsum().tolist()
+        out = [object.__new__(cls) for _ in vs]
+        for i, (lay, start, end) in enumerate(zip(out, [0] + ends[:-1], ends)):
+            # the kinks from the first finite one on, so that x -> 0 reads
+            # the slope and x -> inf the plateau; nan sorts last
+            lay._lo = int(kinks[i].searchsorted(-np.inf, side="right"))
+            lay._kinks, lay.breaks = kinks[i, lay._lo:], cuts[start:end]
+            lay.live = not math.isnan(kinks[i, -1])
+            lay._suf_a, lay._log_suf_a, lay._log_pre_b = suf_a[i], log_suf_a[i], log_pre_b[i]
+        return out
 
     def parts(self, lx: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """The piece of kinf at each log threshold lx, as its constant
@@ -468,7 +507,8 @@ def _piece_low(W: _WCurve, theta: float, q: float, ppd: float):
     def integral(X):
         hull = np.where(X >= W.hi, full, 0.0)
         mid = (W.lo < X) & (X < W.hi)
-        hull[mid] = _grid_integral(fun, W.lo, X[mid], ppd)
+        if mid.any():
+            hull[mid] = _grid_integral(fun, W.lo, X[mid], ppd)
         total = W.norm_b**q * np.minimum(X, W.lo) ** e_lo / e_lo + hull
         total = total + np.where(X > W.hi, W.norm_a**q * (W.hi**-e_hi - X**-e_hi) / e_hi,
                                  0.0)
@@ -501,7 +541,8 @@ def _piece_high(W: _WCurve, theta: float, q: float, ppd: float):
     def integral(X):
         hull = np.where(X <= W.lo, full, 0.0)
         mid = (W.lo < X) & (X < W.hi)
-        hull[mid] = _grid_integral(fun, X[mid], W.hi, ppd)
+        if mid.any():
+            hull[mid] = _grid_integral(fun, X[mid], W.hi, ppd)
         total = W.norm_a**q * np.maximum(X, W.hi) ** -e_hi / e_hi + hull
         total = total + np.where(X < W.lo, W.norm_b**q * (W.lo**e_lo - X**e_lo) / e_lo,
                                  0.0)
@@ -590,35 +631,34 @@ def _seq_plan(a, s_a: float, q0: float, s_b: float, q1: float) -> KPlan:
                         lambda fac: _seq_route(arr * fac, s_a, q0, s_b, q1))
 
 
-def _fold_layers(layers: list) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _fold_layers(batches: list) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The layer sum KX(u) = sum_j kinf_j(u sc_j) of the layer envelopes
-    (lay, log sc_j) as a table: the merged breaks lv (in log u), and on
-    each of the len(lv) + 1 pieces between them the constant and the log
-    of the slope of KX.
+    (lay, log sc_j), in batches, as a table: the merged breaks lv (in log
+    u), and on each of the len(lv) + 1 pieces between them the constant
+    and the log of the slope of KX.
 
-    The table is folded one layer at a time, fewest breaks first: merge
-    the layer's breaks into the running ones, carry the running piece
-    over to each merged piece and add the layer's own.  Every term is
-    nonnegative (constants add, log slopes combine by logaddexp), so
-    nothing cancels, and the work is that of the breaks seen so far,
-    not the layer count times all breaks.
+    Folded one batch (_batches) at a time, smallest layers first: merge
+    the batch's breaks into the running ones, carry the running piece
+    over to each merged piece and add each layer's own in turn.  Every
+    term is nonnegative (constants add, log slopes combine by logaddexp),
+    so nothing cancels, and the work is that of the breaks seen so far.
     """
     lv = np.empty(0)
     const, lslope = np.zeros(1), np.full(1, -np.inf)
-    for lay, lsc in sorted(layers, key=lambda pair: len(pair[0].breaks)):
-        merged = np.concatenate((lv, lay.breaks - lsc))
-        merged.sort()
+    for batch in batches:
+        merged = np.sort(np.concatenate([lv] + [lay.breaks - lsc for lay, lsc in batch]))
         reps = np.concatenate(([-np.inf], 0.5 * (merged[:-1] + merged[1:]), [np.inf]))
         run = lv.searchsorted(reps)
-        c, lb = lay.parts(reps + lsc)
-        const = const[run] + c
-        lslope = np.logaddexp(lslope[run], lb + lsc)
+        const, lslope = const[run], lslope[run]
+        for lay, lsc in batch:
+            c, lb = lay.parts(reps + lsc)
+            const, lslope = const + c, np.logaddexp(lslope, lb + lsc)
         lv = merged
     return lv, const, lslope
 
 
-def _power_composition(layers: list, q0: float, q1: float):
-    """Evaluator of the max-form K from the layer envelopes (lay, log sc).
+def _power_composition(batches: list, q0: float, q1: float):
+    """Evaluator of the max-form K from batches of layer envelopes (lay, log sc).
 
     The layer sum KX(u) = sum_j kinf_j(u sc) is constant plus linear on
     each piece between the merged layer breaks (in log u, _fold_layers).
@@ -630,7 +670,7 @@ def _power_composition(layers: list, q0: float, q1: float):
     is solved by Newton's method in log u, vectorised over t.
     """
     e = 1.0 / q0 - 1.0 / q1
-    lv, const, lslope = _fold_layers(layers)
+    lv, const, lslope = _fold_layers(batches)
     with np.errstate(divide="ignore"):
         lconst = np.log(const)
     # log of the left side at each break, from the piece right of it
@@ -690,15 +730,15 @@ def _general_route(field, query, budget):
     i0, i1 = query.idx0, query.idx1
     q0, q1 = i0.q, i1.q
     lsc = query.s_tilde(field.spec.n) * q1 * math.log(2.0)  # log sc_j = j * lsc
-    layers = []
-    for j in range(field.spec.J):
-        lay = _LayerKinf(layer_weight(field.spec, i0, j) * field.layers[j],
-                         i0.p, i1.p, q0, q1)
-        if lay.live:
-            layers.append((lay, j * lsc))
-    if not layers:
+    batches = []
+    for js in _batches(field.spec.layer_sizes):
+        lays = _LayerKinf.batch([layer_weight(field.spec, i0, j) * field.layers[j] for j in js],
+                                i0.p, i1.p, q0, q1)
+        batches.append([(lay, j * lsc) for lay, j in zip(lays, js) if lay.live])
+    batches = [batch for batch in batches if batch]
+    if not batches:
         return _zeros
-    return _power_composition(layers, q0, q1)
+    return _power_composition(batches, q0, q1)
 
 
 def _vertex_route(field, query, budget):

@@ -3,8 +3,9 @@
 A first K evaluation must not import modules lazily.  A module imported
 on first use (numpy.ma, say) costs every fresh interpreter its import
 time and memory, the CLI included.  This runs one k_dispatch, k_curve
-and interp_norm per formula route in a fresh interpreter and checks that
-sys.modules holds nothing new afterwards.
+and interp_norm per formula route in a fresh interpreter, plus a GENERAL
+field whose layer envelopes are built in more than one batch, and checks
+that sys.modules holds nothing new afterwards.
 
 Every public name must resolve: each name in besovk.__all__ and in a
 submodule's __all__ exists, and each besovk.__all__ name is exported by
@@ -39,13 +40,17 @@ couples = [
     ((0.4, 1.0, 2.0), (-0.4, math.inf, 2.0)),  # layer-sum
     ((0.9, 1.0, 2.0), (-0.7, 2.0, 1.0)),    # general
 ]
+# a GENERAL input whose layers the route builds in more than one batch
+wide = CoeffField(GridSpec(n=1, J=3, layer_sizes=(1, 2, 600)),
+                  [np.array([1.0]), np.array([0.5, 0.0]), np.linspace(0.0, 0.3, 600)])
 routes = []
-for i0, i1 in couples:
+for f, (i0, i1) in [(field, c) for c in couples] + [(wide, couples[-1])]:
     query = InterpQuery(BesovIndex(*i0), BesovIndex(*i1))
-    routes.append(k_dispatch(field, query, 1.3)[1])
-    k_curve(field, query)
-    interp_norm(field, query)
-print(json.dumps({"routes": routes, "new": sorted(set(sys.modules) - before)}))
+    routes.append(k_dispatch(f, query, 1.3)[1])
+    k_curve(f, query)
+    interp_norm(f, query)
+print(json.dumps({"routes": routes, "new": sorted(set(sys.modules) - before),
+                  "wide_batches": len(besovk.kfunc._batches(wide.spec.layer_sizes))}))
 """
 
 
@@ -55,8 +60,9 @@ def test_formula_routes_import_nothing_lazily():
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
     doc = json.loads(proc.stdout)
-    assert len(set(doc["routes"])) == 6
+    assert len(set(doc["routes"])) == 6 and doc["routes"][-1] == doc["routes"][-2]
     assert all(r.startswith("formula:") for r in doc["routes"])
+    assert doc["wide_batches"] >= 2
     assert doc["new"] == []
 
 

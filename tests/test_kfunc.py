@@ -15,9 +15,11 @@ from besovk.kfunc import (
     k_curve,
     k_dispatch,
     k_plan,
+    _PAD_CELLS,
     _LayerKinf,
     _SplitSum,
     _WCurve,
+    _batches,
     _fold_layers,
     _layer_fn,
     _logcell_integral,
@@ -424,7 +426,7 @@ def test_fold_matches_per_layer_sum():
             # differ by up to 1e24 and more after the q0-th power
             v = rng.uniform(0.1, 1.0, int(rng.integers(1, 6))) * 1e-8 ** rng.integers(0, 4)
             layers.append((_LayerKinf(v, p0, p1, q0, q1), j * lsc))
-        lv, const, lslope = _fold_layers(layers)
+        lv, const, lslope = _fold_layers([layers])
         assert (np.diff(lv) >= 0).all()
         reps = np.concatenate(([-np.inf], 0.5 * (lv[:-1] + lv[1:]), [np.inf]))
         for x, c, lb in zip(reps, const, lslope):
@@ -435,6 +437,74 @@ def test_fold_matches_per_layer_sum():
             assert lb == pytest.approx(want_lb, rel=0.0, abs=1e-13)
         span = max(span, float(const.max() / const[const > 0].min()))
     assert span > 1e15
+
+
+def _dyadic(J):
+    return (1,) + tuple(2 ** (j - 1) for j in range(1, J))
+
+
+def test_layer_batches_cap_their_padding():
+    # the N=64 field of 1, 1, 2, ..., 32 entries is one batch
+    assert _batches(_dyadic(7)) == [list(range(7))]
+    # at N=12288 the small layers share a batch and the large ones stand
+    # alone, each batch in ascending size and padding at most the cap
+    sizes = tuple(3 * m for m in _dyadic(13))
+    groups = _batches(sizes)
+    assert sorted(j for js in groups for j in js) == list(range(13))
+    assert len(groups) >= 5 and groups[-1] == [12]
+    order = [sizes[j] for js in groups for j in js]
+    assert order == sorted(order)
+    for js in groups:
+        width = max(sizes[j] for j in js)
+        assert sum(width - sizes[j] for j in js) <= _PAD_CELLS
+
+
+def test_batched_envelopes_match_single_layer_builds():
+    rng = np.random.default_rng(31)
+    batches = 0
+    for case in range(24):
+        sizes = np.unique(np.concatenate((rng.integers(1, 12, 6), rng.integers(12, 400, 4),
+                                          rng.integers(400, 6000, 3)))).tolist()
+        rng.shuffle(sizes)
+        vs = []
+        for i, m in enumerate(sizes):
+            kind = (case + i) % 4
+            if kind == 0:
+                v = rng.uniform(0.0, 1.0, m)
+            elif kind == 1:
+                v = 10.0 ** rng.uniform(-300.0, 0.0, m)
+            elif kind == 2:
+                v = rng.choice((0.25, 0.5, 1.0), m)  # ties
+            else:
+                v = np.zeros(m) if i % 3 == 0 else rng.uniform(0.0, 1.0, m)
+            v[rng.random(m) < 0.2] = 0.0
+            vs.append(v)
+        p0, p1 = (float(x) for x in rng.choice((0.5, 1.0, 2.0, math.inf), 2, replace=False))
+        q0, q1 = (float(x) for x in rng.choice((0.5, 1.0, 2.0, 3.0), 2, replace=False))
+        groups = _batches(sizes)
+        batches += len(groups)
+        assert len(groups) >= 3
+        for js in groups:
+            for j, lay in zip(js, _LayerKinf.batch([vs[j] for j in js], p0, p1, q0, q1)):
+                one = _LayerKinf(vs[j], p0, p1, q0, q1)
+                assert lay.live == one.live and len(lay.breaks) == len(one.breaks)
+                if not one.live:
+                    continue
+                br = one.breaks
+                # the pieces themselves at both limits and strictly inside
+                # each piece, where the piece is the same whichever side
+                # of a break rounding puts it
+                mids = 0.5 * (br[:-1] + br[1:])
+                mids = mids[(br[:-1] < mids) & (mids < br[1:])]
+                lx = np.concatenate(([-np.inf, np.inf], mids, br[:1] - 1.0, br[-1:] + 1.0))
+                (c1, lb1), (c2, lb2) = one.parts(lx), lay.parts(lx)
+                np.testing.assert_allclose(c2, c1, rtol=1e-13, atol=0.0)
+                np.testing.assert_allclose(lb2, lb1, rtol=0.0, atol=1e-13)
+                # at the breaks, where kinf is continuous, its value
+                (c1, lb1), (c2, lb2) = one.parts(br), lay.parts(br)
+                np.testing.assert_allclose(c2 + np.exp(lb2 + br), c1 + np.exp(lb1 + br),
+                                           rtol=1e-13, atol=0.0)
+    assert batches >= 90
 
 
 # --- dispatch and curves ----------------------------------------------------
@@ -575,14 +645,16 @@ def test_composed_split_quadratures_the_hull_once(monkeypatch):
     plan = k_plan(field, query)
     assert plan.label == "formula:p-equal:composed-split"
     # the build integrates the full hull once per side (two integrands)
+    # and makes no other call, not even an empty one for its limits
     built = [(fun, rs) for fun, rs in calls if rs]
-    assert len(built) == 2 and built[0][0] is not built[1][0]
+    assert len(calls) == len(built) == 2 and built[0][0] is not built[1][0]
     assert built[0][1] == built[1][1] and len(built[0][1]) == 1
     (lo, hi), = built[0][1]
     assert lo < hi
 
     # split points outside the hull cost no quadrature at all
     assert ranges_of(lambda: plan.k(2.0 ** np.array([-40.0, -30.0, 30.0, 40.0]))) == []
+    assert calls == []
 
     # a t inside integrates [lo, X] and [X, hi] once each; X reads c
     t_mid = hi ** (1.0 / 3.0) / 4.0
