@@ -44,7 +44,6 @@ from .norms import (
 )
 from .oracle import (
     OracleBudget,
-    VertexTables,
     k_cuboid_continuous,
     k_vertex_exact,
     vertex_tables,
@@ -71,7 +70,6 @@ __all__ = [
     "QuadratureSpec",
     "SUITES",
     "UsageError",
-    "VertexTables",
     "abs_reduce",
     "besov_identity_check",
     "besov_lorentz_norm",

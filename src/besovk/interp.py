@@ -22,7 +22,8 @@ import numpy as np
 from .coeffs import CoeffField
 from .errors import NumericError, UsageError
 from .grid import BesovIndex
-from .kfunc import InterpQuery, KPlan, _logcell_integral, _method_plan, _seq_plan
+from .kfunc import (InterpQuery, KPlan, _logcell_integral, _seq_plan, default_t_grid,
+                    k_plan)
 from .norms import besov_norm, weighted_lq_norm
 
 __all__ = [
@@ -35,8 +36,8 @@ __all__ = [
     "reiteration_check",
 ]
 
-_MAX_EXPANSIONS = 12
 _EXPAND_STEP = 16.0  # binary decades added per side per expansion
+_WINDOW_LIMIT = 1000.0  # the window widens while it stays inside 2^(+-this)
 
 
 @dataclass(frozen=True)
@@ -77,11 +78,6 @@ class InterpReport:
     tail_fraction: float
 
 
-def _window_grid(lo_exp: float, hi_exp: float, ppd: int) -> np.ndarray:
-    count = int(round((hi_exp - lo_exp) * ppd)) + 1
-    return np.logspace(lo_exp, hi_exp, count, base=2.0)
-
-
 def _interp_scaled(plan: KPlan, theta: float, r: float, quad: QuadratureSpec | None,
                    method: str) -> InterpReport:
     """Quadrature driver shared by field-level and sequence-level norms.
@@ -90,16 +86,18 @@ def _interp_scaled(plan: KPlan, theta: float, r: float, quad: QuadratureSpec | N
     range; callers unscale the result.  Cells integrate in closed form
     under the log-linear model; tails use the exact asymptotics.  The
     window expands until the tails carry under tail_rel_tol of the total
-    (for r = inf, until the sup detaches from the window edge).  A
+    (for r = inf, until the sup detaches from the window edge), as long
+    as it stays inside 2^(+-_WINDOW_LIMIT), in double range.  A
     widened window reuses K at every node equal, bit for bit, to one
     already evaluated, and evaluates it on the rest only.
     """
     quad = quad or QuadratureSpec()
     lo_exp, hi_exp = quad.t_min_exp, quad.t_max_exp
     ts, ks = np.empty(0), np.empty(0)
-    for _ in range(_MAX_EXPANSIONS):
+    widenings = max(0, int((_WINDOW_LIMIT - max(-lo_exp, hi_exp)) // _EXPAND_STEP))
+    for _ in range(widenings + 1):
         old_ts, old_ks = ts, ks
-        ts = _window_grid(lo_exp, hi_exp, quad.points_per_decade)
+        ts = default_t_grid(lo_exp, hi_exp, quad.points_per_decade)
         pos = np.searchsorted(old_ts, ts)
         seen = pos < len(old_ts)
         seen[seen] = old_ts[pos[seen]] == ts[seen]
@@ -167,7 +165,7 @@ def interp_norm_report(field: CoeffField, query: InterpQuery,
                        budget=None) -> InterpReport:
     """interp_norm plus window and tail diagnostics; NumericError when a
     tail mass (of degree r in K) leaves double range."""
-    plan = _method_plan(field, query, method, budget)
+    plan = k_plan(field, query, budget, method)
     rep = _interp_scaled(plan, query.theta, query.r, quad, method)
     deg = 1.0 if math.isinf(query.r) else query.r
     return replace(rep, value=_unscale(rep.value, plan.fac),
@@ -186,7 +184,7 @@ def interp_norm(field: CoeffField, query: InterpQuery, method: str = "formula",
     sup detaches from the window edge).  NumericError when the norm
     leaves double range.
     """
-    plan = _method_plan(field, query, method, budget)
+    plan = k_plan(field, query, budget, method)
     return _unscale(_interp_scaled(plan, query.theta, query.r, quad, method).value,
                     plan.fac)
 

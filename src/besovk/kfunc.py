@@ -763,7 +763,8 @@ _ROUTES = {
 }
 
 
-def k_plan(field: CoeffField, query: InterpQuery, budget=None) -> KPlan:
+def k_plan(field: CoeffField, query: InterpQuery, budget=None,
+           method: str = "formula") -> KPlan:
     """Select the route for the query's index regime once and build its
     t-independent state; the plan's k(ts) then evaluates K on t arrays.
 
@@ -771,24 +772,8 @@ def k_plan(field: CoeffField, query: InterpQuery, budget=None) -> KPlan:
     2 of the sum form); other routes target the sum form.  Queries with
     p and q both different and a q = inf fall outside the closed forms
     and are answered by the enumeration oracle, subject to its budget.
+    method 'oracle' takes the enumeration oracle whatever the regime.
     """
-    return _method_plan(field, query, "formula", budget)
-
-
-def k_dispatch(field: CoeffField, query: InterpQuery, t: float,
-               budget=None) -> tuple[float, str]:
-    """Route a K evaluation by index regime; returns (value, method tag).
-
-    One-t use of k_plan, which describes the routes.
-    """
-    plan = k_plan(field, query, budget)
-    return float(plan.k(np.array([t], dtype=float))[0]), plan.label
-
-
-def _method_plan(field: CoeffField, query: InterpQuery, method: str,
-                 budget=None) -> KPlan:
-    """Plan for method 'formula' (the route table) or 'oracle' (vertex
-    enumeration whatever the index regime)."""
     if method not in ("formula", "oracle"):
         raise UsageError(f"unknown method {method!r}; use 'formula' or 'oracle'")
     label, form, build = _ROUTES[query.case if method == "formula" else CaseTag.ORACLE_ONLY]
@@ -801,6 +786,16 @@ def _method_plan(field: CoeffField, query: InterpQuery, method: str,
     return _scaled_plan(label, field.max_abs(), scaled, form)
 
 
+def k_dispatch(field: CoeffField, query: InterpQuery, t: float,
+               budget=None) -> tuple[float, str]:
+    """Route a K evaluation by index regime; returns (value, method tag).
+
+    One-t use of k_plan, which describes the routes.
+    """
+    plan = k_plan(field, query, budget)
+    return float(plan.k(np.array([t], dtype=float))[0]), plan.label
+
+
 def k_curve(field: CoeffField, query: InterpQuery, ts=None, method: str = "formula",
             budget=None) -> KCurve:
     """Sample K on a t grid; method 'formula' or 'oracle'.
@@ -809,5 +804,5 @@ def k_curve(field: CoeffField, query: InterpQuery, ts=None, method: str = "formu
     evaluated from it.
     """
     grid = default_t_grid() if ts is None else np.asarray(ts, dtype=float)
-    plan = _method_plan(field, query, method, budget)
+    plan = k_plan(field, query, budget, method)
     return KCurve(grid, plan.k(grid), plan.label)

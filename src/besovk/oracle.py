@@ -27,7 +27,6 @@ from .norms import _pow2_factor
 
 __all__ = [
     "OracleBudget",
-    "VertexTables",
     "vertex_tables",
     "k_vertex_exact",
     "k_cuboid_continuous",

@@ -6,11 +6,16 @@ worst case observed.  The suites back the command-line `verify` command
 and the acceptance tests; they are deterministic for a fixed seed.
 
 Band limits are engineering tolerances for the equivalence constants,
-not sharp theory constants.  Instance pools matter: the composed-split
+not sharp theory constants.  Every suite that tests a K route draws its
+index couples with `_rand_couple` from one table, `_COUPLES`, keyed by
+route name.  An entry lists the exponent draws in order ("p" or "q" is
+one value shared by both indices, "p2" or "q2" two distinct values from
+a pool) and a smoothness rule: "same" for both indices, "free", or
+"apart", which redraws the pair until the two differ by at least 0.5 so
+breakpoint hulls stay short.  Instance pools matter: the composed-split
 route keeps its aggregation exponents at 1 or above because its
 constants degrade rapidly below 1 (a single-spike computation already
-shows a factor 81 at exponent 0.5), and random smoothness gaps stay at
-0.5 or above so breakpoint hulls stay short.
+shows a factor 81 at exponent 0.5).
 """
 
 from __future__ import annotations
@@ -21,11 +26,11 @@ import time
 import numpy as np
 
 from .coeffs import CoeffField
-from .grid import BesovIndex, GridSpec
+from .grid import BesovIndex, GridSpec, layer_weight
 from .interp import besov_identity_check, interp_norm, reiteration_check
-from .kfunc import InterpQuery, k_dispatch, k_plan
+from .kfunc import InterpQuery, k_plan
 from .norms import besov_norm, main_grid_reduce
-from .oracle import OracleBudget, k_cuboid_continuous, vertex_tables
+from .oracle import k_cuboid_continuous, vertex_tables
 
 __all__ = [
     "SUITES",
@@ -41,7 +46,18 @@ __all__ = [
 
 _FULL_POOL = (0.5, 1.0, 1.5, 2.0, math.inf)
 _CONVEX_POOL = (1.0, 1.5, 2.0, math.inf)
+_SPLIT_POOL = (0.5, 1.0, 2.0, math.inf)
 _T_GRID = 2.0 ** np.arange(-12, 13, 2)  # 13 points, log step 2
+
+# route -> (exponent draws in order, smoothness rule); see the module docstring
+_COUPLES = {
+    "degenerate": ((("p", _FULL_POOL), ("q", _FULL_POOL)), "same"),
+    "weighted-split": ((("p", _FULL_POOL), ("q", _SPLIT_POOL)), "apart"),
+    "composed-split": ((("p", _FULL_POOL), ("q2", _CONVEX_POOL)), "apart"),
+    "rearrangement": ((("p", _FULL_POOL), ("q2", _SPLIT_POOL)), "same"),
+    "layer-sum": ((("q", _FULL_POOL), ("p2", _SPLIT_POOL)), "free"),
+    "general": ((("p2", (1.0, 2.0, math.inf)), ("q2", (0.5, 1.0, 2.0, 3.0))), "free"),
+}
 
 
 def _band(ratio: float) -> float:
@@ -100,29 +116,45 @@ def _rand_index(rng, p_pool=_FULL_POOL, q_pool=_FULL_POOL,
                       q=float(rng.choice(q_pool)))
 
 
-def _single_nonzero_field(rng, j_max: int = 3, n_pool=(1, 2)) -> CoeffField:
-    sizes = _rand_sizes(rng, 6, j_max)
-    n = int(rng.choice(n_pool))
-    layers = [np.zeros(m) for m in sizes]
-    j = int(rng.integers(0, len(sizes)))
-    i = int(rng.integers(0, sizes[j]))
-    layers[j][i] = float(rng.uniform(0.2, 3.0))
-    return CoeffField(GridSpec(n=n, J=len(sizes), layer_sizes=sizes), layers)
+def _rand_couple(rng, route: str) -> tuple[BesovIndex, BesovIndex]:
+    """An index couple of the route's regime, drawn as _COUPLES says."""
+    draws, smooth = _COUPLES[route]
+    e0, e1 = {}, {}
+    for name, pool in draws:
+        if name.endswith("2"):
+            a, b = rng.choice(pool, size=2, replace=False)
+        else:
+            a = b = rng.choice(pool)
+        e0[name[0]], e1[name[0]] = float(a), float(b)
+    if smooth == "same":
+        s0 = s1 = rng.uniform(-2.0, 2.0)
+    else:
+        s0, s1 = rng.uniform(-2.0, 2.0, size=2)
+        while smooth == "apart" and abs(s0 - s1) < 0.5:
+            s0, s1 = rng.uniform(-2.0, 2.0, size=2)
+    return (BesovIndex(float(s0), e0["p"], e0["q"]),
+            BesovIndex(float(s1), e1["p"], e1["q"]))
 
 
-def _single_min(field: CoeffField, idx0: BesovIndex, idx1: BesovIndex,
-                t: float) -> float:
-    """min(w0, t*w1)*c for the unique nonzero coefficient."""
-    from .grid import layer_weight
-
-    for j, v in enumerate(field.layers):
-        nz = np.flatnonzero(v)
-        if len(nz):
-            c = float(v[nz[0]])
-            w0 = layer_weight(field.spec, idx0, j)
-            w1 = layer_weight(field.spec, idx1, j)
-            return c * min(w0, t * w1)
-    return 0.0
+def _single_worst(rng, route: str, count: int, ts) -> float:
+    """Worst relative error of the route's K against the exact
+    c * min(w0, t * w1) on count fields with one nonzero coefficient c
+    (w0, w1 the weights of its layer)."""
+    worst = 0.0
+    for _ in range(count):
+        sizes = _rand_sizes(rng, 6, 3)
+        spec = GridSpec(n=int(rng.choice((1, 2))), J=len(sizes), layer_sizes=sizes)
+        layers = [np.zeros(m) for m in sizes]
+        j = int(rng.integers(0, len(sizes)))
+        i = int(rng.integers(0, sizes[j]))
+        c = layers[j][i] = float(rng.uniform(0.2, 3.0))
+        idx0, idx1 = _rand_couple(rng, route)
+        w0, w1 = layer_weight(spec, idx0, j), layer_weight(spec, idx1, j)
+        got = k_plan(CoeffField(spec, layers), InterpQuery(idx0, idx1)).k(ts)
+        for t, k in zip(ts, got.tolist()):
+            exact = c * min(w0, t * w1)
+            worst = max(worst, abs(k - exact) / exact)
+    return worst
 
 
 # ---------------------------------------------------------------------------
@@ -194,10 +226,11 @@ def run_vertex_band(seed: int = 102, count: int = 200) -> dict:
         field = _rand_field(rng)
         idx0 = _rand_index(rng, p_pool=_CONVEX_POOL, q_pool=_CONVEX_POOL)
         idx1 = _rand_index(rng, p_pool=_CONVEX_POOL, q_pool=_CONVEX_POOL)
+        tabs = vertex_tables(field, idx0, idx1)
         for t in 2.0 ** rng.uniform(-6.0, 6.0, size=2):
             t = float(t)
             cont = k_cuboid_continuous(field, idx0, idx1, t)
-            vert = vertex_tables(field, idx0, idx1).k(t, 1.0)
+            vert = tabs.k(t, 1.0)
             worst_upper = max(worst_upper, (cont - vert) / max(vert, 1e-300))
             worst_factor = max(worst_factor, vert / (2.0 * cont + 1e-9))
     checks = [_check("continuous-below-vertex", worst_upper, 1e-9),
@@ -219,40 +252,19 @@ def run_p_equal(seed: int = 103, per_case: int = 100) -> dict:
     rng = np.random.default_rng(seed)
     worst = {"weighted-split-band": 0.0, "composed-split-band": 0.0,
              "rearrangement-band": 0.0, "q1-decoupled-exact": 0.0}
-
-    def couple(kind):
-        p = float(rng.choice(_FULL_POOL))
-        if kind == "weighted-split":
-            q = float(rng.choice((0.5, 1.0, 2.0, math.inf)))
-            q0 = q1 = q
-        elif kind == "composed-split":
-            q0, q1 = rng.choice((1.0, 1.5, 2.0, math.inf), size=2, replace=False)
-        else:
-            q0, q1 = rng.choice((0.5, 1.0, 2.0, math.inf), size=2, replace=False)
-        if kind == "rearrangement":
-            s0 = s1 = float(rng.uniform(-2.0, 2.0))
-        else:
-            while True:
-                s0, s1 = rng.uniform(-2.0, 2.0, size=2)
-                if abs(s0 - s1) >= 0.5:
-                    break
-        return (BesovIndex(float(s0), p, float(q0)),
-                BesovIndex(float(s1), p, float(q1)))
-
-    for kind, key in (("weighted-split", "weighted-split-band"),
-                      ("composed-split", "composed-split-band"),
-                      ("rearrangement", "rearrangement-band")):
+    for route in ("weighted-split", "composed-split", "rearrangement"):
         for i in range(per_case):
             field = _rand_field(rng, j_max=4)
-            idx0, idx1 = couple(kind)
-            if kind == "weighted-split" and i % 3 == 0:
+            idx0, idx1 = _rand_couple(rng, route)
+            if route == "weighted-split" and i % 3 == 0:
                 idx0 = BesovIndex(idx0.s, idx0.p, 1.0)
                 idx1 = BesovIndex(idx1.s, idx1.p, 1.0)
             query = InterpQuery(idx0, idx1)
             plan = k_plan(field, query)
+            key = f"{route}-band"
             for ratio in _ratio_sweep(field, query, plan.k(_T_GRID)):
                 worst[key] = max(worst[key], _band(ratio))
-            if kind == "weighted-split" and idx0.q == 1.0:
+            if route == "weighted-split" and idx0.q == 1.0:
                 n = field.spec.n
                 a = main_grid_reduce(field, idx0.p)
                 sa, sb = idx0.weight_exponent(n), idx1.weight_exponent(n)
@@ -278,28 +290,12 @@ def run_q_equal(seed: int = 104, count: int = 100) -> dict:
     t0 = time.perf_counter()
     rng = np.random.default_rng(seed)
     worst_band = 0.0
-    worst_single = 0.0
     for _ in range(count):
         field = _rand_field(rng)
-        q = float(rng.choice(_FULL_POOL))
-        p0, p1 = rng.choice(np.array((0.5, 1.0, 2.0, math.inf)), size=2,
-                            replace=False)
-        idx0 = BesovIndex(float(rng.uniform(-2, 2)), float(p0), q)
-        idx1 = BesovIndex(float(rng.uniform(-2, 2)), float(p1), q)
-        query = InterpQuery(idx0, idx1)
+        query = InterpQuery(*_rand_couple(rng, "layer-sum"))
         for ratio in _ratio_sweep(field, query, k_plan(field, query).k(_T_GRID)):
             worst_band = max(worst_band, _band(ratio))
-    for _ in range(20):
-        field = _single_nonzero_field(rng)
-        p0, p1 = rng.choice(np.array((0.5, 1.0, 2.0, math.inf)), size=2,
-                            replace=False)
-        q = float(rng.choice(_FULL_POOL))
-        idx0 = BesovIndex(float(rng.uniform(-2, 2)), float(p0), q)
-        idx1 = BesovIndex(float(rng.uniform(-2, 2)), float(p1), q)
-        ts = (0.03125, 1.0, 19.7)
-        for t, got in zip(ts, k_plan(field, InterpQuery(idx0, idx1)).k(ts).tolist()):
-            exact = _single_min(field, idx0, idx1, t)
-            worst_single = max(worst_single, abs(got - exact) / exact)
+    worst_single = _single_worst(rng, "layer-sum", 20, (0.03125, 1.0, 19.7))
     checks = [_check("layer-sum-band", worst_band, 8.0),
               _check("single-coefficient-exact", worst_single, 1e-9)]
     return _report("q-equal", seed, count, checks, t0)
@@ -312,29 +308,15 @@ def run_general(seed: int = 105, count: int = 50) -> dict:
     rng = np.random.default_rng(seed)
     worst_band = 0.0
     worst_spread = 0.0
-    worst_single = 0.0
     for _ in range(count):
         field = _rand_field(rng, max_total=10)
-        p0, p1 = rng.choice(np.array((1.0, 2.0, math.inf)), size=2, replace=False)
-        q0, q1 = rng.choice(np.array((0.5, 1.0, 2.0, 3.0)), size=2, replace=False)
-        idx0 = BesovIndex(float(rng.uniform(-2, 2)), float(p0), float(q0))
-        idx1 = BesovIndex(float(rng.uniform(-2, 2)), float(p1), float(q1))
-        query = InterpQuery(idx0, idx1)
+        query = InterpQuery(*_rand_couple(rng, "general"))
         ratios = _ratio_sweep(field, query, k_plan(field, query).k(_T_GRID), xi=math.inf)
         if not ratios:
             continue
         worst_band = max(worst_band, max(_band(r) for r in ratios))
         worst_spread = max(worst_spread, max(ratios) / min(ratios))
-    for _ in range(10):
-        field = _single_nonzero_field(rng)
-        p0, p1 = rng.choice(np.array((1.0, 2.0, math.inf)), size=2, replace=False)
-        q0, q1 = rng.choice(np.array((0.5, 1.0, 2.0, 3.0)), size=2, replace=False)
-        idx0 = BesovIndex(float(rng.uniform(-2, 2)), float(p0), float(q0))
-        idx1 = BesovIndex(float(rng.uniform(-2, 2)), float(p1), float(q1))
-        ts = (0.0625, 1.0, 11.3)
-        for t, got in zip(ts, k_plan(field, InterpQuery(idx0, idx1)).k(ts).tolist()):
-            exact = _single_min(field, idx0, idx1, t)
-            worst_single = max(worst_single, abs(got - exact) / exact)
+    worst_single = _single_worst(rng, "general", 10, (0.0625, 1.0, 11.3))
     checks = [_check("composition-band", worst_band, 16.0),
               _check("ratio-spread", worst_spread, 16.0),
               _check("single-coefficient-collapse", worst_single, 1e-6)]
@@ -346,51 +328,14 @@ def run_endpoints(seed: int = 107, count: int = 100) -> dict:
     ||f||_A1 from K(t)/t at t = 2^-40, to 1e-6 relative."""
     t0 = time.perf_counter()
     rng = np.random.default_rng(seed)
-    kinds = ("degenerate", "weighted-split", "composed-split",
-             "rearrangement", "layer-sum", "general")
+    routes = tuple(_COUPLES)
     worst = 0.0
     for i in range(count):
-        kind = kinds[i % len(kinds)]
         field = _rand_field(rng, max_total=8, j_max=4, zero_prob=0.1)
-        s0, s1 = rng.uniform(-2.0, 2.0, size=2)
-        while kind in ("weighted-split", "composed-split") and abs(s0 - s1) < 0.5:
-            s0, s1 = rng.uniform(-2.0, 2.0, size=2)
-        if kind == "degenerate":
-            idx0 = idx1 = _rand_index(rng)
-        elif kind == "weighted-split":
-            p = float(rng.choice(_FULL_POOL))
-            q = float(rng.choice(_FULL_POOL))
-            idx0, idx1 = BesovIndex(float(s0), p, q), BesovIndex(float(s1), p, q)
-        elif kind == "composed-split":
-            p = float(rng.choice(_FULL_POOL))
-            q0, q1 = rng.choice(np.array((1.0, 1.5, 2.0, math.inf)), size=2,
-                                replace=False)
-            idx0 = BesovIndex(float(s0), p, float(q0))
-            idx1 = BesovIndex(float(s1), p, float(q1))
-        elif kind == "rearrangement":
-            p = float(rng.choice(_FULL_POOL))
-            q0, q1 = rng.choice(np.array((0.5, 1.0, 2.0, math.inf)), size=2,
-                                replace=False)
-            idx0 = BesovIndex(float(s0), p, float(q0))
-            idx1 = BesovIndex(float(s0), p, float(q1))
-        elif kind == "layer-sum":
-            q = float(rng.choice(_FULL_POOL))
-            p0, p1 = rng.choice(np.array((0.5, 1.0, 2.0, math.inf)), size=2,
-                                replace=False)
-            idx0 = BesovIndex(float(s0), float(p0), q)
-            idx1 = BesovIndex(float(s1), float(p1), q)
-        else:
-            p0, p1 = rng.choice(np.array((1.0, 2.0, math.inf)), size=2,
-                                replace=False)
-            q0, q1 = rng.choice(np.array((0.5, 1.0, 2.0, 3.0)), size=2,
-                                replace=False)
-            idx0 = BesovIndex(float(s0), float(p0), float(q0))
-            idx1 = BesovIndex(float(s1), float(p1), float(q1))
-        query = InterpQuery(idx0, idx1)
+        idx0, idx1 = _rand_couple(rng, routes[i % len(routes)])
         n0 = besov_norm(field, idx0)
         n1 = besov_norm(field, idx1)
-        hi, _ = k_dispatch(field, query, 2.0**40)
-        lo, _ = k_dispatch(field, query, 2.0**-40)
+        hi, lo = k_plan(field, InterpQuery(idx0, idx1)).k([2.0**40, 2.0**-40])
         worst = max(worst, abs(hi - n0) / n0, abs(lo * 2.0**40 - n1) / n1)
     checks = [_check("endpoint-recovery", worst, 1e-6)]
     return _report("endpoints", seed, count, checks, t0)
@@ -467,13 +412,11 @@ SUITES = {
 }
 
 
-def run_suite(name: str, seed: int | None = None, **kwargs) -> dict:
+def run_suite(name: str, seed: int | None = None) -> dict:
     """Run a named suite; seed overrides the suite default."""
     from .errors import UsageError
 
     if name not in SUITES:
         raise UsageError(
             f"unknown suite {name!r}; choose from {', '.join(sorted(SUITES))}")
-    if seed is not None:
-        kwargs["seed"] = seed
-    return SUITES[name](**kwargs)
+    return SUITES[name]() if seed is None else SUITES[name](seed=seed)

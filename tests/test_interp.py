@@ -152,6 +152,14 @@ def test_window_expansion_controls_tails():
     assert rep.value == pytest.approx(4.0, rel=1e-4)
 
 
+def test_window_widens_to_double_range():
+    # theta near 1: the low tail t^(1 - theta) decays so slowly that the
+    # window passes 2^(+-212) before the tails fall under 1e-6 of the norm
+    rep = interp_norm_report(_field([(1.0,)]), _unit_query(theta=0.95, r=1.0))
+    assert rep.value == pytest.approx(1.0 / 0.95 + 1.0 / 0.05, rel=1e-12)
+    assert rep.t_max_exp > 212.0
+
+
 def test_quadrature_spec_validation():
     with pytest.raises(Exception):
         QuadratureSpec(points_per_decade=0)

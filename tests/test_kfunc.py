@@ -704,7 +704,7 @@ def test_plan_form_follows_route(i0, i1, xi, form):
     with pytest.raises(AttributeError):
         plan.form = "sum"
     # the oracle method reports the form its xi selects
-    oracle = kfunc._method_plan(field, InterpQuery(i0, i1, xi=xi), "oracle")
+    oracle = k_plan(field, InterpQuery(i0, i1, xi=xi), method="oracle")
     assert oracle.form == ("sum" if xi == 1.0 else form)
 
 
