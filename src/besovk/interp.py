@@ -95,7 +95,10 @@ def _interp_scaled(plan: KPlan, theta: float, r: float, quad: QuadratureSpec | N
     lo_exp, hi_exp = quad.t_min_exp, quad.t_max_exp
     ts, ks = np.empty(0), np.empty(0)
     widenings = max(0, int((_WINDOW_LIMIT - max(-lo_exp, hi_exp)) // _EXPAND_STEP))
-    for _ in range(widenings + 1):
+    for i in range(widenings + 1):
+        if i:
+            lo_exp -= _EXPAND_STEP
+            hi_exp += _EXPAND_STEP
         old_ts, old_ks = ts, ks
         ts = default_t_grid(lo_exp, hi_exp, quad.points_per_decade)
         pos = np.searchsorted(old_ts, ts)
@@ -119,8 +122,6 @@ def _interp_scaled(plan: KPlan, theta: float, r: float, quad: QuadratureSpec | N
                 return InterpReport(peak, method, lo_exp, hi_exp, len(ts),
                                     edge_lo, edge_hi,
                                     max(edge_lo, edge_hi) / peak)
-            lo_exp -= _EXPAND_STEP
-            hi_exp += _EXPAND_STEP
             continue
         us = np.log(ts)
         gs = (ts**-theta * ks) ** r
@@ -137,8 +138,6 @@ def _interp_scaled(plan: KPlan, theta: float, r: float, quad: QuadratureSpec | N
         if frac <= quad.tail_rel_tol:
             return InterpReport(total ** (1.0 / r), method, lo_exp, hi_exp,
                                 len(ts), tail_lo, tail_hi, frac)
-        lo_exp -= _EXPAND_STEP
-        hi_exp += _EXPAND_STEP
     raise NumericError(
         f"interpolation window grew to [2^{lo_exp}, 2^{hi_exp}] without "
         f"meeting tail tolerance {quad.tail_rel_tol}")

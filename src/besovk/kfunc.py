@@ -448,107 +448,79 @@ def _logcell_integral(u_lo, u_hi, g_lo, g_hi) -> np.ndarray:
     return np.where(h > 0, np.where(exact, expo, trap), 0.0)
 
 
-def _grid_integral(fun, lo, hi, points_per_decade: float) -> np.ndarray:
-    """Log-grid quadrature of fun(sigma) d sigma/sigma over [lo, hi] for
-    each pair of bounds, zero where lo >= hi.  Each bound is a scalar or
-    an array; a scalar pairs with every entry of the other.
-
-    A range of D binary decades gets ceil(D * points_per_decade) cells
-    (at least one) with nodes spaced as np.linspace spaces them.  The
-    ranges are laid end to end, so fun runs once on every node, and
-    each range's cells are summed on their own.
+def _grid_integral(fun, lo, hi, ppd: float) -> np.ndarray:
+    """One log-grid quadrature pass of integrands d sigma/sigma over the
+    ranges [lo_i, hi_i] (arrays, lo < hi).  A range of D binary decades
+    gets ceil(D * ppd) cells (at least one) with nodes spaced as
+    np.linspace spaces them.  The ranges are laid end to end, and
+    fun(sigma, first), given the first node of each range, maps all
+    nodes at once to the integrand values: one row, or one row per
+    integrand.  The range integrals come back in the same rows.
     """
-    lo, hi = np.asarray(lo, dtype=float), np.asarray(hi, dtype=float)
-    live = lo < hi
-    out = np.zeros(live.shape)
-    n = np.count_nonzero(live)
-    if not n:
-        return out
-    u_lo = np.log(lo[live] if lo.ndim else lo.repeat(n))
-    u_hi = np.log(hi[live] if hi.ndim else hi.repeat(n))
-    cells = np.maximum(1, np.ceil((u_hi - u_lo) / math.log(2.0) * points_per_decade))
-    cells = cells.astype(np.intp)
-    first = np.cumsum(cells + 1) - (cells + 1)  # first node of each range
+    u_lo, u_hi = np.log(lo), np.log(hi)
+    span = u_hi - u_lo
+    cells = np.maximum(1, np.ceil(span / math.log(2.0) * ppd)).astype(np.intp)
+    nodes = cells + 1
+    first = np.cumsum(nodes) - nodes  # first node of each range
     last = first + cells
-    seg = np.arange(n).repeat(cells + 1)
-    us = (np.arange(len(seg)) - first[seg]) * ((u_hi - u_lo) / cells)[seg] + u_lo[seg]
+    seg = np.arange(len(cells)).repeat(nodes)
+    us = (np.arange(len(seg)) - first[seg]) * (span / cells)[seg] + u_lo[seg]
     us[last] = u_hi
-    gs = fun(np.exp(us))
-    cell = np.ones(len(us) - 1, dtype=bool)  # node i opens a cell unless it ends a range
-    cell[last[:-1]] = False
-    vals = _logcell_integral(us[:-1][cell], us[1:][cell], gs[:-1][cell], gs[1:][cell])
-    out[live] = np.add.reduceat(vals, first - np.arange(n))
-    return out
+    gs = fun(np.exp(us), first)
+    # every pair of neighbouring nodes is a cell, and the pair that joins
+    # two ranges a stray one, summed on its own and dropped
+    vals = _logcell_integral(us[:-1], us[1:], gs[..., :-1], gs[..., 1:])
+    return np.add.reduceat(vals, np.sort(np.concatenate((first, last)))[:-1], axis=-1)[..., ::2]
 
 
-def _piece_low(W: _WCurve, theta: float, q: float, ppd: float):
-    """Evaluator of (int_0^X (sig^-theta W)^q dsig/sig)^(1/q) on an X
-    array; the sup form at q = inf.  The whole hull [W.lo, W.hi] is
-    quadratured once: an X inside it costs the quadrature of [W.lo, X],
-    one outside it closed forms only."""
-    if math.isinf(q):
-        # sig^-theta W is increasing below the hull, decreasing above it,
-        # and has no interior maximum on a linear piece of W, so its sup
-        # over (0, X] sits at X or at a breakpoint below X
-        peak = np.concatenate(([0.0], np.maximum.accumulate(W.phi_at_breaks(theta))))
+class _Piece:
+    """The low (0 to X) or high (X to inf) piece of the split,
+    (int (sig^-theta W)^q dsig/sig)^(1/q) on an X array, or its sup at
+    q = inf.  Outside the breakpoint hull [W.lo, W.hi] the integrand is
+    an exact power law, whose tails integrate in closed form; the hull
+    takes full, its whole quadrature, and part, that of [W.lo, X] (low)
+    or [X, W.hi] (high) at each X inside it (_holmstedt).  The sup needs
+    neither: sig^-theta W rises below the hull, falls above it and has
+    no interior maximum on a linear piece of W, so its sup sits at X or
+    at a breakpoint on the piece's side of X.
+    """
 
-        def sup(X):
+    def __init__(self, W: _WCurve, theta: float, q: float, low: bool):
+        self.W, self.theta, self.q, self.low, self.full = W, theta, q, low, 0.0
+        # (edge, W's constant beyond it, exponent of sig^-theta W there) for
+        # the near edge, which bounds the piece's tail, and the far one
+        ends = ((W.lo, W.norm_b, 1.0 - theta), (W.hi, W.norm_a, -theta))
+        self.near, self.far = ends if low else ends[::-1]
+        # X on the near side of an edge, at or past it, strictly past it
+        self.before, self.reach, self.past = ((np.less_equal, np.greater_equal, np.greater)
+                                              if low else (np.greater_equal, np.less_equal, np.less))
+        self.clamp, self.side = (np.minimum, "right") if low else (np.maximum, "left")
+        if math.isinf(q):
+            run = np.maximum.accumulate(W.phi_at_breaks(theta)[::1 if low else -1])
+            self.peak = np.concatenate(([0.0], run) if low else (run[::-1], [0.0]))
+
+    def g(self, sig: np.ndarray, w: np.ndarray) -> np.ndarray:  # w = W(sig)
+        return (sig**-self.theta * w) ** self.q
+
+    def limit(self) -> float:
+        """The piece at X = inf (low) or 0 (high): the whole integral, or sup."""
+        X = np.array([math.inf if self.low else 0.0])
+        return float(self.peak.max() if math.isinf(self.q) else self(X, X < 0.0, X[:0])[0])
+
+    def __call__(self, X: np.ndarray, mid: np.ndarray, part) -> np.ndarray:
+        """The piece at X, given part at the X[mid] inside the hull."""
+        (e_n, c_n, x_n), (e_f, c_f, x_f), q, W = self.near, self.far, self.q, self.W
+        if math.isinf(q):
             Xc = np.clip(X, W.lo, W.hi)
-            inner = np.maximum(Xc**-theta * W(Xc),
-                               peak[np.searchsorted(W.breaks, Xc, side="right")])
-            return np.where(X <= W.lo, np.minimum(X, W.lo) ** (1.0 - theta) * W.norm_b,
-                            inner)
-
-        return sup
-    e_lo, e_hi = (1.0 - theta) * q, theta * q
-    fun = lambda s: (s**-theta * W(s)) ** q
-    full = float(_grid_integral(fun, W.lo, W.hi, ppd))
-
-    def integral(X):
-        hull = np.where(X >= W.hi, full, 0.0)
-        mid = (W.lo < X) & (X < W.hi)
-        if mid.any():
-            hull[mid] = _grid_integral(fun, W.lo, X[mid], ppd)
-        total = W.norm_b**q * np.minimum(X, W.lo) ** e_lo / e_lo + hull
-        total = total + np.where(X > W.hi, W.norm_a**q * (W.hi**-e_hi - X**-e_hi) / e_hi,
-                                 0.0)
+            inner = np.maximum(Xc**-self.theta * W(Xc),
+                               self.peak[np.searchsorted(W.breaks, Xc, side=self.side)])
+            return np.where(self.before(X, e_n), self.clamp(X, e_n) ** x_n * c_n, inner)
+        hull = np.where(self.reach(X, e_f), self.full, 0.0)
+        hull[mid] = part
+        total = c_n**q * self.clamp(X, e_n) ** (x_n * q) / abs(x_n * q) + hull
+        total = total + np.where(self.past(X, e_f),
+                                 c_f**q * (e_f ** (x_f * q) - X ** (x_f * q)) / abs(x_f * q), 0.0)
         return total ** (1.0 / q)
-
-    return integral
-
-
-def _piece_high(W: _WCurve, theta: float, q: float, ppd: float):
-    """Evaluator of (int_X^inf (sig^-theta W)^q dsig/sig)^(1/q) on an X
-    array; the sup form at q = inf.  As in _piece_low, only an X inside
-    the hull costs a quadrature, of [X, W.hi]."""
-    if math.isinf(q):
-        # as in _piece_low: the sup over [X, inf) sits at X or at a
-        # breakpoint above X
-        peak = np.concatenate((np.maximum.accumulate(W.phi_at_breaks(theta)[::-1])[::-1],
-                               [0.0]))
-
-        def sup(X):
-            Xc = np.clip(X, W.lo, W.hi)
-            inner = np.maximum(Xc**-theta * W(Xc),
-                               peak[np.searchsorted(W.breaks, Xc, side="left")])
-            return np.where(X >= W.hi, np.maximum(X, W.hi) ** -theta * W.norm_a, inner)
-
-        return sup
-    e_lo, e_hi = (1.0 - theta) * q, theta * q
-    fun = lambda s: (s**-theta * W(s)) ** q
-    full = float(_grid_integral(fun, W.lo, W.hi, ppd))
-
-    def integral(X):
-        hull = np.where(X <= W.lo, full, 0.0)
-        mid = (W.lo < X) & (X < W.hi)
-        if mid.any():
-            hull[mid] = _grid_integral(fun, X[mid], W.hi, ppd)
-        total = W.norm_a**q * np.maximum(X, W.hi) ** -e_hi / e_hi + hull
-        total = total + np.where(X < W.lo, W.norm_b**q * (W.lo**e_lo - X**e_lo) / e_lo,
-                                 0.0)
-        return total ** (1.0 / q)
-
-    return integral
 
 
 def _holmstedt(a: np.ndarray, s0: float, q0: float, s1: float, q1: float,
@@ -566,7 +538,7 @@ def _holmstedt(a: np.ndarray, s0: float, q0: float, s1: float, q1: float,
         K(t) = (int_0^(t^3) (sig^(-1/3) W)^q0 dsig/sig)^(1/q0)
              + t (int_(t^3)^inf (sig^(-2/3) W)^q1 dsig/sig)^(1/q1)
 
-    with sup forms when an exponent is infinite.  Outside the
+    with sup forms when an exponent is infinite (_Piece).  Outside the
     breakpoint hull of W the integrands are exact power laws and the
     tails integrate in closed form; the hull is quadratured on a log
     grid at ppd cells per binary decade.
@@ -578,11 +550,11 @@ def _holmstedt(a: np.ndarray, s0: float, q0: float, s1: float, q1: float,
     Calibration keeps homogeneity, monotonicity, and the equivalence
     band, and makes K(inf) = N0 and K(t)/t -> N1 exact.
 
-    s0 > s1 is routed through the exact commutation identity.  W, N0,
-    N1, M0 and M1 and the full-hull quadrature of both pieces are built
-    once.  A t whose split point t^3 lies outside the hull then costs
-    closed forms only; one inside it costs the two partial-hull
-    quadratures.
+    s0 > s1 is routed through the exact commutation identity.  The
+    build makes one quadrature pass, over the hull for both integrands,
+    and takes M0 and M1 from it and the closed-form tails.  Each t array
+    makes one pass, over [W.lo, X] and [X, W.hi] for each split point X
+    inside the hull; both pieces share its nodes, exp and W.
     """
     if s0 > s1:
         swapped = _holmstedt(a, s1, q1, s0, q0, ppd)
@@ -593,15 +565,37 @@ def _holmstedt(a: np.ndarray, s0: float, q0: float, s1: float, q1: float,
     js = np.arange(len(a), dtype=float)
     n0 = lp_norm(2.0 ** (js * s0) * a, q0)
     n1 = lp_norm(2.0 ** (js * s1) * a, q1)
-    low = _piece_low(W, 1.0 / 3.0, q0, ppd)
-    high = _piece_high(W, 2.0 / 3.0, q1, ppd)
-    m0 = float(low(np.array([math.inf]))[0])  # raw K(inf)
-    m1 = float(high(np.array([0.0]))[0])      # raw K(t)/t at 0
+    low, high = _Piece(W, 1.0 / 3.0, q0, True), _Piece(W, 2.0 / 3.0, q1, False)
+    live = [p for p in (low, high) if not math.isinf(p.q)]
+
+    def full(sig, first):  # every live integrand on the whole hull
+        w = W(sig)
+        return np.array([p.g(sig, w) for p in live])
+
+    def split(sig, first):  # each live piece on its own block of ranges
+        w, cut = W(sig), [*first[::len(first) // len(live)], len(sig)]
+        return np.concatenate([p.g(sig[i:j], w[i:j]) for p, i, j in zip(live, cut, cut[1:])])
+
+    def raw(X):
+        mid = (W.lo < X) & (X < W.hi)
+        xm = X[mid]
+        parts = {}  # live piece -> its part at xm; an empty xm is every part
+        if len(xm):
+            lo = np.concatenate([np.full(len(xm), W.lo) if p is low else xm for p in live])
+            hi = np.concatenate([xm if p is low else np.full(len(xm), W.hi) for p in live])
+            parts = dict(zip(live, _grid_integral(split, lo, hi, ppd).reshape(len(live), -1)))
+        return low(X, mid, parts.get(low, xm)), high(X, mid, parts.get(high, xm))
+
+    if W.lo < W.hi:
+        for p, val in zip(live, _grid_integral(full, np.array([W.lo]), np.array([W.hi]), ppd)):
+            p.full = float(val[0])
+    m0, m1 = low.limit(), high.limit()  # raw K(inf), raw K(t)/t at 0
 
     def k(ts):
         tt = ts * (n1 * m0) / (m1 * n0)
         X = tt**3.0  # split point tt^(1/(th1-th0))
-        return (n0 / m0) * (low(X) + tt * high(X))
+        lo_piece, hi_piece = raw(X)
+        return (n0 / m0) * (lo_piece + tt * hi_piece)
 
     return k
 
@@ -772,13 +766,18 @@ def k_plan(field: CoeffField, query: InterpQuery, budget=None,
     2 of the sum form); other routes target the sum form.  Queries with
     p and q both different and a q = inf fall outside the closed forms
     and are answered by the enumeration oracle, subject to its budget.
-    method 'oracle' takes the enumeration oracle whatever the regime.
+    method 'oracle' takes the enumeration oracle whatever the regime,
+    which alone honours an xi other than 1 and inf; the formula routes
+    compute a fixed form and refuse one (UsageError).
     """
     if method not in ("formula", "oracle"):
         raise UsageError(f"unknown method {method!r}; use 'formula' or 'oracle'")
     label, form, build = _ROUTES[query.case if method == "formula" else CaseTag.ORACLE_ONLY]
     if form is None:  # the oracle computes the form that xi selects
         form = {1.0: "sum", math.inf: "max"}.get(query.xi, f"xi={query.xi:g}")
+    elif query.xi not in (1.0, math.inf):
+        raise UsageError(f"route {label} computes the {form} form and cannot honour "
+                         f"xi={query.xi:g}; use xi 1 or inf, or method 'oracle'")
 
     def scaled(fac):
         return build(field.scaled(fac) if fac != 1.0 else field, query, budget)

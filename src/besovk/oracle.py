@@ -213,7 +213,8 @@ def k_cuboid_continuous(field: CoeffField, idx0: BesovIndex, idx1: BesovIndex, t
     coordinate descent with exact line searches converges.  Descent is
     multi-started from g = 0, g = f, and the best vertex split (when
     enumeration fits the budget), so the returned value never exceeds
-    the vertex minimum.
+    the vertex minimum.  A vertex split equal to g = 0 or g = f is not
+    descended again: descent is deterministic and would repeat its value.
 
     Each line search minimises one fused scalar objective: both sides'
     norms with the other coordinates held fixed, evaluated inline from
@@ -245,7 +246,8 @@ def k_cuboid_continuous(field: CoeffField, idx0: BesovIndex, idx1: BesovIndex, t
             g = np.array([v[i] if (mask >> (bit + i)) & 1 else 0.0 for i in range(len(v))])
             g_layers.append(g)
             bit += len(v)
-        starts.append(tuple(g_layers))
+        if not any(all(map(np.array_equal, g_layers, start)) for start in starts):
+            starts.append(tuple(g_layers))
 
     p0, q0, p1, q1 = idx0.p, idx0.q, idx1.p, idx1.q
     p0_inf, q0_inf, p1_inf, q1_inf = (math.isinf(v) for v in (p0, q0, p1, q1))

@@ -201,6 +201,19 @@ def test_generate_rejects_input_flag(capsys, tmp_path):
     assert main(["generate", "--input", str(path)]) == 2
 
 
+@pytest.mark.parametrize("cmd", ["kcurve", "interpnorm"])
+def test_formula_route_refuses_xi_exit_2(capsys, cmd):
+    # a shared-p couple with s and q both different (composed split)
+    # computes the sum form only, so --xi 2.5 is refused, not dropped
+    couple = ["--s0", "0.5", "--p0", "2", "--q0", "1", "--s1", "-0.5", "--q1", "2"]
+    assert main([cmd] + SPIKE + couple + ["--xi", "2.5"]) == 2
+    err = capsys.readouterr().err
+    assert "formula:p-equal:composed-split" in err and "xi=2.5" in err
+    # xi = 1 and the oracle method run as before
+    assert main([cmd] + SPIKE + couple) == 0
+    assert main([cmd] + SPIKE + couple + ["--xi", "2.5", "--method", "oracle"]) == 0
+
+
 def test_bad_spec_exit_2(capsys):
     assert main(["generate", "--generate", "single-spike",
                  "--spec", "2,1,2"]) == 2

@@ -8,13 +8,14 @@ from besovk.errors import BesovkError, NumericError
 from besovk.grid import BesovIndex, GridSpec
 from besovk.interp import (
     QuadratureSpec,
+    _interp_scaled,
     besov_identity_check,
     intermediate_index,
     interp_norm,
     interp_norm_report,
     reiteration_check,
 )
-from besovk.kfunc import CaseTag, InterpQuery, k_curve, k_dispatch
+from besovk.kfunc import CaseTag, InterpQuery, KPlan, k_curve, k_dispatch
 from besovk.norms import besov_norm
 
 
@@ -158,6 +159,15 @@ def test_window_widens_to_double_range():
     rep = interp_norm_report(_field([(1.0,)]), _unit_query(theta=0.95, r=1.0))
     assert rep.value == pytest.approx(1.0 / 0.95 + 1.0 / 0.05, rel=1e-12)
     assert rep.t_max_exp > 212.0
+
+
+def test_refusal_names_the_window_it_integrated():
+    # K = sqrt(t) at theta = 1/2 makes t^-theta K = 1 for every t, so the
+    # tails never fall under the tolerance.  The last window integrated
+    # is the default 2^(+-20) after 61 widenings of 16 binary decades.
+    plan = KPlan("sqrt", np.sqrt)
+    with pytest.raises(NumericError, match=r"\[2\^-996\.0, 2\^996\.0\]"):
+        _interp_scaled(plan, 0.5, 1.0, None, "formula")
 
 
 def test_quadrature_spec_validation():

@@ -1,11 +1,13 @@
+import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
 from besovk import kfunc
-from besovk.coeffs import CoeffField
+from besovk.coeffs import CoeffField, generate
 from besovk.errors import UsageError
 from besovk.grid import BesovIndex, GridSpec
 from besovk.kfunc import (
@@ -627,60 +629,114 @@ def test_composed_split_quadratures_the_hull_once(monkeypatch):
     field = _field(_PLAN_FIELD)
     query = InterpQuery(BesovIndex(-0.5, 2.0, 2.0), BesovIndex(0.5, 2.0, 1.0))
     real = kfunc._grid_integral
-    calls = []
+    passes = []  # (ranges, integrand rows) of each quadrature pass
 
     def counting(fun, lo, hi, ppd):
-        lo_b, hi_b = np.broadcast_arrays(np.asarray(lo, dtype=float),
-                                         np.asarray(hi, dtype=float))
-        live = lo_b < hi_b
-        calls.append((fun, list(zip(lo_b[live].tolist(), hi_b[live].tolist()))))
-        return real(fun, lo, hi, ppd)
+        rows = []
 
-    def ranges_of(run):
-        calls.clear()
+        def fun_rows(sig, first):
+            gs = np.asarray(fun(sig, first))
+            rows.append(len(gs) if gs.ndim == 2 else 1)
+            return gs
+
+        out = real(fun_rows, lo, hi, ppd)
+        passes.append((list(zip(np.asarray(lo).tolist(), np.asarray(hi).tolist())), rows))
+        return out
+
+    def passes_of(run):
+        passes.clear()
         run()
-        return [r for _, rs in calls for r in rs]
+        return list(passes)
 
     monkeypatch.setattr(kfunc, "_grid_integral", counting)
     plan = k_plan(field, query)
     assert plan.label == "formula:p-equal:composed-split"
-    # the build integrates the full hull once per side (two integrands)
-    # and makes no other call, not even an empty one for its limits
-    built = [(fun, rs) for fun, rs in calls if rs]
-    assert len(calls) == len(built) == 2 and built[0][0] is not built[1][0]
-    assert built[0][1] == built[1][1] and len(built[0][1]) == 1
-    (lo, hi), = built[0][1]
-    assert lo < hi
+    # the build makes one pass, over the single range [lo, hi], with both
+    # integrands as two rows on its nodes, and nothing for the limits
+    assert len(passes) == 1
+    [((lo, hi),), rows] = passes[0]
+    assert rows == [2] and lo < hi
 
     # split points outside the hull cost no quadrature at all
-    assert ranges_of(lambda: plan.k(2.0 ** np.array([-40.0, -30.0, 30.0, 40.0]))) == []
-    assert calls == []
+    assert passes_of(lambda: plan.k(2.0 ** np.array([-40.0, -30.0, 30.0, 40.0]))) == []
 
-    # a t inside integrates [lo, X] and [X, hi] once each; X reads c
+    # a t inside makes one pass over [lo, X] and [X, hi], one integrand row
     t_mid = hi ** (1.0 / 3.0) / 4.0
-    (lo1, x), (x2, hi1) = ranges_of(lambda: plan.k(np.array([t_mid])))
-    assert (lo1, hi1) == (lo, hi) and x == x2 and lo < x < hi
+    [[((lo1, x), (x2, hi1)), rows]] = passes_of(lambda: plan.k(np.array([t_mid])))
+    assert (lo1, hi1) == (lo, hi) and x == x2 and lo < x < hi and rows == [1]
     c = x ** (1.0 / 3.0) / t_mid
 
-    # k_curve builds its plan (the full hull twice), then integrates only
-    # the default grid's t inside the hull
+    # k_curve makes two passes: the plan's full hull, then one holding
+    # [lo, X] and [X, hi] for every t of the default grid inside the hull
     grid = default_t_grid()
     xs = (c * grid) ** 3
     inside = (lo < xs) & (xs < hi)
     assert 0 < inside.sum() < len(grid)
-    got = ranges_of(lambda: k_curve(field, query))
-    assert got.count((lo, hi)) == 2 and len(got) == 2 + 2 * inside.sum()
-    low_ends = sorted(x for a, x in got if a == lo and x < hi)
-    assert low_ends == pytest.approx(xs[inside].tolist(), rel=1e-12)
+    got = passes_of(lambda: k_curve(field, query))
+    assert len(got) == 2 and got[0] == passes[0] == ([(lo, hi)], [2])
+    (ranges, rows), n = got[1], int(inside.sum())
+    assert rows == [1] and len(ranges) == 2 * n
+    assert all(a == lo for a, _ in ranges[:n]) and all(b == hi for _, b in ranges[n:])
+    assert [b for _, b in ranges[:n]] == [a for a, _ in ranges[n:]]
+    assert [b for _, b in ranges[:n]] == pytest.approx(xs[inside].tolist(), rel=1e-12)
 
-    # just below, inside and just above the hull: the plan equals one-t dispatch
+    # just below, inside and just above the hull: the plan equals one-t
+    # dispatch, and only the t inside make ranges, two each, in one pass
     t_lo, t_hi = lo ** (1.0 / 3.0) / c, hi ** (1.0 / 3.0) / c
     ts = np.concatenate((t_lo * np.array([1.0 - 1e-9, 1.0 + 1e-9]),
                          np.geomspace(t_lo, t_hi, 7)[1:-1],
                          t_hi * np.array([1.0 - 1e-9, 1.0 + 1e-9])))
-    got = ranges_of(lambda: plan.k(ts))
-    assert len(got) == 2 * (len(ts) - 2)
+    [(ranges, _)] = passes_of(lambda: plan.k(ts))
+    assert len(ranges) == 2 * (len(ts) - 2)
     assert plan.k(ts).tolist() == [_k(field, query, float(t)) for t in ts]
+
+
+@pytest.mark.parametrize("i0, i1", [
+    (BesovIndex(-0.5, 1.5, math.inf), BesovIndex(0.5, 1.5, 1.0)),
+    (BesovIndex(-0.5, 1.5, 2.0), BesovIndex(0.5, 1.5, math.inf)),
+])
+def test_composed_split_sup_piece_makes_no_quadrature(monkeypatch, i0, i1):
+    # a q = inf side takes its sup in closed form: the build's pass and
+    # the t array's pass hold the finite side's ranges only
+    field = _field(_PLAN_FIELD)
+    real = kfunc._grid_integral
+    passes = []
+
+    def counting(fun, lo, hi, ppd):
+        passes.append(list(zip(np.asarray(lo).tolist(), np.asarray(hi).tolist())))
+        return real(fun, lo, hi, ppd)
+
+    monkeypatch.setattr(kfunc, "_grid_integral", counting)
+    curve = k_curve(field, InterpQuery(i0, i1))
+    assert curve.method == "formula:p-equal:composed-split"
+    assert len(passes) == 2 and len(passes[0]) == 1 and len(passes[1]) > 0
+    (lo, hi), = passes[0]
+    # the finite side is high (ranges [X, hi]) when q0 = inf, else low
+    ends = {b if math.isinf(i0.q) else a for a, b in passes[1]}
+    assert ends == {hi if math.isinf(i0.q) else lo}
+
+
+_GUARD_SPEC = GridSpec(n=1, J=8, layer_sizes=(1, 2, 4, 8, 8, 8, 8, 8))
+_GUARD_COUPLES = {
+    "finite, s0 < s1": (BesovIndex(0.1, 2.0, 1.0), BesovIndex(0.8, 2.0, 2.0)),
+    "finite, s0 > s1": (BesovIndex(0.8, 2.0, 1.5), BesovIndex(0.1, 2.0, 3.0)),
+    "q0 = inf": (BesovIndex(-0.3, 2.0, math.inf), BesovIndex(0.4, 2.0, 1.0)),
+    "q1 = inf": (BesovIndex(0.2, 2.0, 2.0), BesovIndex(-0.5, 2.0, math.inf)),
+}
+
+
+@pytest.mark.parametrize("name", list(_GUARD_COUPLES))
+def test_k_curve_composed_split_guard(name):
+    # values recorded on the default 81-point grid from the two-pass-per-
+    # piece quadrature (one per piece at build and per t array) that the
+    # shared pass replaced; ten grid points per couple fall in the hull
+    want = json.loads((Path(__file__).parent / "data" / "composed_split_guard.json")
+                      .read_text(encoding="utf-8"))[name]
+    curve = k_curve(generate(_GUARD_SPEC, "uniform-random", 7),
+                    InterpQuery(*_GUARD_COUPLES[name]))
+    assert curve.method == "formula:p-equal:composed-split"
+    assert len(want) == len(curve.k) == 81
+    assert curve.k.tolist() == pytest.approx(want, rel=1e-13)
 
 
 _FORM_CASES = [
@@ -706,6 +762,22 @@ def test_plan_form_follows_route(i0, i1, xi, form):
     # the oracle method reports the form its xi selects
     oracle = k_plan(field, InterpQuery(i0, i1, xi=xi), method="oracle")
     assert oracle.form == ("sum" if xi == 1.0 else form)
+
+
+@pytest.mark.parametrize("i0, i1, xi, form", _FORM_CASES[:6])
+def test_formula_route_refuses_xi_it_cannot_honour(i0, i1, xi, form):
+    # a formula route computes one fixed form: xi = 1 and inf are taken
+    # (ROADMAP item 3 covers a form other than the route's own), any
+    # other xi is refused, and the oracle method still honours it
+    field = _field(_PLAN_FIELD)
+    for ok in (1.0, math.inf):
+        assert k_plan(field, InterpQuery(i0, i1, xi=ok)).form == form
+    query = InterpQuery(i0, i1, xi=2.5)
+    with pytest.raises(UsageError, match="xi=2.5"):
+        k_plan(field, query)
+    with pytest.raises(UsageError, match="xi=2.5"):
+        k_curve(field, query)
+    assert k_plan(field, query, method="oracle").form == "xi=2.5"
 
 
 def _logcell_scalar(u_lo, u_hi, g_lo, g_hi):

@@ -228,9 +228,10 @@ def test_cuboid_continuous_frozen():
 
 
 def test_cuboid_continuous_line_search_count(monkeypatch):
-    # sweeps and tolerances fix the descent's work: 4020 line searches
-    # on the stalled couple (two starts capped at 500 sweeps of 4 live
-    # coordinates, one converged after 5)
+    # sweeps and tolerances fix the descent's work: 2020 line searches
+    # on the stalled couple (one start capped at 500 sweeps of 4 live
+    # coordinates, one converged after 5); the best vertex split repeats
+    # the capped start and is not descended again
     calls = []
     golden = oracle_mod._golden_min
 
@@ -241,4 +242,4 @@ def test_cuboid_continuous_line_search_count(monkeypatch):
     monkeypatch.setattr(oracle_mod, "_golden_min", counted)
     s = _STALLED
     k_cuboid_continuous(_field(s["layers"]), s["idx0"], s["idx1"], s["t"])
-    assert len(calls) == 4020
+    assert len(calls) == 2020
