@@ -23,7 +23,7 @@ import numpy as np
 from .coeffs import CoeffField
 from .errors import BudgetError, UsageError
 from .grid import BesovIndex, layer_weight
-from .norms import _pow2_factor
+from .norms import _pow2_factor, besov_norm
 
 __all__ = [
     "OracleBudget",
@@ -96,10 +96,13 @@ class VertexTables:
         return tot ** (1.0 / q) if not math.isinf(q) else tot
 
     def _split_values(self, t: float, xi: float) -> np.ndarray:
-        """(||f 1_S||_A0^xi + t^xi ||f 1_Sc||_A1^xi)^(1/xi) for every mask S."""
+        """(||f 1_S||_A0^xi + t^xi ||f 1_Sc||_A1^xi)^(1/xi) for every mask S.
+        At t = inf, t * 0 is the limit 0: a split with nothing left for
+        A1 keeps its A0 norm, so K(inf) = ||f||_A0."""
+        tb = t * self.b_comp if t < math.inf else np.where(self.b_comp > 0.0, math.inf, 0.0)
         if math.isinf(xi):
-            return np.maximum(self.a, t * self.b_comp)
-        return (self.a**xi + (t * self.b_comp) ** xi) ** (1.0 / xi)
+            return np.maximum(self.a, tb)
+        return (self.a**xi + tb**xi) ** (1.0 / xi)
 
     def k(self, t: float, xi: float = 1.0) -> float:
         return float(self._split_values(t, xi).min()) / self.fac
@@ -132,10 +135,11 @@ class _SideAccum:
         self.p, self.q = idx.p, idx.q
         self.p_inf, self.q_inf = math.isinf(idx.p), math.isinf(idx.q)
         self.ip, self.iq = 1.0 / idx.p, 1.0 / idx.q
+        self.exps = (self.p, self.ip, self.q, self.iq, self.p_inf, self.q_inf)
         self.w = [layer_weight(field.spec, idx, j) for j in range(field.spec.J)]
-        self.vecs = [v.copy() for v in vecs]
         self.base = [float(v.max()) if self.p_inf else float(np.sum(v**self.p))
-                     for v in self.vecs]
+                     for v in vecs]
+        self.vecs = [v.tolist() for v in vecs]
         self.terms = [self._term(j, b) for j, b in enumerate(self.base)]
 
     def _term(self, j: int, base: float) -> float:
@@ -148,17 +152,16 @@ class _SideAccum:
             return max(self.terms)
         return sum(self.terms) ** self.iq
 
-    def prepare(self, j: int, i: int) -> tuple[float, float, float]:
+    def prepare(self, j: int, i: int) -> tuple:
         """Stash layer-j state with coordinate i removed; returns what a
-        1-D evaluation needs: (layer rest, layer weight, other layers)."""
+        1-D evaluation needs: (layer rest, layer weight, other layers)
+        followed by self.exps."""
         self._j, self._i = j, i
         v = self.vecs[j]
         if self.p_inf:
-            others = v.tolist()
-            del others[i]
-            rest = max(others, default=0.0)
+            rest = max(v[:i] + v[i + 1 :], default=0.0)
         else:
-            rest = self.base[j] - float(v[i] ** self.p)
+            rest = self.base[j] - v[i] ** self.p
             if rest < 0.0:
                 rest = 0.0
         self._rest = rest
@@ -166,7 +169,7 @@ class _SideAccum:
             agg_rest = max(self.terms[:j] + self.terms[j + 1 :], default=0.0)
         else:
             agg_rest = sum(self.terms) - self.terms[j]
-        return rest, self.w[j], agg_rest
+        return (rest, self.w[j], agg_rest) + self.exps
 
     def commit(self, x: float):
         j = self._j
@@ -178,30 +181,64 @@ class _SideAccum:
         self.terms[j] = self._term(j, self.base[j])
 
 
-def _golden_min(fun, lo: float, hi: float, xtol: float) -> float:
-    """Golden-section minimizer of a unimodal fun on [lo, hi]; returns x*."""
+def _golden_min(fi: float, xtol: float, t: float, side0: tuple, side1: tuple) -> float:
+    """Golden-section minimiser on [0, fi] of x -> N0(x) + t N1(fi - x),
+    both sides' norms with one coordinate split x | fi - x; side0 and
+    side1 are _SideAccum.prepare's tuples.  The objective is evaluated
+    inline at one site, once per probe: c and d to start, one new c or
+    d per step, and at the end each endpoint no probe has moved onto.
+    Returns the first of a, b, c, d with the least value."""
+    r0, w0, a0, p0, ip0, q0, iq0, p0_inf, q0_inf = side0
+    r1, w1, a1, p1, ip1, q1, iq1, p1_inf, q1_inf = side1
     invphi = (math.sqrt(5.0) - 1.0) / 2.0
     invphi2 = invphi * invphi
-    a, b = lo, hi
+    a, b = 0.0, fi
     h = b - a
     if h <= xtol:
         return 0.5 * (a + b)
     c = a + invphi2 * h
     d = a + invphi * h
-    fc, fd = fun(c), fun(d)
-    while h > xtol:
-        if fc < fd:
-            b, d, fd = d, c, fc
-            h = b - a
-            c = a + invphi2 * h
-            fc = fun(c)
+    fa = fb = fd = None
+    x, left = c, True  # left: x is c; False: x is d; None: x is a or b
+    while True:
+        y = fi - x
+        u0 = w0 * ((x if x > r0 else r0) if p0_inf else (r0 + x**p0) ** ip0)
+        u1 = w1 * ((y if y > r1 else r1) if p1_inf else (r1 + y**p1) ** ip1)
+        u0 = (u0 if u0 > a0 else a0) if q0_inf else (a0 + u0**q0) ** iq0
+        u1 = (u1 if u1 > a1 else a1) if q1_inf else (a1 + u1**q1) ** iq1
+        fx = u0 + t * u1
+        if left:
+            fc = fx
+            if fd is None:
+                x, left = d, False
+                continue
+        elif left is False:
+            fd = fx
+        elif fa is None:
+            fa = fx
         else:
-            a, c, fc = c, d, fd
-            h = b - a
-            d = a + invphi * h
-            fd = fun(d)
-    xs = [(a, fun(a)), (b, fun(b)), (c, fc), (d, fd)]
-    return min(xs, key=lambda z: z[1])[0]
+            fb = fx
+        if h > xtol:
+            if fc < fd:
+                b, d, fb, fd = d, c, fd, fc
+                h = b - a
+                x = c = a + invphi2 * h
+                left = True
+            else:
+                a, c, fa, fc = c, d, fc, fd
+                h = b - a
+                x = d = a + invphi * h
+                left = False
+        elif fa is None:
+            x, left = a, None
+        elif fb is None:
+            x, left = b, None
+        else:
+            break
+    for z, fz in ((b, fb), (c, fc), (d, fd)):
+        if fz < fa:
+            a, fa = z, fz
+    return a
 
 
 def k_cuboid_continuous(field: CoeffField, idx0: BesovIndex, idx1: BesovIndex, t: float,
@@ -215,14 +252,21 @@ def k_cuboid_continuous(field: CoeffField, idx0: BesovIndex, idx1: BesovIndex, t
     enumeration fits the budget), so the returned value never exceeds
     the vertex minimum.  A vertex split equal to g = 0 or g = f is not
     descended again: descent is deterministic and would repeat its value.
+    At t = inf only g = f is finite, and K is ||f||_A0.
 
-    Each line search minimises one fused scalar objective: both sides'
-    norms with the other coordinates held fixed, evaluated inline from
-    per-side (layer rest, layer weight, other layers) state.  A start
-    stops when a sweep improves by at most 1e-12 relative, or after
-    coord_descent_iters sweeps; line searches stop at 1e-10 * max(1, f_i).
-    Non-smooth couples (a p or q = inf) can stall coordinate descent and
-    run the full coord_descent_iters.
+    The descent runs on the field scaled by the one rescaling rule
+    (norms._pow2_factor) and unscales at the end.  Each line search is
+    one golden-section loop (_golden_min) that evaluates one fused
+    scalar objective inline: both sides' norms with the other
+    coordinates held fixed, from per-side (layer rest, layer weight,
+    other layers) state.  With vmax the scaled field's largest entry
+    and floor = min(1, vmax), a start stops when a sweep improves by at
+    most 1e-12 * max(floor, |previous value|), or after
+    coord_descent_iters sweeps; line searches stop at
+    1e-10 * max(floor, f_i).  A field with vmax >= 1 keeps the floor 1,
+    and one below 1 gets tolerances relative to vmax, which scale with
+    the field.  Non-smooth couples (a p or q = inf) can stall
+    coordinate descent and run the full coord_descent_iters.
     """
     budget = budget or OracleBudget()
     for name, v in (("p0", idx0.p), ("q0", idx0.q), ("p1", idx1.p), ("q1", idx1.q)):
@@ -235,6 +279,12 @@ def k_cuboid_continuous(field: CoeffField, idx0: BesovIndex, idx1: BesovIndex, t
         raise BudgetError(
             f"{N} coefficients exceed the descent budget ({budget.max_total_coeffs})"
         )
+    if math.isinf(t):
+        return besov_norm(field, idx0)
+    fac = _pow2_factor(field.max_abs())
+    if fac != 1.0:
+        field = field.scaled(fac)
+    floor = min(1.0, field.max_abs())
 
     starts = [tuple(np.zeros_like(v) for v in field.layers),
               tuple(v.copy() for v in field.layers)]
@@ -249,38 +299,22 @@ def k_cuboid_continuous(field: CoeffField, idx0: BesovIndex, idx1: BesovIndex, t
         if not any(all(map(np.array_equal, g_layers, start)) for start in starts):
             starts.append(tuple(g_layers))
 
-    p0, q0, p1, q1 = idx0.p, idx0.q, idx1.p, idx1.q
-    p0_inf, q0_inf, p1_inf, q1_inf = (math.isinf(v) for v in (p0, q0, p1, q1))
-    ip0, iq0, ip1, iq1 = 1.0 / p0, 1.0 / q0, 1.0 / p1, 1.0 / q1
     best = math.inf
-    coords = [(j, i) for j in range(field.spec.J) for i in range(len(field.layers[j]))]
+    live = [(j, i, fi) for j, v in enumerate(field.layers)
+            for i, fi in enumerate(v.tolist()) if fi != 0.0]
     for g0 in starts:
         side0 = _SideAccum(field, idx0, g0)
         side1 = _SideAccum(field, idx1, [f - g for f, g in zip(field.layers, g0)])
         val = side0.norm() + t * side1.norm()
         for _ in range(budget.coord_descent_iters):
             prev = val
-            for j, i in coords:
-                fi = float(field.layers[j][i])
-                if fi == 0.0:
-                    continue
-                r0, w0, a0 = side0.prepare(j, i)
-                r1, w1, a1 = side1.prepare(j, i)
-
-                def obj(x):
-                    # both sides' norms with coordinate (j, i) split x | fi - x
-                    y = fi - x
-                    u0 = w0 * ((x if x > r0 else r0) if p0_inf else (r0 + x**p0) ** ip0)
-                    u1 = w1 * ((y if y > r1 else r1) if p1_inf else (r1 + y**p1) ** ip1)
-                    u0 = (u0 if u0 > a0 else a0) if q0_inf else (a0 + u0**q0) ** iq0
-                    u1 = (u1 if u1 > a1 else a1) if q1_inf else (a1 + u1**q1) ** iq1
-                    return u0 + t * u1
-
-                x_star = _golden_min(obj, 0.0, fi, 1e-10 * max(1.0, fi))
+            for j, i, fi in live:
+                x_star = _golden_min(fi, 1e-10 * max(floor, fi), t,
+                                     side0.prepare(j, i), side1.prepare(j, i))
                 side0.commit(x_star)
                 side1.commit(fi - x_star)
             val = side0.norm() + t * side1.norm()
-            if prev - val <= 1e-12 * max(1.0, abs(prev)):
+            if prev - val <= 1e-12 * max(floor, abs(prev)):
                 break
         best = min(best, val)
-    return best
+    return best / fac

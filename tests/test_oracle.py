@@ -1,5 +1,7 @@
 import itertools
+import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -8,6 +10,7 @@ from hypothesis import example, given, settings, strategies as st
 from besovk.coeffs import CoeffField
 from besovk.errors import BudgetError
 from besovk.grid import BesovIndex, GridSpec
+from besovk.kfunc import InterpQuery, k_plan
 from besovk import oracle as oracle_mod
 from besovk.norms import besov_norm
 from besovk.oracle import (
@@ -243,3 +246,78 @@ def test_cuboid_continuous_line_search_count(monkeypatch):
     s = _STALLED
     k_cuboid_continuous(_field(s["layers"]), s["idx0"], s["idx1"], s["t"])
     assert len(calls) == 2020
+
+
+@pytest.mark.parametrize("p0, q0, p1, q1", [(1.0, 2.0, 2.0, 1.0), (2.0, 1.0, 1.0, math.inf)])
+@pytest.mark.parametrize("t", [0.3, 2.0])
+def test_cuboid_continuous_scale_covariant(p0, q0, p1, q1, t):
+    # powers 1, 2 and inf of a power of two are exact and the descent
+    # runs at the rescale's scale.  Its tolerances are relative to
+    # max(vmax, f_i) for a largest entry vmax below 1 and to max(1, f_i)
+    # above, a difference these converged descents do not show, so
+    # K(2^e f) is 2^e K(f) exactly (a descent cut off at the sweep cap
+    # can show it, at about 1e-8).  Before the rescale and the floor,
+    # 1e200 overflowed, and from 2^-33 down every line search stopped
+    # at its midpoint and K rose above the vertex minimum.
+    base = _field(_FROZEN_FIELD)
+    idx0, idx1 = BesovIndex(1.0, p0, q0), BesovIndex(-0.5, p1, q1)
+    want = k_cuboid_continuous(base, idx0, idx1, t)
+    for e in (-1000, -300, -90, -40, -33, 0, 40, 300, 1000):
+        field = base.scaled(2.0**e)
+        cont = k_cuboid_continuous(field, idx0, idx1, t)
+        assert cont == math.ldexp(want, e), e
+        assert cont <= vertex_tables(field, idx0, idx1).k(t) * (1 + 1e-9), e
+    # subnormal entries are rounded, so only the band holds; K was once 0
+    field = base.scaled(2.0**-1070)
+    cont = k_cuboid_continuous(field, idx0, idx1, t)
+    assert 0.0 < cont <= vertex_tables(field, idx0, idx1).k(t) * (1 + 1e-9)
+
+
+def test_oracles_at_t_inf_give_the_a0_norm():
+    # only g = f is finite at t = inf; the vertex tables once took
+    # inf * 0 = nan on the split that leaves nothing to A1
+    field = _field(_FROZEN_FIELD)
+    idx0, idx1 = BesovIndex(1.0, 1.5, 2.0), BesovIndex(-0.5, 2.0, math.inf)
+    want = besov_norm(field, idx0)
+    assert k_cuboid_continuous(field, idx0, idx1, math.inf) == pytest.approx(want, rel=1e-12)
+    for xi in (1.0, math.inf):
+        plan = k_plan(field, InterpQuery(idx0, idx1, xi=xi), method="oracle")
+        for got in (k_vertex_exact(field, idx0, idx1, math.inf, xi), plan.k([math.inf])[0]):
+            assert got == pytest.approx(want, rel=1e-12), xi
+
+
+# Both oracles on every finite/inf combination of (p0, q0, p1, q1),
+# finite values cycling through 1, 1.5 and 2, on a field with a zero
+# coefficient and on one with a zero layer, plus the stalled couple.
+# data/cuboid_guard.json holds the values of the line search that
+# called an objective closure per evaluation; the fused loop keeps
+# every floating-point operation, so they match with ==.  Both fields
+# have largest coefficient >= 1, where the tolerances keep floor 1.
+_GUARD_FIELDS = ([[1.4, 0.0, 0.7], [1.9], [0.3, 1.1]], [[0.0, 0.0], [1.2, 0.5, 0.8]])
+
+
+def _guard_cases():
+    for k, infs in enumerate(itertools.product((False, True), repeat=4)):
+        p0, q0, p1, q1 = (math.inf if inf else (1.0, 1.5, 2.0)[(k + i) % 3]
+                          for i, inf in enumerate(infs))
+        for m, t in enumerate(((0.3, 1.7, 9.0)[k % 3], (9.0, 0.3, 1.7)[k % 3])):
+            yield (f"field {m}, ({p0}, {q0}, {p1}, {q1}), t = {t}", _GUARD_FIELDS[m],
+                   BesovIndex(0.6, p0, q0), BesovIndex(-0.4, p1, q1), t)
+    s = _STALLED
+    yield "stalled", s["layers"], s["idx0"], s["idx1"], s["t"]
+
+
+def _guard_values():
+    """name -> [k_cuboid_continuous, vertex k at xi = 1, at xi = inf]."""
+    out = {}
+    for name, layers, idx0, idx1, t in _guard_cases():
+        field = _field(layers)
+        tabs = vertex_tables(field, idx0, idx1)
+        out[name] = [k_cuboid_continuous(field, idx0, idx1, t), tabs.k(t), tabs.k(t, math.inf)]
+    return out
+
+
+def test_oracles_match_guard_bit_for_bit():
+    want = json.loads((Path(__file__).parent / "data" / "cuboid_guard.json")
+                      .read_text(encoding="utf-8"))
+    assert _guard_values() == want
