@@ -28,7 +28,10 @@ Threshold splits in the two-sided formulas classify coefficients by
 rank: the side with the smaller exponent takes the floor(T) largest
 entries.  The one-sided formula against a sup norm keeps the exact
 fractional integral, which is classical and exact.  At a single
-coefficient every route collapses to min(w0, t*w1) * c exactly.
+coefficient every route collapses to min(w0, t*w1) * c exactly.  Each
+kernel takes one orientation: _SplitSum p0 <= p1, _WCurve and
+_holmstedt the smaller smoothness first.  _seq_route and _layer_fn
+orient each couple once and commute the other order (_commuted).
 
 Every route is a plan (k_plan): the route is selected once per (field,
 query) and everything that does not depend on t (main-grid reduction,
@@ -48,7 +51,7 @@ import numpy as np
 from .coeffs import CoeffField
 from .errors import UsageError
 from .grid import BesovIndex, layer_weight
-from .norms import _pow2_factor, besov_norm, lp_norm, main_grid_reduce
+from .norms import _pow2_factor, besov_norm, lp_norm, main_grid_reduce, weighted_lq_norm
 from .rearrange import rearrangement
 
 __all__ = [
@@ -207,22 +210,18 @@ def _scaled_plan(label: str, vmax: float, build, form: str = "sum") -> KPlan:
 
 
 class _SplitSum:
-    """Sum-form K of a fixed vector between l^p0 and l^p1, evaluated on
-    a t array.
+    """Sum-form K of a fixed vector between l^p0 and l^p1, p0 <= p1,
+    evaluated on a t array.
 
     p0 = p1 gives min(1, t) times the norm.  Against a sup norm the
     exact fractional integral applies; two finite exponents split at
     the integer rank floor(t^alpha), the smaller exponent taking the
-    largest entries.  Larger-first exponents route through the exact
-    commutation K(t, A0, A1) = t K(1/t, A1, A0).  Power sums of the
-    rearrangement are tabulated once, so each t costs one lookup.
+    largest entries.  Power sums of the rearrangement are tabulated
+    once, so each t costs one lookup.
     """
 
     def __init__(self, v, p0: float, p1: float):
         r = rearrangement(v)
-        self.swap = p0 > p1
-        if self.swap:
-            p0, p1 = p1, p0
         self.p0, self.p1, self.m = p0, p1, len(r)
         if p0 == p1:
             self.norm = lp_norm(r, p0)
@@ -234,12 +233,7 @@ class _SplitSum:
             self.alpha = 1.0 / (1.0 / p0 - 1.0 / p1)
             self.tail = np.concatenate((np.cumsum((r**p1)[::-1])[::-1], [0.0]))
 
-    def __call__(self, ts: np.ndarray) -> np.ndarray:
-        if self.swap:
-            return ts * self._eval(1.0 / ts)
-        return self._eval(ts)
-
-    def _eval(self, t: np.ndarray) -> np.ndarray:
+    def __call__(self, t: np.ndarray) -> np.ndarray:
         if self.p0 == self.p1:
             return np.minimum(1.0, t) * self.norm
         m, p0 = self.m, self.p0
@@ -256,9 +250,24 @@ class _SplitSum:
         return self.head[k] ** (1.0 / p0) + tail
 
 
+def _commuted(fn, norm0):
+    """Evaluator of K(t; A0, A1) = t K(1/t; A1, A0) from fn, that of the
+    swapped couple.  At t = inf, where that reads inf * 0, K is its
+    limit ||f||_A0, computed by norm0() only when some t is inf."""
+
+    def k(ts):
+        out, inf = ts * fn(1.0 / ts), np.isinf(ts)
+        if inf.any():
+            out[inf] = norm0()
+        return out
+
+    return k
+
+
 # A batch of layer envelopes takes about 45 array calls whatever its size,
 # which cost about as much as this many cells of zero padding (_batches).
 _PAD_CELLS = 512
+_PPD = 8.0  # cells per binary decade of _holmstedt's hull quadrature
 
 
 def _batches(sizes) -> list[list[int]]:
@@ -296,11 +305,8 @@ class _LayerKinf:
     batch builds layers as the rows of one zero-padded matrix (at most
     _PAD_CELLS padded cells, _batches).  The zeros are exact: their
     splits ("k largest", k > m: B = 0; "k smallest" in the pads: A = 0)
-    repeat the layer's own terms.  _LayerKinf(v, ...) is a batch of one.
+    repeat the layer's own terms.
     """
-
-    def __new__(cls, v, p0: float, p1: float, q0: float, q1: float):
-        return cls.batch([v], p0, p1, q0, q1)[0]
 
     @classmethod
     def batch(cls, vs: list, p0: float, p1: float, q0: float, q1: float) -> list:
@@ -343,7 +349,7 @@ class _LayerKinf:
                              np.isfinite(kinks)), 2).reshape(rows, -1)
         cuts = np.stack((cross, kinks), 2).reshape(rows, -1)[keep]
         ends = keep.sum(1).cumsum().tolist()
-        out = [object.__new__(cls) for _ in vs]
+        out = [cls() for _ in vs]
         for i, (lay, start, end) in enumerate(zip(out, [0] + ends[:-1], ends)):
             # the kinks from the first finite one on, so that x -> 0 reads
             # the slope and x -> inf the plateau; nan sorts last
@@ -369,10 +375,13 @@ class _LayerKinf:
 
 def _layer_fn(field: CoeffField, query: InterpQuery, j: int):
     """Evaluator of K for layer j: weight0 * K(t * 2^(j*s_tilde)) on the
-    plain l^p couple."""
+    plain l^p couple, commuted per layer if p0 > p1."""
     w0 = layer_weight(field.spec, query.idx0, j)
     shift = 2.0 ** (j * query.s_tilde(field.spec.n))
-    split = _SplitSum(field.layers[j], query.idx0.p, query.idx1.p)
+    v, p0, p1 = field.layers[j], query.idx0.p, query.idx1.p
+    split = _SplitSum(v, min(p0, p1), max(p0, p1))
+    if p0 > p1:
+        split = _commuted(split, lambda: lp_norm(v, p0))
     return lambda ts: w0 * split(ts * shift)
 
 
@@ -398,12 +407,10 @@ class _WCurve:
     flips one layer at each breakpoint sigma_j = 2^(-j*(b-a)); W is
     continuous there, linear between breakpoints, exactly linear below
     the smallest and constant above the largest.  At q = 1 it is the
-    exact decoupled sum of per-layer minima.
+    exact decoupled sum of per-layer minima.  It takes a < b.
     """
 
     def __init__(self, x: np.ndarray, a: float, b: float, q: float = 1.0):
-        if not a < b:
-            raise UsageError(f"requires a < b, got {a} >= {b}")
         J = len(x)
         js = np.arange(J, dtype=float)
         wa = 2.0 ** (js * a) * x
@@ -426,11 +433,8 @@ class _WCurve:
     def __call__(self, sigma: np.ndarray) -> np.ndarray:
         # k = number of layers with sigma_j >= sigma (not yet flipped in)
         k = len(self.breaks) - np.searchsorted(self.breaks, sigma, side="left")
-        return self._suffix_a[k] + sigma * self._prefix_b[k]
-
-    def phi_at_breaks(self, theta: float) -> np.ndarray:
-        """sigma^-theta W(sigma) at each breakpoint."""
-        return self.breaks**-theta * self(self.breaks)
+        # above hi k = 0 and prefix_b[0] = 0; the cap keeps inf * 0 out
+        return self._suffix_a[k] + np.minimum(sigma, self.hi) * self._prefix_b[k]
 
 
 def _logcell_integral(u_lo, u_hi, g_lo, g_hi) -> np.ndarray:
@@ -496,7 +500,7 @@ class _Piece:
                                               if low else (np.greater_equal, np.less_equal, np.less))
         self.clamp, self.side = (np.minimum, "right") if low else (np.maximum, "left")
         if math.isinf(q):
-            run = np.maximum.accumulate(W.phi_at_breaks(theta)[::1 if low else -1])
+            run = np.maximum.accumulate((W.breaks**-theta * W(W.breaks))[::1 if low else -1])
             self.peak = np.concatenate(([0.0], run) if low else (run[::-1], [0.0]))
 
     def g(self, sig: np.ndarray, w: np.ndarray) -> np.ndarray:  # w = W(sig)
@@ -523,10 +527,9 @@ class _Piece:
         return total ** (1.0 / q)
 
 
-def _holmstedt(a: np.ndarray, s0: float, q0: float, s1: float, q1: float,
-               ppd: float):
+def _holmstedt(a: np.ndarray, s0: float, q0: float, s1: float, q1: float):
     """Evaluator of the composed K on a main-grid sequence a between the
-    weighted spaces l^{s0,q0} and l^{s1,q1}, s0 != s1 and q0 != q1 (the
+    weighted spaces l^{s0,q0} and l^{s1,q1}, s0 < s1 and q0 != q1 (the
     p-equal case with s and q both different).
 
     Realizes the couple as interpolation spaces at parameters 1/3 and
@@ -541,7 +544,7 @@ def _holmstedt(a: np.ndarray, s0: float, q0: float, s1: float, q1: float,
     with sup forms when an exponent is infinite (_Piece).  Outside the
     breakpoint hull of W the integrands are exact power laws and the
     tails integrate in closed form; the hull is quadratured on a log
-    grid at ppd cells per binary decade.
+    grid at _PPD cells per binary decade.
 
     The raw composition has endpoint limits that are equivalent, not
     equal, to the couple's norms, so the result is calibrated: with
@@ -550,17 +553,11 @@ def _holmstedt(a: np.ndarray, s0: float, q0: float, s1: float, q1: float,
     Calibration keeps homogeneity, monotonicity, and the equivalence
     band, and makes K(inf) = N0 and K(t)/t -> N1 exact.
 
-    s0 > s1 is routed through the exact commutation identity.  The
-    build makes one quadrature pass, over the hull for both integrands,
-    and takes M0 and M1 from it and the closed-form tails.  Each t array
-    makes one pass, over [W.lo, X] and [X, W.hi] for each split point X
+    The build makes one quadrature pass, over the hull for both
+    integrands, and takes M0 and M1 from it and the closed-form tails.
+    Each t array makes one pass, over [W.lo, X] and [X, W.hi] for each X
     inside the hull; both pieces share its nodes, exp and W.
     """
-    if s0 > s1:
-        swapped = _holmstedt(a, s1, q1, s0, q0, ppd)
-        return lambda ts: ts * swapped(1.0 / ts)
-    if not a.any():
-        return _zeros
     W = _WCurve(a, 2.0 * s0 - s1, 2.0 * s1 - s0)
     js = np.arange(len(a), dtype=float)
     n0 = lp_norm(2.0 ** (js * s0) * a, q0)
@@ -583,11 +580,11 @@ def _holmstedt(a: np.ndarray, s0: float, q0: float, s1: float, q1: float,
         if len(xm):
             lo = np.concatenate([np.full(len(xm), W.lo) if p is low else xm for p in live])
             hi = np.concatenate([xm if p is low else np.full(len(xm), W.hi) for p in live])
-            parts = dict(zip(live, _grid_integral(split, lo, hi, ppd).reshape(len(live), -1)))
+            parts = dict(zip(live, _grid_integral(split, lo, hi, _PPD).reshape(len(live), -1)))
         return low(X, mid, parts.get(low, xm)), high(X, mid, parts.get(high, xm))
 
     if W.lo < W.hi:
-        for p, val in zip(live, _grid_integral(full, np.array([W.lo]), np.array([W.hi]), ppd)):
+        for p, val in zip(live, _grid_integral(full, np.array([W.lo]), np.array([W.hi]), _PPD)):
             p.full = float(val[0])
     m0, m1 = low.limit(), high.limit()  # raw K(inf), raw K(t)/t at 0
 
@@ -595,7 +592,8 @@ def _holmstedt(a: np.ndarray, s0: float, q0: float, s1: float, q1: float,
         tt = ts * (n1 * m0) / (m1 * n0)
         X = tt**3.0  # split point tt^(1/(th1-th0))
         lo_piece, hi_piece = raw(X)
-        return (n0 / m0) * (lo_piece + tt * hi_piece)
+        # the high piece vanishes at X = inf, where tt * 0 would be nan
+        return (n0 / m0) * (lo_piece + np.where(hi_piece > 0.0, tt * hi_piece, 0.0))
 
     return k
 
@@ -606,15 +604,15 @@ def _holmstedt(a: np.ndarray, s0: float, q0: float, s1: float, q1: float,
 
 def _seq_route(a: np.ndarray, s_a: float, q0: float, s_b: float, q1: float):
     """Evaluator of K for a main-grid sequence between the weighted
-    spaces l^{s_a,q0} and l^{s_b,q1}, routed by which exponents coincide."""
+    spaces l^{s_a,q0} and l^{s_b,q1}, routed by which exponents coincide;
+    (s_a, q0) > (s_b, q1) is commuted."""
+    if (s_a, q0) > (s_b, q1):
+        return _commuted(_seq_route(a, s_b, q1, s_a, q0), lambda: weighted_lq_norm(a, s_a, q0))
     if s_a == s_b:
         return _SplitSum(2.0 ** (np.arange(len(a), dtype=float) * s_a) * a, q0, q1)
     if q0 == q1:
-        if s_a < s_b:
-            return _WCurve(a, s_a, s_b, q0)
-        W = _WCurve(a, s_b, s_a, q0)
-        return lambda ts: ts * W(1.0 / ts)
-    return _holmstedt(a, s_a, q0, s_b, q1, 8.0)
+        return _WCurve(a, s_a, s_b, q0)
+    return _holmstedt(a, s_a, q0, s_b, q1)
 
 
 def _seq_plan(a, s_a: float, q0: float, s_b: float, q1: float) -> KPlan:

@@ -99,6 +99,8 @@ class VertexTables:
         """(||f 1_S||_A0^xi + t^xi ||f 1_Sc||_A1^xi)^(1/xi) for every mask S.
         At t = inf, t * 0 is the limit 0: a split with nothing left for
         A1 keeps its A0 norm, so K(inf) = ||f||_A0."""
+        if not t >= 0:
+            raise UsageError(f"t must be nonnegative, got {t}")
         tb = t * self.b_comp if t < math.inf else np.where(self.b_comp > 0.0, math.inf, 0.0)
         if math.isinf(xi):
             return np.maximum(self.a, tb)
@@ -123,8 +125,6 @@ def vertex_tables(field: CoeffField, idx0: BesovIndex, idx1: BesovIndex,
 def k_vertex_exact(field: CoeffField, idx0: BesovIndex, idx1: BesovIndex, t: float,
                    xi: float = 1.0, budget: OracleBudget | None = None) -> float:
     """Exhaustive split minimum of (||f 1_S||_A0^xi + t^xi ||f 1_Sc||_A1^xi)^(1/xi)."""
-    if t < 0:
-        raise UsageError(f"t must be nonnegative, got {t}")
     return vertex_tables(field, idx0, idx1, budget).k(t, xi)
 
 
@@ -272,7 +272,7 @@ def k_cuboid_continuous(field: CoeffField, idx0: BesovIndex, idx1: BesovIndex, t
     for name, v in (("p0", idx0.p), ("q0", idx0.q), ("p1", idx1.p), ("q1", idx1.q)):
         if v < 1.0:
             raise UsageError(f"continuous oracle needs the convex regime; {name} = {v} < 1")
-    if t < 0:
+    if not t >= 0:
         raise UsageError(f"t must be nonnegative, got {t}")
     N = field.spec.total_coeffs
     if N > budget.max_total_coeffs:

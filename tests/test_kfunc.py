@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
-from besovk import kfunc
+from besovk import kfunc, verify
 from besovk.coeffs import CoeffField, generate
 from besovk.errors import UsageError
 from besovk.grid import BesovIndex, GridSpec
@@ -148,9 +148,10 @@ def test_k_rearr_two_entries_q1_qinf():
 @given(st.lists(st.floats(0.001, 5.0), min_size=1, max_size=6),
        st.floats(0.05, 20.0))
 def test_k_rearr_commutation_exact(a, t):
+    # the rearrangement route with q0 > q1 is the commuted q0 < q1 one
     a = np.array(a)
-    fwd = _at(_SplitSum(a, 1.0, 2.0), t)
-    rev = t * _at(_SplitSum(a, 2.0, 1.0), 1.0 / t)
+    fwd = _at(_seq_plan(a, 0.0, 1.0, 0.0, 2.0).k, t)
+    rev = t * _at(_seq_plan(a, 0.0, 2.0, 0.0, 1.0).k, 1.0 / t)
     assert fwd == pytest.approx(rev, rel=1e-12)
 
 
@@ -235,14 +236,14 @@ def test_k_power_layer_single_coefficient():
     c = 1.9
     for q0, q1 in ((1.0, 2.0), (2.0, 0.5), (0.5, 3.0)):
         ss = np.array([1e-6, 0.3, 1.0, 7.0, 1e8])
-        got = _kinf(_LayerKinf(np.array([c]), 1.0, 2.0, q0, q1), ss)
+        got = _kinf(_LayerKinf.batch([np.array([c])], 1.0, 2.0, q0, q1)[0], ss)
         for s, k in zip(ss.tolist(), got.tolist()):
             assert k == pytest.approx(min(c**q0, s * c**q1), rel=1e-6)
 
 
 def test_k_power_layer_zero():
     # a zero layer has no live envelope, so the GENERAL route leaves it out
-    assert not _LayerKinf(np.zeros(3), 1.0, 2.0, 1.0, 2.0).live
+    assert not _LayerKinf.batch([np.zeros(3)], 1.0, 2.0, 1.0, 2.0)[0].live
     query = InterpQuery(BesovIndex(0.5, 1.0, 1.0), BesovIndex(-0.5, 2.0, 2.0))
     assert _k(_field([(0.0, 0.0, 0.0)]), query, 1.0) == 0.0
 
@@ -251,7 +252,7 @@ def test_k_power_layer_monotone_in_s():
     rng = np.random.default_rng(9)
     b = rng.uniform(0.1, 2.0, size=5)
     ss = np.logspace(-6, 6, 50)
-    vals = _kinf(_LayerKinf(b, 1.0, math.inf, 2.0, 1.0), ss).tolist()
+    vals = _kinf(_LayerKinf.batch([b], 1.0, math.inf, 2.0, 1.0)[0], ss).tolist()
     assert all(x <= y + 1e-12 * max(1.0, y) for x, y in zip(vals, vals[1:]))
 
 
@@ -291,7 +292,7 @@ def test_k_power_layer_matches_rank_split_minimum():
         q0, q1 = (float(x) for x in rng.choice((0.5, 1.0, 2.0, 3.0), 2, replace=False))
         s = float(10.0 ** rng.uniform(-6.0, 6.0))
         want = _power_layer_brute(b.tolist(), p0, p1, q0, q1, s)
-        got = _kinf(_LayerKinf(b, p0, p1, q0, q1), np.array([s]))[0]
+        got = _kinf(_LayerKinf.batch([b], p0, p1, q0, q1)[0], np.array([s]))[0]
         assert got == pytest.approx(want, rel=1e-12)
 
 
@@ -427,7 +428,7 @@ def test_fold_matches_per_layer_sum():
             # layer scales from 1 down to 1e-24: plateaus of the layers
             # differ by up to 1e24 and more after the q0-th power
             v = rng.uniform(0.1, 1.0, int(rng.integers(1, 6))) * 1e-8 ** rng.integers(0, 4)
-            layers.append((_LayerKinf(v, p0, p1, q0, q1), j * lsc))
+            layers.append((_LayerKinf.batch([v], p0, p1, q0, q1)[0], j * lsc))
         lv, const, lslope = _fold_layers([layers])
         assert (np.diff(lv) >= 0).all()
         reps = np.concatenate(([-np.inf], 0.5 * (lv[:-1] + lv[1:]), [np.inf]))
@@ -488,7 +489,7 @@ def test_batched_envelopes_match_single_layer_builds():
         assert len(groups) >= 3
         for js in groups:
             for j, lay in zip(js, _LayerKinf.batch([vs[j] for j in js], p0, p1, q0, q1)):
-                one = _LayerKinf(vs[j], p0, p1, q0, q1)
+                one = _LayerKinf.batch([vs[j]], p0, p1, q0, q1)[0]
                 assert lay.live == one.live and len(lay.breaks) == len(one.breaks)
                 if not one.live:
                     continue
@@ -588,6 +589,53 @@ def test_formula_routes_commute(layers, s0, p0, q0, s1, p1, q1, t):
     fwd, _ = k_dispatch(field, fwd_q, t)
     rev, _ = k_dispatch(field, fwd_q.swapped(), 1.0 / t)
     assert fwd == pytest.approx(t * rev, rel=1e-9, abs=1e-300)
+
+
+# One seeded field and, per commuting route, one couple in both orders,
+# on the default grid plus 2^-1000 and 2^1000.  data/commutation_guard.json
+# holds the values of the kernels that each commuted their own couple;
+# orienting the couple once in _seq_route and _layer_fn keeps every
+# floating-point operation, so they match with ==.  The layer-sum zeros
+# at 2^-1000 are the l^q aggregate underflowing, not K.
+_COMMUTE_SPEC = GridSpec(n=1, J=6, layer_sizes=(1, 2, 4, 8, 8, 8))
+_COMMUTE_COUPLES = {
+    "weighted-split": (BesovIndex(0.7, 2.0, 1.5), BesovIndex(-0.4, 2.0, 1.5)),
+    "composed-split": (BesovIndex(0.7, 2.0, 1.0), BesovIndex(-0.4, 2.0, 3.0)),
+    "rearrangement": (BesovIndex(0.3, 1.5, 1.0), BesovIndex(0.3, 1.5, 2.0)),
+    "layer-sum": (BesovIndex(0.6, 1.0, 2.0), BesovIndex(-0.3, 2.0, 2.0)),
+}
+
+
+def test_commuting_routes_match_guard_bit_for_bit():
+    want = json.loads((Path(__file__).parent / "data" / "commutation_guard.json")
+                      .read_text(encoding="utf-8"))
+    field = generate(_COMMUTE_SPEC, "uniform-random", 11)
+    ts = np.concatenate(([2.0**-1000], default_t_grid(), [2.0**1000]))
+    got = {}
+    for route, (i0, i1) in _COMMUTE_COUPLES.items():
+        for order, query in (("forward", InterpQuery(i0, i1)), ("swapped", InterpQuery(i1, i0))):
+            plan = k_plan(field, query)
+            assert plan.label.endswith(route)
+            got[f"{route}, {order}"] = plan.k(ts).tolist()
+    assert got == want
+
+
+_EXTREME_T = np.array([2.0**-1074, 2.0**-1030, 2.0**1023, math.inf])
+
+
+@pytest.mark.parametrize("route", list(verify._COUPLES))
+def test_formula_routes_finite_at_extreme_t(route):
+    # t * K(1/t) of the other order reads inf * 0 at t = inf and where
+    # 1/t or a shifted t overflows; every route takes the limits instead
+    rng = np.random.default_rng(5)
+    for _ in range(60):
+        field = verify._rand_field(rng, j_max=4)
+        i0, i1 = verify._rand_couple(rng, route)
+        plan = k_plan(field, InterpQuery(i0, i1))
+        assert route in plan.label
+        k = plan.k(_EXTREME_T)
+        assert np.isfinite(k).all() and (k >= 0.0).all(), (i0, i1, k)
+        assert k[-1] == pytest.approx(besov_norm(field, i0), rel=1e-12)
 
 
 # --- prepared plans ---------------------------------------------------------

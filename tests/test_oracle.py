@@ -8,7 +8,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from besovk.coeffs import CoeffField
-from besovk.errors import BudgetError
+from besovk.errors import BudgetError, UsageError
 from besovk.grid import BesovIndex, GridSpec
 from besovk.kfunc import InterpQuery, k_plan
 from besovk import oracle as oracle_mod
@@ -271,6 +271,22 @@ def test_cuboid_continuous_scale_covariant(p0, q0, p1, q1, t):
     field = base.scaled(2.0**-1070)
     cont = k_cuboid_continuous(field, idx0, idx1, t)
     assert 0.0 < cont <= vertex_tables(field, idx0, idx1).k(t) * (1 + 1e-9)
+
+
+def test_oracles_refuse_nan_t():
+    # a nan t is refused like a negative one; t = 0 stays, where K is 0
+    field = _field([[1.4, 0.0, 0.7], [1.9]])
+    idx0, idx1 = BesovIndex(0.6, 1.5, 2.0), BesovIndex(-0.4, 2.0, 1.0)
+    tabs = vertex_tables(field, idx0, idx1)
+    for t in (math.nan, -1.0):
+        with pytest.raises(UsageError):
+            k_vertex_exact(field, idx0, idx1, t)
+        with pytest.raises(UsageError):
+            tabs.k(t)
+        with pytest.raises(UsageError):
+            k_cuboid_continuous(field, idx0, idx1, t)
+    assert k_vertex_exact(field, idx0, idx1, 0.0) == tabs.k(0.0) == 0.0
+    assert k_cuboid_continuous(field, idx0, idx1, 0.0) == 0.0
 
 
 def test_oracles_at_t_inf_give_the_a0_norm():
