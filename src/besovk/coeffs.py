@@ -51,12 +51,15 @@ class CoeffField:
     def __post_init__(self):
         layers = tuple(_freeze(np.asarray(v, dtype=float)) for v in self.layers)
         validate_compat(self.spec, layers)
+        vmax = 0.0
         for j, v in enumerate(layers):
             if np.isnan(v).any():
                 raise DataError(f"layer {j} contains NaN")
             if (v < 0).any():
                 raise DataError(f"layer {j} has negative magnitudes")
+            vmax = max(vmax, float(v.max()))
         object.__setattr__(self, "layers", layers)
+        object.__setattr__(self, "_max", vmax)
 
     def scaled(self, c: float) -> "CoeffField":
         if c < 0:
@@ -64,7 +67,8 @@ class CoeffField:
         return CoeffField(self.spec, tuple(c * v for v in self.layers))
 
     def max_abs(self) -> float:
-        return max(float(v.max()) if len(v) else 0.0 for v in self.layers)
+        """The largest entry, found once when the field is built."""
+        return self._max
 
 
 def abs_reduce(spec: GridSpec, raw_layers) -> CoeffField:

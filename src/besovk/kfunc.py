@@ -19,10 +19,12 @@ the route:
 - p, q both different (finite q, _general_route): a three-level
   composition through power-space functionals (_power_composition).
   Each layer's powered split functional is an exact lower envelope of
-  hinges (_LayerKinf, built for batches of similar-size layers), the
-  layer sum is piecewise linear, and the outer relation is inverted on
-  its pieces, in closed form or by Newton's method.  The value computed
-  is the max-form (split) functional; within a factor 2 of the sum form.
+  hinges; the envelopes of a batch of similar-size layers are built
+  and evaluated together (_LayerKinf), the piecewise linear layer sum
+  is folded one pass per batch (_fold_layers), and the outer relation
+  is inverted on its pieces, in closed form or by Newton's method.  The
+  value computed is the max-form (split) functional; within a factor 2
+  of the sum form.
 
 Threshold splits in the two-sided formulas classify coefficients by
 rank: the side with the smaller exponent takes the floor(T) largest
@@ -264,25 +266,29 @@ def _commuted(fn, norm0):
     return k
 
 
-# A batch of layer envelopes takes about 45 array calls whatever its size,
-# which cost about as much as this many cells of zero padding (_batches).
+# A batch of layer envelopes takes about 60 array calls to build and 20 to
+# fold, plus about 5 per layer, whatever its size; they cost about as much
+# as this many cells of zero padding (_batches).
 _PAD_CELLS = 512
+_FOLD_CELLS = 1 << 16  # the most cells of a rows x pieces matrix in _fold_layers
 _PPD = 8.0  # cells per binary decade of _holmstedt's hull quadrature
 
 
 def _batches(sizes) -> list[list[int]]:
     """Layer indices by ascending size, cut so no batch pads over _PAD_CELLS cells."""
-    out = [[]]
+    out, total = [[]], 0  # total: the cells of the open batch
     for j in sorted(range(len(sizes)), key=sizes.__getitem__):
-        if sum(sizes[j] - sizes[i] for i in out[-1]) > _PAD_CELLS:
+        if len(out[-1]) * sizes[j] - total > _PAD_CELLS:
             out.append([])
+            total = 0
         out[-1].append(j)
+        total += sizes[j]
     return out
 
 
 class _LayerKinf:
-    """Max-form split K on one vector between the powered norms
-    ||.||_p0^q0 and ||.||_p1^q1, as a function of the threshold x:
+    """Max-form split K on each vector of a batch between the powered
+    norms ||.||_p0^q0 and ||.||_p1^q1, as a function of the threshold x:
 
         kinf(x) = min_k max(A_k, x B_k),
         A_k = ||v 1_S||_p0^q0,  B_k = ||v 1_Sc||_p1^q1,
@@ -302,15 +308,17 @@ class _LayerKinf:
     origin.  Thresholds are taken as logs, so a kink past the double
     range still has its place.
 
-    batch builds layers as the rows of one zero-padded matrix (at most
-    _PAD_CELLS padded cells, _batches).  The zeros are exact: their
-    splits ("k largest", k > m: B = 0; "k smallest" in the pads: A = 0)
-    repeat the layer's own terms.
+    The vectors are the rows of one zero-padded matrix (at most
+    _PAD_CELLS padded cells, _batches), and the object is the whole
+    batch: one table per quantity, a row per vector.  The zeros are
+    exact: their splits ("k largest", k > m: B = 0; "k smallest" in the
+    pads: A = 0) repeat the row's own terms.  Row i stands for
+    u -> kinf_i(u sc_i), log sc_i = shifts[i]: breaks holds every row's
+    breaks in log u, row after row, and parts evaluates in log u.  A row
+    of zeros has no envelope (live is False) and no breaks.
     """
 
-    @classmethod
-    def batch(cls, vs: list, p0: float, p1: float, q0: float, q1: float) -> list:
-        """The envelopes of the nonnegative vectors vs, built together."""
+    def __init__(self, vs: list, p0: float, p1: float, q0: float, q1: float, shifts):
         rows = len(vs)
         r = np.zeros((rows, max(map(len, vs))))
         for row, v in zip(r, vs):
@@ -330,13 +338,15 @@ class _LayerKinf:
         # complement: the m - k smallest or largest, the table read backwards
         a = rank_norms(p0) ** q0
         b = rank_norms(p1)[:, ::-1] ** q1
+        width = a.shape[1]
+        sh = np.asarray(shifts, dtype=float)[:, None]
         with np.errstate(divide="ignore", invalid="ignore"):
             # -inf where a = 0, inf where b = 0, nan where both are
             # (that split costs nothing and kinf vanishes)
             kinks = np.log(a) - np.log(b)
             # a row is two nondecreasing runs (A grows, B shrinks with k),
             # which a stable sort merges; flat indices let take gather it
-            order = kinks.argsort(1, kind="stable") + kinks.shape[1] * np.arange(rows)[:, None]
+            order = kinks.argsort(1, kind="stable") + width * np.arange(rows)[:, None]
             kinks = kinks.take(order)
             suf_a = np.concatenate((np.minimum.accumulate(a.take(order)[:, ::-1], 1)[:, ::-1],
                                     inf), 1)
@@ -345,28 +355,40 @@ class _LayerKinf:
             # the crossing left of each kink, where it lies strictly after the
             # kink before: the crossings and finite kinks interleave in order
             cross = log_suf_a[:, :-1] - log_pre_b[:, :-1]
-            keep = np.stack(((np.concatenate((-inf, kinks[:, :-1]), 1) < cross) & (cross < kinks),
-                             np.isfinite(kinks)), 2).reshape(rows, -1)
-        cuts = np.stack((cross, kinks), 2).reshape(rows, -1)[keep]
-        ends = keep.sum(1).cumsum().tolist()
-        out = [cls() for _ in vs]
-        for i, (lay, start, end) in enumerate(zip(out, [0] + ends[:-1], ends)):
-            # the kinks from the first finite one on, so that x -> 0 reads
-            # the slope and x -> inf the plateau; nan sorts last
-            lay._lo = int(kinks[i].searchsorted(-np.inf, side="right"))
-            lay._kinks, lay.breaks = kinks[i, lay._lo:], cuts[start:end]
-            lay.live = not math.isnan(kinks[i, -1])
-            lay._suf_a, lay._log_suf_a, lay._log_pre_b = suf_a[i], log_suf_a[i], log_pre_b[i]
-        return out
+            keep = np.empty((rows, 2 * width), dtype=bool)
+            keep[:, ::2] = (np.concatenate((-inf, kinks[:, :-1]), 1) < cross) & (cross < kinks)
+            keep[:, 1::2] = np.isfinite(kinks)
+            cuts = np.empty((rows, 2 * width))
+            cuts[:, ::2], cuts[:, 1::2] = cross - sh, kinks - sh
+        self.breaks = cuts[keep]
+        # nan sorts last, so a row of nan kinks has no envelope; each row is
+        # searched from its first finite kink on, so that x -> 0 reads the
+        # slope and x -> inf the plateau
+        self.live = ~np.isnan(kinks[:, -1])
+        lo = (kinks == -np.inf).sum(1)
+        self._kinks = [row[j:] for row, j in zip(kinks, lo.tolist())]
+        # the flat index of each row's first finite kink in the tables
+        self._base = (lo + (width + 1) * np.arange(rows))[:, None]
+        self._shift = sh
+        self._suf_a, self._log_suf_a, self._log_pre_b = suf_a, log_suf_a, log_pre_b
 
-    def parts(self, lx: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """The piece of kinf at each log threshold lx, as its constant
-        (0 on a linear piece) and the log of its slope (-inf on a
-        constant piece).  lx = -inf and inf give the two limits."""
-        i = self._lo + self._kinks.searchsorted(lx)
-        lb = self._log_pre_b[i]
-        line = lx + lb < self._log_suf_a[i]
-        return np.where(line, 0.0, self._suf_a[i]), np.where(line, lb, -np.inf)
+    def parts(self, lu: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """The piece of every row at each log u of lu, as matrices of its
+        constant (0 on a linear piece) and the log of its slope in u (-inf
+        on a constant piece).  lu = -inf and inf give the two limits; a
+        row that is not live reads 0 and -inf."""
+        lx = lu + self._shift
+        i = np.array([k.searchsorted(x) for k, x in zip(self._kinks, lx)])
+        i += self._base
+        lb = self._log_pre_b.take(i)
+        # in place, as the fold adds: a large layer spans tens of thousands of
+        # pieces, where each fresh array costs page faults
+        with np.errstate(invalid="ignore"):  # -inf + inf on a row that is not live
+            lx += lb
+            line = lx < self._log_suf_a.take(i)
+        lb = np.where(line, lb, -np.inf)
+        lb += self._shift
+        return np.where(line, 0.0, self._suf_a.take(i)), lb
 
 
 # ---------------------------------------------------------------------------
@@ -387,13 +409,19 @@ def _layer_fn(field: CoeffField, query: InterpQuery, j: int):
 
 def _lq_across(rows: list, q: float) -> np.ndarray:
     """Elementwise l^q aggregate of equal-length arrays (sup at q = inf),
-    accumulated row by row so that no entry depends on the others."""
+    accumulated row by row so that no entry depends on the others.  Each
+    column is scaled by the one rescaling rule (_pow2_factor) of its
+    largest entry before the q-th powers, so that a column whose largest
+    K lies below 2^-100 does not underflow.  A column in 2^(+-100) keeps
+    factor 1, so at q > 10 its q-th powers can still leave the normal
+    range."""
     if math.isinf(q):
         return np.max(rows, axis=0)
+    fac = np.array([_pow2_factor(v) for v in np.max(rows, axis=0).tolist()])
     total = 0.0
     for row in rows:
-        total = total + row**q
-    return total ** (1.0 / q)
+        total = total + (row * fac)**q
+    return total ** (1.0 / q) / fac
 
 
 # ---------------------------------------------------------------------------
@@ -624,33 +652,41 @@ def _seq_plan(a, s_a: float, q0: float, s_b: float, q1: float) -> KPlan:
 
 
 def _fold_layers(batches: list) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The layer sum KX(u) = sum_j kinf_j(u sc_j) of the layer envelopes
-    (lay, log sc_j), in batches, as a table: the merged breaks lv (in log
-    u), and on each of the len(lv) + 1 pieces between them the constant
-    and the log of the slope of KX.
+    """The layer sum KX(u) = sum_j kinf_j(u sc_j) of the layer envelopes,
+    in batches (_LayerKinf), as a table: the merged breaks lv (in log u),
+    and on each of the len(lv) + 1 pieces between them the constant and
+    the log of the slope of KX.
 
     Folded one batch (_batches) at a time, smallest layers first: merge
     the batch's breaks into the running ones, carry the running piece
-    over to each merged piece and add each layer's own in turn.  Every
-    term is nonnegative (constants add, log slopes combine by logaddexp),
-    so nothing cancels, and the work is that of the breaks seen so far.
+    over to each merged piece, evaluate the batch on the merged pieces in
+    one pass and add its live rows in turn.  A step whose rows x pieces
+    matrices would pass _FOLD_CELLS cells takes its pieces in bands,
+    which changes no operation.  Every term is nonnegative
+    (constants add, log slopes combine by logaddexp), so nothing cancels,
+    and the work is that of the breaks seen so far.
     """
     lv = np.empty(0)
     const, lslope = np.zeros(1), np.full(1, -np.inf)
-    for batch in batches:
-        merged = np.sort(np.concatenate([lv] + [lay.breaks - lsc for lay, lsc in batch]))
+    for env in batches:
+        merged = np.sort(np.concatenate((lv, env.breaks)))
         reps = np.concatenate(([-np.inf], 0.5 * (merged[:-1] + merged[1:]), [np.inf]))
         run = lv.searchsorted(reps)
-        const, lslope = const[run], lslope[run]
-        for lay, lsc in batch:
-            c, lb = lay.parts(reps + lsc)
-            const, lslope = const + c, np.logaddexp(lslope, lb + lsc)
+        const, lslope = const[run], lslope[run]  # new arrays, added to in place
+        # parts makes rows x pieces matrices: a band of pieces at a time
+        step = max(1, _FOLD_CELLS // len(env.live))
+        for at in range(0, len(reps), step):
+            c_band, lb_band = const[at:at + step], lslope[at:at + step]
+            for c, lb, live in zip(*env.parts(reps[at:at + step]), env.live):
+                if live:
+                    c_band += c
+                    np.logaddexp(lb_band, lb, out=lb_band)
         lv = merged
     return lv, const, lslope
 
 
 def _power_composition(batches: list, q0: float, q1: float):
-    """Evaluator of the max-form K from batches of layer envelopes (lay, log sc).
+    """Evaluator of the max-form K from batches of layer envelopes (_LayerKinf).
 
     The layer sum KX(u) = sum_j kinf_j(u sc) is constant plus linear on
     each piece between the merged layer breaks (in log u, _fold_layers).
@@ -722,12 +758,10 @@ def _general_route(field, query, budget):
     i0, i1 = query.idx0, query.idx1
     q0, q1 = i0.q, i1.q
     lsc = query.s_tilde(field.spec.n) * q1 * math.log(2.0)  # log sc_j = j * lsc
-    batches = []
-    for js in _batches(field.spec.layer_sizes):
-        lays = _LayerKinf.batch([layer_weight(field.spec, i0, j) * field.layers[j] for j in js],
-                                i0.p, i1.p, q0, q1)
-        batches.append([(lay, j * lsc) for lay, j in zip(lays, js) if lay.live])
-    batches = [batch for batch in batches if batch]
+    batches = [_LayerKinf([layer_weight(field.spec, i0, j) * field.layers[j] for j in js],
+                          i0.p, i1.p, q0, q1, np.array(js) * lsc)
+               for js in _batches(field.spec.layer_sizes)]
+    batches = [env for env in batches if env.live.any()]
     if not batches:
         return _zeros
     return _power_composition(batches, q0, q1)

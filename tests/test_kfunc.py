@@ -226,9 +226,10 @@ def test_q_equal_commutation_exact(t):
 
 # --- general route ----------------------------------------------------------
 
-def _kinf(lay, ss):
-    """The envelope lay, min_k max(A_k, s B_k), at each threshold s of ss."""
-    const, lslope = lay.parts(np.log(ss))
+def _kinf(env, ss):
+    """The envelopes of env, min_k max(A_k, s B_k), at each threshold s of
+    ss: a row per envelope."""
+    const, lslope = env.parts(np.log(ss))
     return const + np.exp(lslope + np.log(ss))
 
 
@@ -236,14 +237,14 @@ def test_k_power_layer_single_coefficient():
     c = 1.9
     for q0, q1 in ((1.0, 2.0), (2.0, 0.5), (0.5, 3.0)):
         ss = np.array([1e-6, 0.3, 1.0, 7.0, 1e8])
-        got = _kinf(_LayerKinf.batch([np.array([c])], 1.0, 2.0, q0, q1)[0], ss)
+        got = _kinf(_LayerKinf([np.array([c])], 1.0, 2.0, q0, q1, [0.0]), ss)[0]
         for s, k in zip(ss.tolist(), got.tolist()):
             assert k == pytest.approx(min(c**q0, s * c**q1), rel=1e-6)
 
 
 def test_k_power_layer_zero():
     # a zero layer has no live envelope, so the GENERAL route leaves it out
-    assert not _LayerKinf.batch([np.zeros(3)], 1.0, 2.0, 1.0, 2.0)[0].live
+    assert not _LayerKinf([np.zeros(3)], 1.0, 2.0, 1.0, 2.0, [0.0]).live[0]
     query = InterpQuery(BesovIndex(0.5, 1.0, 1.0), BesovIndex(-0.5, 2.0, 2.0))
     assert _k(_field([(0.0, 0.0, 0.0)]), query, 1.0) == 0.0
 
@@ -252,7 +253,7 @@ def test_k_power_layer_monotone_in_s():
     rng = np.random.default_rng(9)
     b = rng.uniform(0.1, 2.0, size=5)
     ss = np.logspace(-6, 6, 50)
-    vals = _kinf(_LayerKinf.batch([b], 1.0, math.inf, 2.0, 1.0)[0], ss).tolist()
+    vals = _kinf(_LayerKinf([b], 1.0, math.inf, 2.0, 1.0, [0.0]), ss)[0].tolist()
     assert all(x <= y + 1e-12 * max(1.0, y) for x, y in zip(vals, vals[1:]))
 
 
@@ -292,7 +293,7 @@ def test_k_power_layer_matches_rank_split_minimum():
         q0, q1 = (float(x) for x in rng.choice((0.5, 1.0, 2.0, 3.0), 2, replace=False))
         s = float(10.0 ** rng.uniform(-6.0, 6.0))
         want = _power_layer_brute(b.tolist(), p0, p1, q0, q1, s)
-        got = _kinf(_LayerKinf.batch([b], p0, p1, q0, q1)[0], np.array([s]))[0]
+        got = _kinf(_LayerKinf([b], p0, p1, q0, q1, [0.0]), np.array([s]))[0, 0]
         assert got == pytest.approx(want, rel=1e-12)
 
 
@@ -423,19 +424,24 @@ def test_fold_matches_per_layer_sum():
         p0, p1 = (float(x) for x in rng.choice((0.5, 1.0, 2.0, math.inf), 2, replace=False))
         q0, q1 = (float(x) for x in rng.choice((1.0, 1.5, 2.0, 3.0), 2, replace=False))
         lsc = float(rng.uniform(-3.0, 3.0))
-        layers = []
+        vs, layers = [], []
         for j in range(int(rng.integers(2, 6))):
             # layer scales from 1 down to 1e-24: plateaus of the layers
             # differ by up to 1e24 and more after the q0-th power
             v = rng.uniform(0.1, 1.0, int(rng.integers(1, 6))) * 1e-8 ** rng.integers(0, 4)
-            layers.append((_LayerKinf.batch([v], p0, p1, q0, q1)[0], j * lsc))
-        lv, const, lslope = _fold_layers([layers])
+            vs.append(v)
+            # the reference: each layer built alone, unshifted, and shifted here
+            layers.append((_LayerKinf([v], p0, p1, q0, q1, [0.0]), j * lsc))
+        env = _LayerKinf(vs, p0, p1, q0, q1, np.arange(len(vs)) * lsc)
+        lv, const, lslope = _fold_layers([env])
         assert (np.diff(lv) >= 0).all()
+        np.testing.assert_allclose(lv, np.sort(np.concatenate([lay.breaks - sh for lay, sh in layers])),
+                                   rtol=1e-13, atol=0.0)
         reps = np.concatenate(([-np.inf], 0.5 * (lv[:-1] + lv[1:]), [np.inf]))
         for x, c, lb in zip(reps, const, lslope):
             parts = [lay.parts(np.array([x + sh])) for lay, sh in layers]
-            want_c = math.fsum(float(pc[0]) for pc, _ in parts)
-            want_lb = np.logaddexp.reduce([plb[0] + sh for (_, plb), (_, sh) in zip(parts, layers)])
+            want_c = math.fsum(float(pc[0, 0]) for pc, _ in parts)
+            want_lb = np.logaddexp.reduce([plb[0, 0] + sh for (_, plb), (_, sh) in zip(parts, layers)])
             assert c == pytest.approx(want_c, rel=1e-13, abs=0.0)
             assert lb == pytest.approx(want_lb, rel=0.0, abs=1e-13)
         span = max(span, float(const.max() / const[const > 0].min()))
@@ -488,10 +494,16 @@ def test_batched_envelopes_match_single_layer_builds():
         batches += len(groups)
         assert len(groups) >= 3
         for js in groups:
-            for j, lay in zip(js, _LayerKinf.batch([vs[j] for j in js], p0, p1, q0, q1)):
-                one = _LayerKinf.batch([vs[j]], p0, p1, q0, q1)[0]
-                assert lay.live == one.live and len(lay.breaks) == len(one.breaks)
-                if not one.live:
+            env = _LayerKinf([vs[j] for j in js], p0, p1, q0, q1, np.zeros(len(js)))
+            ones = [_LayerKinf([vs[j]], p0, p1, q0, q1, [0.0]) for j in js]
+            # unshifted, the breaks come flat, row after row: a break one
+            # row lacks and another adds moves every break in between
+            ends = np.cumsum([len(one.breaks) for one in ones]).tolist()
+            assert len(env.breaks) == ends[-1]
+            for row, (one, start, end) in enumerate(zip(ones, [0] + ends[:-1], ends)):
+                np.testing.assert_allclose(env.breaks[start:end], one.breaks, rtol=1e-13, atol=0.0)
+                assert env.live[row] == one.live[0]
+                if not one.live[0]:
                     continue
                 br = one.breaks
                 # the pieces themselves at both limits and strictly inside
@@ -500,14 +512,65 @@ def test_batched_envelopes_match_single_layer_builds():
                 mids = 0.5 * (br[:-1] + br[1:])
                 mids = mids[(br[:-1] < mids) & (mids < br[1:])]
                 lx = np.concatenate(([-np.inf, np.inf], mids, br[:1] - 1.0, br[-1:] + 1.0))
-                (c1, lb1), (c2, lb2) = one.parts(lx), lay.parts(lx)
+                (c1, lb1), (c2, lb2) = [m[0] for m in one.parts(lx)], [m[row] for m in env.parts(lx)]
                 np.testing.assert_allclose(c2, c1, rtol=1e-13, atol=0.0)
                 np.testing.assert_allclose(lb2, lb1, rtol=0.0, atol=1e-13)
                 # at the breaks, where kinf is continuous, its value
-                (c1, lb1), (c2, lb2) = one.parts(br), lay.parts(br)
+                (c1, lb1), (c2, lb2) = [m[0] for m in one.parts(br)], [m[row] for m in env.parts(br)]
                 np.testing.assert_allclose(c2 + np.exp(lb2 + br), c1 + np.exp(lb1 + br),
                                            rtol=1e-13, atol=0.0)
     assert batches >= 90
+
+
+def _general_guard_fields():
+    rng = np.random.default_rng(41)
+    dyadic = GridSpec(n=1, J=7, layer_sizes=_dyadic(7))
+    ties = [rng.choice((0.25, 0.5, 1.0), m) for m in _dyadic(9)]
+    ties[4][:] = 0.0
+    ties[7][rng.random(len(ties[7])) < 0.3] = 0.0
+    wide = [10.0 ** rng.uniform(-300.0, 0.0, m) for m in _dyadic(7)]
+    wide[6][0] = 1.0
+    return {
+        "dyadic N=64": generate(dyadic, "uniform-random", 3),
+        "3 dyadic N=1536": generate(GridSpec(n=1, J=10, layer_sizes=tuple(
+            3 * m for m in _dyadic(10))), "uniform-random", 5),
+        "ties, zero layer": _field(ties),
+        "wide range": _field(wide),
+    }
+
+
+_GENERAL_GUARD_COUPLES = {
+    "q0 < q1": (BesovIndex(0.6, 1.0, 1.0), BesovIndex(-0.3, 2.0, 2.0)),
+    "q0 > q1": (BesovIndex(0.4, 2.0, 3.0), BesovIndex(-0.5, 1.0, 0.5)),
+    "p1 = inf": (BesovIndex(-0.2, 1.0, 1.5), BesovIndex(0.5, math.inf, 0.5)),
+}
+
+
+def _general_guard_values():
+    ts = np.concatenate(([2.0**-1000, 2.0**-300], default_t_grid(), [2.0**300, 2.0**1000]))
+    got = {}
+    for fname, field in _general_guard_fields().items():
+        for cname, (i0, i1) in _GENERAL_GUARD_COUPLES.items():
+            plan = k_plan(field, InterpQuery(i0, i1))
+            assert plan.label.endswith("power-composition-kinf")
+            got[f"{fname}, {cname}"] = plan.k(ts).tolist()
+    return got
+
+
+@pytest.mark.parametrize("fold_cells", [kfunc._FOLD_CELLS, 7])
+def test_general_route_matches_guard_bit_for_bit(fold_cells, monkeypatch):
+    # data/general_guard.json holds GENERAL K on the default grid plus
+    # 2^+-300 and 2^+-1000, recorded from the per-layer envelopes and
+    # per-layer fold that the batch envelopes replaced with the same
+    # floating-point operations: one batch (N=64), three batches, ties
+    # with an all-zero layer and a 300-decade field, each for q0 < q1 and
+    # q0 > q1 (Newton from either end of a mixed piece) and a sup norm.
+    # A fold step takes its pieces in bands of fold_cells cells; bands of
+    # 7 cells, many a step, give the same K bit for bit
+    monkeypatch.setattr(kfunc, "_FOLD_CELLS", fold_cells)
+    want = json.loads((Path(__file__).parent / "data" / "general_guard.json")
+                      .read_text(encoding="utf-8"))
+    assert _general_guard_values() == want
 
 
 # --- dispatch and curves ----------------------------------------------------
@@ -595,8 +658,9 @@ def test_formula_routes_commute(layers, s0, p0, q0, s1, p1, q1, t):
 # on the default grid plus 2^-1000 and 2^1000.  data/commutation_guard.json
 # holds the values of the kernels that each commuted their own couple;
 # orienting the couple once in _seq_route and _layer_fn keeps every
-# floating-point operation, so they match with ==.  The layer-sum zeros
-# at 2^-1000 are the l^q aggregate underflowing, not K.
+# floating-point operation, so they match with ==.  The two layer-sum
+# values at 2^-1000 read 0 while the l^q aggregate took its q-th powers
+# unscaled; they are the rescaled aggregate's.
 _COMMUTE_SPEC = GridSpec(n=1, J=6, layer_sizes=(1, 2, 4, 8, 8, 8))
 _COMMUTE_COUPLES = {
     "weighted-split": (BesovIndex(0.7, 2.0, 1.5), BesovIndex(-0.4, 2.0, 1.5)),
@@ -618,6 +682,20 @@ def test_commuting_routes_match_guard_bit_for_bit():
             assert plan.label.endswith(route)
             got[f"{route}, {order}"] = plan.k(ts).tolist()
     assert got == want
+
+
+@pytest.mark.parametrize("q", [2.0, 3.0])
+def test_layer_sum_does_not_underflow_at_tiny_t(q):
+    # each layer's K near 2^-1000 underflows in its q-th power unless the
+    # t column is rescaled first; below every layer's first break K is
+    # t ||f||_A1 exactly
+    field = generate(_COMMUTE_SPEC, "uniform-random", 11)
+    i0, i1 = BesovIndex(0.6, 1.0, q), BesovIndex(-0.3, 2.0, q)
+    ts = np.array([2.0**-1000, 2.0**-600])
+    for a, b in ((i0, i1), (i1, i0)):
+        plan = k_plan(field, InterpQuery(a, b))
+        assert plan.label.endswith("layer-sum")
+        np.testing.assert_allclose(plan.k(ts), ts * besov_norm(field, b), rtol=1e-12, atol=0.0)
 
 
 _EXTREME_T = np.array([2.0**-1074, 2.0**-1030, 2.0**1023, math.inf])
