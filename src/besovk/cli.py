@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 
 from .coeffs import GENERATOR_KINDS, CoeffField, field_payload, generate, read_field, write_field
@@ -157,6 +158,8 @@ def cmd_kcurve(args) -> int:
 def cmd_interpnorm(args) -> int:
     field = _load_field(args)
     query = _query(args)
+    if not math.isfinite(args.points_per_decade):
+        raise UsageError(f"--points-per-decade must be finite, got {args.points_per_decade}")
     quad = QuadratureSpec(
         points_per_decade=int(round(args.points_per_decade)),
         t_min_exp=args.t_min_exp,

@@ -22,8 +22,8 @@ import numpy as np
 from .coeffs import CoeffField
 from .errors import NumericError, UsageError
 from .grid import BesovIndex
-from .kfunc import (InterpQuery, KPlan, _logcell_integral, _seq_plan, default_t_grid,
-                    k_plan)
+from .kfunc import (InterpQuery, KPlan, _check_t_window, _logcell_integral, _seq_plan,
+                    default_t_grid, k_plan)
 from .norms import besov_norm, weighted_lq_norm
 
 __all__ = [
@@ -60,6 +60,7 @@ class QuadratureSpec:
             raise UsageError("points_per_decade must be positive")
         if not self.t_min_exp < self.t_max_exp:
             raise UsageError("need t_min_exp < t_max_exp")
+        _check_t_window(self.t_min_exp, self.t_max_exp)
         if not 0 < self.tail_rel_tol < 1:
             raise UsageError("tail_rel_tol must lie in (0, 1)")
 

@@ -137,15 +137,33 @@ class KCurve:
         k = np.asarray(self.k, dtype=float)
         if len(t) != len(k):
             raise UsageError("t and k lengths differ")
-        if len(t) == 0 or (np.diff(t) <= 0).any() or (t <= 0).any():
+        # a comparison with nan is false, so a nan t fails these checks
+        if len(t) == 0 or not (t[1:] > t[:-1]).all() or not t[0] > 0:
             raise UsageError("t grid must be positive and strictly increasing")
         object.__setattr__(self, "t", t)
         object.__setattr__(self, "k", k)
 
 
+def _check_t_window(t_min_exp: float, t_max_exp: float) -> None:
+    """Refuse a window [2^t_min_exp, 2^t_max_exp] whose end points are not
+    positive finite doubles."""
+    for name, e in (("t_min_exp", t_min_exp), ("t_max_exp", t_max_exp)):
+        try:
+            end = 2.0 ** float(e)
+        except OverflowError:
+            end = math.inf
+        if not 0.0 < end < math.inf:
+            raise UsageError(f"{name} = {e}: 2^{e} is not a positive finite double")
+
+
 def default_t_grid(t_min_exp: float = -20.0, t_max_exp: float = 20.0,
                    points_per_decade: float = 2.0) -> np.ndarray:
     """Log-spaced t grid, points_per_decade per binary decade (81 by default)."""
+    _check_t_window(t_min_exp, t_max_exp)
+    if not t_min_exp <= t_max_exp:
+        raise UsageError(f"need t_min_exp <= t_max_exp, got {t_min_exp} > {t_max_exp}")
+    if not 0 < points_per_decade < math.inf:
+        raise UsageError(f"points_per_decade must be positive and finite, got {points_per_decade}")
     count = int(round((t_max_exp - t_min_exp) * points_per_decade)) + 1
     return np.logspace(t_min_exp, t_max_exp, count, base=2.0)
 
@@ -412,12 +430,13 @@ def _lq_across(rows: list, q: float) -> np.ndarray:
     accumulated row by row so that no entry depends on the others.  Each
     column is scaled by the one rescaling rule (_pow2_factor) of its
     largest entry before the q-th powers, so that a column whose largest
-    K lies below 2^-100 does not underflow.  A column in 2^(+-100) keeps
-    factor 1, so at q > 10 its q-th powers can still leave the normal
-    range."""
+    K lies far from 1 does not underflow.  The factor-1 window is
+    2^(+-100) up to q = 10 and 2^(+-1000/q) above, so the largest q-th
+    power of a column stays within 2^(+-1000), a normal double."""
     if math.isinf(q):
         return np.max(rows, axis=0)
-    fac = np.array([_pow2_factor(v) for v in np.max(rows, axis=0).tolist()])
+    window = min(100.0, 1000.0 / q)
+    fac = np.array([_pow2_factor(v, window) for v in np.max(rows, axis=0).tolist()])
     total = 0.0
     for row in rows:
         total = total + (row * fac)**q

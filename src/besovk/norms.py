@@ -28,13 +28,13 @@ __all__ = [
 ]
 
 
-def _pow2_factor(vmax: float) -> float:
+def _pow2_factor(vmax: float, window: float = 100.0) -> float:
     """The one rescaling rule: 1 when the largest entry vmax lies within
-    2^(+-100), else the exact power of two, clamped to 2^(+-1000), that
-    pulls vmax back toward 1.  Scaling by it is exact, and a clamped
-    two-power factor cannot overflow the way 1/vmax can for subnormal
-    data."""
-    if 2.0**-100 < vmax < 2.0**100:
+    2^(+-window), else the exact power of two, clamped to 2^(+-1000),
+    that pulls vmax back toward 1.  Scaling by it is exact, and a
+    clamped two-power factor cannot overflow the way 1/vmax can for
+    subnormal data."""
+    if 2.0**-window < vmax < 2.0**window:
         return 1.0
     return 2.0 ** max(min(-math.frexp(vmax)[1], 1000), -1000)
 

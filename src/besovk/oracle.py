@@ -129,28 +129,39 @@ def k_vertex_exact(field: CoeffField, idx0: BesovIndex, idx1: BesovIndex, t: flo
 
 
 class _SideAccum:
-    """Incremental one-sided Besov norm under single-coordinate edits."""
+    """Incremental one-sided Besov norm under single-coordinate edits.
 
-    def __init__(self, field: CoeffField, idx: BesovIndex, vecs):
-        self.p, self.q = idx.p, idx.q
-        self.p_inf, self.q_inf = math.isinf(idx.p), math.isinf(idx.q)
-        self.ip, self.iq = 1.0 / idx.p, 1.0 / idx.q
-        self.exps = (self.p, self.ip, self.q, self.iq, self.p_inf, self.q_inf)
-        self.w = [layer_weight(field.spec, idx, j) for j in range(field.spec.J)]
+    An exponent of 1 takes no power: float ** calls libm pow, and
+    pow(x, 1.0) is x exactly, so r + x is bit for bit (r + x**1.0)**1.0.
+    No other exponent has a shortcut (x**2.0 and x*x, x**0.5 and
+    sqrt(x) differ in the last bit for some x)."""
+
+    def __init__(self, consts: tuple, vecs):
+        self.w, self.exps = consts
+        (self.p, self.ip, self.q, self.iq,
+         self.p_inf, self.q_inf, self.p_one, self.q_one) = self.exps
         self.base = [float(v.max()) if self.p_inf else float(np.sum(v**self.p))
                      for v in vecs]
         self.vecs = [v.tolist() for v in vecs]
         self.terms = [self._term(j, b) for j, b in enumerate(self.base)]
 
+    @staticmethod
+    def consts(field: CoeffField, idx: BesovIndex) -> tuple:
+        """(layer weights, exponent tuple) of one side, shared by every
+        descent start."""
+        p, q = idx.p, idx.q
+        exps = (p, 1.0 / p, q, 1.0 / q, math.isinf(p), math.isinf(q), p == 1.0, q == 1.0)
+        return [layer_weight(field.spec, idx, j) for j in range(field.spec.J)], exps
+
     def _term(self, j: int, base: float) -> float:
-        lp = base if self.p_inf else base**self.ip
+        lp = base if self.p_inf or self.p_one else base**self.ip
         wlp = self.w[j] * lp
-        return wlp if self.q_inf else wlp**self.q
+        return wlp if self.q_inf or self.q_one else wlp**self.q
 
     def norm(self) -> float:
         if self.q_inf:
             return max(self.terms)
-        return sum(self.terms) ** self.iq
+        return sum(self.terms) if self.q_one else sum(self.terms) ** self.iq
 
     def prepare(self, j: int, i: int) -> tuple:
         """Stash layer-j state with coordinate i removed; returns what a
@@ -161,7 +172,7 @@ class _SideAccum:
         if self.p_inf:
             rest = max(v[:i] + v[i + 1 :], default=0.0)
         else:
-            rest = self.base[j] - v[i] ** self.p
+            rest = self.base[j] - (v[i] if self.p_one else v[i] ** self.p)
             if rest < 0.0:
                 rest = 0.0
         self._rest = rest
@@ -177,8 +188,12 @@ class _SideAccum:
         if self.p_inf:
             self.base[j] = max(self._rest, x)
         else:
-            self.base[j] = self._rest + x**self.p
+            self.base[j] = self._rest + (x if self.p_one else x**self.p)
         self.terms[j] = self._term(j, self.base[j])
+
+
+_INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
+_INVPHI2 = _INVPHI * _INVPHI
 
 
 def _golden_min(fi: float, xtol: float, t: float, side0: tuple, side1: tuple) -> float:
@@ -187,11 +202,11 @@ def _golden_min(fi: float, xtol: float, t: float, side0: tuple, side1: tuple) ->
     side1 are _SideAccum.prepare's tuples.  The objective is evaluated
     inline at one site, once per probe: c and d to start, one new c or
     d per step, and at the end each endpoint no probe has moved onto.
+    An exponent of 1 takes no power, as in _SideAccum.
     Returns the first of a, b, c, d with the least value."""
-    r0, w0, a0, p0, ip0, q0, iq0, p0_inf, q0_inf = side0
-    r1, w1, a1, p1, ip1, q1, iq1, p1_inf, q1_inf = side1
-    invphi = (math.sqrt(5.0) - 1.0) / 2.0
-    invphi2 = invphi * invphi
+    r0, w0, a0, p0, ip0, q0, iq0, p0_inf, q0_inf, p0_one, q0_one = side0
+    r1, w1, a1, p1, ip1, q1, iq1, p1_inf, q1_inf, p1_one, q1_one = side1
+    invphi, invphi2 = _INVPHI, _INVPHI2
     a, b = 0.0, fi
     h = b - a
     if h <= xtol:
@@ -202,10 +217,30 @@ def _golden_min(fi: float, xtol: float, t: float, side0: tuple, side1: tuple) ->
     x, left = c, True  # left: x is c; False: x is d; None: x is a or b
     while True:
         y = fi - x
-        u0 = w0 * ((x if x > r0 else r0) if p0_inf else (r0 + x**p0) ** ip0)
-        u1 = w1 * ((y if y > r1 else r1) if p1_inf else (r1 + y**p1) ** ip1)
-        u0 = (u0 if u0 > a0 else a0) if q0_inf else (a0 + u0**q0) ** iq0
-        u1 = (u1 if u1 > a1 else a1) if q1_inf else (a1 + u1**q1) ** iq1
+        if p0_inf:
+            u0 = w0 * (x if x > r0 else r0)
+        elif p0_one:
+            u0 = w0 * (r0 + x)
+        else:
+            u0 = w0 * (r0 + x**p0) ** ip0
+        if p1_inf:
+            u1 = w1 * (y if y > r1 else r1)
+        elif p1_one:
+            u1 = w1 * (r1 + y)
+        else:
+            u1 = w1 * (r1 + y**p1) ** ip1
+        if q0_inf:
+            u0 = u0 if u0 > a0 else a0
+        elif q0_one:
+            u0 = a0 + u0
+        else:
+            u0 = (a0 + u0**q0) ** iq0
+        if q1_inf:
+            u1 = u1 if u1 > a1 else a1
+        elif q1_one:
+            u1 = a1 + u1
+        else:
+            u1 = (a1 + u1**q1) ** iq1
         fx = u0 + t * u1
         if left:
             fc = fx
@@ -239,6 +274,18 @@ def _golden_min(fi: float, xtol: float, t: float, side0: tuple, side1: tuple) ->
         if fz < fa:
             a, fa = z, fz
     return a
+
+
+def _vertex_start(flat: np.ndarray, mask: int) -> np.ndarray | None:
+    """g of the vertex split `mask` over the flat field (bit k keeps
+    coefficient k in g), or None when it repeats a descent start: g = 0
+    when mask & nz == 0 and g = f when mask & nz == nz, with nz the mask
+    of the nonzero coefficients."""
+    ks = np.arange(len(flat))
+    nz = int(np.sum((flat != 0.0) << ks))
+    if mask & nz in (0, nz):
+        return None
+    return np.where((mask >> ks) & 1 == 1, flat, 0.0)
 
 
 def k_cuboid_continuous(field: CoeffField, idx0: BesovIndex, idx1: BesovIndex, t: float,
@@ -289,28 +336,23 @@ def k_cuboid_continuous(field: CoeffField, idx0: BesovIndex, idx1: BesovIndex, t
     starts = [tuple(np.zeros_like(v) for v in field.layers),
               tuple(v.copy() for v in field.layers)]
     if 2**N <= budget.max_subsets:
-        tables = vertex_tables(field, idx0, idx1, budget)
-        mask = tables.best_split(t, xi=1.0)
-        g_layers, bit = [], 0
-        for v in field.layers:
-            g = np.array([v[i] if (mask >> (bit + i)) & 1 else 0.0 for i in range(len(v))])
-            g_layers.append(g)
-            bit += len(v)
-        if not any(all(map(np.array_equal, g_layers, start)) for start in starts):
-            starts.append(tuple(g_layers))
+        mask = vertex_tables(field, idx0, idx1, budget).best_split(t, xi=1.0)
+        g = _vertex_start(np.concatenate(field.layers), mask)
+        if g is not None:
+            starts.append(tuple(np.split(g, np.cumsum(field.spec.layer_sizes)[:-1])))
 
     best = math.inf
-    live = [(j, i, fi) for j, v in enumerate(field.layers)
+    live = [(j, i, fi, 1e-10 * max(floor, fi)) for j, v in enumerate(field.layers)
             for i, fi in enumerate(v.tolist()) if fi != 0.0]
+    consts0, consts1 = _SideAccum.consts(field, idx0), _SideAccum.consts(field, idx1)
     for g0 in starts:
-        side0 = _SideAccum(field, idx0, g0)
-        side1 = _SideAccum(field, idx1, [f - g for f, g in zip(field.layers, g0)])
+        side0 = _SideAccum(consts0, g0)
+        side1 = _SideAccum(consts1, [f - g for f, g in zip(field.layers, g0)])
         val = side0.norm() + t * side1.norm()
         for _ in range(budget.coord_descent_iters):
             prev = val
-            for j, i, fi in live:
-                x_star = _golden_min(fi, 1e-10 * max(floor, fi), t,
-                                     side0.prepare(j, i), side1.prepare(j, i))
+            for j, i, fi, xtol in live:
+                x_star = _golden_min(fi, xtol, t, side0.prepare(j, i), side1.prepare(j, i))
                 side0.commit(x_star)
                 side1.commit(fi - x_star)
             val = side0.norm() + t * side1.norm()

@@ -1,5 +1,6 @@
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -212,6 +213,32 @@ def test_formula_route_refuses_xi_exit_2(capsys, cmd):
     # xi = 1 and the oracle method run as before
     assert main([cmd] + SPIKE + couple) == 0
     assert main([cmd] + SPIKE + couple + ["--xi", "2.5", "--method", "oracle"]) == 0
+
+
+@pytest.mark.parametrize("cmd", ["kcurve", "interpnorm"])
+def test_t_window_off_the_doubles_exit_2(capsys, cmd):
+    # 2^1030 is no double: refused before any grid is built, so no numpy
+    # warning and no t = inf row, only the error line
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = main([cmd] + SPIKE + ["--t-max-exp", "1030"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err == "error: t_max_exp = 1030.0: 2^1030.0 is not a positive finite double\n"
+
+
+@pytest.mark.parametrize("cmd", ["kcurve", "interpnorm"])
+@pytest.mark.parametrize("window", [["--t-min-exp", "5", "--t-max-exp", "-5"],
+                                    ["--points-per-decade", "-1"],
+                                    ["--points-per-decade", "nan"],
+                                    ["--points-per-decade", "inf"]])
+def test_bad_grid_exit_2(capsys, cmd, window):
+    # a reversed window or a nonpositive or nonfinite density once
+    # escaped as a raw ValueError (np.logspace, int(round(nan))) or
+    # exited 3
+    assert main([cmd] + SPIKE + window) == 2
+    assert capsys.readouterr().err.startswith("error: ")
 
 
 def test_bad_spec_exit_2(capsys):

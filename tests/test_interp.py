@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from besovk.coeffs import CoeffField
-from besovk.errors import BesovkError, NumericError
+from besovk.errors import BesovkError, NumericError, UsageError
 from besovk.grid import BesovIndex, GridSpec
 from besovk.interp import (
     QuadratureSpec,
@@ -175,6 +175,9 @@ def test_quadrature_spec_validation():
         QuadratureSpec(points_per_decade=0)
     with pytest.raises(Exception):
         QuadratureSpec(t_min_exp=5.0, t_max_exp=-5.0)
+    for lo, hi in ((-20.0, 1030.0), (-1080.0, 20.0)):
+        with pytest.raises(UsageError, match="positive finite double"):
+            QuadratureSpec(t_min_exp=lo, t_max_exp=hi)
 
 
 # --- every route on fields spanning the double range -------------------------

@@ -13,6 +13,7 @@ from besovk.grid import BesovIndex, GridSpec
 from besovk.kfunc import (
     CaseTag,
     InterpQuery,
+    KCurve,
     default_t_grid,
     k_curve,
     k_dispatch,
@@ -80,6 +81,22 @@ def test_default_t_grid():
     assert len(g) == 81
     assert g[0] == pytest.approx(2.0**-20)
     assert g[-1] == pytest.approx(2.0**20)
+
+
+@pytest.mark.parametrize("t", [[1.0, math.nan, 2.0], [1.0, math.inf, math.inf], [math.nan]])
+def test_kcurve_refuses_t_grid_off_the_doubles(t):
+    # np.diff(t) <= 0 is false at a nan, which once let these grids pass
+    with pytest.raises(UsageError, match="strictly increasing"):
+        KCurve(np.array(t), np.zeros(len(t)), "formula:degenerate")
+
+
+def test_default_t_grid_refuses_ends_off_the_doubles():
+    # 2^1030 is inf, 2^-1080 rounds to 0; 2^-1074 is the least subnormal
+    for lo, hi in ((-20.0, 1030.0), (-1080.0, 20.0), (math.nan, 20.0), (-20.0, math.inf)):
+        with pytest.raises(UsageError, match="positive finite double"):
+            default_t_grid(lo, hi)
+    g = default_t_grid(-1074.0, 1023.0, 1.0)
+    assert g[0] == 2.0**-1074 and np.isfinite(g).all()
 
 
 # --- layer-level K ----------------------------------------------------------
@@ -684,14 +701,22 @@ def test_commuting_routes_match_guard_bit_for_bit():
     assert got == want
 
 
-@pytest.mark.parametrize("q", [2.0, 3.0])
-def test_layer_sum_does_not_underflow_at_tiny_t(q):
+@pytest.mark.parametrize("q, t_exps", [
+    pytest.param(q, t_exps, id=str(q)) for q, t_exps in (
+        (2.0, [-1000, -600]),
+        (3.0, [-1000, -600]),
+        (12.0, [-100, -95, -90]),
+        (20.0, list(range(-100, -59, 5))),
+    )
+])
+def test_layer_sum_does_not_underflow_at_tiny_t(q, t_exps):
     # each layer's K near 2^-1000 underflows in its q-th power unless the
     # t column is rescaled first; below every layer's first break K is
-    # t ||f||_A1 exactly
+    # t ||f||_A1 exactly.  Above q = 10 a column near 2^-100 must be
+    # rescaled too: its K^q once left the normal range and K read 0
     field = generate(_COMMUTE_SPEC, "uniform-random", 11)
     i0, i1 = BesovIndex(0.6, 1.0, q), BesovIndex(-0.3, 2.0, q)
-    ts = np.array([2.0**-1000, 2.0**-600])
+    ts = 2.0 ** np.array(t_exps, dtype=float)
     for a, b in ((i0, i1), (i1, i0)):
         plan = k_plan(field, InterpQuery(a, b))
         assert plan.label.endswith("layer-sum")

@@ -248,6 +248,72 @@ def test_cuboid_continuous_line_search_count(monkeypatch):
     assert len(calls) == 2020
 
 
+def _vertex_start_by_array_equal(layers, mask):
+    """The vertex start as built per coefficient and compared with the
+    starts g = 0 and g = f by np.array_equal: None when it repeats one."""
+    g_layers, bit = [], 0
+    for v in layers:
+        g_layers.append(np.array([v[i] if (mask >> (bit + i)) & 1 else 0.0
+                                  for i in range(len(v))]))
+        bit += len(v)
+    starts = ([np.zeros_like(v) for v in layers], [v.copy() for v in layers])
+    if any(all(map(np.array_equal, g_layers, start)) for start in starts):
+        return None
+    return np.concatenate(g_layers)
+
+
+def test_vertex_start_mask_rule_matches_array_equal():
+    # with nz the mask of nonzero coefficients, the split repeats g = 0
+    # when mask & nz == 0 and g = f when mask & nz == nz; every mask of
+    # fields with zero coefficients (and a zero layer, and no nonzero)
+    rng = np.random.default_rng(15)
+    fields = [[np.zeros(2), np.zeros(1)], [np.array([0.7, 0.0]), np.zeros(3)]]
+    for _ in range(12):
+        sizes = rng.integers(1, 4, size=int(rng.integers(1, 4)))
+        fields.append([rng.uniform(0.1, 2.0, m) * (rng.random(m) > 0.3) for m in sizes])
+    repeats_past_zero_bits = 0
+    for layers in fields:
+        flat = np.concatenate(layers)
+        full = 2 ** len(flat) - 1
+        for mask in range(full + 1):
+            want = _vertex_start_by_array_equal(layers, mask)
+            got = oracle_mod._vertex_start(flat, mask)
+            if want is None:
+                assert got is None, (layers, mask)
+                repeats_past_zero_bits += mask not in (0, full)
+            else:
+                assert got is not None and np.array_equal(got, want), (layers, mask)
+    assert repeats_past_zero_bits > 0
+
+
+@pytest.mark.parametrize("t, searches", [(2.0**-8, 30), (2.0, 165), (2.0**8, 30)])
+def test_cuboid_continuous_vertex_start_line_searches(monkeypatch, t, searches):
+    # the best vertex split is g = 0 at t = 2^-8 and, with the zero
+    # coefficient's bit clear, g = f at 2^8: it is not descended again,
+    # so the searches and K are those of the run without a vertex start
+    # (a budget that cannot enumerate); at t = 2 it is a third start
+    calls = []
+    golden = oracle_mod._golden_min
+
+    def counted(*args):
+        calls.append(1)
+        return golden(*args)
+
+    monkeypatch.setattr(oracle_mod, "_golden_min", counted)
+    field = _field(_FROZEN_FIELD)
+    idx0, idx1 = BesovIndex(1.0, 1.5, 2.0), BesovIndex(-0.5, 2.0, 1.5)
+    mask = vertex_tables(field, idx0, idx1).best_split(t)
+    assert mask == {2.0**-8: 0, 2.0: 0b1101, 2.0**8: 0b111101}[t]
+    k = k_cuboid_continuous(field, idx0, idx1, t)
+    assert len(calls) == searches
+    calls.clear()
+    k_two_starts = k_cuboid_continuous(field, idx0, idx1, t, OracleBudget(max_subsets=1))
+    if t == 2.0:
+        assert len(calls) < searches and k <= k_two_starts
+    else:
+        assert len(calls) == searches and k == k_two_starts
+
+
 @pytest.mark.parametrize("p0, q0, p1, q1", [(1.0, 2.0, 2.0, 1.0), (2.0, 1.0, 1.0, math.inf)])
 @pytest.mark.parametrize("t", [0.3, 2.0])
 def test_cuboid_continuous_scale_covariant(p0, q0, p1, q1, t):
