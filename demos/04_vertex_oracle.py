@@ -10,7 +10,7 @@ by accident.  The formula routes are checked against it.
 import numpy as np
 
 from besovk import (BesovIndex, CoeffField, GridSpec, InterpQuery, OracleBudget,
-                    k_cuboid_continuous, k_dispatch, k_vertex_exact)
+                    k_cuboid_continuous, k_dispatch, vertex_tables)
 from besovk.errors import BudgetError
 
 spec = GridSpec(n=1, J=2, layer_sizes=(2, 3))
@@ -20,15 +20,16 @@ i1 = BesovIndex(0.5, 2.0, 2.0)
 
 # exact sum-form K by enumerating all 2^5 support splits
 for t in (0.1, 1.0, 10.0):
-    exact = k_vertex_exact(field, i0, i1, t)
+    exact = vertex_tables(field, i0, i1).k(t)
     approx, tag = k_dispatch(field, InterpQuery(i0, i1), t)
     print(f"t={t:<5g} oracle={exact:.6f}  {tag}={approx:.6f}"
           f"  ratio={approx / exact:.4f}")
 
 # max-form variant (xi = inf) sandwiches the sum form within factor 2
 t = 1.0
-k1 = k_vertex_exact(field, i0, i1, t, xi=1.0)
-kinf = k_vertex_exact(field, i0, i1, t, xi=np.inf)
+tables = vertex_tables(field, i0, i1)
+k1 = tables.k(t, xi=1.0)
+kinf = tables.k(t, xi=np.inf)
 print(f"\nxi=1: {k1:.6f}  xi=inf: {kinf:.6f}  (k1/kinf = {k1 / kinf:.4f} <= 2)")
 
 # the continuous relaxation allows fractional splits; it lower-bounds
@@ -39,6 +40,6 @@ print(f"continuous relaxation: {kc:.6f}  vertex/continuous = {k1 / kc:.4f}")
 # budgets turn exponential blowups into clean refusals
 tight = OracleBudget(max_total_coeffs=3)
 try:
-    k_vertex_exact(field, i0, i1, 1.0, budget=tight)
+    vertex_tables(field, i0, i1, budget=tight).k(1.0)
 except BudgetError as e:
     print("\nbudget refusal:", e)

@@ -30,9 +30,11 @@ from .kfunc import (
     CaseTag,
     InterpQuery,
     KCurve,
+    KPlan,
     default_t_grid,
     k_curve,
     k_dispatch,
+    k_plan,
 )
 from .norms import (
     besov_lorentz_norm,
@@ -45,7 +47,6 @@ from .norms import (
 from .oracle import (
     OracleBudget,
     k_cuboid_continuous,
-    k_vertex_exact,
     vertex_tables,
 )
 from .rearrange import rearrangement, threshold_split
@@ -65,6 +66,7 @@ __all__ = [
     "InterpQuery",
     "InterpReport",
     "KCurve",
+    "KPlan",
     "NumericError",
     "OracleBudget",
     "QuadratureSpec",
@@ -82,7 +84,7 @@ __all__ = [
     "k_cuboid_continuous",
     "k_curve",
     "k_dispatch",
-    "k_vertex_exact",
+    "k_plan",
     "layer_weight",
     "lorentz_seq_norm",
     "lp_norm",

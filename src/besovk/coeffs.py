@@ -72,15 +72,9 @@ class CoeffField:
 
 
 def abs_reduce(spec: GridSpec, raw_layers) -> CoeffField:
-    """Build a field from signed/complex per-layer data by taking moduli."""
-    cleaned = []
-    for j, raw in enumerate(raw_layers):
-        arr = np.abs(np.asarray(raw))
-        arr = np.asarray(arr, dtype=float)
-        if np.isnan(arr).any():
-            raise DataError(f"layer {j} contains NaN")
-        cleaned.append(arr)
-    return CoeffField(spec, tuple(cleaned))
+    """Build a field from signed/complex per-layer data by taking moduli;
+    CoeffField refuses a NaN modulus (DataError)."""
+    return CoeffField(spec, tuple(np.abs(np.asarray(raw)) for raw in raw_layers))
 
 
 def generate(spec: GridSpec, kind: str, seed: int) -> CoeffField:

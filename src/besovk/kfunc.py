@@ -45,6 +45,7 @@ evaluates one t from a plan, k_curve a t grid.
 from __future__ import annotations
 
 import math
+from collections.abc import Callable
 from dataclasses import dataclass
 from enum import Enum
 
@@ -60,7 +61,9 @@ __all__ = [
     "CaseTag",
     "InterpQuery",
     "KCurve",
+    "KPlan",
     "default_t_grid",
+    "k_plan",
     "k_dispatch",
     "k_curve",
 ]
@@ -172,25 +175,23 @@ def default_t_grid(t_min_exp: float = -20.0, t_max_exp: float = 20.0,
 # prepared plans
 
 
+@dataclass(frozen=True, eq=False)
 class KPlan:
-    """One K evaluation with its t-independent state built once.
+    """One K evaluation with its t-independent state built once; k_plan
+    builds one per (field, query).
 
     label names the route, form the functional ("sum", "max", or
-    "xi=<xi>" for another oracle aggregation power).  The state is built
-    on the field scaled by fac (_scaled_plan); k_scaled(ts) evaluates K
-    of the scaled field at every t of a 1-d array, and k(ts) undoes the
-    factor.  Every K value this module returns goes through k.
+    "xi=<xi>" for another oracle aggregation power); both are plain
+    read-only attributes, as is fac.  The state is built on the field
+    scaled by fac (_scaled_plan); k_scaled(ts) evaluates K of the scaled
+    field at every t of a 1-d array, and k(ts) undoes the factor.  Every
+    K value this module returns goes through k.
     """
 
-    def __init__(self, label: str, fn, fac: float = 1.0, form: str = "sum"):
-        self.label = label
-        self._form = form
-        self.fac = fac
-        self._fn = fn
-
-    @property
-    def form(self) -> str:
-        return self._form
+    label: str
+    _fn: Callable[[np.ndarray], np.ndarray]
+    fac: float = 1.0
+    form: str = "sum"
 
     def k_scaled(self, ts) -> np.ndarray:
         return self._eval(ts, 1.0)

@@ -2,15 +2,18 @@
 
 Two independent references for the closed-form engine:
 
-- k_vertex_exact: exhaustive minimum over all 2^N support splits of the
-  grid (each coefficient goes wholly to one side).  Exact for the
-  split-infimum functional; for the max-form aggregation (xi = inf) the
-  split infimum IS the K-functional, so this oracle is exact there.
+- vertex_tables(...).k: exhaustive minimum over all 2^N support splits
+  of the grid (each coefficient goes wholly to one side).  Exact for
+  the split-infimum functional; for the max-form aggregation (xi = inf)
+  the split infimum IS the K-functional, so this oracle is exact there.
 - k_cuboid_continuous: the continuous infimum over decompositions
   0 <= g <= f, by cyclic coordinate descent with golden-section line
   searches.  Valid in the convex regime (all indices >= 1).
 
 Both refuse problems larger than their budget rather than truncating.
+OracleBudget caps the coefficient count; the enumeration also refuses
+more than _MAX_SUBSETS masks, and a descent start stops after
+_MAX_SWEEPS sweeps.
 """
 
 from __future__ import annotations
@@ -28,16 +31,31 @@ from .norms import _pow2_factor, besov_norm
 __all__ = [
     "OracleBudget",
     "vertex_tables",
-    "k_vertex_exact",
     "k_cuboid_continuous",
 ]
+
+_MAX_SUBSETS = 2**20  # masks the enumeration tables may hold
+_MAX_SWEEPS = 500  # coordinate-descent sweeps per start
 
 
 @dataclass(frozen=True)
 class OracleBudget:
     max_total_coeffs: int = 20
-    max_subsets: int = 2**20
-    coord_descent_iters: int = 500
+
+
+def _budgeted(field: CoeffField, budget: OracleBudget | None,
+              what: str) -> tuple[CoeffField, float]:
+    """The one budget site of both oracles: refuse a field of more
+    coefficients than the budget allows (BudgetError), else return the
+    field scaled by the one rescaling rule (norms._pow2_factor) and the
+    factor, which K divides out."""
+    limit = (budget or OracleBudget()).max_total_coeffs
+    N = field.spec.total_coeffs
+    if N > limit:
+        raise BudgetError(f"{N} coefficients exceed the {what} budget ({limit}); "
+                          "refusing rather than truncating")
+    fac = _pow2_factor(field.max_abs())
+    return (field.scaled(fac) if fac != 1.0 else field), fac
 
 
 def _layer_norm_table(v: np.ndarray, p: float) -> np.ndarray:
@@ -46,7 +64,7 @@ def _layer_norm_table(v: np.ndarray, p: float) -> np.ndarray:
     masks = np.arange(2**m, dtype=np.int64)
     bits = (masks[:, None] >> np.arange(m)) & 1
     if math.isinf(p):
-        return np.max(bits * v[None, :], axis=1) if m else np.zeros(1)
+        return np.max(bits * v[None, :], axis=1)
     return (bits @ (v**p)) ** (1.0 / p)
 
 
@@ -61,20 +79,10 @@ class VertexTables:
 
     def __init__(self, field: CoeffField, idx0: BesovIndex, idx1: BesovIndex,
                  budget: OracleBudget | None = None):
-        budget = budget or OracleBudget()
+        field, self.fac = _budgeted(field, budget, "enumeration")
         N = field.spec.total_coeffs
-        if N > budget.max_total_coeffs:
-            raise BudgetError(
-                f"{N} coefficients exceed the enumeration budget "
-                f"({budget.max_total_coeffs}); refusing rather than truncating"
-            )
-        if 2**N > budget.max_subsets:
-            raise BudgetError(
-                f"2^{N} subsets exceed the enumeration budget ({budget.max_subsets})"
-            )
-        self.fac = _pow2_factor(field.max_abs())
-        if self.fac != 1.0:
-            field = field.scaled(self.fac)
+        if 2**N > _MAX_SUBSETS:
+            raise BudgetError(f"2^{N} subsets exceed the enumeration budget ({_MAX_SUBSETS})")
         self.a = self._side_table(field, idx0)
         self.b = self._side_table(field, idx1)
         self.b_comp = self.b[::-1]
@@ -120,12 +128,6 @@ class VertexTables:
 def vertex_tables(field: CoeffField, idx0: BesovIndex, idx1: BesovIndex,
                   budget: OracleBudget | None = None) -> VertexTables:
     return VertexTables(field, idx0, idx1, budget)
-
-
-def k_vertex_exact(field: CoeffField, idx0: BesovIndex, idx1: BesovIndex, t: float,
-                   xi: float = 1.0, budget: OracleBudget | None = None) -> float:
-    """Exhaustive split minimum of (||f 1_S||_A0^xi + t^xi ||f 1_Sc||_A1^xi)^(1/xi)."""
-    return vertex_tables(field, idx0, idx1, budget).k(t, xi)
 
 
 class _SideAccum:
@@ -309,33 +311,26 @@ def k_cuboid_continuous(field: CoeffField, idx0: BesovIndex, idx1: BesovIndex, t
     other layers) state.  With vmax the scaled field's largest entry
     and floor = min(1, vmax), a start stops when a sweep improves by at
     most 1e-12 * max(floor, |previous value|), or after
-    coord_descent_iters sweeps; line searches stop at
+    _MAX_SWEEPS sweeps; line searches stop at
     1e-10 * max(floor, f_i).  A field with vmax >= 1 keeps the floor 1,
     and one below 1 gets tolerances relative to vmax, which scale with
     the field.  Non-smooth couples (a p or q = inf) can stall
-    coordinate descent and run the full coord_descent_iters.
+    coordinate descent and run the full _MAX_SWEEPS.
     """
-    budget = budget or OracleBudget()
     for name, v in (("p0", idx0.p), ("q0", idx0.q), ("p1", idx1.p), ("q1", idx1.q)):
         if v < 1.0:
             raise UsageError(f"continuous oracle needs the convex regime; {name} = {v} < 1")
     if not t >= 0:
         raise UsageError(f"t must be nonnegative, got {t}")
-    N = field.spec.total_coeffs
-    if N > budget.max_total_coeffs:
-        raise BudgetError(
-            f"{N} coefficients exceed the descent budget ({budget.max_total_coeffs})"
-        )
+    scaled, fac = _budgeted(field, budget, "descent")
     if math.isinf(t):
         return besov_norm(field, idx0)
-    fac = _pow2_factor(field.max_abs())
-    if fac != 1.0:
-        field = field.scaled(fac)
+    field = scaled
     floor = min(1.0, field.max_abs())
 
     starts = [tuple(np.zeros_like(v) for v in field.layers),
               tuple(v.copy() for v in field.layers)]
-    if 2**N <= budget.max_subsets:
+    if 2**field.spec.total_coeffs <= _MAX_SUBSETS:
         mask = vertex_tables(field, idx0, idx1, budget).best_split(t, xi=1.0)
         g = _vertex_start(np.concatenate(field.layers), mask)
         if g is not None:
@@ -349,7 +344,7 @@ def k_cuboid_continuous(field: CoeffField, idx0: BesovIndex, idx1: BesovIndex, t
         side0 = _SideAccum(consts0, g0)
         side1 = _SideAccum(consts1, [f - g for f, g in zip(field.layers, g0)])
         val = side0.norm() + t * side1.norm()
-        for _ in range(budget.coord_descent_iters):
+        for _ in range(_MAX_SWEEPS):
             prev = val
             for j, i, fi, xtol in live:
                 x_star = _golden_min(fi, xtol, t, side0.prepare(j, i), side1.prepare(j, i))

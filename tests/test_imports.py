@@ -9,18 +9,24 @@ that sys.modules holds nothing new afterwards.
 
 Every public name must resolve: each name in besovk.__all__ and in a
 submodule's __all__ exists, and each besovk.__all__ name is exported by
-some submodule, so that a deleted function leaves no stale export.
+some submodule, so that a deleted function leaves no stale export.  The
+plan (k_plan, KPlan) is the public K object, and every besovk name the
+benchmark under perfbench/ uses resolves, so that deleting a public name
+cannot silently break it.
 """
 
+import dataclasses
 import importlib
 import json
 import os
 import pkgutil
+import re
 import subprocess
 import sys
 from pathlib import Path
 
-_SRC = Path(__file__).resolve().parents[1] / "src"
+_ROOT = Path(__file__).resolve().parents[1]
+_SRC = _ROOT / "src"
 
 _SCRIPT = r"""
 import json, math, sys
@@ -78,3 +84,35 @@ def test_public_names_resolve():
         exported.update(mod.__all__)
     assert [a for a in besovk.__all__ if not hasattr(besovk, a)] == []
     assert sorted(set(besovk.__all__) - exported) == []
+
+
+def test_plan_is_the_public_k_object():
+    import besovk
+
+    public = set(besovk.__all__)
+    assert {"k_plan", "KPlan", "k_dispatch", "k_curve", "vertex_tables",
+            "k_cuboid_continuous", "OracleBudget"} <= public
+    assert "k_vertex_exact" not in public
+    assert not hasattr(besovk.oracle, "k_vertex_exact")
+    assert [f.name for f in dataclasses.fields(besovk.OracleBudget)] == ["max_total_coeffs"]
+    plan = besovk.KPlan("zero", lambda ts: 0.0 * ts, form="max")
+    assert vars(plan)["form"] == "max"  # a plain attribute, not a property
+
+
+def test_benchmark_names_resolve():
+    # perfbench reaches the package as bk (or self.bk), plus a few
+    # submodule attributes by name; it is read here, never changed
+    import besovk
+    import besovk.cli
+    import besovk.interp
+    import besovk.verify
+
+    used = set()
+    for path in sorted((_ROOT / "perfbench").glob("*.py")):
+        used.update(re.findall(r"\bbk\.([A-Za-z_]\w*)", path.read_text(encoding="utf-8")))
+    assert {"k_curve", "k_dispatch", "k_cuboid_continuous", "vertex_tables"} <= used
+    assert sorted(name for name in used if not hasattr(besovk, name)) == []
+    assert besovk.interp._EXPAND_STEP > 0
+    assert "axioms" in besovk.verify.SUITES
+    assert callable(besovk.verify.run_endpoints)
+    assert callable(besovk.cli.main)

@@ -29,7 +29,7 @@ from besovk.kfunc import (
     _seq_plan,
 )
 from besovk.norms import besov_norm, lp_norm
-from besovk.oracle import k_vertex_exact
+from besovk.oracle import vertex_tables
 
 
 def _field(layers, n=1):
@@ -192,7 +192,7 @@ def test_holmstedt_route_band_vs_oracle():
     query = InterpQuery(i0, i1)
     for t in 2.0 ** np.arange(-8.0, 9.0, 2.0):
         formula = _k(field, query, float(t))
-        oracle = k_vertex_exact(field, i0, i1, float(t))
+        oracle = vertex_tables(field, i0, i1).k(float(t))
         ratio = formula / oracle
         assert 1.0 / 8.0 <= ratio <= 8.0
 
@@ -227,7 +227,7 @@ def test_q_equal_two_layers_q1_sums():
     t = 1.3
     want = _at(_layer_fn(field, query, 0), t) + _at(_layer_fn(field, query, 1), t)
     assert _k(field, query, t) == pytest.approx(want, rel=1e-12)
-    oracle = k_vertex_exact(field, i0, i1, t)
+    oracle = vertex_tables(field, i0, i1).k(t)
     assert 1.0 / 8.0 <= _k(field, query, t) / oracle <= 8.0
 
 
@@ -343,7 +343,7 @@ def test_k_general_band_vs_max_form_oracle():
     ratios = []
     for t in 2.0 ** np.arange(-20.0, 21.0, 4.0):
         ratios.append(_k(field, query, float(t))
-                      / k_vertex_exact(field, i0, i1, float(t), xi=math.inf))
+                      / vertex_tables(field, i0, i1).k(float(t), xi=math.inf))
     assert all(1.0 / 16.0 <= r <= 16.0 for r in ratios)
     assert max(ratios) / min(ratios) <= 16.0
 

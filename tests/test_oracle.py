@@ -16,7 +16,6 @@ from besovk.norms import besov_norm
 from besovk.oracle import (
     OracleBudget,
     k_cuboid_continuous,
-    k_vertex_exact,
     vertex_tables,
 )
 
@@ -63,14 +62,14 @@ def test_single_coefficient_is_min_of_weights():
     w0 = 2.0 ** (1 * (1.0 + 0.5 - 1.0))
     w1 = 2.0 ** (1 * (-0.5 + 0.5 - 0.5))
     for t in (0.01, 1.0, 3.7, 250.0):
-        got = k_vertex_exact(field, idx0, idx1, t)
+        got = vertex_tables(field, idx0, idx1).k(t)
         assert got == pytest.approx(2.5 * min(w0, t * w1), rel=1e-12)
 
 
 def test_zero_field_is_zero():
     field = _field([(0.0, 0.0)])
     idx = BesovIndex(0.0, 1.0, 1.0)
-    assert k_vertex_exact(field, idx, BesovIndex(0.0, 2.0, 2.0), 1.3) == 0.0
+    assert vertex_tables(field, idx, BesovIndex(0.0, 2.0, 2.0)).k(1.3) == 0.0
 
 
 def test_two_coefficient_hand_enumeration():
@@ -79,7 +78,7 @@ def test_two_coefficient_hand_enumeration():
     field = _field([(3.0, 1.0)])
     idx0 = BesovIndex(0.0, 1.0, 1.0)
     idx1 = BesovIndex(0.0, 2.0, 2.0)
-    got = k_vertex_exact(field, idx0, idx1, 0.7)
+    got = vertex_tables(field, idx0, idx1).k(0.7)
     assert got == pytest.approx(0.7 * math.sqrt(10.0), rel=1e-12)
     assert got == pytest.approx(_hand_vertex(field, idx0, idx1, 0.7), rel=1e-12)
 
@@ -89,7 +88,7 @@ def test_three_coefficient_max_form_hand_enumeration():
     idx0 = BesovIndex(0.5, 1.0, 1.0)
     idx1 = BesovIndex(-0.5, math.inf, math.inf)
     for t in (0.2, 1.0, 5.0):
-        got = k_vertex_exact(field, idx0, idx1, t, xi=math.inf)
+        got = vertex_tables(field, idx0, idx1).k(t, xi=math.inf)
         want = _hand_vertex(field, idx0, idx1, t, xi=math.inf)
         assert got == pytest.approx(want, rel=1e-12)
 
@@ -104,15 +103,15 @@ def test_oracle_curve_shape_properties():
     assert (np.diff(ks / ts) <= 1e-12).all()
 
 
-def test_budget_refusal():
+def test_budget_refusal(monkeypatch):
     field = _field([(1.0, 1.0, 1.0), (1.0, 1.0, 1.0)])
     idx0 = BesovIndex(0.0, 1.0, 1.0)
     idx1 = BesovIndex(0.0, 2.0, 2.0)
     with pytest.raises(BudgetError):
-        k_vertex_exact(field, idx0, idx1, 1.0,
-                       budget=OracleBudget(max_total_coeffs=4))
+        vertex_tables(field, idx0, idx1, OracleBudget(max_total_coeffs=4)).k(1.0)
+    monkeypatch.setattr(oracle_mod, "_MAX_SUBSETS", 8)
     with pytest.raises(BudgetError):
-        vertex_tables(field, idx0, idx1, OracleBudget(max_subsets=8))
+        vertex_tables(field, idx0, idx1)
 
 
 def test_cuboid_single_coefficient():
@@ -120,7 +119,7 @@ def test_cuboid_single_coefficient():
     idx0 = BesovIndex(0.3, 2.0, 1.0)
     idx1 = BesovIndex(-0.3, 1.0, 2.0)
     for t in (0.1, 1.0, 9.0):
-        want = k_vertex_exact(field, idx0, idx1, t)
+        want = vertex_tables(field, idx0, idx1).k(t)
         assert k_cuboid_continuous(field, idx0, idx1, t) == pytest.approx(
             want, rel=1e-8)
 
@@ -149,7 +148,7 @@ def test_cuboid_vertex_band():
         idx1 = BesovIndex(-0.4, math.inf, 1.5)
         t = float(rng.uniform(0.2, 5.0))
         cont = k_cuboid_continuous(field, idx0, idx1, t)
-        vert = k_vertex_exact(field, idx0, idx1, t)
+        vert = vertex_tables(field, idx0, idx1).k(t)
         assert cont <= vert + 1e-9
         assert vert <= 2.0 * cont + 1e-9
 
@@ -165,8 +164,8 @@ _small_fields = st.lists(
 def test_commutation_exact(layers, s0, p0, q0, s1, p1, q1, t):
     field = _field(layers)
     idx0, idx1 = BesovIndex(s0, p0, q0), BesovIndex(s1, p1, q1)
-    fwd = k_vertex_exact(field, idx0, idx1, t)
-    rev = t * k_vertex_exact(field, idx1, idx0, 1.0 / t)
+    fwd = vertex_tables(field, idx0, idx1).k(t)
+    rev = t * vertex_tables(field, idx1, idx0).k(1.0 / t)
     assert fwd == pytest.approx(rev, rel=1e-12, abs=1e-300)
 
 
@@ -291,7 +290,7 @@ def test_cuboid_continuous_vertex_start_line_searches(monkeypatch, t, searches):
     # the best vertex split is g = 0 at t = 2^-8 and, with the zero
     # coefficient's bit clear, g = f at 2^8: it is not descended again,
     # so the searches and K are those of the run without a vertex start
-    # (a budget that cannot enumerate); at t = 2 it is a third start
+    # (a mask cap that cannot enumerate); at t = 2 it is a third start
     calls = []
     golden = oracle_mod._golden_min
 
@@ -307,7 +306,8 @@ def test_cuboid_continuous_vertex_start_line_searches(monkeypatch, t, searches):
     k = k_cuboid_continuous(field, idx0, idx1, t)
     assert len(calls) == searches
     calls.clear()
-    k_two_starts = k_cuboid_continuous(field, idx0, idx1, t, OracleBudget(max_subsets=1))
+    monkeypatch.setattr(oracle_mod, "_MAX_SUBSETS", 1)
+    k_two_starts = k_cuboid_continuous(field, idx0, idx1, t)
     if t == 2.0:
         assert len(calls) < searches and k <= k_two_starts
     else:
@@ -346,12 +346,12 @@ def test_oracles_refuse_nan_t():
     tabs = vertex_tables(field, idx0, idx1)
     for t in (math.nan, -1.0):
         with pytest.raises(UsageError):
-            k_vertex_exact(field, idx0, idx1, t)
+            vertex_tables(field, idx0, idx1).k(t)
         with pytest.raises(UsageError):
             tabs.k(t)
         with pytest.raises(UsageError):
             k_cuboid_continuous(field, idx0, idx1, t)
-    assert k_vertex_exact(field, idx0, idx1, 0.0) == tabs.k(0.0) == 0.0
+    assert vertex_tables(field, idx0, idx1).k(0.0) == tabs.k(0.0) == 0.0
     assert k_cuboid_continuous(field, idx0, idx1, 0.0) == 0.0
 
 
@@ -364,7 +364,7 @@ def test_oracles_at_t_inf_give_the_a0_norm():
     assert k_cuboid_continuous(field, idx0, idx1, math.inf) == pytest.approx(want, rel=1e-12)
     for xi in (1.0, math.inf):
         plan = k_plan(field, InterpQuery(idx0, idx1, xi=xi), method="oracle")
-        for got in (k_vertex_exact(field, idx0, idx1, math.inf, xi), plan.k([math.inf])[0]):
+        for got in (vertex_tables(field, idx0, idx1).k(math.inf, xi), plan.k([math.inf])[0]):
             assert got == pytest.approx(want, rel=1e-12), xi
 
 
