@@ -38,6 +38,7 @@ __all__ = [
 
 _EXPAND_STEP = 16.0  # binary decades added per side per expansion
 _WINDOW_LIMIT = 1000.0  # the window widens while it stays inside 2^(+-this)
+_TAIL_REL_TOL = 1e-6  # the window widens until the tails carry at most this share
 
 
 @dataclass(frozen=True)
@@ -45,24 +46,22 @@ class QuadratureSpec:
     """Window and resolution for the interpolation integral.
 
     Exponents are binary: the grid spans [2^t_min_exp, 2^t_max_exp]
-    with points_per_decade nodes per factor of 2.  tail_rel_tol bounds
-    the admissible fraction of the integral carried by the closed-form
-    tails; the window expands until the bound holds.
+    with points_per_decade nodes per factor of 2, which need not be a
+    whole number.  The window expands until the closed-form tails carry
+    at most _TAIL_REL_TOL of the integral.
     """
 
-    points_per_decade: int = 8
+    points_per_decade: float = 8.0
     t_min_exp: float = -20.0
     t_max_exp: float = 20.0
-    tail_rel_tol: float = 1e-6
 
     def __post_init__(self):
-        if self.points_per_decade <= 0:
-            raise UsageError("points_per_decade must be positive")
+        if not 0 < self.points_per_decade < math.inf:
+            raise UsageError(f"points_per_decade must be positive and finite, "
+                             f"got {self.points_per_decade}")
         if not self.t_min_exp < self.t_max_exp:
             raise UsageError("need t_min_exp < t_max_exp")
         _check_t_window(self.t_min_exp, self.t_max_exp)
-        if not 0 < self.tail_rel_tol < 1:
-            raise UsageError("tail_rel_tol must lie in (0, 1)")
 
 
 @dataclass(frozen=True)
@@ -86,7 +85,7 @@ def _interp_scaled(plan: KPlan, theta: float, r: float, quad: QuadratureSpec | N
     Integrates K of the plan's scaled field, whose r-th powers stay in
     range; callers unscale the result.  Cells integrate in closed form
     under the log-linear model; tails use the exact asymptotics.  The
-    window expands until the tails carry under tail_rel_tol of the total
+    window expands until the tails carry under _TAIL_REL_TOL of the total
     (for r = inf, until the sup detaches from the window edge), as long
     as it stays inside 2^(+-_WINDOW_LIMIT), in double range.  A
     widened window reuses K at every node equal, bit for bit, to one
@@ -136,12 +135,12 @@ def _interp_scaled(plan: KPlan, theta: float, r: float, quad: QuadratureSpec | N
             return InterpReport(0.0, method, lo_exp, hi_exp, len(ts),
                                 0.0, 0.0, 0.0)
         frac = (tail_lo + tail_hi) / total
-        if frac <= quad.tail_rel_tol:
+        if frac <= _TAIL_REL_TOL:
             return InterpReport(total ** (1.0 / r), method, lo_exp, hi_exp,
                                 len(ts), tail_lo, tail_hi, frac)
     raise NumericError(
         f"interpolation window grew to [2^{lo_exp}, 2^{hi_exp}] without "
-        f"meeting tail tolerance {quad.tail_rel_tol}")
+        f"meeting tail tolerance {_TAIL_REL_TOL}")
 
 
 def _unscale(x, fac: float, r: float = 1.0) -> float:
@@ -173,19 +172,19 @@ def interp_norm_report(field: CoeffField, query: InterpQuery,
                    tail_high=_unscale(rep.tail_high, plan.fac, deg))
 
 
-def interp_norm(field: CoeffField, query: InterpQuery, method: str = "formula",
-                quad: QuadratureSpec | None = None, budget=None) -> float:
+def interp_norm(field: CoeffField, query: InterpQuery, method: str = "formula") -> float:
     """Interpolation norm of the field for the query's couple and (theta, r).
 
-    Evaluates K by the requested method on the quadrature window,
-    integrates cells in closed form under log-linear K, adds the exact
-    power-law tails, and widens the window until the tails carry less
-    than quad.tail_rel_tol of the total (or, for r = inf, until the
-    sup detaches from the window edge).  NumericError when the norm
-    leaves double range.
+    Evaluates K by the requested method on the default QuadratureSpec
+    window, integrates cells in closed form under log-linear K, adds the
+    exact power-law tails, and widens the window until the tails carry
+    less than _TAIL_REL_TOL of the total (or, for r = inf, until the
+    sup detaches from the window edge).  The oracle method takes the
+    default OracleBudget.  NumericError when the norm leaves double
+    range.
     """
-    plan = k_plan(field, query, budget, method)
-    return _unscale(_interp_scaled(plan, query.theta, query.r, quad, method).value,
+    plan = k_plan(field, query, method=method)
+    return _unscale(_interp_scaled(plan, query.theta, query.r, None, method).value,
                     plan.fac)
 
 
@@ -204,10 +203,9 @@ def intermediate_index(query: InterpQuery) -> BesovIndex:
     return BesovIndex(s=s_mid, p=i0.p, q=query.r)
 
 
-def besov_identity_check(field: CoeffField, query: InterpQuery,
-                         quad: QuadratureSpec | None = None,
-                         method: str = "formula", budget=None) -> float:
-    """interp_norm divided by the Besov norm at the intermediate index.
+def besov_identity_check(field: CoeffField, query: InterpQuery) -> float:
+    """Formula-route interp_norm divided by the Besov norm at the
+    intermediate index.
 
     Bounded above and below by constants depending only on the
     exponents; a diagnostic ratio, not a hard assert.
@@ -216,13 +214,11 @@ def besov_identity_check(field: CoeffField, query: InterpQuery,
     denom = besov_norm(field, target)
     if denom == 0.0:
         raise UsageError("zero field has no identity ratio")
-    return interp_norm(field, query, method=method, quad=quad,
-                       budget=budget) / denom
+    return interp_norm(field, query) / denom
 
 
 def reiteration_check(a, s_a: float, s_b: float, theta0: float, theta1: float,
-                      eta: float, qs: tuple[float, float, float],
-                      quad: QuadratureSpec | None = None) -> dict:
+                      eta: float, qs: tuple[float, float, float]) -> dict:
     """Compare both sides of reinterpolating two interpolation spaces.
 
     The two inner spaces of the weighted couple (l^{s_a,*}, l^{s_b,*})
@@ -243,7 +239,7 @@ def reiteration_check(a, s_a: float, s_b: float, theta0: float, theta1: float,
     c1 = (1.0 - theta1) * s_a + theta1 * s_b
     s_final = (1.0 - eta) * c0 + eta * c1
     plan = _seq_plan(arr, c0, q0, c1, q1)
-    lhs = _unscale(_interp_scaled(plan, eta, q, quad, "formula").value, plan.fac)
+    lhs = _unscale(_interp_scaled(plan, eta, q, None, "formula").value, plan.fac)
     rhs = weighted_lq_norm(arr, s_final, q)
     if rhs == 0.0:
         raise UsageError("zero sequence has no reiteration ratio")

@@ -837,13 +837,13 @@ def k_plan(field: CoeffField, query: InterpQuery, budget=None,
     return _scaled_plan(label, field.max_abs(), scaled, form)
 
 
-def k_dispatch(field: CoeffField, query: InterpQuery, t: float,
-               budget=None) -> tuple[float, str]:
+def k_dispatch(field: CoeffField, query: InterpQuery, t: float) -> tuple[float, str]:
     """Route a K evaluation by index regime; returns (value, method tag).
 
-    One-t use of k_plan, which describes the routes.
+    One-t use of k_plan, which describes the routes; an ORACLE_ONLY
+    query takes the default OracleBudget.
     """
-    plan = k_plan(field, query, budget)
+    plan = k_plan(field, query)
     return float(plan.k(np.array([t], dtype=float))[0]), plan.label
 
 

@@ -117,8 +117,9 @@ class VertexTables:
     def k(self, t: float, xi: float = 1.0) -> float:
         return float(self._split_values(t, xi).min()) / self.fac
 
-    def best_split(self, t: float, xi: float = 1.0) -> int:
-        return int(self._split_values(t, xi).argmin())
+    def best_split(self, t: float) -> int:
+        """The lowest mask that attains the sum-form (xi = 1) minimum."""
+        return int(self._split_values(t, 1.0).argmin())
 
     def curve(self, ts, xi: float = 1.0) -> np.ndarray:
         """k at each t of ts."""
@@ -290,16 +291,17 @@ def _vertex_start(flat: np.ndarray, mask: int) -> np.ndarray | None:
     return np.where((mask >> ks) & 1 == 1, flat, 0.0)
 
 
-def k_cuboid_continuous(field: CoeffField, idx0: BesovIndex, idx1: BesovIndex, t: float,
-                        budget: OracleBudget | None = None) -> float:
+def k_cuboid_continuous(field: CoeffField, idx0: BesovIndex, idx1: BesovIndex,
+                        t: float) -> float:
     """Continuous decomposition infimum over the box 0 <= g <= f.
 
     Convex regime only (all indices >= 1): the objective
     ||g||_A0 + t ||f - g||_A1 is then jointly convex and cyclic
     coordinate descent with exact line searches converges.  Descent is
     multi-started from g = 0, g = f, and the best vertex split (when
-    enumeration fits the budget), so the returned value never exceeds
-    the vertex minimum.  A vertex split equal to g = 0 or g = f is not
+    its table fits _MAX_SUBSETS), so the returned value never exceeds
+    the vertex minimum.  A field of more coefficients than the default
+    OracleBudget allows is refused (BudgetError).  A vertex split equal to g = 0 or g = f is not
     descended again: descent is deterministic and would repeat its value.
     At t = inf only g = f is finite, and K is ||f||_A0.
 
@@ -322,7 +324,7 @@ def k_cuboid_continuous(field: CoeffField, idx0: BesovIndex, idx1: BesovIndex, t
             raise UsageError(f"continuous oracle needs the convex regime; {name} = {v} < 1")
     if not t >= 0:
         raise UsageError(f"t must be nonnegative, got {t}")
-    scaled, fac = _budgeted(field, budget, "descent")
+    scaled, fac = _budgeted(field, None, "descent")
     if math.isinf(t):
         return besov_norm(field, idx0)
     field = scaled
@@ -331,7 +333,7 @@ def k_cuboid_continuous(field: CoeffField, idx0: BesovIndex, idx1: BesovIndex, t
     starts = [tuple(np.zeros_like(v) for v in field.layers),
               tuple(v.copy() for v in field.layers)]
     if 2**field.spec.total_coeffs <= _MAX_SUBSETS:
-        mask = vertex_tables(field, idx0, idx1, budget).best_split(t, xi=1.0)
+        mask = vertex_tables(field, idx0, idx1).best_split(t)
         g = _vertex_start(np.concatenate(field.layers), mask)
         if g is not None:
             starts.append(tuple(np.split(g, np.cumsum(field.spec.layer_sizes)[:-1])))

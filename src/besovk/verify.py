@@ -96,9 +96,9 @@ def _rand_sizes(rng, max_total: int, j_max: int) -> tuple[int, ...]:
 
 
 def _rand_field(rng, max_total: int = 12, j_max: int = 3,
-                n_pool=(1, 2), zero_prob: float = 0.15) -> CoeffField:
+                zero_prob: float = 0.15) -> CoeffField:
     sizes = _rand_sizes(rng, max_total, j_max)
-    n = int(rng.choice(n_pool))
+    n = int(rng.choice((1, 2)))
     layers = []
     for m in sizes:
         v = rng.uniform(0.1, 2.0, size=m)
@@ -109,9 +109,8 @@ def _rand_field(rng, max_total: int = 12, j_max: int = 3,
     return CoeffField(GridSpec(n=n, J=len(sizes), layer_sizes=sizes), layers)
 
 
-def _rand_index(rng, p_pool=_FULL_POOL, q_pool=_FULL_POOL,
-                s_lo: float = -2.0, s_hi: float = 2.0) -> BesovIndex:
-    return BesovIndex(s=float(rng.uniform(s_lo, s_hi)),
+def _rand_index(rng, p_pool=_FULL_POOL, q_pool=_FULL_POOL) -> BesovIndex:
+    return BesovIndex(s=float(rng.uniform(-2.0, 2.0)),
                       p=float(rng.choice(p_pool)),
                       q=float(rng.choice(q_pool)))
 

@@ -1,6 +1,10 @@
 import json
 import math
+import os
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -8,9 +12,10 @@ import pytest
 import besovk.cli
 import besovk.verify
 from besovk.cli import main
-from besovk.coeffs import read_field
-from besovk.grid import BesovIndex
-from besovk.interp import interp_norm
+from besovk.coeffs import generate, read_field
+from besovk.errors import DataError
+from besovk.grid import BesovIndex, GridSpec
+from besovk.interp import QuadratureSpec, interp_norm, interp_norm_report
 from besovk.kfunc import InterpQuery, KPlan
 from besovk.norms import besov_norm
 
@@ -42,6 +47,48 @@ def test_norm_unit_spike_golden(capsys):
     code, out = run(capsys, ["norm"] + SPIKE + ["--s0", "0", "--p0", "2", "--q0", "2"])
     assert code == 0
     assert out == '{\n  "besov_norm": 1.0\n}\n'
+
+
+def test_norm_lorentz_to_file(capsys, tmp_path):
+    # the spike sits in layer 1 of n = 1 at height 2^(1/2), measure 1/2:
+    # the levels 2^u, u <= 0, count, so the r = 2 functional is
+    # ((1/2)^(r/p) / (1 - 2^-r))^(1/r) = (2/3)^(1/2)
+    argv = ["norm"] + SPIKE + ["--s0", "0", "--p0", "2", "--q0", "2", "--lorentz-r", "2"]
+    code, out = run(capsys, argv)
+    assert code == 0
+    assert json.loads(out) == {"besov_norm": 1.0,
+                               "besov_lorentz_norm": pytest.approx(math.sqrt(2.0 / 3.0),
+                                                                   rel=1e-15)}
+    path = tmp_path / "norm.json"
+    code, printed = run(capsys, argv + ["--out", str(path)])
+    assert (code, printed) == (0, "")
+    assert path.read_text(encoding="utf-8") == out
+    assert main(["norm"] + SPIKE + ["--lorentz-r", "0"]) == 2
+    assert capsys.readouterr().err == "error: indices must be positive\n"
+
+
+@pytest.mark.parametrize("doc, match", [
+    ({"n": 0, "layers": [{"j": 0, "coeffs": [1.0]}]}, "'n' must be a positive integer"),
+    ({"n": 1.0, "layers": [{"j": 0, "coeffs": [1.0]}]}, "'n' must be a positive integer"),
+    ({"n": 1, "layers": []}, "'layers' must be a nonempty list"),
+    ({"n": 1, "layers": {"j": 0}}, "'layers' must be a nonempty list"),
+    ({"n": 1, "layers": [[1.0]]}, "layer 0 must carry 'j' and 'coeffs'"),
+    ({"n": 1, "layers": [{"j": 0}]}, "layer 0 must carry 'j' and 'coeffs'"),
+    ({"n": 1, "layers": [{"j": 0, "coeffs": [1.0]}, {"j": 2, "coeffs": [1.0]}]},
+     "contiguous from 0, found j=2 at slot 1"),
+    ({"n": 1, "layers": [{"j": 0, "coeffs": []}]}, "layer 0 has no coefficients"),
+    ({"n": 1, "layers": [{"j": 0, "coeffs": 1.0}]}, "layer 0 has no coefficients"),
+    ({"n": 1, "layers": [{"j": 0, "coeffs": [1.0, math.nan]}]},
+     "layer 0 has non-finite coefficients"),
+    ({"n": 1, "layers": [{"j": 0, "coeffs": [1e400]}]}, "layer 0 has non-finite coefficients"),
+])
+def test_malformed_field_file_exit_2(capsys, tmp_path, doc, match):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    with pytest.raises(DataError, match=match):
+        read_field(path)
+    assert main(["norm", "--input", str(path)]) == 2
+    assert capsys.readouterr().err.startswith(f"error: {path}: ")
 
 
 def test_norm_missing_file_exit_2(capsys):
@@ -133,6 +180,22 @@ def test_interpnorm_closed_form_and_parity(capsys, tmp_path):
     field = read_field(path)
     want = interp_norm(field, InterpQuery(idx, idx, theta=0.5, r=1.0))
     assert doc["value"] == want
+
+
+@pytest.mark.parametrize("ppd", [2.5, 2.4, 0.4])
+def test_interpnorm_fractional_points_per_decade(capsys, ppd):
+    # the density is used as given, not rounded to a whole number
+    code, out = run(capsys, ["interpnorm"] + SPIKE + ["--points-per-decade", repr(ppd)])
+    assert code == 0
+    doc = json.loads(out)
+    win = doc["window"]
+    assert win["points"] == round((win["t_max_exp"] - win["t_min_exp"]) * ppd) + 1
+    assert win["points"] != round((win["t_max_exp"] - win["t_min_exp"]) * round(ppd)) + 1
+    spike = generate(GridSpec(n=1, J=2, layer_sizes=(2, 3)), "single-spike", 7)
+    idx = BesovIndex(0.0, 2.0, 2.0)
+    rep = interp_norm_report(spike, InterpQuery(idx, idx),
+                             quad=QuadratureSpec(points_per_decade=ppd))
+    assert (doc["value"], win["points"]) == (rep.value, rep.n_points)
 
 
 def test_interpnorm_sup_form(capsys, tmp_path):
@@ -246,3 +309,17 @@ def test_bad_spec_exit_2(capsys):
                  "--spec", "2,1,2"]) == 2
     assert main(["generate", "--generate", "single-spike",
                  "--spec", "a,b,c"]) == 2
+
+
+def test_python_dash_m_matches_main(capsys):
+    # python -m besovk runs cli.main: same stdout, stderr and exit code
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+    for argv in (["kcurve"] + SPIKE + ["--s1", "0.5"],
+                 ["kcurve"] + SPIKE + ["--points-per-decade", "-1"]):
+        proc = subprocess.run([sys.executable, "-m", "besovk", *argv], env=env,
+                              capture_output=True, text=True, timeout=120)
+        code = main(argv)
+        captured = capsys.readouterr()
+        assert (proc.returncode, proc.stdout, proc.stderr) == (code, captured.out,
+                                                               captured.err)
+    assert code == 2 and captured.out == ""

@@ -12,11 +12,14 @@ submodule's __all__ exists, and each besovk.__all__ name is exported by
 some submodule, so that a deleted function leaves no stale export.  The
 plan (k_plan, KPlan) is the public K object, and every besovk name the
 benchmark under perfbench/ uses resolves, so that deleting a public name
-cannot silently break it.
+cannot silently break it.  Every optional parameter of the public
+functions is one some caller sets; the signatures pinned below hold no
+setting that every caller leaves at its default.
 """
 
 import dataclasses
 import importlib
+import inspect
 import json
 import os
 import pkgutil
@@ -116,3 +119,24 @@ def test_benchmark_names_resolve():
     assert "axioms" in besovk.verify.SUITES
     assert callable(besovk.verify.run_endpoints)
     assert callable(besovk.cli.main)
+
+
+def _params(fn) -> list[str]:
+    return [p.name if p.default is p.empty else f"{p.name}={p.default!r}"
+            for p in inspect.signature(fn).parameters.values()]
+
+
+def test_signatures_hold_only_settings_a_caller_sets():
+    import besovk
+    from besovk.oracle import VertexTables
+
+    assert _params(besovk.interp_norm) == ["field", "query", "method='formula'"]
+    assert _params(besovk.besov_identity_check) == ["field", "query"]
+    assert _params(besovk.reiteration_check) == [
+        "a", "s_a", "s_b", "theta0", "theta1", "eta", "qs"]
+    assert _params(besovk.k_dispatch) == ["field", "query", "t"]
+    assert _params(besovk.k_cuboid_continuous) == ["field", "idx0", "idx1", "t"]
+    assert _params(VertexTables.best_split) == ["self", "t"]
+    assert [f.name for f in dataclasses.fields(besovk.QuadratureSpec)] == [
+        "points_per_decade", "t_min_exp", "t_max_exp"]
+    assert besovk.interp._TAIL_REL_TOL == 1e-6

@@ -7,6 +7,7 @@ from besovk.coeffs import CoeffField
 from besovk.errors import BesovkError, NumericError, UsageError
 from besovk.grid import BesovIndex, GridSpec
 from besovk.interp import (
+    _TAIL_REL_TOL,
     QuadratureSpec,
     _interp_scaled,
     besov_identity_check,
@@ -47,7 +48,7 @@ def test_report_fields_and_tail_control():
     assert rep.method == "formula"
     assert rep.value == pytest.approx(8.0, rel=1e-4)
     assert rep.n_points >= 1
-    assert rep.tail_fraction <= QuadratureSpec().tail_rel_tol
+    assert rep.tail_fraction <= _TAIL_REL_TOL
     assert rep.t_min_exp < 0 < rep.t_max_exp
 
 
@@ -149,7 +150,7 @@ def test_window_expansion_controls_tails():
     quad = QuadratureSpec(t_min_exp=-2.0, t_max_exp=2.0)
     rep = interp_norm_report(field, query, quad=quad)
     assert rep.t_max_exp > 2.0
-    assert rep.tail_fraction <= quad.tail_rel_tol
+    assert rep.tail_fraction <= _TAIL_REL_TOL
     assert rep.value == pytest.approx(4.0, rel=1e-4)
 
 

@@ -90,6 +90,17 @@ def test_kcurve_refuses_t_grid_off_the_doubles(t):
         KCurve(np.array(t), np.zeros(len(t)), "formula:degenerate")
 
 
+@pytest.mark.parametrize("bad", [0.0, -0.0, -1.0, -math.inf, math.nan])
+def test_plan_refuses_t_not_positive(bad):
+    # a plan answers only t > 0; a nan fails that comparison too
+    plan = k_plan(_field([(0.0, 1.0)]), InterpQuery(BesovIndex(0.0, 2.0, 2.0),
+                                                    BesovIndex(0.0, 2.0, 2.0)))
+    assert plan.k([0.5, 2.0]).tolist() == [0.5, 1.0]  # min(1, t) ||f||, ||f|| = 1
+    for evaluate in (plan.k, plan.k_scaled):
+        with pytest.raises(UsageError, match=f"t must be positive, got {bad}"):
+            evaluate([1.0, bad])
+
+
 def test_default_t_grid_refuses_ends_off_the_doubles():
     # 2^1030 is inf, 2^-1080 rounds to 0; 2^-1074 is the least subnormal
     for lo, hi in ((-20.0, 1030.0), (-1080.0, 20.0), (math.nan, 20.0), (-20.0, math.inf)):

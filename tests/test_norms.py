@@ -149,6 +149,19 @@ def test_lorentz_matches_fine_quadrature():
     assert lorentz_seq_norm(v, p, q) == pytest.approx(want, rel=1e-6)
 
 
+@pytest.mark.parametrize("p", [1.0, 2.0])
+def test_lorentz_sup_form(p):
+    # q = inf: sup over tau of tau^(1/p) f*(tau), with f* the step
+    # rearrangement (2.5, 2.2, 1.0) on [0, 1), [1, 2), [2, 3)
+    v = (1.0, 2.5, 2.2)
+    want = {1.0: 2.0 * 2.2, 2.0: math.sqrt(2.0) * 2.2}[p]
+    assert lorentz_seq_norm(v, p, math.inf) == pytest.approx(want, rel=1e-15)
+    taus = np.linspace(0.0, 3.0, 3_000_001)[1:-1]
+    fstar = np.array([2.5, 2.2, 1.0])[taus.astype(int)]
+    assert lorentz_seq_norm(v, p, math.inf) == pytest.approx(
+        np.max(taus ** (1.0 / p) * fstar), rel=1e-6)
+
+
 def _dyadic_lorentz_series(values, n, j, p, r, u_pad=220):
     """Independent brute-force dyadic series for one layer."""
     v = 2.0 ** (n * j / 2.0) * np.asarray(values, dtype=float)
@@ -188,10 +201,22 @@ def test_besov_lorentz_matches_dyadic_oracle():
     field = _field([rng.uniform(0.0, 2.0, size=5),
                     rng.uniform(0.0, 2.0, size=3)], n=2)
     for (s, p, q, r) in ((0.5, 1.0, 1.0, 1.0), (-0.3, 2.0, 1.5, 0.75),
-                         (0.0, 1.3, 2.0, math.inf)):
+                         (0.0, 1.3, 2.0, math.inf), (0.5, math.inf, 1.0, 1.5),
+                         (-0.3, math.inf, 2.0, math.inf)):
         terms = [_dyadic_lorentz_series(field.layers[j], 2, j, p, r)
                  for j in range(2)]
         want = weighted_lq_norm(np.asarray(terms), s, q)
         got = besov_lorentz_norm(field, s, p, q, r)
         assert got == pytest.approx(want, rel=1e-4)
 
+
+def test_besov_lorentz_at_p_inf():
+    # p = inf: a level set counts 1 while it is nonempty, whatever its
+    # measure.  One coefficient 0.73 in layer 1 of n = 1 has height
+    # 0.73 * 2^(1/2) in (1, 2), so the levels 2^u, u <= 0, count: the sup
+    # is 2^0 and the sum of 4^u is 4/3.
+    one = _field([(0.0,), (0.73,)], n=1)
+    assert besov_lorentz_norm(one, 0.4, math.inf, 1.0, math.inf) == pytest.approx(
+        2.0**0.4, rel=1e-15)
+    assert besov_lorentz_norm(one, 0.4, math.inf, 1.0, 2.0) == pytest.approx(
+        2.0**0.4 * math.sqrt(4.0 / 3.0), rel=1e-15)
