@@ -9,7 +9,7 @@ by accident.  The formula routes are checked against it.
 
 import numpy as np
 
-from besovk import (BesovIndex, CoeffField, GridSpec, InterpQuery, OracleBudget,
+from besovk import (BesovIndex, CoeffField, GridSpec, InterpQuery,
                     k_cuboid_continuous, k_dispatch, vertex_tables)
 from besovk.errors import BudgetError
 
@@ -38,8 +38,7 @@ kc = k_cuboid_continuous(field, i0, i1, t)
 print(f"continuous relaxation: {kc:.6f}  vertex/continuous = {k1 / kc:.4f}")
 
 # budgets turn exponential blowups into clean refusals
-tight = OracleBudget(max_total_coeffs=3)
 try:
-    vertex_tables(field, i0, i1, budget=tight).k(1.0)
+    vertex_tables(field, i0, i1, budget=3).k(1.0)
 except BudgetError as e:
     print("\nbudget refusal:", e)

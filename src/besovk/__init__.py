@@ -45,7 +45,6 @@ from .norms import (
     weighted_lq_norm,
 )
 from .oracle import (
-    OracleBudget,
     k_cuboid_continuous,
     vertex_tables,
 )
@@ -68,7 +67,6 @@ __all__ = [
     "KCurve",
     "KPlan",
     "NumericError",
-    "OracleBudget",
     "QuadratureSpec",
     "SUITES",
     "UsageError",

@@ -20,7 +20,6 @@ from .grid import BesovIndex, GridSpec
 from .interp import QuadratureSpec, interp_norm_report
 from .kfunc import InterpQuery, default_t_grid, k_curve
 from .norms import besov_lorentz_norm, besov_norm
-from .oracle import OracleBudget
 from .verify import SUITES, run_suite
 
 __all__ = ["main", "entrypoint", "build_parser"]
@@ -105,12 +104,6 @@ def _query(args) -> InterpQuery:
     return InterpQuery(idx0, idx1, **kwargs)
 
 
-def _budget(args) -> OracleBudget | None:
-    if args.budget is None:
-        return None
-    return OracleBudget(max_total_coeffs=args.budget)
-
-
 def _emit(text: str, out: str | None) -> None:
     if out:
         with open(out, "w", encoding="utf-8") as fh:
@@ -138,7 +131,7 @@ def cmd_kcurve(args) -> int:
     field = _load_field(args)
     query = _query(args)
     ts = default_t_grid(args.t_min_exp, args.t_max_exp, args.points_per_decade)
-    curve = k_curve(field, query, ts=ts, method=args.method, budget=_budget(args))
+    curve = k_curve(field, query, ts=ts, method=args.method, budget=args.budget)
     if args.format == "json":
         obj = {
             "method": curve.method,
@@ -159,7 +152,7 @@ def cmd_interpnorm(args) -> int:
     query = _query(args)
     quad = QuadratureSpec(args.points_per_decade, args.t_min_exp, args.t_max_exp)
     rep = interp_norm_report(field, query, method=args.method, quad=quad,
-                             budget=_budget(args))
+                             budget=args.budget)
     obj = {
         "value": rep.value,
         "method": rep.method,

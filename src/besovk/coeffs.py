@@ -2,15 +2,16 @@
 
 A field stores one nonnegative magnitude per grid slot.  Signs and
 phases are irrelevant to every norm and K-functional here, so they are
-stripped on entry (abs_reduce); NaN is rejected rather than silently
-propagated.
+stripped on entry (abs_reduce); NaN, inf and layers that are not 1-D
+are rejected rather than silently propagated.
 
 File format (JSON)::
 
     {"n": 1, "layers": [{"j": 0, "coeffs": [0.5, 1.0]}, {"j": 1, "coeffs": [0.25]}]}
 
-Layers must be sorted by j, contiguous from 0, with nonnegative finite
-coefficients.  The writer emits exactly this shape.
+``n`` and each ``j`` are JSON integers; layers must be sorted by j,
+contiguous from 0, with nonnegative finite numbers as coefficients (not
+booleans, strings or nested lists).  The writer emits exactly this shape.
 """
 
 from __future__ import annotations
@@ -50,11 +51,15 @@ class CoeffField:
 
     def __post_init__(self):
         layers = tuple(_freeze(np.asarray(v, dtype=float)) for v in self.layers)
+        for j, v in enumerate(layers):
+            if v.ndim != 1:
+                raise DataError(f"layer {j} has shape {v.shape}; a layer is 1-D")
         validate_compat(self.spec, layers)
         vmax = 0.0
         for j, v in enumerate(layers):
-            if np.isnan(v).any():
-                raise DataError(f"layer {j} contains NaN")
+            if not np.isfinite(v).all():
+                bad = "NaN" if np.isnan(v).any() else "inf"
+                raise DataError(f"layer {j} contains {bad}")
             if (v < 0).any():
                 raise DataError(f"layer {j} has negative magnitudes")
             vmax = max(vmax, float(v.max()))
@@ -139,7 +144,8 @@ def read_field(path) -> CoeffField:
     if not isinstance(doc, dict) or "n" not in doc or "layers" not in doc:
         raise DataError(f"{path}: expected an object with 'n' and 'layers'")
     n = doc["n"]
-    if not isinstance(n, int) or n < 1:
+    # JSON true and false load as bool, which Python counts as an int
+    if type(n) is not int or n < 1:
         raise DataError(f"{path}: 'n' must be a positive integer")
     entries = doc["layers"]
     if not isinstance(entries, list) or not entries:
@@ -148,6 +154,8 @@ def read_field(path) -> CoeffField:
     for pos, entry in enumerate(entries):
         if not isinstance(entry, dict) or "j" not in entry or "coeffs" not in entry:
             raise DataError(f"{path}: layer {pos} must carry 'j' and 'coeffs'")
+        if type(entry["j"]) is not int:
+            raise DataError(f"{path}: layer {pos} has a 'j' that is not an integer")
         if entry["j"] != pos:
             raise DataError(
                 f"{path}: layers must be contiguous from 0, found j={entry['j']} at slot {pos}"
@@ -155,6 +163,8 @@ def read_field(path) -> CoeffField:
         coeffs = entry["coeffs"]
         if not isinstance(coeffs, list) or not coeffs:
             raise DataError(f"{path}: layer {pos} has no coefficients")
+        if not all(type(c) in (int, float) for c in coeffs):
+            raise DataError(f"{path}: layer {pos} has coefficients that are not numbers")
         arr = np.asarray(coeffs, dtype=float)
         if not np.isfinite(arr).all():
             raise DataError(f"{path}: layer {pos} has non-finite coefficients")

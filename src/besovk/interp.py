@@ -161,7 +161,7 @@ def _unscale(x, fac: float, r: float = 1.0) -> float:
 def interp_norm_report(field: CoeffField, query: InterpQuery,
                        method: str = "formula",
                        quad: QuadratureSpec | None = None,
-                       budget=None) -> InterpReport:
+                       budget: int | None = None) -> InterpReport:
     """interp_norm plus window and tail diagnostics; NumericError when a
     tail mass (of degree r in K) leaves double range."""
     plan = k_plan(field, query, budget, method)
@@ -180,8 +180,8 @@ def interp_norm(field: CoeffField, query: InterpQuery, method: str = "formula") 
     exact power-law tails, and widens the window until the tails carry
     less than _TAIL_REL_TOL of the total (or, for r = inf, until the
     sup detaches from the window edge).  The oracle method takes the
-    default OracleBudget.  NumericError when the norm leaves double
-    range.
+    default budget of 20 coefficients.  NumericError when the norm
+    leaves double range.
     """
     plan = k_plan(field, query, method=method)
     return _unscale(_interp_scaled(plan, query.theta, query.r, None, method).value,

@@ -809,7 +809,7 @@ _ROUTES = {
 }
 
 
-def k_plan(field: CoeffField, query: InterpQuery, budget=None,
+def k_plan(field: CoeffField, query: InterpQuery, budget: int | None = None,
            method: str = "formula") -> KPlan:
     """Select the route for the query's index regime once and build its
     t-independent state; the plan's k(ts) then evaluates K on t arrays.
@@ -817,7 +817,8 @@ def k_plan(field: CoeffField, query: InterpQuery, budget=None,
     The GENERAL route computes the max-form functional (within a factor
     2 of the sum form); other routes target the sum form.  Queries with
     p and q both different and a q = inf fall outside the closed forms
-    and are answered by the enumeration oracle, subject to its budget.
+    and are answered by the enumeration oracle, which refuses a field of
+    more than budget coefficients (None means 20).
     method 'oracle' takes the enumeration oracle whatever the regime,
     which alone honours an xi other than 1 and inf; the formula routes
     compute a fixed form and refuse one (UsageError).
@@ -841,14 +842,14 @@ def k_dispatch(field: CoeffField, query: InterpQuery, t: float) -> tuple[float, 
     """Route a K evaluation by index regime; returns (value, method tag).
 
     One-t use of k_plan, which describes the routes; an ORACLE_ONLY
-    query takes the default OracleBudget.
+    query takes the default budget of 20 coefficients.
     """
     plan = k_plan(field, query)
     return float(plan.k(np.array([t], dtype=float))[0]), plan.label
 
 
 def k_curve(field: CoeffField, query: InterpQuery, ts=None, method: str = "formula",
-            budget=None) -> KCurve:
+            budget: int | None = None) -> KCurve:
     """Sample K on a t grid; method 'formula' or 'oracle'.
 
     The t-independent state is built once and the whole grid is

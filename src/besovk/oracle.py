@@ -11,15 +11,14 @@ Two independent references for the closed-form engine:
   searches.  Valid in the convex regime (all indices >= 1).
 
 Both refuse problems larger than their budget rather than truncating.
-OracleBudget caps the coefficient count; the enumeration also refuses
-more than _MAX_SUBSETS masks, and a descent start stops after
-_MAX_SWEEPS sweeps.
+The budget is a coefficient count (None means _MAX_COEFFS); the
+enumeration also refuses more than _MAX_SUBSETS masks, and a descent
+start stops after _MAX_SWEEPS sweeps.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -29,27 +28,22 @@ from .grid import BesovIndex, layer_weight
 from .norms import _pow2_factor, besov_norm
 
 __all__ = [
-    "OracleBudget",
     "vertex_tables",
     "k_cuboid_continuous",
 ]
 
-_MAX_SUBSETS = 2**20  # masks the enumeration tables may hold
+_MAX_COEFFS = 20  # coefficients an oracle takes when no budget is given
+_MAX_SUBSETS = 2**_MAX_COEFFS  # masks the enumeration tables may hold
 _MAX_SWEEPS = 500  # coordinate-descent sweeps per start
 
 
-@dataclass(frozen=True)
-class OracleBudget:
-    max_total_coeffs: int = 20
-
-
-def _budgeted(field: CoeffField, budget: OracleBudget | None,
+def _budgeted(field: CoeffField, budget: int | None,
               what: str) -> tuple[CoeffField, float]:
     """The one budget site of both oracles: refuse a field of more
-    coefficients than the budget allows (BudgetError), else return the
-    field scaled by the one rescaling rule (norms._pow2_factor) and the
-    factor, which K divides out."""
-    limit = (budget or OracleBudget()).max_total_coeffs
+    coefficients than the budget allows (BudgetError; None means
+    _MAX_COEFFS), else return the field scaled by the one rescaling rule
+    (norms._pow2_factor) and the factor, which K divides out."""
+    limit = _MAX_COEFFS if budget is None else budget
     N = field.spec.total_coeffs
     if N > limit:
         raise BudgetError(f"{N} coefficients exceed the {what} budget ({limit}); "
@@ -78,7 +72,7 @@ class VertexTables:
     """
 
     def __init__(self, field: CoeffField, idx0: BesovIndex, idx1: BesovIndex,
-                 budget: OracleBudget | None = None):
+                 budget: int | None = None):
         field, self.fac = _budgeted(field, budget, "enumeration")
         N = field.spec.total_coeffs
         if 2**N > _MAX_SUBSETS:
@@ -127,7 +121,7 @@ class VertexTables:
 
 
 def vertex_tables(field: CoeffField, idx0: BesovIndex, idx1: BesovIndex,
-                  budget: OracleBudget | None = None) -> VertexTables:
+                  budget: int | None = None) -> VertexTables:
     return VertexTables(field, idx0, idx1, budget)
 
 
@@ -300,10 +294,10 @@ def k_cuboid_continuous(field: CoeffField, idx0: BesovIndex, idx1: BesovIndex,
     coordinate descent with exact line searches converges.  Descent is
     multi-started from g = 0, g = f, and the best vertex split (when
     its table fits _MAX_SUBSETS), so the returned value never exceeds
-    the vertex minimum.  A field of more coefficients than the default
-    OracleBudget allows is refused (BudgetError).  A vertex split equal to g = 0 or g = f is not
-    descended again: descent is deterministic and would repeat its value.
-    At t = inf only g = f is finite, and K is ||f||_A0.
+    the vertex minimum.  A field of more than _MAX_COEFFS coefficients
+    is refused (BudgetError).  A vertex split equal to g = 0 or g = f is
+    not descended again: descent is deterministic and would repeat its
+    value.  At t = inf only g = f is finite, and K is ||f||_A0.
 
     The descent runs on the field scaled by the one rescaling rule
     (norms._pow2_factor) and unscales at the end.  Each line search is

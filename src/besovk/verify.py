@@ -4,6 +4,10 @@ Each suite draws reproducible random instances, measures the documented
 property (an identity, a band, or an exactness claim), and reports the
 worst case observed.  The suites back the command-line `verify` command
 and the acceptance tests; they are deterministic for a fixed seed.
+Each suite declares its name, default seed and size (instances drawn)
+where it is defined, in its `_suite` decorator; the decorator seeds the
+generator, times the suite, builds its report and registers it in
+SUITES, and the public run_* takes the seed alone.
 
 Band limits are engineering tolerances for the equivalence constants,
 not sharp theory constants.  Every suite that tests a K route draws its
@@ -26,6 +30,7 @@ import time
 import numpy as np
 
 from .coeffs import CoeffField
+from .errors import UsageError
 from .grid import BesovIndex, GridSpec, layer_weight
 from .interp import besov_identity_check, interp_norm, reiteration_check
 from .kfunc import InterpQuery, k_plan
@@ -72,16 +77,32 @@ def _check(name: str, worst: float, limit: float) -> dict:
             "passed": bool(worst <= limit)}
 
 
-def _report(suite: str, seed: int, instances: int, checks: list[dict],
-            t0: float) -> dict:
-    return {
-        "suite": suite,
-        "seed": seed,
-        "instances": instances,
-        "checks": checks,
-        "passed": all(c["passed"] for c in checks),
-        "elapsed_s": round(time.perf_counter() - t0, 3),
-    }
+SUITES = {}
+
+
+def _suite(name: str, seed: int, size: int):
+    """Register a suite body(rng, size) -> checks as SUITES[name]: the
+    returned run(seed) draws size instances from a generator seeded
+    with seed and reports the checks with the time they took."""
+    def register(body):
+        def run(seed: int = seed) -> dict:
+            t0 = time.perf_counter()
+            checks = body(np.random.default_rng(seed), size)
+            return {
+                "suite": name,
+                "seed": seed,
+                "instances": size,
+                "checks": checks,
+                "passed": all(c["passed"] for c in checks),
+                "elapsed_s": round(time.perf_counter() - t0, 3),
+            }
+
+        run.__name__ = run.__qualname__ = body.__name__
+        run.__doc__ = body.__doc__
+        SUITES[name] = run
+        return run
+
+    return register
 
 
 def _rand_sizes(rng, max_total: int, j_max: int) -> tuple[int, ...]:
@@ -159,11 +180,10 @@ def _single_worst(rng, route: str, count: int, ts) -> float:
 # ---------------------------------------------------------------------------
 
 
-def run_axioms(seed: int = 101, count: int = 500) -> dict:
+@_suite("axioms", seed=101, size=500)
+def run_axioms(rng, count: int) -> list[dict]:
     """Exact oracle axioms: commutation, homogeneity, monotonicity in t
     and in |f|, K/t antitonicity, and the xi sandwich, at 1e-9 relative."""
-    t0 = time.perf_counter()
-    rng = np.random.default_rng(seed)
     worst = {k: 0.0 for k in (
         "commutativity", "homogeneity", "t-monotone", "k-over-t-antitone",
         "coordinate-monotone", "sandwich")}
@@ -210,15 +230,13 @@ def run_axioms(seed: int = 101, count: int = 500) -> dict:
         rref = max(float(ratios.max()), 1e-300)
         worst["k-over-t-antitone"] = max(worst["k-over-t-antitone"],
                                          float(np.diff(ratios).max()) / rref)
-    checks = [_check(name, w, 1e-9) for name, w in worst.items()]
-    return _report("axioms", seed, count, checks, t0)
+    return [_check(name, w, 1e-9) for name, w in worst.items()]
 
 
-def run_vertex_band(seed: int = 102, count: int = 200) -> dict:
+@_suite("vertex-band", seed=102, size=200)
+def run_vertex_band(rng, count: int) -> list[dict]:
     """Convex-regime band: continuous box minimum <= vertex minimum
     <= 2 * continuous minimum."""
-    t0 = time.perf_counter()
-    rng = np.random.default_rng(seed)
     worst_upper = 0.0   # cont <= vert  (relative excess)
     worst_factor = 0.0  # vert <= 2*cont + 1e-9  (as a ratio to the bound)
     for _ in range(count):
@@ -232,9 +250,8 @@ def run_vertex_band(seed: int = 102, count: int = 200) -> dict:
             vert = tabs.k(t, 1.0)
             worst_upper = max(worst_upper, (cont - vert) / max(vert, 1e-300))
             worst_factor = max(worst_factor, vert / (2.0 * cont + 1e-9))
-    checks = [_check("continuous-below-vertex", worst_upper, 1e-9),
-              _check("vertex-within-factor-two", worst_factor, 1.0)]
-    return _report("vertex-band", seed, count, checks, t0)
+    return [_check("continuous-below-vertex", worst_upper, 1e-9),
+            _check("vertex-within-factor-two", worst_factor, 1.0)]
 
 
 def _ratio_sweep(field, query, ks, xi: float = 1.0):
@@ -244,15 +261,14 @@ def _ratio_sweep(field, query, ks, xi: float = 1.0):
     return [float(k) / float(oracle) for k, oracle in zip(ks, oracles) if oracle != 0.0]
 
 
-def run_p_equal(seed: int = 103, per_case: int = 100) -> dict:
-    """Shared-p routes against the vertex oracle, per subcase, plus the
-    exact decoupled check for the q = 1 split sum."""
-    t0 = time.perf_counter()
-    rng = np.random.default_rng(seed)
+@_suite("p-equal", seed=103, size=300)
+def run_p_equal(rng, count: int) -> list[dict]:
+    """Shared-p routes against the vertex oracle, a third of the count
+    per subcase, plus the exact decoupled check for the q = 1 split sum."""
     worst = {"weighted-split-band": 0.0, "composed-split-band": 0.0,
              "rearrangement-band": 0.0, "q1-decoupled-exact": 0.0}
     for route in ("weighted-split", "composed-split", "rearrangement"):
-        for i in range(per_case):
+        for i in range(count // 3):
             field = _rand_field(rng, j_max=4)
             idx0, idx1 = _rand_couple(rng, route)
             if route == "weighted-split" and i % 3 == 0:
@@ -276,18 +292,16 @@ def run_p_equal(seed: int = 103, per_case: int = 100) -> dict:
                         worst["q1-decoupled-exact"] = max(
                             worst["q1-decoupled-exact"],
                             abs(got - exact) / exact)
-    checks = [_check("weighted-split-band", worst["weighted-split-band"], 8.0),
-              _check("composed-split-band", worst["composed-split-band"], 8.0),
-              _check("rearrangement-band", worst["rearrangement-band"], 8.0),
-              _check("q1-decoupled-exact", worst["q1-decoupled-exact"], 1e-9)]
-    return _report("p-equal", seed, 3 * per_case, checks, t0)
+    return [_check("weighted-split-band", worst["weighted-split-band"], 8.0),
+            _check("composed-split-band", worst["composed-split-band"], 8.0),
+            _check("rearrangement-band", worst["rearrangement-band"], 8.0),
+            _check("q1-decoupled-exact", worst["q1-decoupled-exact"], 1e-9)]
 
 
-def run_q_equal(seed: int = 104, count: int = 100) -> dict:
+@_suite("q-equal", seed=104, size=100)
+def run_q_equal(rng, count: int) -> list[dict]:
     """Shared-q layer-sum route against the vertex oracle, plus exact
     single-coefficient collapse."""
-    t0 = time.perf_counter()
-    rng = np.random.default_rng(seed)
     worst_band = 0.0
     for _ in range(count):
         field = _rand_field(rng)
@@ -295,16 +309,14 @@ def run_q_equal(seed: int = 104, count: int = 100) -> dict:
         for ratio in _ratio_sweep(field, query, k_plan(field, query).k(_T_GRID)):
             worst_band = max(worst_band, _band(ratio))
     worst_single = _single_worst(rng, "layer-sum", 20, (0.03125, 1.0, 19.7))
-    checks = [_check("layer-sum-band", worst_band, 8.0),
-              _check("single-coefficient-exact", worst_single, 1e-9)]
-    return _report("q-equal", seed, count, checks, t0)
+    return [_check("layer-sum-band", worst_band, 8.0),
+            _check("single-coefficient-exact", worst_single, 1e-9)]
 
 
-def run_general(seed: int = 105, count: int = 50) -> dict:
+@_suite("general", seed=105, size=50)
+def run_general(rng, count: int) -> list[dict]:
     """Power-composition route against the max-form vertex oracle:
     band, per-instance spread, and single-coefficient collapse."""
-    t0 = time.perf_counter()
-    rng = np.random.default_rng(seed)
     worst_band = 0.0
     worst_spread = 0.0
     for _ in range(count):
@@ -316,37 +328,16 @@ def run_general(seed: int = 105, count: int = 50) -> dict:
         worst_band = max(worst_band, max(_band(r) for r in ratios))
         worst_spread = max(worst_spread, max(ratios) / min(ratios))
     worst_single = _single_worst(rng, "general", 10, (0.0625, 1.0, 11.3))
-    checks = [_check("composition-band", worst_band, 16.0),
-              _check("ratio-spread", worst_spread, 16.0),
-              _check("single-coefficient-collapse", worst_single, 1e-6)]
-    return _report("general", seed, count, checks, t0)
+    return [_check("composition-band", worst_band, 16.0),
+            _check("ratio-spread", worst_spread, 16.0),
+            _check("single-coefficient-collapse", worst_single, 1e-6)]
 
 
-def run_endpoints(seed: int = 107, count: int = 100) -> dict:
-    """Every formula route recovers ||f||_A0 at t = 2^40 and
-    ||f||_A1 from K(t)/t at t = 2^-40, to 1e-6 relative."""
-    t0 = time.perf_counter()
-    rng = np.random.default_rng(seed)
-    routes = tuple(_COUPLES)
-    worst = 0.0
-    for i in range(count):
-        field = _rand_field(rng, max_total=8, j_max=4, zero_prob=0.1)
-        idx0, idx1 = _rand_couple(rng, routes[i % len(routes)])
-        n0 = besov_norm(field, idx0)
-        n1 = besov_norm(field, idx1)
-        hi, lo = k_plan(field, InterpQuery(idx0, idx1)).k([2.0**40, 2.0**-40])
-        worst = max(worst, abs(hi - n0) / n0, abs(lo * 2.0**40 - n1) / n1)
-    checks = [_check("endpoint-recovery", worst, 1e-6)]
-    return _report("endpoints", seed, count, checks, t0)
-
-
-def run_identities(seed: int = 106, count: int = 100) -> dict:
+@_suite("identities", seed=106, size=100)
+def run_identities(rng, count: int) -> list[dict]:
     """Interpolation-norm identities: the exact single-coefficient
     closed form, the intermediate-space ratio spread, oracle-method
     swap symmetry, homogeneity, and the reiteration ratio spread."""
-    t0 = time.perf_counter()
-    rng = np.random.default_rng(seed)
-
     # 4c closed form: K(t) = c*min(1,t), theta=1/2, r=1
     c = 1.3
     single = CoeffField(GridSpec(n=1, J=1, layer_sizes=(1,)), [np.array([c])])
@@ -392,29 +383,31 @@ def run_identities(seed: int = 106, count: int = 100) -> dict:
         re_ratios.append(rep["ratio"])
     re_spread = max(re_ratios) / min(re_ratios)
 
-    checks = [_check("single-coefficient-4c", worst_4c, 1e-4),
-              _check("identity-ratio-spread", spread, 32.0),
-              _check("oracle-swap-symmetry", worst_swap, 1e-6),
-              _check("interp-homogeneity", worst_hom, 1e-9),
-              _check("reiteration-spread", re_spread, 32.0)]
-    return _report("identities", seed, count, checks, t0)
+    return [_check("single-coefficient-4c", worst_4c, 1e-4),
+            _check("identity-ratio-spread", spread, 32.0),
+            _check("oracle-swap-symmetry", worst_swap, 1e-6),
+            _check("interp-homogeneity", worst_hom, 1e-9),
+            _check("reiteration-spread", re_spread, 32.0)]
 
 
-SUITES = {
-    "axioms": run_axioms,
-    "vertex-band": run_vertex_band,
-    "p-equal": run_p_equal,
-    "q-equal": run_q_equal,
-    "general": run_general,
-    "identities": run_identities,
-    "endpoints": run_endpoints,
-}
+@_suite("endpoints", seed=107, size=100)
+def run_endpoints(rng, count: int) -> list[dict]:
+    """Every formula route recovers ||f||_A0 at t = 2^40 and
+    ||f||_A1 from K(t)/t at t = 2^-40, to 1e-6 relative."""
+    routes = tuple(_COUPLES)
+    worst = 0.0
+    for i in range(count):
+        field = _rand_field(rng, max_total=8, j_max=4, zero_prob=0.1)
+        idx0, idx1 = _rand_couple(rng, routes[i % len(routes)])
+        n0 = besov_norm(field, idx0)
+        n1 = besov_norm(field, idx1)
+        hi, lo = k_plan(field, InterpQuery(idx0, idx1)).k([2.0**40, 2.0**-40])
+        worst = max(worst, abs(hi - n0) / n0, abs(lo * 2.0**40 - n1) / n1)
+    return [_check("endpoint-recovery", worst, 1e-6)]
 
 
 def run_suite(name: str, seed: int | None = None) -> dict:
     """Run a named suite; seed overrides the suite default."""
-    from .errors import UsageError
-
     if name not in SUITES:
         raise UsageError(
             f"unknown suite {name!r}; choose from {', '.join(sorted(SUITES))}")

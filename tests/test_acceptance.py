@@ -44,26 +44,26 @@ def test_criterion_1_oracle_axioms(capsys):
     # 500 instances, sum m_j <= 12, p,q in {0.5,1,1.5,2,inf}, s in [-2,2];
     # commutativity, homogeneity, monotonicities, K_xi sandwich at 1e-9
     _gate(capsys, "criterion 1: oracle axiom suite",
-          run_axioms(seed=101, count=500), 30.0)
+          run_axioms(seed=101), 30.0)
 
 
 def test_criterion_2_vertex_band(capsys):
     # 200 convex instances: continuous <= vertex <= 2*continuous + 1e-9
     _gate(capsys, "criterion 2: vertex band",
-          run_vertex_band(seed=102, count=200), 60.0)
+          run_vertex_band(seed=102), 60.0)
 
 
 def test_criterion_3_p_equal(capsys):
     # 100 instances per subcase, ratio in [1/8, 8] on the 2^{-12}..2^{12}
     # grid; the q=1, distinct-smoothness subcase decouples exactly
     _gate(capsys, "criterion 3: p-equal formulas",
-          run_p_equal(seed=103, per_case=100), 60.0)
+          run_p_equal(seed=103), 60.0)
 
 
 def test_criterion_4_q_equal(capsys):
     # 100 instances, same grid and band; single coefficients exact
     _gate(capsys, "criterion 4: q-equal formulas",
-          run_q_equal(seed=104, count=100), 60.0)
+          run_q_equal(seed=104), 60.0)
 
 
 def test_criterion_5_general(capsys):
@@ -71,21 +71,21 @@ def test_criterion_5_general(capsys):
     # sum m_j <= 10, vs max-form vertex oracle: band and spread <= 16,
     # single-coefficient collapse to 1e-6
     _gate(capsys, "criterion 5: general composition",
-          run_general(seed=105, count=50), 120.0)
+          run_general(seed=105), 120.0)
 
 
 def test_criterion_6_endpoint_recovery(capsys):
     # every formula path: K at t=2^40 gives the first norm, K/t at
     # t=2^-40 gives the second, to 1e-6, 100 instances
     _gate(capsys, "criterion 6: endpoint recovery",
-          run_endpoints(seed=107, count=100), 10.0)
+          run_endpoints(seed=107), 10.0)
 
 
 def test_criterion_7_interpolation_identities(capsys):
     # closed-form single coefficient 4c at 1e-4; identity spread <= 32
     # over 100 fields (J <= 8, m_j <= 16); oracle swap symmetry 1e-6
     _gate(capsys, "criterion 7: interpolation identities",
-          run_identities(seed=106, count=100), 120.0)
+          run_identities(seed=106), 120.0)
 
 
 def test_criterion_8_determinism_and_parity(capsys, tmp_path):

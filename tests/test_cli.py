@@ -1,6 +1,7 @@
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 import warnings
@@ -13,7 +14,7 @@ import besovk.cli
 import besovk.verify
 from besovk.cli import main
 from besovk.coeffs import generate, read_field
-from besovk.errors import DataError
+from besovk.errors import DataError, UsageError
 from besovk.grid import BesovIndex, GridSpec
 from besovk.interp import QuadratureSpec, interp_norm, interp_norm_report
 from besovk.kfunc import InterpQuery, KPlan
@@ -81,6 +82,15 @@ def test_norm_lorentz_to_file(capsys, tmp_path):
     ({"n": 1, "layers": [{"j": 0, "coeffs": [1.0, math.nan]}]},
      "layer 0 has non-finite coefficients"),
     ({"n": 1, "layers": [{"j": 0, "coeffs": [1e400]}]}, "layer 0 has non-finite coefficients"),
+    ({"n": True, "layers": [{"j": False, "coeffs": [1.0]}]}, "'n' must be a positive integer"),
+    ({"n": 1, "layers": [{"j": False, "coeffs": [1.0]}]},
+     "layer 0 has a 'j' that is not an integer"),
+    ({"n": 1, "layers": [{"j": 0, "coeffs": [1.0, True]}]},
+     "layer 0 has coefficients that are not numbers"),
+    ({"n": 1, "layers": [{"j": 0, "coeffs": ["1.5"]}]},
+     "layer 0 has coefficients that are not numbers"),
+    ({"n": 1, "layers": [{"j": 0, "coeffs": [[1.0, 2.0]]}]},
+     "layer 0 has coefficients that are not numbers"),
 ])
 def test_malformed_field_file_exit_2(capsys, tmp_path, doc, match):
     path = tmp_path / "bad.json"
@@ -309,6 +319,19 @@ def test_bad_spec_exit_2(capsys):
                  "--spec", "2,1,2"]) == 2
     assert main(["generate", "--generate", "single-spike",
                  "--spec", "a,b,c"]) == 2
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["norm", "--generate", "single-spike", "--spec", "1,1"], "--spec needs at least J,n,m0"),
+    (["norm", "--generate", "single-spike"], "--generate requires --spec J,n,m0,m1,..."),
+    (["generate", "--spec", "1,1,1"], "generate requires --generate KIND"),
+])
+def test_field_source_refusals_exit_2(capsys, argv, message):
+    args = besovk.cli.build_parser().parse_args(argv)
+    with pytest.raises(UsageError, match="^" + re.escape(message) + "$"):
+        args.func(args)
+    assert main(argv) == 2
+    assert capsys.readouterr() == ("", f"error: {message}\n")
 
 
 def test_python_dash_m_matches_main(capsys):

@@ -51,6 +51,21 @@ def test_field_requires_nonnegative_entries():
         CoeffField(spec, [np.array([1.0, -1.0])])
 
 
+def test_field_refuses_inf_entries():
+    # an inf entry gave besov_norm = inf and K = nan at every t
+    spec = GridSpec(n=1, J=2, layer_sizes=(1, 2))
+    with pytest.raises(DataError, match="layer 0 contains inf"):
+        CoeffField(spec, [[math.inf], [1.0, 2.0]])
+    with pytest.raises(DataError, match="layer 1 contains NaN"):
+        CoeffField(spec, [[1.0], [math.inf, math.nan]])
+
+
+def test_field_refuses_layers_that_are_not_1d():
+    # len() of a (1, 2) array is 1, so the size check alone passed it
+    with pytest.raises(DataError, match=r"layer 0 has shape \(1, 2\)"):
+        CoeffField(GridSpec(n=1, J=1, layer_sizes=(1,)), [[[1.0, 2.0]]])
+
+
 def test_generate_single_spike():
     field = generate(GridSpec(n=1, J=3, layer_sizes=(2, 2, 2)), "single-spike", 3)
     flat = np.concatenate(field.layers)
@@ -110,3 +125,5 @@ def test_scaled_and_max_abs():
     doubled = field.scaled(2.0)
     assert doubled.layers[0].tolist() == [2.0, 6.0]
     assert field.layers[0].tolist() == [1.0, 3.0]
+    with pytest.raises(UsageError, match="scale factor must be nonnegative"):
+        field.scaled(-2.0)

@@ -63,6 +63,9 @@ def test_besov_index_invariants():
     with pytest.raises(UsageError):
         BesovIndex(0.0, 1.0, -2.0)
     BesovIndex(-1.5, math.inf, math.inf)  # inf allowed
+    for s in (math.inf, -math.inf, math.nan):
+        with pytest.raises(UsageError, match="smoothness s must be finite"):
+            BesovIndex(s, 2.0, 2.0)
 
 
 @given(

@@ -94,10 +94,9 @@ def test_plan_is_the_public_k_object():
 
     public = set(besovk.__all__)
     assert {"k_plan", "KPlan", "k_dispatch", "k_curve", "vertex_tables",
-            "k_cuboid_continuous", "OracleBudget"} <= public
+            "k_cuboid_continuous"} <= public
     assert "k_vertex_exact" not in public
     assert not hasattr(besovk.oracle, "k_vertex_exact")
-    assert [f.name for f in dataclasses.fields(besovk.OracleBudget)] == ["max_total_coeffs"]
     plan = besovk.KPlan("zero", lambda ts: 0.0 * ts, form="max")
     assert vars(plan)["form"] == "max"  # a plain attribute, not a property
 
@@ -128,6 +127,7 @@ def _params(fn) -> list[str]:
 
 def test_signatures_hold_only_settings_a_caller_sets():
     import besovk
+    from besovk import verify
     from besovk.oracle import VertexTables
 
     assert _params(besovk.interp_norm) == ["field", "query", "method='formula'"]
@@ -140,3 +140,15 @@ def test_signatures_hold_only_settings_a_caller_sets():
     assert [f.name for f in dataclasses.fields(besovk.QuadratureSpec)] == [
         "points_per_decade", "t_min_exp", "t_max_exp"]
     assert besovk.interp._TAIL_REL_TOL == 1e-6
+    # the oracle budget is a coefficient count, not a wrapper object
+    assert _params(besovk.vertex_tables) == ["field", "idx0", "idx1", "budget=None"]
+    assert not hasattr(besovk, "OracleBudget")
+    assert not hasattr(besovk.oracle, "OracleBudget")
+    # each verify suite declares its seed and size where it is defined
+    seeds = {"axioms": 101, "vertex-band": 102, "p-equal": 103, "q-equal": 104,
+             "general": 105, "identities": 106, "endpoints": 107}
+    assert list(verify.SUITES) == list(seeds)
+    for name, seed in seeds.items():
+        run = getattr(verify, "run_" + name.replace("-", "_"))
+        assert verify.SUITES[name] is run
+        assert _params(run) == [f"seed={seed}"]

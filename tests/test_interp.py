@@ -114,6 +114,20 @@ def test_intermediate_index_interpolates_s():
     assert mid.q == 2.0
 
 
+def test_intermediate_index_and_reiteration_refusals():
+    with pytest.raises(UsageError, match="needs a shared p"):
+        intermediate_index(InterpQuery(BesovIndex(1.0, 1.5, 1.0), BesovIndex(-1.0, 2.0, 1.0)))
+    with pytest.raises(UsageError, match="needs distinct smoothness"):
+        intermediate_index(InterpQuery(BesovIndex(1.0, 1.5, 1.0), BesovIndex(1.0, 1.5, 2.0)))
+    a = np.array([1.0, 0.5])
+    for theta0, theta1, eta in ((0.75, 0.25, 0.5), (0.0, 0.5, 0.5), (0.25, 1.0, 0.5),
+                                (0.25, 0.75, 0.0), (0.25, 0.75, 1.0)):
+        with pytest.raises(UsageError, match="need 0 < theta0 < theta1 < 1"):
+            reiteration_check(a, -1.0, 1.5, theta0, theta1, eta, (1.0, 1.0, 2.0))
+    with pytest.raises(UsageError, match="need distinct endpoint smoothness"):
+        reiteration_check(a, 1.5, 1.5, 0.25, 0.75, 0.5, (1.0, 1.0, 2.0))
+
+
 def test_identity_check_scale_invariant():
     field = _field([(0.9, 0.2), (0.5, 1.1)])
     query = InterpQuery(BesovIndex(1.0, 2.0, 1.0), BesovIndex(-1.0, 2.0, 1.0),
@@ -152,6 +166,22 @@ def test_window_expansion_controls_tails():
     assert rep.t_max_exp > 2.0
     assert rep.tail_fraction <= _TAIL_REL_TOL
     assert rep.value == pytest.approx(4.0, rel=1e-4)
+
+
+@pytest.mark.parametrize("theta", [0.05, 0.5])
+def test_sup_form_outside_the_first_window(theta):
+    # K(t) = sum_j min(2^(3j), t) on ten unit layers (weighted split,
+    # q = 1).  t^-theta K is log-convex between the breakpoints 2^(3j),
+    # so its sup lies at one of them: 2^27, outside the default 2^(+-20),
+    # which the window must widen past
+    field = _field([(1.0,)] * 10)
+    query = InterpQuery(BesovIndex(3.0, 2.0, 1.0), BesovIndex(0.0, 2.0, 1.0),
+                        theta=theta, r=math.inf)
+    rep = interp_norm_report(field, query)
+    breaks = 2.0 ** (3.0 * np.arange(10))
+    ks = np.minimum(breaks[None, :], breaks[:, None]).sum(axis=1)
+    assert rep.t_max_exp > 20.0
+    assert rep.value == pytest.approx(float(np.max(breaks**-theta * ks)), rel=1e-12)
 
 
 def test_window_widens_to_double_range():

@@ -650,6 +650,12 @@ def test_k_curve_oracle_method_shape():
     assert (np.diff(curve.k / curve.t) <= 1e-12).all()
 
 
+def test_plan_refuses_unknown_method():
+    idx = BesovIndex(0.0, 2.0, 2.0)
+    with pytest.raises(UsageError, match="unknown method 'exact'"):
+        k_plan(_field([(1.0,)]), InterpQuery(idx, idx), method="exact")
+
+
 def test_k_curve_rejects_bad_grid():
     field = _field([(1.0,)])
     idx = BesovIndex(0.0, 2.0, 2.0)

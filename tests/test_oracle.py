@@ -14,7 +14,6 @@ from besovk.kfunc import InterpQuery, k_plan
 from besovk import oracle as oracle_mod
 from besovk.norms import besov_norm
 from besovk.oracle import (
-    OracleBudget,
     k_cuboid_continuous,
     vertex_tables,
 )
@@ -108,7 +107,7 @@ def test_budget_refusal(monkeypatch):
     idx0 = BesovIndex(0.0, 1.0, 1.0)
     idx1 = BesovIndex(0.0, 2.0, 2.0)
     with pytest.raises(BudgetError):
-        vertex_tables(field, idx0, idx1, OracleBudget(max_total_coeffs=4)).k(1.0)
+        vertex_tables(field, idx0, idx1, 4).k(1.0)
     monkeypatch.setattr(oracle_mod, "_MAX_SUBSETS", 8)
     with pytest.raises(BudgetError):
         vertex_tables(field, idx0, idx1)
@@ -337,6 +336,17 @@ def test_cuboid_continuous_scale_covariant(p0, q0, p1, q1, t):
     field = base.scaled(2.0**-1070)
     cont = k_cuboid_continuous(field, idx0, idx1, t)
     assert 0.0 < cont <= vertex_tables(field, idx0, idx1).k(t) * (1 + 1e-9)
+
+
+@pytest.mark.parametrize("side", range(4))
+def test_cuboid_refuses_outside_convex_regime(side):
+    # the descent is valid only where every index is >= 1
+    exps = [2.0, 1.5, 1.0, 2.0]
+    exps[side] = 0.5
+    idx0, idx1 = BesovIndex(0.3, *exps[:2]), BesovIndex(-0.2, *exps[2:])
+    name = ("p0", "q0", "p1", "q1")[side]
+    with pytest.raises(UsageError, match=f"convex regime; {name} = 0.5 < 1"):
+        k_cuboid_continuous(_field([[1.0, 0.4]]), idx0, idx1, 1.0)
 
 
 def test_oracles_refuse_nan_t():
