@@ -50,12 +50,6 @@ def _add_window_args(p: argparse.ArgumentParser, ppd: float) -> None:
     p.add_argument("--points-per-decade", type=float, default=ppd)
 
 
-def _add_method_args(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--method", choices=("formula", "oracle"), default="formula")
-    p.add_argument("--budget", type=int, default=None,
-                   help="oracle budget: max total coefficients to enumerate")
-
-
 def _add_out_args(p: argparse.ArgumentParser, formats: tuple[str, ...] = ()) -> None:
     p.add_argument("--out", metavar="FILE", help="write output here instead of stdout")
     if formats:
@@ -131,7 +125,7 @@ def cmd_kcurve(args) -> int:
     field = _load_field(args)
     query = _query(args)
     ts = default_t_grid(args.t_min_exp, args.t_max_exp, args.points_per_decade)
-    curve = k_curve(field, query, ts=ts, method=args.method, budget=args.budget)
+    curve = k_curve(field, query, ts=ts, method=args.method)
     if args.format == "json":
         obj = {
             "method": curve.method,
@@ -151,8 +145,7 @@ def cmd_interpnorm(args) -> int:
     field = _load_field(args)
     query = _query(args)
     quad = QuadratureSpec(args.points_per_decade, args.t_min_exp, args.t_max_exp)
-    rep = interp_norm_report(field, query, method=args.method, quad=quad,
-                             budget=args.budget)
+    rep = interp_norm_report(field, query, method=args.method, quad=quad)
     obj = {
         "value": rep.value,
         "method": rep.method,
@@ -212,7 +205,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_index_args(p)
     p.add_argument("--xi", type=float, default=1.0)
     _add_window_args(p, ppd=2.0)
-    _add_method_args(p)
+    p.add_argument("--method", choices=("formula", "oracle"), default="formula")
     _add_out_args(p, formats=("csv", "json"))
     p.set_defaults(func=cmd_kcurve)
 
@@ -223,7 +216,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--r", type=float, default=2.0)
     p.add_argument("--xi", type=float, default=1.0)
     _add_window_args(p, ppd=8.0)
-    _add_method_args(p)
+    p.add_argument("--method", choices=("formula", "oracle"), default="formula")
     _add_out_args(p)
     p.set_defaults(func=cmd_interpnorm)
 

@@ -11,7 +11,8 @@ File format (JSON)::
 
 ``n`` and each ``j`` are JSON integers; layers must be sorted by j,
 contiguous from 0, with nonnegative finite numbers as coefficients (not
-booleans, strings or nested lists).  The writer emits exactly this shape.
+booleans, strings or nested lists; an integer past double range reads
+as inf, like 1e400).  The writer emits exactly this shape.
 """
 
 from __future__ import annotations
@@ -138,7 +139,7 @@ def write_field(field: CoeffField, path) -> None:
 def read_field(path) -> CoeffField:
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            doc = json.load(fh)
+            doc = json.load(fh, parse_int=lambda s: int(s) if np.isfinite(float(s)) else float(s))
     except json.JSONDecodeError as exc:
         raise DataError(f"{path}: not valid JSON ({exc})") from exc
     if not isinstance(doc, dict) or "n" not in doc or "layers" not in doc:

@@ -160,11 +160,10 @@ def _unscale(x, fac: float, r: float = 1.0) -> float:
 
 def interp_norm_report(field: CoeffField, query: InterpQuery,
                        method: str = "formula",
-                       quad: QuadratureSpec | None = None,
-                       budget: int | None = None) -> InterpReport:
+                       quad: QuadratureSpec | None = None) -> InterpReport:
     """interp_norm plus window and tail diagnostics; NumericError when a
     tail mass (of degree r in K) leaves double range."""
-    plan = k_plan(field, query, budget, method)
+    plan = k_plan(field, query, method)
     rep = _interp_scaled(plan, query.theta, query.r, quad, method)
     deg = 1.0 if math.isinf(query.r) else query.r
     return replace(rep, value=_unscale(rep.value, plan.fac),
@@ -179,9 +178,9 @@ def interp_norm(field: CoeffField, query: InterpQuery, method: str = "formula") 
     window, integrates cells in closed form under log-linear K, adds the
     exact power-law tails, and widens the window until the tails carry
     less than _TAIL_REL_TOL of the total (or, for r = inf, until the
-    sup detaches from the window edge).  The oracle method takes the
-    default budget of 20 coefficients.  NumericError when the norm
-    leaves double range.
+    sup detaches from the window edge).  The oracle method refuses a
+    field of more than 20 coefficients (BudgetError).  NumericError when
+    the norm leaves double range.
     """
     plan = k_plan(field, query, method=method)
     return _unscale(_interp_scaled(plan, query.theta, query.r, None, method).value,

@@ -756,25 +756,25 @@ def _power_composition(batches: list, q0: float, q1: float):
 # route table and dispatch
 
 
-def _degenerate_route(field, query, budget):
+def _degenerate_route(field, query):
     norm = besov_norm(field, query.idx0)
     return lambda ts: np.minimum(1.0, ts) * norm
 
 
-def _p_equal_route(field, query, budget):
+def _p_equal_route(field, query):
     i0, i1 = query.idx0, query.idx1
     n = field.spec.n
     return _seq_route(main_grid_reduce(field, i0.p), i0.weight_exponent(n), i0.q,
                       i1.weight_exponent(n), i1.q)
 
 
-def _q_equal_route(field, query, budget):
+def _q_equal_route(field, query):
     layers = [_layer_fn(field, query, j) for j in range(field.spec.J)]
     q = query.idx0.q
     return lambda ts: _lq_across([f(ts) for f in layers], q)
 
 
-def _general_route(field, query, budget):
+def _general_route(field, query):
     i0, i1 = query.idx0, query.idx1
     q0, q1 = i0.q, i1.q
     lsc = query.s_tilde(field.spec.n) * q1 * math.log(2.0)  # log sc_j = j * lsc
@@ -787,14 +787,14 @@ def _general_route(field, query, budget):
     return _power_composition(batches, q0, q1)
 
 
-def _vertex_route(field, query, budget):
+def _vertex_route(field, query):
     from .oracle import vertex_tables
 
-    tables = vertex_tables(field, query.idx0, query.idx1, budget=budget)
+    tables = vertex_tables(field, query.idx0, query.idx1)
     return lambda ts: tables.curve(ts, query.xi)
 
 
-# case -> (route label, form, builder(field, query, budget) -> evaluator of
+# case -> (route label, form, builder(field, query) -> evaluator of
 # a t array); the oracle's form (None) follows the query's xi
 _ROUTES = {
     CaseTag.DEGENERATE: ("formula:degenerate", "sum", _degenerate_route),
@@ -809,8 +809,7 @@ _ROUTES = {
 }
 
 
-def k_plan(field: CoeffField, query: InterpQuery, budget: int | None = None,
-           method: str = "formula") -> KPlan:
+def k_plan(field: CoeffField, query: InterpQuery, method: str = "formula") -> KPlan:
     """Select the route for the query's index regime once and build its
     t-independent state; the plan's k(ts) then evaluates K on t arrays.
 
@@ -818,7 +817,7 @@ def k_plan(field: CoeffField, query: InterpQuery, budget: int | None = None,
     2 of the sum form); other routes target the sum form.  Queries with
     p and q both different and a q = inf fall outside the closed forms
     and are answered by the enumeration oracle, which refuses a field of
-    more than budget coefficients (None means 20).
+    more than 20 coefficients (BudgetError).
     method 'oracle' takes the enumeration oracle whatever the regime,
     which alone honours an xi other than 1 and inf; the formula routes
     compute a fixed form and refuse one (UsageError).
@@ -833,7 +832,7 @@ def k_plan(field: CoeffField, query: InterpQuery, budget: int | None = None,
                          f"xi={query.xi:g}; use xi 1 or inf, or method 'oracle'")
 
     def scaled(fac):
-        return build(field.scaled(fac) if fac != 1.0 else field, query, budget)
+        return build(field.scaled(fac) if fac != 1.0 else field, query)
 
     return _scaled_plan(label, field.max_abs(), scaled, form)
 
@@ -841,20 +840,19 @@ def k_plan(field: CoeffField, query: InterpQuery, budget: int | None = None,
 def k_dispatch(field: CoeffField, query: InterpQuery, t: float) -> tuple[float, str]:
     """Route a K evaluation by index regime; returns (value, method tag).
 
-    One-t use of k_plan, which describes the routes; an ORACLE_ONLY
-    query takes the default budget of 20 coefficients.
+    One-t use of k_plan, which describes the routes and the oracle's
+    cap of 20 coefficients.
     """
     plan = k_plan(field, query)
     return float(plan.k(np.array([t], dtype=float))[0]), plan.label
 
 
-def k_curve(field: CoeffField, query: InterpQuery, ts=None, method: str = "formula",
-            budget: int | None = None) -> KCurve:
+def k_curve(field: CoeffField, query: InterpQuery, ts=None, method: str = "formula") -> KCurve:
     """Sample K on a t grid; method 'formula' or 'oracle'.
 
     The t-independent state is built once and the whole grid is
     evaluated from it.
     """
     grid = default_t_grid() if ts is None else np.asarray(ts, dtype=float)
-    plan = k_plan(field, query, budget, method)
+    plan = k_plan(field, query, method)
     return KCurve(grid, plan.k(grid), plan.label)

@@ -10,10 +10,9 @@ Two independent references for the closed-form engine:
   0 <= g <= f, by cyclic coordinate descent with golden-section line
   searches.  Valid in the convex regime (all indices >= 1).
 
-Both refuse problems larger than their budget rather than truncating.
-The budget is a coefficient count (None means _MAX_COEFFS); the
-enumeration also refuses more than _MAX_SUBSETS masks, and a descent
-start stops after _MAX_SWEEPS sweeps.
+Both refuse a field of more than _MAX_COEFFS coefficients rather than
+truncating (a fixed cap: 2^20 masks at most), and a descent start stops
+after _MAX_SWEEPS sweeps.
 """
 
 from __future__ import annotations
@@ -32,21 +31,18 @@ __all__ = [
     "k_cuboid_continuous",
 ]
 
-_MAX_COEFFS = 20  # coefficients an oracle takes when no budget is given
-_MAX_SUBSETS = 2**_MAX_COEFFS  # masks the enumeration tables may hold
+_MAX_COEFFS = 20  # coefficients an oracle takes
 _MAX_SWEEPS = 500  # coordinate-descent sweeps per start
 
 
-def _budgeted(field: CoeffField, budget: int | None,
-              what: str) -> tuple[CoeffField, float]:
-    """The one budget site of both oracles: refuse a field of more
-    coefficients than the budget allows (BudgetError; None means
-    _MAX_COEFFS), else return the field scaled by the one rescaling rule
-    (norms._pow2_factor) and the factor, which K divides out."""
-    limit = _MAX_COEFFS if budget is None else budget
+def _budgeted(field: CoeffField, what: str) -> tuple[CoeffField, float]:
+    """The one cap site of both oracles: refuse a field of more than
+    _MAX_COEFFS coefficients (BudgetError), else return the field scaled
+    by the one rescaling rule (norms._pow2_factor) and the factor, which
+    K divides out."""
     N = field.spec.total_coeffs
-    if N > limit:
-        raise BudgetError(f"{N} coefficients exceed the {what} budget ({limit}); "
+    if N > _MAX_COEFFS:
+        raise BudgetError(f"{N} coefficients exceed the {what} budget ({_MAX_COEFFS}); "
                           "refusing rather than truncating")
     fac = _pow2_factor(field.max_abs())
     return (field.scaled(fac) if fac != 1.0 else field), fac
@@ -71,12 +67,8 @@ class VertexTables:
     hold the field scaled by fac (norms._pow2_factor); k undoes it.
     """
 
-    def __init__(self, field: CoeffField, idx0: BesovIndex, idx1: BesovIndex,
-                 budget: int | None = None):
-        field, self.fac = _budgeted(field, budget, "enumeration")
-        N = field.spec.total_coeffs
-        if 2**N > _MAX_SUBSETS:
-            raise BudgetError(f"2^{N} subsets exceed the enumeration budget ({_MAX_SUBSETS})")
+    def __init__(self, field: CoeffField, idx0: BesovIndex, idx1: BesovIndex):
+        field, self.fac = _budgeted(field, "enumeration")
         self.a = self._side_table(field, idx0)
         self.b = self._side_table(field, idx1)
         self.b_comp = self.b[::-1]
@@ -120,9 +112,8 @@ class VertexTables:
         return np.array([self.k(float(t), xi) for t in np.asarray(ts, dtype=float)])
 
 
-def vertex_tables(field: CoeffField, idx0: BesovIndex, idx1: BesovIndex,
-                  budget: int | None = None) -> VertexTables:
-    return VertexTables(field, idx0, idx1, budget)
+def vertex_tables(field: CoeffField, idx0: BesovIndex, idx1: BesovIndex) -> VertexTables:
+    return VertexTables(field, idx0, idx1)
 
 
 class _SideAccum:
@@ -200,14 +191,13 @@ def _golden_min(fi: float, xtol: float, t: float, side0: tuple, side1: tuple) ->
     inline at one site, once per probe: c and d to start, one new c or
     d per step, and at the end each endpoint no probe has moved onto.
     An exponent of 1 takes no power, as in _SideAccum.
-    Returns the first of a, b, c, d with the least value."""
+    Needs fi > xtol.  Returns the first of a, b, c, d with the least
+    value."""
     r0, w0, a0, p0, ip0, q0, iq0, p0_inf, q0_inf, p0_one, q0_one = side0
     r1, w1, a1, p1, ip1, q1, iq1, p1_inf, q1_inf, p1_one, q1_one = side1
     invphi, invphi2 = _INVPHI, _INVPHI2
     a, b = 0.0, fi
     h = b - a
-    if h <= xtol:
-        return 0.5 * (a + b)
     c = a + invphi2 * h
     d = a + invphi * h
     fa = fb = fd = None
@@ -292,12 +282,11 @@ def k_cuboid_continuous(field: CoeffField, idx0: BesovIndex, idx1: BesovIndex,
     Convex regime only (all indices >= 1): the objective
     ||g||_A0 + t ||f - g||_A1 is then jointly convex and cyclic
     coordinate descent with exact line searches converges.  Descent is
-    multi-started from g = 0, g = f, and the best vertex split (when
-    its table fits _MAX_SUBSETS), so the returned value never exceeds
-    the vertex minimum.  A field of more than _MAX_COEFFS coefficients
-    is refused (BudgetError).  A vertex split equal to g = 0 or g = f is
-    not descended again: descent is deterministic and would repeat its
-    value.  At t = inf only g = f is finite, and K is ||f||_A0.
+    multi-started from g = 0, g = f, and the best vertex split, so the
+    returned value never exceeds the vertex minimum.  A field of more
+    than _MAX_COEFFS coefficients is refused (BudgetError).  A vertex
+    split equal to g = 0 or g = f is not descended again: descent is
+    deterministic and would repeat its value.  At t = inf only g = f is finite, and K is ||f||_A0.
 
     The descent runs on the field scaled by the one rescaling rule
     (norms._pow2_factor) and unscales at the end.  Each line search is
@@ -308,7 +297,8 @@ def k_cuboid_continuous(field: CoeffField, idx0: BesovIndex, idx1: BesovIndex,
     and floor = min(1, vmax), a start stops when a sweep improves by at
     most 1e-12 * max(floor, |previous value|), or after
     _MAX_SWEEPS sweeps; line searches stop at
-    1e-10 * max(floor, f_i).  A field with vmax >= 1 keeps the floor 1,
+    1e-10 * max(floor, f_i), and a coefficient f_i at or below that
+    tolerance keeps its start value.  A field with vmax >= 1 keeps the floor 1,
     and one below 1 gets tolerances relative to vmax, which scale with
     the field.  Non-smooth couples (a p or q = inf) can stall
     coordinate descent and run the full _MAX_SWEEPS.
@@ -318,7 +308,7 @@ def k_cuboid_continuous(field: CoeffField, idx0: BesovIndex, idx1: BesovIndex,
             raise UsageError(f"continuous oracle needs the convex regime; {name} = {v} < 1")
     if not t >= 0:
         raise UsageError(f"t must be nonnegative, got {t}")
-    scaled, fac = _budgeted(field, None, "descent")
+    scaled, fac = _budgeted(field, "descent")
     if math.isinf(t):
         return besov_norm(field, idx0)
     field = scaled
@@ -326,15 +316,14 @@ def k_cuboid_continuous(field: CoeffField, idx0: BesovIndex, idx1: BesovIndex,
 
     starts = [tuple(np.zeros_like(v) for v in field.layers),
               tuple(v.copy() for v in field.layers)]
-    if 2**field.spec.total_coeffs <= _MAX_SUBSETS:
-        mask = vertex_tables(field, idx0, idx1).best_split(t)
-        g = _vertex_start(np.concatenate(field.layers), mask)
-        if g is not None:
-            starts.append(tuple(np.split(g, np.cumsum(field.spec.layer_sizes)[:-1])))
+    mask = vertex_tables(field, idx0, idx1).best_split(t)
+    g = _vertex_start(np.concatenate(field.layers), mask)
+    if g is not None:
+        starts.append(tuple(np.split(g, np.cumsum(field.spec.layer_sizes)[:-1])))
 
     best = math.inf
     live = [(j, i, fi, 1e-10 * max(floor, fi)) for j, v in enumerate(field.layers)
-            for i, fi in enumerate(v.tolist()) if fi != 0.0]
+            for i, fi in enumerate(v.tolist()) if fi > 1e-10 * floor]
     consts0, consts1 = _SideAccum.consts(field, idx0), _SideAccum.consts(field, idx1)
     for g0 in starts:
         side0 = _SideAccum(consts0, g0)

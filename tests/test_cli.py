@@ -91,6 +91,9 @@ def test_norm_lorentz_to_file(capsys, tmp_path):
      "layer 0 has coefficients that are not numbers"),
     ({"n": 1, "layers": [{"j": 0, "coeffs": [[1.0, 2.0]]}]},
      "layer 0 has coefficients that are not numbers"),
+    # an integer beyond double range reads as inf, as 1e400 does
+    ({"n": 1, "layers": [{"j": 0, "coeffs": [10**400]}]}, "layer 0 has non-finite coefficients"),
+    ({"n": 10**400, "layers": [{"j": 0, "coeffs": [1.0]}]}, "'n' must be a positive integer"),
 ])
 def test_malformed_field_file_exit_2(capsys, tmp_path, doc, match):
     path = tmp_path / "bad.json"
@@ -99,6 +102,15 @@ def test_malformed_field_file_exit_2(capsys, tmp_path, doc, match):
         read_field(path)
     assert main(["norm", "--input", str(path)]) == 2
     assert capsys.readouterr().err.startswith(f"error: {path}: ")
+
+
+def test_field_file_integer_past_the_digit_limit_exit_2(capsys, tmp_path):
+    # past 4300 digits int() refuses to parse; the reader never calls it
+    path = tmp_path / "huge.json"
+    path.write_text('{"n": 1, "layers": [{"j": 0, "coeffs": [1%s]}]}' % ("0" * 5000),
+                    encoding="utf-8")
+    assert main(["norm", "--input", str(path)]) == 2
+    assert capsys.readouterr().err == f"error: {path}: layer 0 has non-finite coefficients\n"
 
 
 def test_norm_missing_file_exit_2(capsys):
@@ -252,11 +264,14 @@ def test_verify_unknown_suite_exit_2(capsys):
 
 
 def test_budget_refusal_exit_3(capsys):
-    code = main(["kcurve"] + SPIKE + [
-        "--s0", "1", "--p0", "1", "--q0", "inf", "--s1", "0", "--p1", "2",
-        "--q1", "2", "--method", "oracle", "--budget", "2",
-        "--t-min-exp", "0", "--t-max-exp", "0"])
+    code = main(["kcurve", "--generate", "uniform-random", "--spec", "3,1,7,7,7",
+                 "--s0", "1", "--p0", "1", "--q0", "inf", "--s1", "0", "--p1", "2",
+                 "--q1", "2", "--method", "oracle",
+                 "--t-min-exp", "0", "--t-max-exp", "0"])
     assert code == 3
+    assert capsys.readouterr().err == (
+        "error: 21 coefficients exceed the enumeration budget (20); "
+        "refusing rather than truncating\n")
 
 
 def test_numeric_overflow_exit_3(capsys, monkeypatch):
@@ -346,3 +361,14 @@ def test_python_dash_m_matches_main(capsys):
         assert (proc.returncode, proc.stdout, proc.stderr) == (code, captured.out,
                                                                captured.err)
     assert code == 2 and captured.out == ""
+
+
+@pytest.mark.parametrize("argv, code", [
+    (["kcurve"] + SPIKE + ["--t-min-exp", "0", "--t-max-exp", "0"], 0),
+    (["norm"], 2),
+])
+def test_console_script_entrypoint_exits_with_main_code(capsys, monkeypatch, argv, code):
+    monkeypatch.setattr(sys, "argv", ["besovk"] + argv)
+    with pytest.raises(SystemExit) as exc:
+        besovk.cli.entrypoint()
+    assert exc.value.code == code

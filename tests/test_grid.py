@@ -81,3 +81,11 @@ def test_weight_matches_exponent_arithmetic(s, p, n, j):
     assert layer_weight(spec, idx, j) == pytest.approx(2.0 ** (j * expo), rel=1e-12)
     # deterministic in (s, p, n): same inputs, same weight
     assert layer_weight(spec, BesovIndex(s, p, 3.0), j) == layer_weight(spec, idx, j)
+
+
+def test_layer_weight_refuses_a_layer_outside_the_grid():
+    spec = GridSpec(n=1, J=2, layer_sizes=(1, 1))
+    idx = BesovIndex(0.0, 2.0, 2.0)
+    for j in (-1, 2):
+        with pytest.raises(IndexError, match=rf"layer {j} outside \[0, 2\)"):
+            layer_weight(spec, idx, j)

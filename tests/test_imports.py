@@ -128,6 +128,7 @@ def _params(fn) -> list[str]:
 def test_signatures_hold_only_settings_a_caller_sets():
     import besovk
     from besovk import verify
+    from besovk.cli import build_parser
     from besovk.oracle import VertexTables
 
     assert _params(besovk.interp_norm) == ["field", "query", "method='formula'"]
@@ -140,10 +141,20 @@ def test_signatures_hold_only_settings_a_caller_sets():
     assert [f.name for f in dataclasses.fields(besovk.QuadratureSpec)] == [
         "points_per_decade", "t_min_exp", "t_max_exp"]
     assert besovk.interp._TAIL_REL_TOL == 1e-6
-    # the oracle budget is a coefficient count, not a wrapper object
-    assert _params(besovk.vertex_tables) == ["field", "idx0", "idx1", "budget=None"]
+    # the oracle cap is one fixed constant: no budget argument, object or option
+    assert _params(besovk.vertex_tables) == ["field", "idx0", "idx1"]
+    assert _params(besovk.k_plan) == ["field", "query", "method='formula'"]
+    assert _params(besovk.k_curve) == ["field", "query", "ts=None", "method='formula'"]
+    assert _params(besovk.interp_norm_report) == [
+        "field", "query", "method='formula'", "quad=None"]
+    assert besovk.oracle._MAX_COEFFS == 20
+    assert not hasattr(besovk.oracle, "_MAX_SUBSETS")
     assert not hasattr(besovk, "OracleBudget")
     assert not hasattr(besovk.oracle, "OracleBudget")
+    sub = next(a for a in build_parser()._actions if a.dest == "command").choices
+    for name in ("kcurve", "interpnorm"):
+        assert "--method" in sub[name]._option_string_actions
+        assert "--budget" not in sub[name]._option_string_actions
     # each verify suite declares its seed and size where it is defined
     seeds = {"axioms": 101, "vertex-band": 102, "p-equal": 103, "q-equal": 104,
              "general": 105, "identities": 106, "endpoints": 107}

@@ -272,3 +272,11 @@ def test_every_route_finite_or_refused_across_double_range(case):
                                     besov_norm(field, query.idx1)])
         _finite_or_refused(lambda: k_curve(field, query).k)
         _finite_or_refused(lambda: interp_norm(field, query))
+
+
+def test_zero_inputs_have_no_ratio():
+    query = InterpQuery(BesovIndex(0.0, 2.0, 2.0), BesovIndex(1.0, 2.0, 2.0))
+    with pytest.raises(UsageError, match="zero field has no identity ratio"):
+        besov_identity_check(_field([(0.0,), (0.0, 0.0)]), query)
+    with pytest.raises(UsageError, match="zero sequence has no reiteration ratio"):
+        reiteration_check([0.0, 0.0], 0.0, 1.0, 0.3, 0.7, 0.5, (2.0, 2.0, 2.0))

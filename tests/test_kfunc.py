@@ -1038,3 +1038,19 @@ def test_general_curve_monotone_wide_range(layers, s0, p0, q0, s1, p1, q1):
     assert np.isfinite(k).all() and (k > 0).all()
     assert (np.diff(k) >= -1e-12 * k[1:]).all()
     assert (np.diff(k_over_t) <= 1e-12 * k_over_t[:-1]).all()
+
+
+def test_kcurve_refuses_t_and_k_of_different_lengths():
+    with pytest.raises(UsageError, match="t and k lengths differ"):
+        KCurve(np.array([1.0, 2.0]), np.array([1.0]), "formula:degenerate")
+
+
+def test_general_plan_with_every_weighted_layer_underflowing():
+    # layer 0 is zero, and s0 = -1100 takes layer 1's A0 weight
+    # 2^-1100.5 below the least subnormal: no layer envelope is live
+    field = _field([(0.0,), (1.0, 0.5)])
+    i0, i1 = BesovIndex(-1100.0, 1.0, 1.0), BesovIndex(0.0, 2.0, 2.0)
+    plan = k_plan(field, InterpQuery(i0, i1))
+    assert plan.label == "formula:general:power-composition-kinf"
+    assert plan.k(np.array([2.0**-40, 1.0, 2.0**40, math.inf])).tolist() == [0.0] * 4
+    assert besov_norm(field, i0) == 0.0

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from besovk.coeffs import CoeffField, generate
+from besovk.errors import UsageError
 from besovk.grid import BesovIndex, GridSpec, layer_weight
 from besovk.norms import (
     besov_lorentz_norm,
@@ -220,3 +221,23 @@ def test_besov_lorentz_at_p_inf():
         2.0**0.4, rel=1e-15)
     assert besov_lorentz_norm(one, 0.4, math.inf, 1.0, 2.0) == pytest.approx(
         2.0**0.4 * math.sqrt(4.0 / 3.0), rel=1e-15)
+
+
+def test_empty_vectors_and_lorentz_p_inf_refusal():
+    assert lp_norm([], 2.0) == 0.0
+    assert lorentz_seq_norm([], 2.0, 1.0) == 0.0
+    with pytest.raises(UsageError, match="requires finite p"):
+        lorentz_seq_norm([1.0], math.inf, 1.0)
+
+
+def test_besov_lorentz_at_a_power_of_two_height():
+    # a height of exactly 2^u is not above the level 2^u: [[1.0]] counts
+    # 1 for u <= -1 and 0 from u = 0 on, so the r = 2 sum is
+    # sum_{u <= -1} 4^u = 1/3 and the sup is 2^-1.  Heights 1 and 1/4 at
+    # p = q = r = 1 give 2 * 2^-2 below u = -2, plus 2^-2 + 2^-1.
+    one = _field([(1.0,)])
+    assert besov_lorentz_norm(one, 0.0, 2.0, 2.0, 2.0) == pytest.approx(
+        math.sqrt(1.0 / 3.0), rel=1e-15)
+    assert besov_lorentz_norm(one, 0.0, 2.0, 2.0, math.inf) == 0.5
+    assert besov_lorentz_norm(_field([(1.0, 0.25)]), 0.0, 1.0, 1.0, 1.0) == pytest.approx(
+        1.25, rel=1e-15)

@@ -103,14 +103,15 @@ def test_oracle_curve_shape_properties():
 
 
 def test_budget_refusal(monkeypatch):
+    # one fixed cap, _MAX_COEFFS, guards both oracles
     field = _field([(1.0, 1.0, 1.0), (1.0, 1.0, 1.0)])
     idx0 = BesovIndex(0.0, 1.0, 1.0)
     idx1 = BesovIndex(0.0, 2.0, 2.0)
-    with pytest.raises(BudgetError):
-        vertex_tables(field, idx0, idx1, 4).k(1.0)
-    monkeypatch.setattr(oracle_mod, "_MAX_SUBSETS", 8)
-    with pytest.raises(BudgetError):
+    monkeypatch.setattr(oracle_mod, "_MAX_COEFFS", 4)
+    with pytest.raises(BudgetError, match=r"6 coefficients exceed the enumeration budget \(4\)"):
         vertex_tables(field, idx0, idx1)
+    with pytest.raises(BudgetError, match=r"6 coefficients exceed the descent budget \(4\)"):
+        k_cuboid_continuous(field, idx0, idx1, 1.0)
 
 
 def test_cuboid_single_coefficient():
@@ -288,8 +289,8 @@ def test_vertex_start_mask_rule_matches_array_equal():
 def test_cuboid_continuous_vertex_start_line_searches(monkeypatch, t, searches):
     # the best vertex split is g = 0 at t = 2^-8 and, with the zero
     # coefficient's bit clear, g = f at 2^8: it is not descended again,
-    # so the searches and K are those of the run without a vertex start
-    # (a mask cap that cannot enumerate); at t = 2 it is a third start
+    # so the searches and K are those of the run without a vertex start;
+    # at t = 2 it is a third start
     calls = []
     golden = oracle_mod._golden_min
 
@@ -305,12 +306,29 @@ def test_cuboid_continuous_vertex_start_line_searches(monkeypatch, t, searches):
     k = k_cuboid_continuous(field, idx0, idx1, t)
     assert len(calls) == searches
     calls.clear()
-    monkeypatch.setattr(oracle_mod, "_MAX_SUBSETS", 1)
+    monkeypatch.setattr(oracle_mod, "_vertex_start", lambda flat, mask: None)
     k_two_starts = k_cuboid_continuous(field, idx0, idx1, t)
     if t == 2.0:
         assert len(calls) < searches and k <= k_two_starts
     else:
         assert len(calls) == searches and k == k_two_starts
+
+
+@pytest.mark.parametrize("layers, idx0, idx1, t", [
+    ([(1.0, 1e-12)], (0.0, 2.0, 2.0), (0.0, 1.0, 1.0), 0.5),
+    ([(1.0, 1e-12)], (0.0, 2.0, 2.0), (0.0, 1.0, 1.0), 2.0),
+    ([(1e-11,), (2.0, 0.5)], (0.5, 1.0, 2.0), (0.0, 2.0, 1.0), 1.0),
+    ([(1e-11,), (2.0, 0.5)], (0.5, 1.0, 2.0), (0.0, 2.0, 1.0), 0.25),
+    ([(3.0, 5e-11, 1.0)], (0.0, 1.5, 1.0), (1.0, 2.0, 2.0), 0.7),
+    ([(3.0, 5e-11, 1.0)], (0.0, 1.5, 1.0), (1.0, 2.0, 2.0), 3.0),
+])
+def test_cuboid_continuous_tiny_coefficient_stays_at_or_below_vertex(layers, idx0, idx1, t):
+    # a coefficient within its line-search tolerance (1e-10 of
+    # max(1, f_i)) of 0 keeps its start value; an unevaluated midpoint
+    # of [0, f_i] would put K above the vertex minimum in five of these
+    field = _field(layers)
+    idx0, idx1 = BesovIndex(*idx0), BesovIndex(*idx1)
+    assert k_cuboid_continuous(field, idx0, idx1, t) <= vertex_tables(field, idx0, idx1).k(t)
 
 
 @pytest.mark.parametrize("p0, q0, p1, q1", [(1.0, 2.0, 2.0, 1.0), (2.0, 1.0, 1.0, math.inf)])

@@ -1,7 +1,10 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+from besovk.errors import DataError, UsageError
 from besovk.rearrange import (
     distribution_count,
     partial_power_integral,
@@ -106,3 +109,19 @@ def test_threshold_split_consistent_with_partial_integral(v, T, p):
     got = float(np.sum(np.asarray(v, dtype=float)[big] ** p)) if len(big) else 0.0
     want = partial_power_integral(rearrangement(v), p, float(T))
     assert got == pytest.approx(want, rel=1e-9, abs=1e-12)
+
+
+@pytest.mark.parametrize("v, err, match", [
+    (np.ones((2, 2)), UsageError, "expected a flat vector"),
+    ([1.0, math.nan], DataError, "vector contains NaN"),
+    ([1.0, -0.5], DataError, "vector must be nonnegative"),
+])
+def test_vector_refusals(v, err, match):
+    with pytest.raises(err, match=match):
+        rearrangement(v)
+
+
+@pytest.mark.parametrize("T", [-1.0, math.nan])
+def test_integral_limit_refusals(T):
+    with pytest.raises(UsageError, match="integral limit must be >= 0"):
+        partial_power_integral([2.0, 1.0], 1.0, T)

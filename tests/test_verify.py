@@ -3,8 +3,9 @@
 import numpy as np
 import pytest
 
+from besovk.errors import UsageError
 from besovk.kfunc import CaseTag, InterpQuery
-from besovk.verify import _COUPLES, _rand_couple
+from besovk.verify import _COUPLES, _rand_couple, run_suite
 
 _ROUTE_CASES = {
     "degenerate": CaseTag.DEGENERATE,
@@ -28,3 +29,8 @@ def test_rand_couple_stays_in_its_route(route):
         assert InterpQuery(i0, i1).case is _ROUTE_CASES[route]
         if _COUPLES[route][1] == "apart":
             assert abs(i0.s - i1.s) >= 0.5
+
+
+def test_run_suite_refuses_an_unknown_name():
+    with pytest.raises(UsageError, match="unknown suite 'bogus'; choose from axioms, "):
+        run_suite("bogus")
