@@ -24,7 +24,7 @@ from .errors import NumericError, UsageError
 from .grid import BesovIndex
 from .kfunc import (InterpQuery, KPlan, _check_t_window, _logcell_integral, _seq_plan,
                     default_t_grid, k_plan)
-from .norms import besov_norm, weighted_lq_norm
+from .norms import _pow2_factor, besov_norm, weighted_lq_norm
 
 __all__ = [
     "QuadratureSpec",
@@ -79,19 +79,24 @@ class InterpReport:
 
 
 def _interp_scaled(plan: KPlan, theta: float, r: float, quad: QuadratureSpec | None,
-                   method: str) -> InterpReport:
+                   method: str) -> tuple[InterpReport, int]:
     """Quadrature driver shared by field-level and sequence-level norms.
 
-    Integrates K of the plan's scaled field, whose r-th powers stay in
-    range; callers unscale the result.  Cells integrate in closed form
-    under the log-linear model; tails use the exact asymptotics.  The
-    window expands until the tails carry under _TAIL_REL_TOL of the total
-    (for r = inf, until the sup detaches from the window edge), as long
-    as it stays inside 2^(+-_WINDOW_LIMIT), in double range.  A
-    widened window reuses K at every node equal, bit for bit, to one
-    already evaluated, and evaluates it on the rest only.
+    Integrates K of the plan's scaled field, and takes the r-th powers of
+    t^-theta K at the scale the rescaling rule (_pow2_factor) picks for
+    power r from its largest value on the grid.  Returns the report at
+    that combined scale 2^e, and e: its value is 2^e times the norm, a
+    tail 2^(e r) times its own; callers unscale (_unscale).  Cells
+    integrate in closed form under the log-linear model; tails use the
+    exact asymptotics.  The window expands until the tails carry under
+    _TAIL_REL_TOL of the total (for r = inf, until the sup detaches
+    from the window edge), as long as it stays inside
+    2^(+-_WINDOW_LIMIT), in double range.  A widened window reuses K at
+    every node equal, bit for bit, to one already evaluated, and
+    evaluates it on the rest only.
     """
     quad = quad or QuadratureSpec()
+    e = math.frexp(plan.fac)[1] - 1  # plan.fac = 2^e
     lo_exp, hi_exp = quad.t_min_exp, quad.t_max_exp
     ts, ks = np.empty(0), np.empty(0)
     widenings = max(0, int((_WINDOW_LIMIT - max(-lo_exp, hi_exp)) // _EXPAND_STEP))
@@ -109,11 +114,11 @@ def _interp_scaled(plan: KPlan, theta: float, r: float, quad: QuadratureSpec | N
         ks[~seen] = plan.k_scaled(ts[~seen])
         if not ks.any():
             return InterpReport(0.0, method, lo_exp, hi_exp, len(ts),
-                                0.0, 0.0, 0.0)
+                                0.0, 0.0, 0.0), e
         slope1 = ks[0] / ts[0]      # K(t)/t at the low edge, tends to ||f||_A1
         level0 = ks[-1]             # K at the high edge, tends to ||f||_A0
+        vals = ts**-theta * ks
         if math.isinf(r):
-            vals = ts**-theta * ks
             imax = int(np.argmax(vals))
             if 0 < imax < len(ts) - 1:
                 edge_lo = float(vals[0])
@@ -121,34 +126,34 @@ def _interp_scaled(plan: KPlan, theta: float, r: float, quad: QuadratureSpec | N
                 peak = float(vals[imax])
                 return InterpReport(peak, method, lo_exp, hi_exp, len(ts),
                                     edge_lo, edge_hi,
-                                    max(edge_lo, edge_hi) / peak)
+                                    max(edge_lo, edge_hi) / peak), e
             continue
+        gfac = _pow2_factor(float(vals.max()), r)
         us = np.log(ts)
-        gs = (ts**-theta * ks) ** r
+        gs = (vals * gfac) ** r
         mid = float(np.sum(_logcell_integral(us[:-1], us[1:], gs[:-1], gs[1:])))
         e_lo = (1.0 - theta) * r
         e_hi = theta * r
-        tail_lo = slope1**r * ts[0] ** e_lo / e_lo
-        tail_hi = level0**r * ts[-1] ** -e_hi / e_hi
+        tail_lo = (gfac * slope1)**r * ts[0] ** e_lo / e_lo
+        tail_hi = (gfac * level0)**r * ts[-1] ** -e_hi / e_hi
         total = mid + tail_lo + tail_hi
         if total == 0.0:
             return InterpReport(0.0, method, lo_exp, hi_exp, len(ts),
-                                0.0, 0.0, 0.0)
+                                0.0, 0.0, 0.0), e
         frac = (tail_lo + tail_hi) / total
         if frac <= _TAIL_REL_TOL:
             return InterpReport(total ** (1.0 / r), method, lo_exp, hi_exp,
-                                len(ts), tail_lo, tail_hi, frac)
+                                len(ts), tail_lo, tail_hi, frac), e + math.frexp(gfac)[1] - 1
     raise NumericError(
         f"interpolation window grew to [2^{lo_exp}, 2^{hi_exp}] without "
         f"meeting tail tolerance {_TAIL_REL_TOL}")
 
 
-def _unscale(x, fac: float, r: float = 1.0) -> float:
-    """x / fac^r, for a quantity of degree r in K computed on a plan's
-    field scaled by the power of two fac; NumericError when that leaves
-    double range."""
-    if fac != 1.0:
-        e = (math.frexp(fac)[1] - 1) * r  # fac^r = 2^e
+def _unscale(x, e: int, r: float = 1.0) -> float:
+    """x / 2^(e r), for a quantity of degree r in K computed at the scale
+    2^e (_interp_scaled); NumericError when that leaves double range."""
+    if e:
+        e = e * r
         try:
             x = math.ldexp(x * 2.0 ** (math.floor(e) - e), -math.floor(e))
         except OverflowError:
@@ -164,11 +169,11 @@ def interp_norm_report(field: CoeffField, query: InterpQuery,
     """interp_norm plus window and tail diagnostics; NumericError when a
     tail mass (of degree r in K) leaves double range."""
     plan = k_plan(field, query, method)
-    rep = _interp_scaled(plan, query.theta, query.r, quad, method)
+    rep, e = _interp_scaled(plan, query.theta, query.r, quad, method)
     deg = 1.0 if math.isinf(query.r) else query.r
-    return replace(rep, value=_unscale(rep.value, plan.fac),
-                   tail_low=_unscale(rep.tail_low, plan.fac, deg),
-                   tail_high=_unscale(rep.tail_high, plan.fac, deg))
+    return replace(rep, value=_unscale(rep.value, e),
+                   tail_low=_unscale(rep.tail_low, e, deg),
+                   tail_high=_unscale(rep.tail_high, e, deg))
 
 
 def interp_norm(field: CoeffField, query: InterpQuery, method: str = "formula") -> float:
@@ -182,9 +187,9 @@ def interp_norm(field: CoeffField, query: InterpQuery, method: str = "formula") 
     field of more than 20 coefficients (BudgetError).  NumericError when
     the norm leaves double range.
     """
-    plan = k_plan(field, query, method=method)
-    return _unscale(_interp_scaled(plan, query.theta, query.r, None, method).value,
-                    plan.fac)
+    rep, e = _interp_scaled(k_plan(field, query, method=method), query.theta, query.r,
+                            None, method)
+    return _unscale(rep.value, e)
 
 
 def intermediate_index(query: InterpQuery) -> BesovIndex:
@@ -238,7 +243,8 @@ def reiteration_check(a, s_a: float, s_b: float, theta0: float, theta1: float,
     c1 = (1.0 - theta1) * s_a + theta1 * s_b
     s_final = (1.0 - eta) * c0 + eta * c1
     plan = _seq_plan(arr, c0, q0, c1, q1)
-    lhs = _unscale(_interp_scaled(plan, eta, q, None, "formula").value, plan.fac)
+    rep, e = _interp_scaled(plan, eta, q, None, "formula")
+    lhs = _unscale(rep.value, e)
     rhs = weighted_lq_norm(arr, s_final, q)
     if rhs == 0.0:
         raise UsageError("zero sequence has no reiteration ratio")

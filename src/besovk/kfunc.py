@@ -54,7 +54,8 @@ import numpy as np
 from .coeffs import CoeffField
 from .errors import UsageError
 from .grid import BesovIndex, layer_weight
-from .norms import _pow2_factor, besov_norm, lp_norm, main_grid_reduce, weighted_lq_norm
+from .norms import (_pow2_factor, _scaled_field, besov_norm, lp_norm, main_grid_reduce,
+                    weighted_lq_norm)
 from .rearrange import rearrangement
 
 __all__ = [
@@ -183,9 +184,9 @@ class KPlan:
     label names the route, form the functional ("sum", "max", or
     "xi=<xi>" for another oracle aggregation power); both are plain
     read-only attributes, as is fac.  The state is built on the field
-    scaled by fac (_scaled_plan); k_scaled(ts) evaluates K of the scaled
-    field at every t of a 1-d array, and k(ts) undoes the factor.  Every
-    K value this module returns goes through k.
+    scaled by fac (norms._scaled_field); k_scaled(ts) evaluates K of the
+    scaled field at every t of a 1-d array, and k(ts) undoes the factor
+    by 1-homogeneity.  Every K value this module returns goes through k.
     """
 
     label: str
@@ -213,17 +214,6 @@ class KPlan:
 
 def _zeros(ts: np.ndarray) -> np.ndarray:
     return np.zeros(len(ts))
-
-
-def _scaled_plan(label: str, vmax: float, build, form: str = "sum") -> KPlan:
-    """A plan on data whose largest entry is vmax, scaled by the one
-    rescaling rule (_pow2_factor): K(f) = K(fac f) / fac by exact
-    1-homogeneity, which keeps q-th powers representable.  build(fac)
-    returns the evaluator for the data scaled by fac."""
-    if vmax == 0.0:
-        return KPlan(label, _zeros, form=form)
-    fac = _pow2_factor(vmax)
-    return KPlan(label, build(fac), fac, form)
 
 
 # ---------------------------------------------------------------------------
@@ -429,15 +419,12 @@ def _layer_fn(field: CoeffField, query: InterpQuery, j: int):
 def _lq_across(rows: list, q: float) -> np.ndarray:
     """Elementwise l^q aggregate of equal-length arrays (sup at q = inf),
     accumulated row by row so that no entry depends on the others.  Each
-    column is scaled by the one rescaling rule (_pow2_factor) of its
-    largest entry before the q-th powers, so that a column whose largest
-    K lies far from 1 does not underflow.  The factor-1 window is
-    2^(+-100) up to q = 10 and 2^(+-1000/q) above, so the largest q-th
-    power of a column stays within 2^(+-1000), a normal double."""
+    column is scaled by the one rescaling rule (_pow2_factor) for power
+    q of its largest entry before the q-th powers, so that a column
+    whose largest K lies far from 1 does not underflow."""
     if math.isinf(q):
         return np.max(rows, axis=0)
-    window = min(100.0, 1000.0 / q)
-    fac = np.array([_pow2_factor(v, window) for v in np.max(rows, axis=0).tolist()])
+    fac = np.array([_pow2_factor(v, q) for v in np.max(rows, axis=0).tolist()])
     total = 0.0
     for row in rows:
         total = total + (row * fac)**q
@@ -667,8 +654,10 @@ def _seq_plan(a, s_a: float, q0: float, s_b: float, q1: float) -> KPlan:
     """Plan of K for a main-grid sequence between the weighted spaces
     l^{s_a,q0} and l^{s_b,q1} (_seq_route), for reiteration_check."""
     arr = np.asarray(a, dtype=float)
-    return _scaled_plan("", float(arr.max()) if arr.size else 0.0,
-                        lambda fac: _seq_route(arr * fac, s_a, q0, s_b, q1))
+    if arr.size == 0 or arr.max() == 0.0:
+        return KPlan("", _zeros)
+    fac = _pow2_factor(float(arr.max()), 1.0)
+    return KPlan("", _seq_route(arr * fac, s_a, q0, s_b, q1), fac)
 
 
 def _fold_layers(batches: list) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -830,11 +819,10 @@ def k_plan(field: CoeffField, query: InterpQuery, method: str = "formula") -> KP
     elif query.xi not in (1.0, math.inf):
         raise UsageError(f"route {label} computes the {form} form and cannot honour "
                          f"xi={query.xi:g}; use xi 1 or inf, or method 'oracle'")
-
-    def scaled(fac):
-        return build(field.scaled(fac) if fac != 1.0 else field, query)
-
-    return _scaled_plan(label, field.max_abs(), scaled, form)
+    if field.max_abs() == 0.0:
+        return KPlan(label, _zeros, form=form)
+    field, fac = _scaled_field(field)
+    return KPlan(label, build(field, query), fac, form)
 
 
 def k_dispatch(field: CoeffField, query: InterpQuery, t: float) -> tuple[float, str]:

@@ -28,29 +28,38 @@ __all__ = [
 ]
 
 
-def _pow2_factor(vmax: float, window: float = 100.0) -> float:
-    """The one rescaling rule: 1 when the largest entry vmax lies within
-    2^(+-window), else the exact power of two, clamped to 2^(+-1000),
-    that pulls vmax back toward 1.  Scaling by it is exact, and a
-    clamped two-power factor cannot overflow the way 1/vmax can for
-    subnormal data."""
+def _pow2_factor(vmax: float, power: float) -> float:
+    """The one rescaling rule, for data raised to power: 1 when the
+    largest entry vmax lies within 2^(+-min(100, 1000/power)), so that
+    vmax^power is a normal double, else the exact power of two, clamped
+    to 2^(+-1000), that pulls vmax back toward 1.  Scaling by it is
+    exact, and a clamped two-power factor cannot overflow the way 1/vmax
+    can for subnormal data."""
+    window = min(100.0, 1000.0 / power)
     if 2.0**-window < vmax < 2.0**window:
         return 1.0
     return 2.0 ** max(min(-math.frexp(vmax)[1], 1000), -1000)
 
 
+def _scaled_field(field: CoeffField) -> tuple[CoeffField, float]:
+    """The field scaled by the rescaling rule at power 1, and the
+    factor; a quantity of degree d in the field divides by factor^d."""
+    fac = _pow2_factor(field.max_abs(), 1.0)
+    return (field.scaled(fac) if fac != 1.0 else field), fac
+
+
 def lp_norm(v, p: float) -> float:
     """l^p quasi-norm of a nonnegative vector; sup at p = inf.
 
-    The p-th powers are taken at the scale _pow2_factor picks, so that
-    they neither underflow nor overflow; in range it is 1, and the
-    result is bit for bit the unscaled one."""
+    The p-th powers are taken at the scale _pow2_factor picks for power
+    p, so that they neither underflow nor overflow; in range it is 1,
+    and the result is bit for bit the unscaled one."""
     arr = np.asarray(v, dtype=float)
     if len(arr) == 0:
         return 0.0
     if math.isinf(p):
         return float(arr.max())
-    fac = _pow2_factor(float(arr.max()))
+    fac = _pow2_factor(float(arr.max()), p)
     if fac != 1.0:
         arr = arr * fac
     return float((arr**p).sum() ** (1.0 / p)) / fac
@@ -83,7 +92,8 @@ def lorentz_seq_norm(v, p: float, q: float) -> float:
     Exact integral of (tau^(1/p) f*(tau))^q dtau/tau over the step
     rearrangement: sum_i f*[i]^q ((i+1)^(q/p) - i^(q/p)) to the 1/q,
     and sup_i (i+1)^(1/p) f*[i] when q = inf.  At p = q it telescopes
-    to the plain l^p norm.
+    to the plain l^p norm.  The q-th powers are taken at the scale
+    _pow2_factor picks for power q, as in lp_norm.
     """
     if math.isinf(p):
         raise UsageError("lorentz_seq_norm requires finite p")
@@ -94,7 +104,10 @@ def lorentz_seq_norm(v, p: float, q: float) -> float:
     if math.isinf(q):
         return float(np.max((i + 1.0) ** (1.0 / p) * r))
     cells = (i + 1.0) ** (q / p) - i ** (q / p)
-    return float(np.sum(r**q * cells) ** (1.0 / q))
+    fac = _pow2_factor(float(r[0]), q)
+    if fac != 1.0:
+        r = r * fac
+    return float(np.sum(r**q * cells) ** (1.0 / q)) / fac
 
 
 def _layer_dyadic_lorentz(values: np.ndarray, nj_scale: float, meas: float, p: float, r: float) -> float:
@@ -150,10 +163,12 @@ def besov_lorentz_norm(field: CoeffField, s: float, p: float, q: float, r: float
 
     Layer j contributes 2^(j*s) times the dyadic Lorentz functional of
     its height function 2^(n*j/2) f_j under the measure 2^(-n*j) * #;
-    layers aggregate in l^q.
+    layers aggregate in l^q, on the field scaled by _scaled_field, whose
+    power-of-two factor shifts every dyadic level exactly.
     """
     if p <= 0 or q <= 0 or r <= 0:
         raise UsageError("indices must be positive")
+    field, fac = _scaled_field(field)
     n = field.spec.n
     terms = []
     for j in range(field.spec.J):
@@ -161,4 +176,4 @@ def besov_lorentz_norm(field: CoeffField, s: float, p: float, q: float, r: float
             field.layers[j], 2.0 ** (n * j / 2.0), 2.0 ** (-n * j), p, r
         )
         terms.append(L)
-    return weighted_lq_norm(np.asarray(terms), s, q)
+    return weighted_lq_norm(np.asarray(terms), s, q) / fac

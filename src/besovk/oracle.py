@@ -24,7 +24,7 @@ import numpy as np
 from .coeffs import CoeffField
 from .errors import BudgetError, UsageError
 from .grid import BesovIndex, layer_weight
-from .norms import _pow2_factor, besov_norm
+from .norms import _scaled_field, besov_norm
 
 __all__ = [
     "vertex_tables",
@@ -38,14 +38,13 @@ _MAX_SWEEPS = 500  # coordinate-descent sweeps per start
 def _budgeted(field: CoeffField, what: str) -> tuple[CoeffField, float]:
     """The one cap site of both oracles: refuse a field of more than
     _MAX_COEFFS coefficients (BudgetError), else return the field scaled
-    by the one rescaling rule (norms._pow2_factor) and the factor, which
+    by the one rescaling rule (norms._scaled_field) and the factor, which
     K divides out."""
     N = field.spec.total_coeffs
     if N > _MAX_COEFFS:
         raise BudgetError(f"{N} coefficients exceed the {what} budget ({_MAX_COEFFS}); "
                           "refusing rather than truncating")
-    fac = _pow2_factor(field.max_abs())
-    return (field.scaled(fac) if fac != 1.0 else field), fac
+    return _scaled_field(field)
 
 
 def _layer_norm_table(v: np.ndarray, p: float) -> np.ndarray:
@@ -64,7 +63,7 @@ class VertexTables:
     Bit gamma of a mask selects flat coefficient gamma (layers
     concatenated in order).  The complement of mask S is 2^N - 1 - S,
     so the A1 norms of complements are just the reversed table.  They
-    hold the field scaled by fac (norms._pow2_factor); k undoes it.
+    hold the field scaled by fac (norms._scaled_field); k undoes it.
     """
 
     def __init__(self, field: CoeffField, idx0: BesovIndex, idx1: BesovIndex):
@@ -289,7 +288,7 @@ def k_cuboid_continuous(field: CoeffField, idx0: BesovIndex, idx1: BesovIndex,
     deterministic and would repeat its value.  At t = inf only g = f is finite, and K is ||f||_A0.
 
     The descent runs on the field scaled by the one rescaling rule
-    (norms._pow2_factor) and unscales at the end.  Each line search is
+    (norms._scaled_field) and unscales at the end.  Each line search is
     one golden-section loop (_golden_min) that evaluates one fused
     scalar objective inline: both sides' norms with the other
     coordinates held fixed, from per-side (layer rest, layer weight,

@@ -118,6 +118,25 @@ def test_norm_missing_file_exit_2(capsys):
     assert code == 2
 
 
+def test_norm_far_from_one_at_large_exponents(capsys, tmp_path):
+    # p-th powers at the rescaling rule's scale for power p: one 1e30
+    # coefficient at p = q = 11 printed Infinity, and the Lorentz norm of
+    # a field near 2^700 raised OverflowError (exit 3)
+    path = tmp_path / "f.json"
+    path.write_text('{"n": 1, "layers": [{"j": 0, "coeffs": [1e30]}]}', encoding="utf-8")
+    code = main(["norm", "--input", str(path), "--p0", "11", "--q0", "11"])
+    got = capsys.readouterr()
+    assert (code, got.out, got.err) == (0, '{\n  "besov_norm": 1e+30\n}\n', "")
+    big = [{"j": 0, "coeffs": [2.0**700]}, {"j": 1, "coeffs": [2.0**699, 2.0**698]}]
+    path.write_text(json.dumps({"n": 1, "layers": big}), encoding="utf-8")
+    code = main(["norm", "--input", str(path), "--s0", "0.3", "--q0", "1",
+                 "--lorentz-r", "2"])
+    got = capsys.readouterr()
+    assert (code, got.err) == (0, "")
+    assert json.loads(got.out)["besov_lorentz_norm"] == pytest.approx(
+        1.1392882414691883 * 2.0**700, rel=1e-15)
+
+
 def test_norm_requires_exactly_one_source(capsys):
     assert main(["norm"]) == 2
     assert main(["norm", "--input", "x.json"] + SPIKE) == 2

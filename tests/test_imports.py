@@ -125,9 +125,11 @@ def _params(fn) -> list[str]:
             for p in inspect.signature(fn).parameters.values()]
 
 
-def test_signatures_hold_only_settings_a_caller_sets():
+def test_signatures_hold_only_settings_a_caller_sets(monkeypatch):
+    import numpy as np
+
     import besovk
-    from besovk import verify
+    from besovk import kfunc, norms, oracle, verify
     from besovk.cli import build_parser
     from besovk.oracle import VertexTables
 
@@ -163,3 +165,20 @@ def test_signatures_hold_only_settings_a_caller_sets():
         run = getattr(verify, "run_" + name.replace("-", "_"))
         assert verify.SUITES[name] is run
         assert _params(run) == [f"seed={seed}"]
+    # one rescaling rule, keyed by the power the caller raises the data to:
+    # the plan and both oracles scale a field through one function at
+    # power 1, and the layer-sum aggregate passes its q
+    assert _params(norms._pow2_factor) == ["vmax", "power"]
+    assert not hasattr(kfunc, "_scaled_plan")
+    scaled = []
+    monkeypatch.setattr(kfunc, "_scaled_field", lambda f: scaled.append(f) or (f, 1.0))
+    monkeypatch.setattr(oracle, "_scaled_field", lambda f: scaled.append(f) or (f, 1.0))
+    field = besovk.CoeffField(besovk.GridSpec(1, 1, (2,)), [[1.0, 0.5]])
+    idx = besovk.BesovIndex(0.0, 2.0, 2.0)
+    besovk.k_plan(field, besovk.InterpQuery(idx, idx))
+    oracle._budgeted(field, "enumeration")
+    assert scaled == [field, field]
+    powers = []
+    monkeypatch.setattr(kfunc, "_pow2_factor", lambda v, power: powers.append(power) or 1.0)
+    kfunc._lq_across([np.array([1.0, 2.0]), np.array([3.0, 4.0])], 20.0)
+    assert powers == [20.0, 20.0]

@@ -18,6 +18,7 @@ from besovk.interp import (
 )
 from besovk.kfunc import CaseTag, InterpQuery, KPlan, k_curve, k_dispatch
 from besovk.norms import besov_norm
+from besovk.verify import _rand_field
 
 
 def _field(layers, n=1):
@@ -199,6 +200,21 @@ def test_refusal_names_the_window_it_integrated():
     plan = KPlan("sqrt", np.sqrt)
     with pytest.raises(NumericError, match=r"\[2\^-996\.0, 2\^996\.0\]"):
         _interp_scaled(plan, 0.5, 1.0, None, "formula")
+
+
+@pytest.mark.parametrize("r", [60.0, 200.0])
+def test_interp_norm_is_homogeneous_at_large_r(r):
+    # the r-th powers of t^-theta K are taken at the rescaling rule's scale
+    # for power r; at the plan's field scale alone, 2^-40 times a field
+    # read 0 and 2^40 times one overflowed
+    query = InterpQuery(BesovIndex(1.5, 2.0, 2.0), BesovIndex(-1.0, 2.0, 2.0), theta=0.5, r=r)
+    rng = np.random.default_rng(0)
+    for _ in range(40):
+        field = _rand_field(rng)
+        want = interp_norm(field, query)
+        for k in (-40, 40):
+            got = interp_norm(field.scaled(2.0**k), query)
+            assert got * 2.0**-k == pytest.approx(want, rel=1e-9)
 
 
 def test_quadrature_spec_validation():

@@ -15,6 +15,7 @@ from besovk.norms import (
     main_grid_reduce,
     weighted_lq_norm,
 )
+from besovk.verify import _rand_field
 
 
 def _field(layers, n=1):
@@ -75,6 +76,9 @@ def test_norms_scale_robust_at_both_extremes():
     assert lp_norm([1e-200], 2.0) == pytest.approx(1e-200, rel=1e-15)
     assert lp_norm([1e200, 1e200], 2.0) == pytest.approx(math.sqrt(2.0) * 1e200, rel=1e-15)
     assert lp_norm([5e-324, 5e-324], 0.5) == 2e-323
+    assert lp_norm([1e30], 11.0) == 1e30
+    assert lp_norm([1e-30, 1e-30], 11.0) == pytest.approx(2.0 ** (1.0 / 11.0) * 1e-30,
+                                                          rel=1e-15)
     idx = BesovIndex(0.5, 2.0, 1.5)
     base = _field([(3.0, 4.0), (1.0,)])
     for scale in (1e-250, 1e-200, 1e200, 1e250):
@@ -88,6 +92,31 @@ def test_norms_scale_robust_at_both_extremes():
     # within 2^(+-100) the value is the unscaled sum, bit for bit
     v = np.random.default_rng(4).uniform(1e-20, 1e20, 7)
     assert lp_norm(v, 1.5) == float(np.sum(v**1.5) ** (1.0 / 1.5))
+
+
+def _max_factored(v, p):
+    m = max(v)
+    return 0.0 if m == 0.0 else m * sum((x / m) ** p for x in v) ** (1.0 / p)
+
+
+@pytest.mark.parametrize("E", [16.0, 256.0, 1024.0])
+def test_norms_at_large_exponents_match_a_max_factored_reference(E):
+    # the factor-1 window of the rescaling rule narrows to 2^(+-1000/p)
+    # above p = 10, so p-th powers stay normal doubles: with a fixed
+    # 2^(+-100), 2^80 times a field overflowed at p = 16 and 2^-80 times
+    # one underflowed
+    rng = np.random.default_rng(7)
+    for _ in range(200):
+        base = _rand_field(rng)
+        idx = BesovIndex(float(rng.uniform(-2.0, 2.0)), E, E)
+        for scale in (1.0, 2.0**80, 2.0**-80):
+            field = base.scaled(scale)
+            terms = []
+            for j, v in enumerate(field.layers):
+                want = _max_factored(v.tolist(), E)
+                assert lp_norm(v, E) == pytest.approx(want, rel=1e-12)
+                terms.append(layer_weight(field.spec, idx, j) * want)
+            assert besov_norm(field, idx) == pytest.approx(_max_factored(terms, E), rel=1e-12)
 
 
 def test_main_grid_reduce_single_spike():
@@ -221,6 +250,23 @@ def test_besov_lorentz_at_p_inf():
         2.0**0.4, rel=1e-15)
     assert besov_lorentz_norm(one, 0.4, math.inf, 1.0, 2.0) == pytest.approx(
         2.0**0.4 * math.sqrt(4.0 / 3.0), rel=1e-15)
+
+
+def test_lorentz_norms_scale_exactly_across_double_range():
+    # the q-th powers of the rearrangement, and the dyadic levels of a
+    # field, are taken at the rescaling rule's power-of-two scale: unscaled,
+    # 1e-200 read 0 and 1e200 inf, and 2^700 times the field below raised
+    # OverflowError while 2^-700 times it read 0
+    assert lorentz_seq_norm([1e-200], 1.0, 2.0) == pytest.approx(1e-200, rel=1e-15)
+    assert lorentz_seq_norm([1e200], 1.0, 2.0) == pytest.approx(1e200, rel=1e-15)
+    field = _field([(1.0,), (0.5, 0.25)])
+    assert besov_lorentz_norm(field, 0.3, 2.0, 1.0, 2.0) == pytest.approx(
+        1.1392882414691883, rel=1e-15)
+    for r in (1.0, 2.0, math.inf):
+        want = besov_lorentz_norm(field, 0.3, 2.0, 1.0, r)
+        for k in (-1000, -700, 700, 1000):
+            got = besov_lorentz_norm(field.scaled(2.0**k), 0.3, 2.0, 1.0, r)
+            assert got * 2.0**-k == pytest.approx(want, rel=1e-15)
 
 
 def test_empty_vectors_and_lorentz_p_inf_refusal():
