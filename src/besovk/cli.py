@@ -14,7 +14,7 @@ import argparse
 import json
 import sys
 
-from .coeffs import GENERATOR_KINDS, CoeffField, field_payload, generate, read_field, write_field
+from .coeffs import GENERATOR_KINDS, CoeffField, field_payload, generate, read_field
 from .errors import BudgetError, DataError, NumericError, UsageError
 from .grid import BesovIndex, GridSpec
 from .interp import QuadratureSpec, interp_norm_report
@@ -90,12 +90,9 @@ def _query(args) -> InterpQuery:
         args.p0 if args.p1 is None else args.p1,
         args.q0 if args.q1 is None else args.q1,
     )
-    kwargs = {}
-    if hasattr(args, "theta"):
-        kwargs = {"theta": args.theta, "r": args.r, "xi": args.xi}
-    elif hasattr(args, "xi"):
-        kwargs = {"xi": args.xi}
-    return InterpQuery(idx0, idx1, **kwargs)
+    # kcurve and interpnorm both take --xi; interpnorm alone --theta and --r
+    norm = {"theta": args.theta, "r": args.r} if hasattr(args, "theta") else {}
+    return InterpQuery(idx0, idx1, xi=args.xi, **norm)
 
 
 def _emit(text: str, out: str | None) -> None:
@@ -177,11 +174,7 @@ def cmd_generate(args) -> int:
         raise UsageError("generate takes --generate, not --input")
     if not args.generate:
         raise UsageError("generate requires --generate KIND")
-    field = _load_field(args)
-    if args.out:
-        write_field(field, args.out)
-    else:
-        sys.stdout.write(_json_text(field_payload(field)))
+    _emit(_json_text(field_payload(_load_field(args))), args.out)
     return 0
 
 
@@ -239,10 +232,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (UsageError, DataError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
+    except (UsageError, DataError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except (BudgetError, NumericError, ArithmeticError) as exc:

@@ -12,7 +12,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .errors import UsageError
+from .errors import NumericError, UsageError
 
 __all__ = ["GridSpec", "BesovIndex", "layer_weight", "validate_compat"]
 
@@ -67,10 +67,15 @@ class BesovIndex:
 
 
 def layer_weight(spec: GridSpec, index: BesovIndex, j: int) -> float:
-    """Dyadic weight 2^(j * (s + n/2 - n/p)) of layer j."""
+    """Dyadic weight 2^(j * (s + n/2 - n/p)) of layer j; NumericError past
+    double range (a weight that underflows is 0)."""
     if not 0 <= j < spec.J:
         raise IndexError(f"layer {j} outside [0, {spec.J})")
-    return 2.0 ** (j * index.weight_exponent(spec.n))
+    e = j * index.weight_exponent(spec.n)
+    try:
+        return 2.0**e
+    except OverflowError:
+        raise NumericError(f"layer {j} has weight 2^{e:g}, past double range") from None
 
 
 def validate_compat(spec: GridSpec, layers) -> None:

@@ -56,12 +56,7 @@ class QuadratureSpec:
     t_max_exp: float = 20.0
 
     def __post_init__(self):
-        if not 0 < self.points_per_decade < math.inf:
-            raise UsageError(f"points_per_decade must be positive and finite, "
-                             f"got {self.points_per_decade}")
-        if not self.t_min_exp < self.t_max_exp:
-            raise UsageError("need t_min_exp < t_max_exp")
-        _check_t_window(self.t_min_exp, self.t_max_exp)
+        _check_t_window(self.t_min_exp, self.t_max_exp, self.points_per_decade)
 
 
 @dataclass(frozen=True)

@@ -52,7 +52,7 @@ from enum import Enum
 import numpy as np
 
 from .coeffs import CoeffField
-from .errors import UsageError
+from .errors import NumericError, UsageError
 from .grid import BesovIndex, layer_weight
 from .norms import (_pow2_factor, _scaled_field, besov_norm, lp_norm, main_grid_reduce,
                     weighted_lq_norm)
@@ -148,9 +148,11 @@ class KCurve:
         object.__setattr__(self, "k", k)
 
 
-def _check_t_window(t_min_exp: float, t_max_exp: float) -> None:
-    """Refuse a window [2^t_min_exp, 2^t_max_exp] whose end points are not
-    positive finite doubles."""
+def _check_t_window(t_min_exp: float, t_max_exp: float, points_per_decade: float) -> None:
+    """The one t window rule: refuse [2^t_min_exp, 2^t_max_exp] unless both
+    end points are positive finite doubles and t_min_exp <= t_max_exp, and
+    a density of points_per_decade nodes per binary decade unless it is
+    positive and finite."""
     for name, e in (("t_min_exp", t_min_exp), ("t_max_exp", t_max_exp)):
         try:
             end = 2.0 ** float(e)
@@ -158,16 +160,16 @@ def _check_t_window(t_min_exp: float, t_max_exp: float) -> None:
             end = math.inf
         if not 0.0 < end < math.inf:
             raise UsageError(f"{name} = {e}: 2^{e} is not a positive finite double")
+    if not t_min_exp <= t_max_exp:
+        raise UsageError(f"need t_min_exp <= t_max_exp, got {t_min_exp} > {t_max_exp}")
+    if not 0 < points_per_decade < math.inf:
+        raise UsageError(f"points_per_decade must be positive and finite, got {points_per_decade}")
 
 
 def default_t_grid(t_min_exp: float = -20.0, t_max_exp: float = 20.0,
                    points_per_decade: float = 2.0) -> np.ndarray:
     """Log-spaced t grid, points_per_decade per binary decade (81 by default)."""
-    _check_t_window(t_min_exp, t_max_exp)
-    if not t_min_exp <= t_max_exp:
-        raise UsageError(f"need t_min_exp <= t_max_exp, got {t_min_exp} > {t_max_exp}")
-    if not 0 < points_per_decade < math.inf:
-        raise UsageError(f"points_per_decade must be positive and finite, got {points_per_decade}")
+    _check_t_window(t_min_exp, t_max_exp, points_per_decade)
     count = int(round((t_max_exp - t_min_exp) * points_per_decade)) + 1
     return np.logspace(t_min_exp, t_max_exp, count, base=2.0)
 
@@ -208,8 +210,11 @@ class KPlan:
         # powers of t overflow to inf and underflow to 0 by design (the
         # closed forms take those limits), and np.where evaluates both
         # branches; neither is worth a warning
-        with np.errstate(all="ignore"):
-            return self._fn(ts) / fac
+        try:
+            with np.errstate(all="ignore"):
+                return self._fn(ts) / fac
+        except ArithmeticError as exc:  # a Python float overflowed or divided by 0
+            raise NumericError(f"route {self.label} leaves double range: {exc}") from None
 
 
 def _zeros(ts: np.ndarray) -> np.ndarray:
@@ -809,7 +814,8 @@ def k_plan(field: CoeffField, query: InterpQuery, method: str = "formula") -> KP
     more than 20 coefficients (BudgetError).
     method 'oracle' takes the enumeration oracle whatever the regime,
     which alone honours an xi other than 1 and inf; the formula routes
-    compute a fixed form and refuse one (UsageError).
+    compute a fixed form and refuse one (UsageError).  A route whose
+    build overflows, or whose arithmetic raises, refuses (NumericError).
     """
     if method not in ("formula", "oracle"):
         raise UsageError(f"unknown method {method!r}; use 'formula' or 'oracle'")
@@ -822,7 +828,11 @@ def k_plan(field: CoeffField, query: InterpQuery, method: str = "formula") -> KP
     if field.max_abs() == 0.0:
         return KPlan(label, _zeros, form=form)
     field, fac = _scaled_field(field)
-    return KPlan(label, build(field, query), fac, form)
+    try:
+        with np.errstate(over="raise"):  # a build that overflows gives a wrong K
+            return KPlan(label, build(field, query), fac, form)
+    except ArithmeticError as exc:
+        raise NumericError(f"route {label} leaves double range: {exc}") from None
 
 
 def k_dispatch(field: CoeffField, query: InterpQuery, t: float) -> tuple[float, str]:

@@ -33,7 +33,7 @@ from .coeffs import CoeffField
 from .errors import UsageError
 from .grid import BesovIndex, GridSpec, layer_weight
 from .interp import besov_identity_check, interp_norm, reiteration_check
-from .kfunc import InterpQuery, k_plan
+from .kfunc import InterpQuery, KPlan, k_plan
 from .norms import besov_norm, main_grid_reduce
 from .oracle import k_cuboid_continuous, vertex_tables
 
@@ -65,11 +65,11 @@ _COUPLES = {
 }
 
 
-def _band(ratio: float) -> float:
-    """Symmetric band factor: max(ratio, 1/ratio)."""
-    if ratio <= 0 or math.isnan(ratio):
+def _band(ratios: np.ndarray) -> float:
+    """Worst band factor max(r, 1/r) over ratios: 0 for none, inf at r <= 0 or nan."""
+    if not (ratios > 0).all():
         return math.inf
-    return max(ratio, 1.0 / ratio)
+    return float(np.maximum(ratios, 1.0 / ratios).max(initial=0.0))
 
 
 def _check(name: str, worst: float, limit: float) -> dict:
@@ -171,10 +171,20 @@ def _single_worst(rng, route: str, count: int, ts) -> float:
         idx0, idx1 = _rand_couple(rng, route)
         w0, w1 = layer_weight(spec, idx0, j), layer_weight(spec, idx1, j)
         got = k_plan(CoeffField(spec, layers), InterpQuery(idx0, idx1)).k(ts)
-        for t, k in zip(ts, got.tolist()):
-            exact = c * min(w0, t * w1)
-            worst = max(worst, abs(k - exact) / exact)
+        exact = c * np.minimum(w0, ts * w1)
+        worst = max(worst, float((np.abs(got - exact) / exact).max()))
     return worst
+
+
+def _form_ratios(field, query) -> tuple[KPlan, np.ndarray]:
+    """The query's plan, and its K over the vertex oracle of the plan's own
+    form (max: xi = inf, else 1) across the shared t grid, where the
+    oracle is not 0."""
+    plan = k_plan(field, query)
+    xi = math.inf if plan.form == "max" else 1.0
+    oracle = vertex_tables(field, query.idx0, query.idx1).curve(_T_GRID, xi)
+    live = oracle != 0.0
+    return plan, plan.k(_T_GRID)[live] / oracle[live]
 
 
 # ---------------------------------------------------------------------------
@@ -201,28 +211,21 @@ def run_axioms(rng, count: int) -> list[dict]:
         bumped_layers[bj][bi] += 0.5 * (1.0 + bumped_layers[bj][bi])
         bumped = vertex_tables(
             CoeffField(field.spec, bumped_layers), idx0, idx1)
-        for t in 2.0 ** rng.uniform(-8.0, 8.0, size=3):
-            t = float(t)
-            k1 = tabs.k(t, 1.0)
-            k2 = tabs.k(t, 2.0)
-            kinf = tabs.k(t, math.inf)
-            ref = max(k1, 1e-300)
-            worst["commutativity"] = max(
-                worst["commutativity"],
-                abs(k1 - t * swap.k(1.0 / t, 1.0)) / ref,
-                abs(kinf - t * swap.k(1.0 / t, math.inf)) / max(kinf, 1e-300))
-            worst["homogeneity"] = max(
-                worst["homogeneity"], abs(scaled.k(t, 1.0) - scale * k1) / (scale * ref))
-            worst["coordinate-monotone"] = max(
-                worst["coordinate-monotone"], (k1 - bumped.k(t, 1.0)) / ref)
-            worst["sandwich"] = max(
-                worst["sandwich"],
-                (kinf - k2) / max(k2, 1e-300),
-                (k2 - k1) / ref,
-                (k1 - math.sqrt(2.0) * k2) / ref,
-                (k1 - 2.0 * kinf) / ref)
+        ts = 2.0 ** rng.uniform(-8.0, 8.0, size=3)
+        k1, k2, kinf = (tabs.curve(ts, xi) for xi in (1.0, 2.0, math.inf))
+        ref, ref2, refinf = (np.maximum(k, 1e-300) for k in (k1, k2, kinf))
+        found = {
+            "commutativity": [np.abs(k1 - ts * swap.curve(1.0 / ts, 1.0)) / ref,
+                              np.abs(kinf - ts * swap.curve(1.0 / ts, math.inf)) / refinf],
+            "homogeneity": [np.abs(scaled.curve(ts, 1.0) - scale * k1) / (scale * ref)],
+            "coordinate-monotone": [(k1 - bumped.curve(ts, 1.0)) / ref],
+            "sandwich": [(kinf - k2) / ref2, (k2 - k1) / ref,
+                         (k1 - math.sqrt(2.0) * k2) / ref, (k1 - 2.0 * kinf) / ref],
+        }
+        for name, errs in found.items():
+            worst[name] = max(worst[name], float(np.max(errs)))
         ts = np.sort(2.0 ** rng.uniform(-10.0, 10.0, size=6))
-        ks = np.array([tabs.k(float(t), 1.0) for t in ts])
+        ks = tabs.curve(ts, 1.0)
         kref = max(float(ks.max()), 1e-300)
         worst["t-monotone"] = max(worst["t-monotone"],
                                   float(-(np.diff(ks)).min()) / kref)
@@ -254,13 +257,6 @@ def run_vertex_band(rng, count: int) -> list[dict]:
             _check("vertex-within-factor-two", worst_factor, 1.0)]
 
 
-def _ratio_sweep(field, query, ks, xi: float = 1.0):
-    """Formula/oracle ratios across the shared t grid, ks the formula's
-    K values on it."""
-    oracles = vertex_tables(field, query.idx0, query.idx1).curve(_T_GRID, xi)
-    return [float(k) / float(oracle) for k, oracle in zip(ks, oracles) if oracle != 0.0]
-
-
 @_suite("p-equal", seed=103, size=300)
 def run_p_equal(rng, count: int) -> list[dict]:
     """Shared-p routes against the vertex oracle, a third of the count
@@ -274,11 +270,9 @@ def run_p_equal(rng, count: int) -> list[dict]:
             if route == "weighted-split" and i % 3 == 0:
                 idx0 = BesovIndex(idx0.s, idx0.p, 1.0)
                 idx1 = BesovIndex(idx1.s, idx1.p, 1.0)
-            query = InterpQuery(idx0, idx1)
-            plan = k_plan(field, query)
+            plan, ratios = _form_ratios(field, InterpQuery(idx0, idx1))
             key = f"{route}-band"
-            for ratio in _ratio_sweep(field, query, plan.k(_T_GRID)):
-                worst[key] = max(worst[key], _band(ratio))
+            worst[key] = max(worst[key], _band(ratios))
             if route == "weighted-split" and idx0.q == 1.0:
                 n = field.spec.n
                 a = main_grid_reduce(field, idx0.p)
@@ -305,29 +299,26 @@ def run_q_equal(rng, count: int) -> list[dict]:
     worst_band = 0.0
     for _ in range(count):
         field = _rand_field(rng)
-        query = InterpQuery(*_rand_couple(rng, "layer-sum"))
-        for ratio in _ratio_sweep(field, query, k_plan(field, query).k(_T_GRID)):
-            worst_band = max(worst_band, _band(ratio))
-    worst_single = _single_worst(rng, "layer-sum", 20, (0.03125, 1.0, 19.7))
+        _, ratios = _form_ratios(field, InterpQuery(*_rand_couple(rng, "layer-sum")))
+        worst_band = max(worst_band, _band(ratios))
+    worst_single = _single_worst(rng, "layer-sum", 20, np.array([0.03125, 1.0, 19.7]))
     return [_check("layer-sum-band", worst_band, 8.0),
             _check("single-coefficient-exact", worst_single, 1e-9)]
 
 
 @_suite("general", seed=105, size=50)
 def run_general(rng, count: int) -> list[dict]:
-    """Power-composition route against the max-form vertex oracle:
-    band, per-instance spread, and single-coefficient collapse."""
+    """Power-composition route against the vertex oracle of its (max)
+    form: band, per-instance spread, and single-coefficient collapse."""
     worst_band = 0.0
     worst_spread = 0.0
     for _ in range(count):
         field = _rand_field(rng, max_total=10)
-        query = InterpQuery(*_rand_couple(rng, "general"))
-        ratios = _ratio_sweep(field, query, k_plan(field, query).k(_T_GRID), xi=math.inf)
-        if not ratios:
-            continue
-        worst_band = max(worst_band, max(_band(r) for r in ratios))
-        worst_spread = max(worst_spread, max(ratios) / min(ratios))
-    worst_single = _single_worst(rng, "general", 10, (0.0625, 1.0, 11.3))
+        _, ratios = _form_ratios(field, InterpQuery(*_rand_couple(rng, "general")))
+        if len(ratios):
+            worst_band = max(worst_band, _band(ratios))
+            worst_spread = max(worst_spread, float(ratios.max() / ratios.min()))
+    worst_single = _single_worst(rng, "general", 10, np.array([0.0625, 1.0, 11.3]))
     return [_check("composition-band", worst_band, 16.0),
             _check("ratio-spread", worst_spread, 16.0),
             _check("single-coefficient-collapse", worst_single, 1e-6)]

@@ -348,6 +348,40 @@ def test_bad_grid_exit_2(capsys, cmd, window):
     assert capsys.readouterr().err.startswith("error: ")
 
 
+@pytest.mark.parametrize("cmd", ["kcurve", "interpnorm"])
+def test_one_window_rule_for_both_commands(capsys, cmd):
+    # interpnorm once refused an equal window that kcurve took, and gave a
+    # reversed one its own message; one rule now decides for both
+    assert main([cmd] + SPIKE + ["--t-min-exp", "0", "--t-max-exp", "0"]) == 0
+    capsys.readouterr()
+    assert main([cmd] + SPIKE + ["--t-min-exp", "5", "--t-max-exp", "-5"]) == 2
+    assert capsys.readouterr().err == "error: need t_min_exp <= t_max_exp, got 5.0 > -5.0\n"
+
+
+def test_kcurve_plan_that_overflows_exit_3(capsys, tmp_path):
+    # A1 exponent q1 = 1024 overflows the GENERAL build (1.176^1024); kcurve
+    # once printed K = 5.08 against min(N0, t N1) = 4.4e-4 and exited 0
+    path = tmp_path / "field.json"
+    path.write_text(json.dumps({"n": 1, "layers": [{"j": 0, "coeffs": [0.351]},
+                                                   {"j": 1, "coeffs": [0.698, 1.176]}]}))
+    code = main(["kcurve", "--input", str(path), "--s0", "1.61", "--p0", "inf", "--q0", "2",
+                 "--s1", "0.39", "--p1", "2", "--q1", "1024",
+                 "--t-min-exp", "-12", "--t-max-exp", "-12"])
+    captured = capsys.readouterr()
+    assert code == 3
+    assert captured.out == ""
+    assert captured.err.startswith("error: ")
+    assert "formula:general:power-composition-kinf" in captured.err
+
+
+def test_norm_layer_weight_past_double_range_exit_3(capsys):
+    # s = 2000 puts layer 1's weight at 2^2000: once "error: (34, 'Numerical
+    # result out of range')"
+    code = main(["norm", "--generate", "single-spike", "--spec", "2,1,1,1", "--s0", "2000"])
+    assert code == 3
+    assert capsys.readouterr().err == "error: layer 1 has weight 2^2000, past double range\n"
+
+
 def test_bad_spec_exit_2(capsys):
     assert main(["generate", "--generate", "single-spike",
                  "--spec", "2,1,2"]) == 2

@@ -3,7 +3,7 @@ import math
 import pytest
 from hypothesis import given, strategies as st
 
-from besovk.errors import UsageError
+from besovk.errors import NumericError, UsageError
 from besovk.grid import BesovIndex, GridSpec, layer_weight, validate_compat
 
 
@@ -89,3 +89,12 @@ def test_layer_weight_refuses_a_layer_outside_the_grid():
     for j in (-1, 2):
         with pytest.raises(IndexError, match=rf"layer {j} outside \[0, 2\)"):
             layer_weight(spec, idx, j)
+
+
+def test_layer_weight_past_double_range_refuses():
+    # 2^2000 once escaped as a raw OverflowError; a weight that underflows
+    # stays 0
+    spec = GridSpec(n=1, J=2, layer_sizes=(1, 1))
+    with pytest.raises(NumericError, match=r"layer 1 has weight 2\^2000, past double range"):
+        layer_weight(spec, BesovIndex(2000.0, 2.0, 2.0), 1)
+    assert layer_weight(spec, BesovIndex(-2000.0, 2.0, 2.0), 1) == 0.0

@@ -18,7 +18,7 @@ from besovk.interp import (
 )
 from besovk.kfunc import CaseTag, InterpQuery, KPlan, k_curve, k_dispatch
 from besovk.norms import besov_norm
-from besovk.verify import _rand_field
+from besovk.verify import _COUPLES, _rand_couple, _rand_field
 
 
 def _field(layers, n=1):
@@ -225,6 +225,26 @@ def test_quadrature_spec_validation():
     for lo, hi in ((-20.0, 1030.0), (-1080.0, 20.0)):
         with pytest.raises(UsageError, match="positive finite double"):
             QuadratureSpec(t_min_exp=lo, t_max_exp=hi)
+
+
+def test_quadrature_spec_takes_the_window_rule_of_default_t_grid():
+    # an equal window was once refused here though default_t_grid takes it
+    assert QuadratureSpec(t_min_exp=0.0, t_max_exp=0.0).t_max_exp == 0.0
+    with pytest.raises(UsageError, match=r"need t_min_exp <= t_max_exp, got 5.0 > -5.0"):
+        QuadratureSpec(t_min_exp=5.0, t_max_exp=-5.0)
+
+
+@pytest.mark.parametrize("r", [1.0, 2.0, math.inf])
+@pytest.mark.parametrize("route", list(_COUPLES))
+def test_one_node_window_widens_to_the_default_value(route, r):
+    # from [2^0, 2^0] the window widens until its tails are negligible
+    rng = np.random.default_rng([9, list(_COUPLES).index(route)])
+    field = _rand_field(rng)
+    query = InterpQuery(*_rand_couple(rng, route), theta=0.4, r=r)
+    want = interp_norm(field, query)
+    got = interp_norm_report(field, query, quad=QuadratureSpec(t_min_exp=0.0, t_max_exp=0.0))
+    assert got.t_min_exp < 0.0 < got.t_max_exp
+    assert got.value == pytest.approx(want, rel=1e-12)
 
 
 # --- every route on fields spanning the double range -------------------------

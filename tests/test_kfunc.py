@@ -9,7 +9,7 @@ from numpy._core._multiarray_umath import __cpu_features__
 
 from besovk import kfunc, verify
 from besovk.coeffs import CoeffField, generate
-from besovk.errors import UsageError
+from besovk.errors import BesovkError, NumericError, UsageError
 from besovk.grid import BesovIndex, GridSpec
 from besovk.kfunc import (
     CaseTag,
@@ -764,6 +764,54 @@ def test_formula_routes_finite_at_extreme_t(route):
         k = plan.k(_EXTREME_T)
         assert np.isfinite(k).all() and (k >= 0.0).all(), (i0, i1, k)
         assert k[-1] == pytest.approx(besov_norm(field, i0), rel=1e-12)
+
+
+# --- refusal at large exponents ---------------------------------------------
+
+# entries 0.351 and 1.176 with A1 exponent q1: at q1 = 1024 the GENERAL
+# build overflows (1.176^1024) and once returned K = 5.08 against
+# min(N0, t N1) = 4.4e-4
+_OVERFLOW_LAYERS = [(0.351,), (0.698, 1.176)]
+
+
+def _overflow_query(q1):
+    return InterpQuery(BesovIndex(1.61, math.inf, 2.0), BesovIndex(0.39, 2.0, q1))
+
+
+def test_plan_whose_build_overflows_refuses():
+    field = _field(_OVERFLOW_LAYERS)
+    with pytest.raises(NumericError, match="formula:general:power-composition-kinf"):
+        k_plan(field, _overflow_query(1024.0))
+    k = _at(k_plan(field, _overflow_query(256.0)).k, 2.0**-12)
+    assert k == pytest.approx(0.0004375054369884474, rel=1e-12)
+
+
+# route -> the exponent set to E: the shared q, or that of the A1 index
+_LARGE_EXPONENT = {"weighted-split": "q", "composed-split": "q1", "rearrangement": "q1",
+                   "layer-sum": "p1", "general": "q1"}
+
+
+@pytest.mark.parametrize("E", [256.0, 1024.0])
+@pytest.mark.parametrize("route", list(_LARGE_EXPONENT))
+def test_large_exponent_plans_return_k_or_refuse(route, E):
+    # at these exponents a build once overflowed into a wrong K with a
+    # RuntimeWarning, or raised a raw OverflowError or ZeroDivisionError;
+    # a RuntimeWarning is an error here, and only a BesovkError may escape
+    rng = np.random.default_rng(7)
+    for _ in range(200):
+        field = verify._rand_field(rng, max_total=12)
+        i0, i1 = verify._rand_couple(rng, route)
+        if _LARGE_EXPONENT[route] == "q":
+            i0, i1 = BesovIndex(i0.s, i0.p, E), BesovIndex(i1.s, i1.p, E)
+        elif _LARGE_EXPONENT[route] == "q1":
+            i1 = BesovIndex(i1.s, i1.p, E)
+        else:
+            i1 = BesovIndex(i1.s, E, i1.q)
+        try:
+            k = k_plan(field, InterpQuery(i0, i1)).k(verify._T_GRID)
+        except BesovkError:
+            continue
+        assert len(k) == len(verify._T_GRID)
 
 
 # --- prepared plans ---------------------------------------------------------

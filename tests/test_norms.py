@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from besovk.coeffs import CoeffField, generate
-from besovk.errors import UsageError
+from besovk.errors import NumericError, UsageError
 from besovk.grid import BesovIndex, GridSpec, layer_weight
 from besovk.norms import (
     besov_lorentz_norm,
@@ -287,3 +287,11 @@ def test_besov_lorentz_at_a_power_of_two_height():
     assert besov_lorentz_norm(one, 0.0, 2.0, 2.0, math.inf) == 0.5
     assert besov_lorentz_norm(_field([(1.0, 0.25)]), 0.0, 1.0, 1.0, 1.0) == pytest.approx(
         1.25, rel=1e-15)
+
+
+def test_besov_norm_refuses_a_layer_weight_past_double_range():
+    # s = 2000 puts layer 1's weight at 2^2000; this once raised a raw
+    # OverflowError from layer_weight
+    field = CoeffField(GridSpec(n=1, J=2, layer_sizes=(1, 1)), [np.ones(1), np.ones(1)])
+    with pytest.raises(NumericError, match="layer 1"):
+        besov_norm(field, BesovIndex(2000.0, 2.0, 2.0))

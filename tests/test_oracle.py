@@ -8,7 +8,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from besovk.coeffs import CoeffField
-from besovk.errors import BudgetError, UsageError
+from besovk.errors import BudgetError, NumericError, UsageError
 from besovk.grid import BesovIndex, GridSpec
 from besovk.kfunc import InterpQuery, k_plan
 from besovk import oracle as oracle_mod
@@ -431,3 +431,10 @@ def test_oracles_match_guard_bit_for_bit():
     want = json.loads((Path(__file__).parent / "data" / "cuboid_guard.json")
                       .read_text(encoding="utf-8"))
     assert _guard_values() == want
+
+
+def test_vertex_tables_refuse_a_layer_weight_past_double_range():
+    # s = 2000 puts layer 1's weight at 2^2000, once a raw OverflowError
+    field = _field([(1.0,), (1.0,)])
+    with pytest.raises(NumericError, match="layer 1"):
+        vertex_tables(field, BesovIndex(2000.0, 2.0, 2.0), BesovIndex(0.0, 2.0, 2.0)).k(1.0)

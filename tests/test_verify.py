@@ -1,11 +1,14 @@
-"""The verify suites' shared couple sampler."""
+"""The verify suites' shared couple sampler and form-matched oracle."""
+
+import math
 
 import numpy as np
 import pytest
 
 from besovk.errors import UsageError
 from besovk.kfunc import CaseTag, InterpQuery
-from besovk.verify import _COUPLES, _rand_couple, run_suite
+from besovk.oracle import vertex_tables
+from besovk.verify import _COUPLES, _T_GRID, _form_ratios, _rand_couple, _rand_field, run_suite
 
 _ROUTE_CASES = {
     "degenerate": CaseTag.DEGENERATE,
@@ -34,3 +37,20 @@ def test_rand_couple_stays_in_its_route(route):
 def test_run_suite_refuses_an_unknown_name():
     with pytest.raises(UsageError, match="unknown suite 'bogus'; choose from axioms, "):
         run_suite("bogus")
+
+
+@pytest.mark.parametrize("route, form, xi", [("general", "max", math.inf),
+                                             ("layer-sum", "sum", 1.0),
+                                             ("composed-split", "sum", 1.0)])
+def test_form_ratios_divide_by_the_oracle_of_the_plans_form(route, form, xi):
+    # the band suites read the functional form from the plan: a max-form
+    # plan is held against the xi = inf oracle, a sum-form one against xi = 1
+    rng = np.random.default_rng([23, sorted(_COUPLES).index(route)])
+    for _ in range(5):
+        field = _rand_field(rng, max_total=10)
+        query = InterpQuery(*_rand_couple(rng, route))
+        plan, ratios = _form_ratios(field, query)
+        assert plan.form == form
+        oracle = vertex_tables(field, query.idx0, query.idx1).curve(_T_GRID, xi)
+        want = plan.k(_T_GRID) / oracle
+        assert ratios.tolist() == want[oracle != 0.0].tolist()
