@@ -21,9 +21,9 @@ import numpy as np
 
 from .coeffs import CoeffField
 from .errors import NumericError, UsageError
-from .grid import BesovIndex
-from .kfunc import (InterpQuery, KPlan, _check_t_window, _logcell_integral, _seq_plan,
-                    default_t_grid, k_plan)
+from .grid import BesovIndex, GridSpec
+from .kfunc import (InterpQuery, KPlan, _check_t_window, _logcell_integral, default_t_grid,
+                    k_plan)
 from .norms import _pow2_factor, besov_norm, weighted_lq_norm
 
 __all__ = [
@@ -75,17 +75,19 @@ class InterpReport:
 
 def _interp_scaled(plan: KPlan, theta: float, r: float, quad: QuadratureSpec | None,
                    method: str) -> tuple[InterpReport, int]:
-    """Quadrature driver shared by field-level and sequence-level norms.
+    """Quadrature driver of the interpolation norm.
 
     Integrates K of the plan's scaled field, and takes the r-th powers of
     t^-theta K at the scale the rescaling rule (_pow2_factor) picks for
     power r from its largest value on the grid.  Returns the report at
     that combined scale 2^e, and e: its value is 2^e times the norm, a
     tail 2^(e r) times its own; callers unscale (_unscale).  Cells
-    integrate in closed form under the log-linear model; tails use the
-    exact asymptotics.  The window expands until the tails carry under
-    _TAIL_REL_TOL of the total (for r = inf, until the sup detaches
-    from the window edge), as long as it stays inside
+    integrate in closed form under the log-linear model.  Past the
+    window K follows its asymptotes (t ||f||_A1 below, ||f||_A0 above),
+    so each tail is the integrand at its window edge over its exponent,
+    (1-theta) r below and theta r above.  The window expands until the
+    tails carry under _TAIL_REL_TOL of the total (for r = inf, until the
+    sup detaches from the window edge), as long as it stays inside
     2^(+-_WINDOW_LIMIT), in double range.  A widened window reuses K at
     every node equal, bit for bit, to one already evaluated, and
     evaluates it on the rest only.
@@ -110,8 +112,6 @@ def _interp_scaled(plan: KPlan, theta: float, r: float, quad: QuadratureSpec | N
         if not ks.any():
             return InterpReport(0.0, method, lo_exp, hi_exp, len(ts),
                                 0.0, 0.0, 0.0), e
-        slope1 = ks[0] / ts[0]      # K(t)/t at the low edge, tends to ||f||_A1
-        level0 = ks[-1]             # K at the high edge, tends to ||f||_A0
         vals = ts**-theta * ks
         if math.isinf(r):
             imax = int(np.argmax(vals))
@@ -127,10 +127,8 @@ def _interp_scaled(plan: KPlan, theta: float, r: float, quad: QuadratureSpec | N
         us = np.log(ts)
         gs = (vals * gfac) ** r
         mid = float(np.sum(_logcell_integral(us[:-1], us[1:], gs[:-1], gs[1:])))
-        e_lo = (1.0 - theta) * r
-        e_hi = theta * r
-        tail_lo = (gfac * slope1)**r * ts[0] ** e_lo / e_lo
-        tail_hi = (gfac * level0)**r * ts[-1] ** -e_hi / e_hi
+        tail_lo = gs[0] / ((1.0 - theta) * r)
+        tail_hi = gs[-1] / (theta * r)
         total = mid + tail_lo + tail_hi
         if total == 0.0:
             return InterpReport(0.0, method, lo_exp, hi_exp, len(ts),
@@ -225,8 +223,13 @@ def reiteration_check(a, s_a: float, s_b: float, theta0: float, theta1: float,
     realized as the weighted spaces they identify with; the left side
     is then the (eta, qs[2]) interpolation norm of that realized
     couple, the right side the direct weighted norm at the composed
-    smoothness (1-eta)*c0 + eta*c1.  Returns both norms and their
-    ratio; constants are expected, not unit ratios.
+    smoothness (1-eta)*c0 + eta*c1.  The sequence is measured as a
+    field with one coefficient per layer (n = 1) between Besov indices
+    (c - 1/2, inf, q), whose layer j weighs 2^(j c), so interp_norm
+    and its plan check and route it as any field (DataError for a
+    negative or non-finite entry, UsageError for an exponent outside
+    (0, inf]).  Returns both norms and their ratio; constants are
+    expected, not unit ratios.
     """
     if not (0 < theta0 < theta1 < 1) or not 0 < eta < 1:
         raise UsageError("need 0 < theta0 < theta1 < 1 and eta in (0, 1)")
@@ -234,12 +237,12 @@ def reiteration_check(a, s_a: float, s_b: float, theta0: float, theta1: float,
         raise UsageError("need distinct endpoint smoothness")
     q0, q1, q = qs
     arr = np.asarray(a, dtype=float)
+    field = CoeffField(GridSpec(1, len(arr), (1,) * len(arr)), arr[:, None])
     c0 = (1.0 - theta0) * s_a + theta0 * s_b
     c1 = (1.0 - theta1) * s_a + theta1 * s_b
     s_final = (1.0 - eta) * c0 + eta * c1
-    plan = _seq_plan(arr, c0, q0, c1, q1)
-    rep, e = _interp_scaled(plan, eta, q, None, "formula")
-    lhs = _unscale(rep.value, e)
+    lhs = interp_norm(field, InterpQuery(BesovIndex(c0 - 0.5, math.inf, q0),
+                                         BesovIndex(c1 - 0.5, math.inf, q1), eta, q))
     rhs = weighted_lq_norm(arr, s_final, q)
     if rhs == 0.0:
         raise UsageError("zero sequence has no reiteration ratio")

@@ -38,8 +38,11 @@ orient each couple once and commute the other order (_commuted).
 Every route is a plan (k_plan): the route is selected once per (field,
 query) and everything that does not depend on t (main-grid reduction,
 rearrangements, split tables, calibration limits, hinge envelopes) is
-built once; the plan then evaluates K on a whole t array.  k_dispatch
-evaluates one t from a plan, k_curve a t grid.
+built once; the plan then evaluates K on a whole t array.  k_plan is
+the one constructor of a plan: a weighted main-grid sequence is the
+field with one coefficient per layer at p = inf (interp.reiteration_check
+measures its sequences so).  k_dispatch evaluates one t from a plan,
+k_curve a t grid.
 """
 
 from __future__ import annotations
@@ -653,16 +656,6 @@ def _seq_route(a: np.ndarray, s_a: float, q0: float, s_b: float, q1: float):
     if q0 == q1:
         return _WCurve(a, s_a, s_b, q0)
     return _holmstedt(a, s_a, q0, s_b, q1)
-
-
-def _seq_plan(a, s_a: float, q0: float, s_b: float, q1: float) -> KPlan:
-    """Plan of K for a main-grid sequence between the weighted spaces
-    l^{s_a,q0} and l^{s_b,q1} (_seq_route), for reiteration_check."""
-    arr = np.asarray(a, dtype=float)
-    if arr.size == 0 or arr.max() == 0.0:
-        return KPlan("", _zeros)
-    fac = _pow2_factor(float(arr.max()), 1.0)
-    return KPlan("", _seq_route(arr * fac, s_a, q0, s_b, q1), fac)
 
 
 def _fold_layers(batches: list) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

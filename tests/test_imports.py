@@ -182,3 +182,13 @@ def test_signatures_hold_only_settings_a_caller_sets(monkeypatch):
     monkeypatch.setattr(kfunc, "_pow2_factor", lambda v, power: powers.append(power) or 1.0)
     kfunc._lq_across([np.array([1.0, 2.0]), np.array([3.0, 4.0])], 20.0)
     assert powers == [20.0, 20.0]
+    # one K plan constructor: reiteration_check measures its sequence as a
+    # field, through the same plan as every other norm
+    assert not hasattr(kfunc, "_seq_plan")
+    plans = []
+    k_plan = besovk.interp.k_plan
+    monkeypatch.setattr(besovk.interp, "k_plan",
+                        lambda *args, **kw: plans.append(args) or k_plan(*args, **kw))
+    besovk.reiteration_check([0.7, 1.176, 0.9, 1.3], -1.0, 1.5, 0.25, 0.75, 0.5,
+                             (1.0, 2.0, 2.0))
+    assert len(plans) == 1

@@ -1,10 +1,14 @@
+import json
 import math
+import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
+from numpy._core._multiarray_umath import __cpu_features__
 
 from besovk.coeffs import CoeffField
-from besovk.errors import BesovkError, NumericError, UsageError
+from besovk.errors import BesovkError, DataError, NumericError, UsageError
 from besovk.grid import BesovIndex, GridSpec
 from besovk.interp import (
     _TAIL_REL_TOL,
@@ -156,6 +160,59 @@ def test_reiteration_single_spike_ratio_and_homogeneity():
     rep2 = reiteration_check(5.0 * a, s_a=-1.0, s_b=1.5, theta0=0.25,
                              theta1=0.75, eta=0.5, qs=(1.0, 1.0, 2.0))
     assert rep2["ratio"] == pytest.approx(rep["ratio"], rel=1e-9)
+
+
+_REIT_SEQ = [0.7, 1.176, 0.9, 1.3]
+
+
+def _reiterate(a, qs):
+    return reiteration_check(a, -1.0, 1.5, 0.25, 0.75, 0.5, qs)
+
+
+def test_reiteration_matches_guard_bit_for_bit():
+    # values of the sequence-level K plan, in the identities suite's
+    # setting: c0 = -0.375 and c1 = 0.875 are exact binary, so the field's
+    # layer weights 2^(j (c - 1/2 + 1/2)) are the sequence's bit for bit.
+    # The last sequence is the first scaled by 2^300.  One value set per
+    # numpy run-time dispatch, as in the kfunc guards (_dispatch_guard)
+    sets = json.loads((Path(__file__).parent / "data" / "reiteration_guard.json")
+                      .read_text(encoding="utf-8"))
+    guard = sets["X86_V4" if __cpu_features__.get("X86_V4") else "no X86_V4"]
+    assert len(guard) == 16
+    for case in guard:
+        qs = tuple(float(q) for q in case["qs"])
+        rep = _reiterate(case["a"], qs)
+        assert (rep["lhs"], rep["rhs"], rep["ratio"]) == (
+            case["lhs"], case["rhs"], case["ratio"]), (case["a"], qs)
+
+
+def test_reiteration_overflow_refuses_naming_the_route():
+    with pytest.raises(NumericError, match="formula:p-equal:composed-split"):
+        _reiterate(_REIT_SEQ, (1.0, 1024.0, 2.0))
+
+
+@pytest.mark.parametrize("a", [[-1.0, 2.0, 0.5], [0.7, math.nan, 0.9, 1.3]])
+def test_reiteration_refuses_bad_sequence(a):
+    with pytest.raises(DataError):
+        _reiterate(a, (1.0, 1.0, 2.0))
+
+
+@pytest.mark.parametrize("pos", [0, 1, 2])
+@pytest.mark.parametrize("bad", [0.0, -1.0, math.nan])
+def test_reiteration_refuses_bad_exponent(pos, bad):
+    qs = [1.0, 2.0, 2.0]
+    qs[pos] = bad
+    with pytest.raises(UsageError):
+        _reiterate(_REIT_SEQ, tuple(qs))
+
+
+def test_reiteration_tails_stay_finite_at_large_r():
+    # each tail is the edge integrand over its exponent, never a power of
+    # the edge K or the edge t alone, which overflow and underflow apart
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rep = _reiterate(_REIT_SEQ, (1.0, 2.0, 1024.0))
+    assert math.isfinite(rep["ratio"]) and rep["ratio"] > 0
 
 
 def test_window_expansion_controls_tails():

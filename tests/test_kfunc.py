@@ -27,7 +27,7 @@ from besovk.kfunc import (
     _fold_layers,
     _layer_fn,
     _logcell_integral,
-    _seq_plan,
+    _seq_route,
 )
 from besovk.norms import besov_norm, lp_norm
 from besovk.oracle import vertex_tables
@@ -179,8 +179,8 @@ def test_k_rearr_two_entries_q1_qinf():
 def test_k_rearr_commutation_exact(a, t):
     # the rearrangement route with q0 > q1 is the commuted q0 < q1 one
     a = np.array(a)
-    fwd = _at(_seq_plan(a, 0.0, 1.0, 0.0, 2.0).k, t)
-    rev = t * _at(_seq_plan(a, 0.0, 2.0, 0.0, 1.0).k, 1.0 / t)
+    fwd = _at(_seq_route(a, 0.0, 1.0, 0.0, 2.0), t)
+    rev = t * _at(_seq_route(a, 0.0, 2.0, 0.0, 1.0), 1.0 / t)
     assert fwd == pytest.approx(rev, rel=1e-12)
 
 
@@ -189,10 +189,10 @@ def test_k_weighted_seq_routes_match_manual():
     t = 1.7
     # equal exponents, equal q: degenerate min(1,t)*norm
     want = min(1.0, t) * lp_norm(2.0 ** (np.arange(3) * 0.5) * a, 1.5)
-    assert _at(_seq_plan(a, 0.5, 1.5, 0.5, 1.5).k, t) == pytest.approx(want, rel=1e-12)
+    assert _at(_seq_route(a, 0.5, 1.5, 0.5, 1.5), t) == pytest.approx(want, rel=1e-12)
     # swapped smoothness reduces to the commuted W
-    fwd = _at(_seq_plan(a, 1.0, 1.0, 0.0, 1.0).k, t)
-    rev = t * _at(_seq_plan(a, 0.0, 1.0, 1.0, 1.0).k, 1.0 / t)
+    fwd = _at(_seq_route(a, 1.0, 1.0, 0.0, 1.0), t)
+    rev = t * _at(_seq_route(a, 0.0, 1.0, 1.0, 1.0), 1.0 / t)
     assert fwd == pytest.approx(rev, rel=1e-12)
 
 
