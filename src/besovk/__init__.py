@@ -42,7 +42,6 @@ from .norms import (
     lorentz_seq_norm,
     lp_norm,
     main_grid_reduce,
-    weighted_lq_norm,
 )
 from .oracle import (
     k_cuboid_continuous,
@@ -94,6 +93,5 @@ __all__ = [
     "threshold_split",
     "validate_compat",
     "vertex_tables",
-    "weighted_lq_norm",
     "write_field",
 ]

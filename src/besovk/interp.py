@@ -21,10 +21,10 @@ import numpy as np
 
 from .coeffs import CoeffField
 from .errors import NumericError, UsageError
-from .grid import BesovIndex, GridSpec
+from .grid import BesovIndex
 from .kfunc import (InterpQuery, KPlan, _check_t_window, _logcell_integral, default_t_grid,
                     k_plan)
-from .norms import _pow2_factor, besov_norm, weighted_lq_norm
+from .norms import _pow2_factor, _seq_field, besov_norm
 
 __all__ = [
     "QuadratureSpec",
@@ -94,7 +94,7 @@ def _interp_scaled(plan: KPlan, theta: float, r: float, quad: QuadratureSpec | N
     """
     quad = quad or QuadratureSpec()
     e = math.frexp(plan.fac)[1] - 1  # plan.fac = 2^e
-    lo_exp, hi_exp = quad.t_min_exp, quad.t_max_exp
+    lo_exp, hi_exp = float(quad.t_min_exp), float(quad.t_max_exp)
     ts, ks = np.empty(0), np.empty(0)
     widenings = max(0, int((_WINDOW_LIMIT - max(-lo_exp, hi_exp)) // _EXPAND_STEP))
     for i in range(widenings + 1):
@@ -116,11 +116,8 @@ def _interp_scaled(plan: KPlan, theta: float, r: float, quad: QuadratureSpec | N
         if math.isinf(r):
             imax = int(np.argmax(vals))
             if 0 < imax < len(ts) - 1:
-                edge_lo = float(vals[0])
-                edge_hi = float(vals[-1])
-                peak = float(vals[imax])
-                return InterpReport(peak, method, lo_exp, hi_exp, len(ts),
-                                    edge_lo, edge_hi,
+                edge_lo, edge_hi, peak = float(vals[0]), float(vals[-1]), float(vals[imax])
+                return InterpReport(peak, method, lo_exp, hi_exp, len(ts), edge_lo, edge_hi,
                                     max(edge_lo, edge_hi) / peak), e
             continue
         gfac = _pow2_factor(float(vals.max()), r)
@@ -133,7 +130,7 @@ def _interp_scaled(plan: KPlan, theta: float, r: float, quad: QuadratureSpec | N
         if total == 0.0:
             return InterpReport(0.0, method, lo_exp, hi_exp, len(ts),
                                 0.0, 0.0, 0.0), e
-        frac = (tail_lo + tail_hi) / total
+        frac = float((tail_lo + tail_hi) / total)
         if frac <= _TAIL_REL_TOL:
             return InterpReport(total ** (1.0 / r), method, lo_exp, hi_exp,
                                 len(ts), tail_lo, tail_hi, frac), e + math.frexp(gfac)[1] - 1
@@ -143,8 +140,8 @@ def _interp_scaled(plan: KPlan, theta: float, r: float, quad: QuadratureSpec | N
 
 
 def _unscale(x, e: int, r: float = 1.0) -> float:
-    """x / 2^(e r), for a quantity of degree r in K computed at the scale
-    2^e (_interp_scaled); NumericError when that leaves double range."""
+    """x / 2^(e r) as a Python float, for a quantity of degree r in K at
+    the scale 2^e (_interp_scaled); NumericError past double range."""
     if e:
         e = e * r
         try:
@@ -153,7 +150,7 @@ def _unscale(x, e: int, r: float = 1.0) -> float:
             x = math.inf
     if not math.isfinite(x):
         raise NumericError("interpolation result leaves double range")
-    return x
+    return float(x)
 
 
 def interp_norm_report(field: CoeffField, query: InterpQuery,
@@ -223,12 +220,12 @@ def reiteration_check(a, s_a: float, s_b: float, theta0: float, theta1: float,
     realized as the weighted spaces they identify with; the left side
     is then the (eta, qs[2]) interpolation norm of that realized
     couple, the right side the direct weighted norm at the composed
-    smoothness (1-eta)*c0 + eta*c1.  The sequence is measured as a
-    field with one coefficient per layer (n = 1) between Besov indices
-    (c - 1/2, inf, q), whose layer j weighs 2^(j c), so interp_norm
-    and its plan check and route it as any field (DataError for a
-    negative or non-finite entry, UsageError for an exponent outside
-    (0, inf]).  Returns both norms and their ratio; constants are
+    smoothness (1-eta)*c0 + eta*c1.  Both measure the sequence as the
+    field with one coefficient per layer (norms._seq_field) at indices
+    (c - 1/2, inf, q), whose layer j weighs 2^(j c), and check it as any
+    field (DataError for a negative or non-finite entry, UsageError for
+    an exponent outside (0, inf], NumericError past double range).
+    Returns both norms and their ratio as Python floats; constants are
     expected, not unit ratios.
     """
     if not (0 < theta0 < theta1 < 1) or not 0 < eta < 1:
@@ -236,14 +233,13 @@ def reiteration_check(a, s_a: float, s_b: float, theta0: float, theta1: float,
     if s_a == s_b:
         raise UsageError("need distinct endpoint smoothness")
     q0, q1, q = qs
-    arr = np.asarray(a, dtype=float)
-    field = CoeffField(GridSpec(1, len(arr), (1,) * len(arr)), arr[:, None])
+    field = _seq_field(a)
     c0 = (1.0 - theta0) * s_a + theta0 * s_b
     c1 = (1.0 - theta1) * s_a + theta1 * s_b
     s_final = (1.0 - eta) * c0 + eta * c1
     lhs = interp_norm(field, InterpQuery(BesovIndex(c0 - 0.5, math.inf, q0),
                                          BesovIndex(c1 - 0.5, math.inf, q1), eta, q))
-    rhs = weighted_lq_norm(arr, s_final, q)
+    rhs = besov_norm(field, BesovIndex(s_final - 0.5, math.inf, q))
     if rhs == 0.0:
         raise UsageError("zero sequence has no reiteration ratio")
     return {"lhs": lhs, "rhs": rhs, "ratio": lhs / rhs,

@@ -30,7 +30,9 @@ Threshold splits in the two-sided formulas classify coefficients by
 rank: the side with the smaller exponent takes the floor(T) largest
 entries.  The one-sided formula against a sup norm keeps the exact
 fractional integral, which is classical and exact.  At a single
-coefficient every route collapses to min(w0, t*w1) * c exactly.  Each
+coefficient c, K is c min(w0, t*w1) on the degenerate, weighted-split,
+rearrangement, layer-sum and GENERAL routes (to 1e-9 at exponents in
+{1/2, 1, 2, inf}); the composed split meets it only at both ends.  Each
 kernel takes one orientation: _SplitSum p0 <= p1, _WCurve and
 _holmstedt the smaller smoothness first.  _seq_route and _layer_fn
 orient each couple once and commute the other order (_commuted).
@@ -39,10 +41,9 @@ Every route is a plan (k_plan): the route is selected once per (field,
 query) and everything that does not depend on t (main-grid reduction,
 rearrangements, split tables, calibration limits, hinge envelopes) is
 built once; the plan then evaluates K on a whole t array.  k_plan is
-the one constructor of a plan: a weighted main-grid sequence is the
-field with one coefficient per layer at p = inf (interp.reiteration_check
-measures its sequences so).  k_dispatch evaluates one t from a plan,
-k_curve a t grid.
+the one constructor of a plan; a weighted main-grid sequence is a field
+(norms._seq_field).  k_dispatch evaluates one t from a plan, k_curve a
+t grid.
 """
 
 from __future__ import annotations
@@ -57,8 +58,7 @@ import numpy as np
 from .coeffs import CoeffField
 from .errors import NumericError, UsageError
 from .grid import BesovIndex, layer_weight
-from .norms import (_pow2_factor, _scaled_field, besov_norm, lp_norm, main_grid_reduce,
-                    weighted_lq_norm)
+from .norms import _pow2_factor, _scaled_field, besov_norm, lp_norm, main_grid_reduce
 from .rearrange import rearrangement
 
 __all__ = [
@@ -246,7 +246,7 @@ class _SplitSum:
             self.norm = lp_norm(r, p0)
             return
         # head[k]: sum of the k largest p0-th powers; tail[k]: the rest in p1
-        self.pow0 = r**p0
+        self.top, self.pow0 = float(r[0]), r**p0
         self.head = np.concatenate(([0.0], np.cumsum(self.pow0)))
         if not math.isinf(p1):
             self.alpha = 1.0 / (1.0 / p0 - 1.0 / p1)
@@ -261,7 +261,9 @@ class _SplitSum:
             k = np.minimum(T, m).astype(np.intp)
             frac = np.where(T < m, T - k, 0.0)
             total = self.head[k] + frac * self.pow0[np.minimum(k, m - 1)]
-            return total ** (1.0 / p0)
+            # T underflows at small t, where K is t r[0] (below the first cell)
+            lost = (T < 1.0) & (total < 2.0**-1022)
+            return np.where(lost, t * self.top, total ** (1.0 / p0))
         T = t**self.alpha
         k = np.minimum(T, m).astype(np.intp)
         # tail[m] = 0, and t * 0 is nan at t = inf (1/t of a subnormal t)
@@ -443,6 +445,12 @@ def _lq_across(rows: list, q: float) -> np.ndarray:
 # two-weight curve and its interpolation integrals (p equal, s and q differ)
 
 
+def _weighted(a: np.ndarray, s: float) -> np.ndarray:
+    """The main-grid sequence weighted as (2^(j*s) a_j), by numpy array
+    powers: the one place this module weights a main-grid sequence."""
+    return 2.0 ** (np.arange(len(a), dtype=float) * s) * a
+
+
 class _WCurve:
     """The split sum W(sigma) = ||(2^(j*a) x_j) over j in N_sigma||_q
     + sigma * ||(2^(j*b) x_j) over j notin N_sigma||_q as a fast piecewise
@@ -454,10 +462,7 @@ class _WCurve:
     """
 
     def __init__(self, x: np.ndarray, a: float, b: float, q: float = 1.0):
-        J = len(x)
-        js = np.arange(J, dtype=float)
-        wa = 2.0 ** (js * a) * x
-        wb = 2.0 ** (js * b) * x
+        wa, wb = _weighted(x, a), _weighted(x, b)
         # l^q norms of layers j >= k (side a) and of layers j < k (side b)
         if math.isinf(q):
             suffix_a = np.maximum.accumulate(wa[::-1])[::-1]
@@ -467,7 +472,7 @@ class _WCurve:
             prefix_b = np.cumsum(wb**q) ** (1.0 / q)
         self._suffix_a = np.concatenate((suffix_a, [0.0]))
         self._prefix_b = np.concatenate(([0.0], prefix_b))
-        self.breaks = 2.0 ** (-js[::-1] * (b - a))  # ascending
+        self.breaks = 2.0 ** (-np.arange(len(x), dtype=float)[::-1] * (b - a))  # ascending
         self.lo = float(self.breaks[0])   # below: W = sigma * norm_b
         self.hi = float(self.breaks[-1])  # above: W = norm_a
         self.norm_a = float(self._suffix_a[0])
@@ -602,9 +607,7 @@ def _holmstedt(a: np.ndarray, s0: float, q0: float, s1: float, q1: float):
     inside the hull; both pieces share its nodes, exp and W.
     """
     W = _WCurve(a, 2.0 * s0 - s1, 2.0 * s1 - s0)
-    js = np.arange(len(a), dtype=float)
-    n0 = lp_norm(2.0 ** (js * s0) * a, q0)
-    n1 = lp_norm(2.0 ** (js * s1) * a, q1)
+    n0, n1 = lp_norm(_weighted(a, s0), q0), lp_norm(_weighted(a, s1), q1)
     low, high = _Piece(W, 1.0 / 3.0, q0, True), _Piece(W, 2.0 / 3.0, q1, False)
     live = [p for p in (low, high) if not math.isinf(p.q)]
 
@@ -650,9 +653,9 @@ def _seq_route(a: np.ndarray, s_a: float, q0: float, s_b: float, q1: float):
     spaces l^{s_a,q0} and l^{s_b,q1}, routed by which exponents coincide;
     (s_a, q0) > (s_b, q1) is commuted."""
     if (s_a, q0) > (s_b, q1):
-        return _commuted(_seq_route(a, s_b, q1, s_a, q0), lambda: weighted_lq_norm(a, s_a, q0))
+        return _commuted(_seq_route(a, s_b, q1, s_a, q0), lambda: lp_norm(_weighted(a, s_a), q0))
     if s_a == s_b:
-        return _SplitSum(2.0 ** (np.arange(len(a), dtype=float) * s_a) * a, q0, q1)
+        return _SplitSum(_weighted(a, s_a), q0, q1)
     if q0 == q1:
         return _WCurve(a, s_a, s_b, q0)
     return _holmstedt(a, s_a, q0, s_b, q1)

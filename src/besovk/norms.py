@@ -14,15 +14,14 @@ import math
 import numpy as np
 
 from .coeffs import CoeffField
-from .errors import UsageError
-from .grid import BesovIndex, layer_weight
+from .errors import NumericError, UsageError
+from .grid import BesovIndex, GridSpec, layer_weight
 from .rearrange import rearrangement
 
 __all__ = [
     "lp_norm",
     "besov_norm",
     "main_grid_reduce",
-    "weighted_lq_norm",
     "lorentz_seq_norm",
     "besov_lorentz_norm",
 ]
@@ -67,10 +66,8 @@ def lp_norm(v, p: float) -> float:
 
 def besov_norm(field: CoeffField, index: BesovIndex) -> float:
     """Weighted l^q across layers of the per-layer l^p norms."""
-    terms = [
-        layer_weight(field.spec, index, j) * lp_norm(field.layers[j], index.p)
-        for j in range(field.spec.J)
-    ]
+    terms = [layer_weight(field.spec, index, j) * lp_norm(v, index.p)
+             for j, v in enumerate(field.layers)]
     return lp_norm(terms, index.q)
 
 
@@ -79,11 +76,13 @@ def main_grid_reduce(field: CoeffField, p: float) -> np.ndarray:
     return np.array([lp_norm(v, p) for v in field.layers])
 
 
-def weighted_lq_norm(a, s: float, q: float) -> float:
-    """(sum_j (2^(j*s) a_j)^q)^(1/q) over a main-grid sequence."""
+def _seq_field(a) -> CoeffField:
+    """A main-grid sequence as the field with one coefficient per layer
+    (n = 1).  At p = inf and smoothness s - 1/2 its layer j weighs
+    2^(j*s), so besov_norm at BesovIndex(s - 0.5, inf, q) is the
+    weighted l^q norm (sum_j (2^(j*s) a_j)^q)^(1/q) of the sequence."""
     arr = np.asarray(a, dtype=float)
-    js = np.arange(len(arr))
-    return lp_norm(2.0 ** (js * s) * arr, q)
+    return CoeffField(GridSpec(1, len(arr), (1,) * len(arr)), arr[:, None])
 
 
 def lorentz_seq_norm(v, p: float, q: float) -> float:
@@ -124,8 +123,6 @@ def _layer_dyadic_lorentz(values: np.ndarray, nj_scale: float, meas: float, p: f
         return 0.0
     asc = np.sort(v)
     N = len(asc)
-    vmax = float(asc[-1])
-    vmin = float(asc[0])
 
     def _below(x: float) -> int:
         # largest integer u with 2^u < x
@@ -134,8 +131,8 @@ def _layer_dyadic_lorentz(values: np.ndarray, nj_scale: float, meas: float, p: f
             u -= 1
         return u
 
-    umax = _below(vmax)  # count > 0 iff u <= umax
-    u0 = _below(vmin)  # count == N for all u <= u0
+    umax = _below(float(asc[-1]))  # count > 0 iff u <= umax
+    u0 = _below(float(asc[0]))  # count == N for all u <= u0
 
     def mu_pow(count: np.ndarray, expo: float) -> np.ndarray:
         if math.isinf(p):
@@ -163,17 +160,21 @@ def besov_lorentz_norm(field: CoeffField, s: float, p: float, q: float, r: float
 
     Layer j contributes 2^(j*s) times the dyadic Lorentz functional of
     its height function 2^(n*j/2) f_j under the measure 2^(-n*j) * #;
-    layers aggregate in l^q, on the field scaled by _scaled_field, whose
-    power-of-two factor shifts every dyadic level exactly.
+    layers aggregate in l^q as the sequence field (_seq_field) of their
+    terms, on the field scaled by _scaled_field, whose power-of-two
+    factor shifts every dyadic level exactly.  NumericError when a layer
+    term or a layer weight leaves double range.
     """
     if p <= 0 or q <= 0 or r <= 0:
         raise UsageError("indices must be positive")
     field, fac = _scaled_field(field)
-    n = field.spec.n
-    terms = []
-    for j in range(field.spec.J):
-        L = _layer_dyadic_lorentz(
-            field.layers[j], 2.0 ** (n * j / 2.0), 2.0 ** (-n * j), p, r
-        )
+    n, terms = field.spec.n, []
+    for j, v in enumerate(field.layers):
+        try:
+            L = _layer_dyadic_lorentz(v, 2.0 ** (n * j / 2.0), 2.0 ** (-n * j), p, r)
+        except OverflowError:
+            L = math.inf
+        if not math.isfinite(L):
+            raise NumericError(f"layer {j} Lorentz term at r={r:g} leaves double range")
         terms.append(L)
-    return weighted_lq_norm(np.asarray(terms), s, q) / fac
+    return besov_norm(_seq_field(terms), BesovIndex(s - 0.5, math.inf, q)) / fac

@@ -382,6 +382,17 @@ def test_norm_layer_weight_past_double_range_exit_3(capsys):
     assert capsys.readouterr().err == "error: layer 1 has weight 2^2000, past double range\n"
 
 
+def test_norm_lorentz_term_past_double_range_exit_3(capsys):
+    # at r = 0.001 layer 0's dyadic sum to the power 1/r overflows: once
+    # "error: (34, 'Numerical result out of range')"
+    code = main(["norm", "--generate", "uniform-random", "--spec", "2,1,1,2",
+                 "--lorentz-r", "0.001"])
+    captured = capsys.readouterr()
+    assert code == 3
+    assert captured.out == ""
+    assert captured.err == "error: layer 0 Lorentz term at r=0.001 leaves double range\n"
+
+
 def test_bad_spec_exit_2(capsys):
     assert main(["generate", "--generate", "single-spike",
                  "--spec", "2,1,2"]) == 2

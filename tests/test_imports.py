@@ -12,11 +12,14 @@ submodule's __all__ exists, and each besovk.__all__ name is exported by
 some submodule, so that a deleted function leaves no stale export.  The
 plan (k_plan, KPlan) is the public K object, and every besovk name the
 benchmark under perfbench/ uses resolves, so that deleting a public name
-cannot silently break it.  Every optional parameter of the public
-functions is one some caller sets; the signatures pinned below hold no
-setting that every caller leaves at its default.
+cannot silently break it.  A weighted main-grid sequence is a field, so
+no public name weighs one apart; inside kfunc one function does.  Every
+optional parameter of the public functions is one some caller sets; the
+signatures pinned below hold no setting that every caller leaves at its
+default.
 """
 
+import ast
 import dataclasses
 import importlib
 import inspect
@@ -192,3 +195,24 @@ def test_signatures_hold_only_settings_a_caller_sets(monkeypatch):
     besovk.reiteration_check([0.7, 1.176, 0.9, 1.3], -1.0, 1.5, 0.25, 0.75, 0.5,
                              (1.0, 2.0, 2.0))
     assert len(plans) == 1
+
+
+def test_one_site_weighs_a_main_grid_sequence():
+    import besovk
+    from besovk import kfunc, norms
+
+    for mod in (besovk, norms):
+        assert not hasattr(mod, "weighted_lq_norm") and "weighted_lq_norm" not in mod.__all__
+    # a sequence times 2.0 ** (a non-constant exponent) is a weighted one
+
+    def weighs(node):
+        return (isinstance(node, ast.BinOp) and isinstance(node.op, ast.Mult)
+                and any(isinstance(side, ast.BinOp) and isinstance(side.op, ast.Pow)
+                        and ast.unparse(side.left) == "2.0"
+                        and not isinstance(side.right, ast.Constant)
+                        for side in (node.left, node.right)))
+
+    tree = ast.parse(inspect.getsource(kfunc))
+    sites = [fn.name for fn in ast.walk(tree) if isinstance(fn, ast.FunctionDef)
+             and any(weighs(node) for node in ast.walk(fn))]
+    assert sites == ["_weighted"]

@@ -206,6 +206,24 @@ def test_reiteration_refuses_bad_exponent(pos, bad):
         _reiterate(_REIT_SEQ, tuple(qs))
 
 
+@pytest.mark.parametrize("r", [2.0, math.inf])
+@pytest.mark.parametrize("scale", [1.0, 2.0**300])
+def test_values_are_python_floats_at_every_scale(scale, r):
+    # at factor 1 and finite r interp_norm once returned a numpy float64,
+    # and a Python float once a factor applied or r was inf
+    field = _field([(1.0, 0.5), (0.25,), (0.7, 0.1, 0.3)]).scaled(scale)
+    query = InterpQuery(BesovIndex(0.5, 2.0, 1.0), BesovIndex(-0.5, 2.0, 2.0), r=r)
+    assert type(interp_norm(field, query)) is float
+    for quad in (None, QuadratureSpec(8, -40, 40)):  # a window given in ints too
+        rep = interp_norm_report(field, query, quad=quad)
+        for name in ("value", "t_min_exp", "t_max_exp", "tail_low", "tail_high",
+                     "tail_fraction"):
+            assert type(getattr(rep, name)) is float, name
+    assert type(besov_identity_check(field, query)) is float
+    rep = _reiterate(scale * np.array(_REIT_SEQ), (1.0, 2.0, r))
+    assert [type(rep[k]) for k in ("lhs", "rhs", "ratio")] == [float] * 3
+
+
 def test_reiteration_tails_stay_finite_at_large_r():
     # each tail is the edge integrand over its exponent, never a power of
     # the edge K or the edge t alone, which overflow and underflow apart

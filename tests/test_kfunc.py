@@ -10,7 +10,7 @@ from numpy._core._multiarray_umath import __cpu_features__
 from besovk import kfunc, verify
 from besovk.coeffs import CoeffField, generate
 from besovk.errors import BesovkError, NumericError, UsageError
-from besovk.grid import BesovIndex, GridSpec
+from besovk.grid import BesovIndex, GridSpec, layer_weight
 from besovk.kfunc import (
     CaseTag,
     InterpQuery,
@@ -172,6 +172,24 @@ def test_k_rearr_single_entry():
 def test_k_rearr_two_entries_q1_qinf():
     got = _at(_SplitSum(np.array([2.0, 1.0]), 1.0, math.inf), 1.0)
     assert got == pytest.approx(2.0, rel=1e-12)
+
+
+@pytest.mark.parametrize("c, i0, i1, route", [
+    (1.0, (0.0, 2.0, math.inf), (0.0, 2.0, 256.0), "rearrangement"),
+    (1.0, (0.0, 2.0, math.inf), (0.0, 2.0, 1024.0), "rearrangement"),
+    (0.125, (0.0, 2.0, math.inf), (0.0, 2.0, 256.0), "rearrangement"),
+    (1.0, (0.0, math.inf, 2.0), (1.0, 1024.0, 2.0), "layer-sum"),
+])
+def test_sup_split_is_not_zero_where_powers_of_t_underflow(c, i0, i1, route):
+    # both routes reach _SplitSum's sup branch at 1/t by commutation, where
+    # (1/t)^p0 underflows; below the first cell K is t r[0], not the 0 it read
+    field = _field([(c,)])
+    i0, i1 = BesovIndex(*i0), BesovIndex(*i1)
+    plan = k_plan(field, InterpQuery(i0, i1))
+    assert plan.label.endswith(route)
+    ts = np.array([2.0**5, 2.0**12])
+    want = c * np.minimum(layer_weight(field.spec, i0, 0), ts * layer_weight(field.spec, i1, 0))
+    np.testing.assert_allclose(plan.k(ts), want, rtol=1e-12, atol=0.0)
 
 
 @given(st.lists(st.floats(0.001, 5.0), min_size=1, max_size=6),

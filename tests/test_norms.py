@@ -4,16 +4,17 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+from besovk import norms
 from besovk.coeffs import CoeffField, generate
 from besovk.errors import NumericError, UsageError
 from besovk.grid import BesovIndex, GridSpec, layer_weight
 from besovk.norms import (
+    _seq_field,
     besov_lorentz_norm,
     besov_norm,
     lorentz_seq_norm,
     lp_norm,
     main_grid_reduce,
-    weighted_lq_norm,
 )
 from besovk.verify import _rand_field
 
@@ -21,6 +22,12 @@ from besovk.verify import _rand_field
 def _field(layers, n=1):
     spec = GridSpec(n=n, J=len(layers), layer_sizes=tuple(len(v) for v in layers))
     return CoeffField(spec, [np.asarray(v, dtype=float) for v in layers])
+
+
+def _weighted_lq(a, s, q):
+    # (sum_j (2^(j*s) a_j)^q)^(1/q): besov_norm on the sequence as the field
+    # with one coefficient per layer, whose layer j weighs 2^(j*s) at p = inf
+    return besov_norm(_seq_field(a), BesovIndex(s - 0.5, math.inf, q))
 
 
 def test_lp_layer_norm_345():
@@ -87,8 +94,8 @@ def test_norms_scale_robust_at_both_extremes():
                 scale * lp_norm([3.0, 4.0], p), rel=1e-14)
         assert besov_norm(base.scaled(scale), idx) == pytest.approx(
             scale * besov_norm(base, idx), rel=1e-14)
-        assert weighted_lq_norm([scale, 2.0 * scale], 0.5, 2.0) == pytest.approx(
-            scale * weighted_lq_norm([1.0, 2.0], 0.5, 2.0), rel=1e-14)
+        assert _weighted_lq([scale, 2.0 * scale], 0.5, 2.0) == pytest.approx(
+            scale * _weighted_lq([1.0, 2.0], 0.5, 2.0), rel=1e-14)
     # within 2^(+-100) the value is the unscaled sum, bit for bit
     v = np.random.default_rng(4).uniform(1e-20, 1e20, 7)
     assert lp_norm(v, 1.5) == float(np.sum(v**1.5) ** (1.0 / 1.5))
@@ -140,11 +147,11 @@ def test_main_grid_reduce_euclidean():
 
 
 def test_weighted_lq_norm_spike():
-    assert weighted_lq_norm(np.array([1.0, 0.0, 0.0]), -1.3, 0.7) == 1.0
+    assert _weighted_lq(np.array([1.0, 0.0, 0.0]), -1.3, 0.7) == 1.0
 
 
 def test_weighted_lq_norm_two_terms():
-    assert weighted_lq_norm(np.array([1.0, 1.0]), 1.0, 1.0) == pytest.approx(3.0)
+    assert _weighted_lq(np.array([1.0, 1.0]), 1.0, 1.0) == pytest.approx(3.0)
 
 
 def test_weighted_lq_norm_naive():
@@ -152,7 +159,7 @@ def test_weighted_lq_norm_naive():
     a = rng.uniform(size=6)
     s, q = 0.8, 1.7
     want = sum((2.0 ** (j * s) * a[j]) ** q for j in range(6)) ** (1.0 / q)
-    assert weighted_lq_norm(a, s, q) == pytest.approx(want, rel=1e-12)
+    assert _weighted_lq(a, s, q) == pytest.approx(want, rel=1e-12)
 
 
 def test_lorentz_single_entry():
@@ -235,7 +242,7 @@ def test_besov_lorentz_matches_dyadic_oracle():
                          (-0.3, math.inf, 2.0, math.inf)):
         terms = [_dyadic_lorentz_series(field.layers[j], 2, j, p, r)
                  for j in range(2)]
-        want = weighted_lq_norm(np.asarray(terms), s, q)
+        want = sum((2.0 ** (j * s) * L) ** q for j, L in enumerate(terms)) ** (1.0 / q)
         got = besov_lorentz_norm(field, s, p, q, r)
         assert got == pytest.approx(want, rel=1e-4)
 
@@ -295,3 +302,27 @@ def test_besov_norm_refuses_a_layer_weight_past_double_range():
     field = CoeffField(GridSpec(n=1, J=2, layer_sizes=(1, 1)), [np.ones(1), np.ones(1)])
     with pytest.raises(NumericError, match="layer 1"):
         besov_norm(field, BesovIndex(2000.0, 2.0, 2.0))
+
+
+def test_weighted_lq_norm_refuses_a_layer_weight_past_double_range():
+    # 2^(j*s) past double range: the sequence's weight refuses as a field's
+    # does, where the weights once overflowed to inf with two RuntimeWarnings
+    with pytest.raises(NumericError, match="layer 1024 has weight 2\\^1024"):
+        _weighted_lq(np.ones(1100), 1.0, 2.0)
+    field = _field([(1.0,), (0.5, 0.25)])
+    with pytest.raises(NumericError, match="layer 1 has weight 2\\^3000"):
+        besov_lorentz_norm(field, 3000.0, 2.0, 1.0, 2.0)
+
+
+def test_besov_lorentz_refuses_a_layer_term_past_double_range(monkeypatch):
+    # at small r a layer's sum to the power 1/r overflows: this once raised a
+    # raw OverflowError "(34, 'Numerical result out of range')"
+    field = _field([(0.3,), (0.5, 0.2)])
+    for r in (0.001, 0.002, 0.005):
+        with pytest.raises(NumericError, match=f"layer 0 Lorentz term at r={r:g} "):
+            besov_lorentz_norm(field, 0.3, 2.0, 1.0, r)
+    # a term that reads inf refuses the same way, not as a DataError on the
+    # field of terms
+    monkeypatch.setattr(norms, "_layer_dyadic_lorentz", lambda *args: math.inf)
+    with pytest.raises(NumericError, match="layer 0 Lorentz term"):
+        besov_lorentz_norm(field, 0.3, 2.0, 1.0, 2.0)
