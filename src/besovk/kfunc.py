@@ -501,13 +501,13 @@ def _logcell_integral(u_lo, u_hi, g_lo, g_hi) -> np.ndarray:
 
 
 def _grid_integral(fun, lo, hi, ppd: float) -> np.ndarray:
-    """One log-grid quadrature pass of integrands d sigma/sigma over the
-    ranges [lo_i, hi_i] (arrays, lo < hi).  A range of D binary decades
-    gets ceil(D * ppd) cells (at least one) with nodes spaced as
-    np.linspace spaces them.  The ranges are laid end to end, and
-    fun(sigma, first), given the first node of each range, maps all
-    nodes at once to the integrand values: one row, or one row per
-    integrand.  The range integrals come back in the same rows.
+    """One log-grid quadrature pass of an integrand d sigma/sigma over
+    the ranges [lo_i, hi_i] (arrays, lo < hi), one integral per range.
+    A range of D binary decades gets ceil(D * ppd) cells (at least one)
+    with nodes spaced as np.linspace spaces them.  The ranges are laid
+    end to end, and fun(sigma, first), given the first node of each
+    range, maps all nodes at once to the integrand values, so a range
+    may hold its own integrand (_holmstedt's pieces).
     """
     u_lo, u_hi = np.log(lo), np.log(hi)
     span = u_hi - u_lo
@@ -521,8 +521,8 @@ def _grid_integral(fun, lo, hi, ppd: float) -> np.ndarray:
     gs = fun(np.exp(us), first)
     # every pair of neighbouring nodes is a cell, and the pair that joins
     # two ranges a stray one, summed on its own and dropped
-    vals = _logcell_integral(us[:-1], us[1:], gs[..., :-1], gs[..., 1:])
-    return np.add.reduceat(vals, np.sort(np.concatenate((first, last)))[:-1], axis=-1)[..., ::2]
+    vals = _logcell_integral(us[:-1], us[1:], gs[:-1], gs[1:])
+    return np.add.reduceat(vals, np.sort(np.concatenate((first, last)))[:-1])[::2]
 
 
 class _Piece:
@@ -599,21 +599,19 @@ def _holmstedt(a: np.ndarray, s0: float, q0: float, s1: float, q1: float):
     N0, N1 the weighted l^q norms and M0, M1 the raw limits of K and
     K/t, the returned value is (N0/M0) * raw((N1 M0)/(M1 N0) * t).
     Calibration keeps homogeneity, monotonicity, and the equivalence
-    band, and makes K(inf) = N0 and K(t)/t -> N1 exact.
+    band, and makes K(inf) = N0 and K(t)/t -> N1 exact.  A raw limit of
+    0 (W^q underflowed) cannot calibrate: the build raises ArithmeticError.
 
-    The build makes one quadrature pass, over the hull for both
-    integrands, and takes M0 and M1 from it and the closed-form tails.
-    Each t array makes one pass, over [W.lo, X] and [X, W.hi] for each X
-    inside the hull; both pieces share its nodes, exp and W.
+    Each quadrature pass holds every live (finite q) piece's ranges with
+    its own integrand (split) on shared nodes, exp and W.  The build's
+    covers the hull [W.lo, W.hi] once per live piece and, with the
+    closed-form tails, gives M0 and M1; a t array's covers [W.lo, X]
+    (low) and [X, W.hi] (high) for each X inside the hull.
     """
     W = _WCurve(a, 2.0 * s0 - s1, 2.0 * s1 - s0)
     n0, n1 = lp_norm(_weighted(a, s0), q0), lp_norm(_weighted(a, s1), q1)
     low, high = _Piece(W, 1.0 / 3.0, q0, True), _Piece(W, 2.0 / 3.0, q1, False)
     live = [p for p in (low, high) if not math.isinf(p.q)]
-
-    def full(sig, first):  # every live integrand on the whole hull
-        w = W(sig)
-        return np.array([p.g(sig, w) for p in live])
 
     def split(sig, first):  # each live piece on its own block of ranges
         w, cut = W(sig), [*first[::len(first) // len(live)], len(sig)]
@@ -629,10 +627,13 @@ def _holmstedt(a: np.ndarray, s0: float, q0: float, s1: float, q1: float):
             parts = dict(zip(live, _grid_integral(split, lo, hi, _PPD).reshape(len(live), -1)))
         return low(X, mid, parts.get(low, xm)), high(X, mid, parts.get(high, xm))
 
-    if W.lo < W.hi:
-        for p, val in zip(live, _grid_integral(full, np.array([W.lo]), np.array([W.hi]), _PPD)):
-            p.full = float(val[0])
+    if W.lo < W.hi:  # the hull once per live piece
+        lo, hi = np.full(len(live), W.lo), np.full(len(live), W.hi)
+        for p, val in zip(live, _grid_integral(split, lo, hi, _PPD).tolist()):
+            p.full = val
     m0, m1 = low.limit(), high.limit()  # raw K(inf), raw K(t)/t at 0
+    if not (m0 > 0.0 and m1 > 0.0):  # a power of W underflowed: no calibration
+        raise ArithmeticError(f"calibration limits M0 = {m0:g}, M1 = {m1:g} must be positive")
 
     def k(ts):
         tt = ts * (n1 * m0) / (m1 * n0)

@@ -74,19 +74,13 @@ class VertexTables:
 
     @staticmethod
     def _side_table(field: CoeffField, idx: BesovIndex) -> np.ndarray:
+        """||f 1_S||_A over every mask S: the layers fold, last outermost, into the empty split."""
         q = idx.q
-        tot = None
+        tot = np.zeros(1)
         for j in range(field.spec.J):
-            w = layer_weight(field.spec, idx, j)
-            lp = _layer_norm_table(field.layers[j], idx.p)
-            contrib = (w * lp) ** q if not math.isinf(q) else w * lp
-            if tot is None:
-                tot = contrib
-            elif math.isinf(q):
-                tot = np.maximum(contrib[:, None], tot[None, :]).ravel()
-            else:
-                tot = (contrib[:, None] + tot[None, :]).ravel()
-        return tot ** (1.0 / q) if not math.isinf(q) else tot
+            wlp = layer_weight(field.spec, idx, j) * _layer_norm_table(field.layers[j], idx.p)
+            tot = np.maximum.outer(wlp, tot) if math.isinf(q) else np.add.outer(wlp**q, tot)
+        return (tot if math.isinf(q) else tot ** (1.0 / q)).ravel()
 
     def _split_values(self, t: float, xi: float) -> np.ndarray:
         """(||f 1_S||_A0^xi + t^xi ||f 1_Sc||_A1^xi)^(1/xi) for every mask S.

@@ -293,6 +293,18 @@ def test_budget_refusal_exit_3(capsys):
         "refusing rather than truncating\n")
 
 
+def test_composed_split_without_calibration_exit_3(capsys, tmp_path):
+    # the composed split's raw limit M0 underflows to 0, and k_plan refuses
+    path = tmp_path / "f.json"
+    doc = {"n": 2, "layers": [{"j": 0, "coeffs": [0.0, 0.0]},
+                              {"j": 1, "coeffs": [0.0, 0.9216188052986237]}]}
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    code = main(["kcurve", "--input", str(path), "--s0", "-1.2473819850289192", "--p0", "0.5",
+                 "--q0", "256", "--s1", "-0.6666263438808868", "--p1", "0.5", "--q1", "inf"])
+    assert code == 3
+    assert "formula:p-equal:composed-split" in capsys.readouterr().err
+
+
 def test_numeric_overflow_exit_3(capsys, monkeypatch):
     def overflow(*args, **kwargs):
         raise OverflowError("(34, 'Numerical result out of range')")

@@ -1,5 +1,6 @@
 import json
 import math
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -832,6 +833,59 @@ def test_large_exponent_plans_return_k_or_refuse(route, E):
         assert len(k) == len(verify._T_GRID)
 
 
+def test_composed_split_without_calibration_refuses_at_build():
+    # the raw limit M0 underflows to 0: the low piece raises W to q0 = 256
+    field = _field([(0.0, 0.0), (0.0, 0.9216188052986237)], n=2)
+    query = InterpQuery(BesovIndex(-1.2473819850289192, 0.5, 256.0),
+                        BesovIndex(-0.6666263438808868, 0.5, math.inf))
+    with pytest.raises(NumericError, match="formula:p-equal:composed-split"):
+        k_plan(field, query)
+
+
+_HALF_TO_INF = (0.5, 1.0, 2.0, math.inf)
+# route -> (label, its couple draw in the form of verify._COUPLES); the
+# oracle takes any couple
+_ONE_COEFFICIENT_ROUTES = {
+    "degenerate": ("formula:degenerate", ((("p", _HALF_TO_INF), ("q", _HALF_TO_INF)), "same")),
+    "weighted-split": ("formula:p-equal:weighted-split",
+                       ((("p", _HALF_TO_INF), ("q", _HALF_TO_INF)), "apart")),
+    "rearrangement": ("formula:p-equal:rearrangement",
+                      ((("p", _HALF_TO_INF), ("q2", _HALF_TO_INF)), "same")),
+    "layer-sum": ("formula:q-equal:layer-sum",
+                  ((("q", _HALF_TO_INF), ("p2", _HALF_TO_INF)), "free")),
+    "general": ("formula:general:power-composition-kinf",
+                ((("p2", (1.0, 2.0, math.inf)), ("q2", (0.5, 1.0, 2.0))), "free")),
+    "oracle": ("oracle:vertex-enumeration",
+               ((("p2", _HALF_TO_INF), ("q2", _HALF_TO_INF)), "free")),
+}
+
+
+@pytest.mark.parametrize("route", list(_ONE_COEFFICIENT_ROUTES))
+def test_one_coefficient_law(route, monkeypatch):
+    # K = c min(w0, t w1) for one nonzero coefficient c of layer j (w0, w1
+    # its weights), as the module docstring states; the composed split
+    # meets it only at both ends
+    label, draw = _ONE_COEFFICIENT_ROUTES[route]
+    monkeypatch.setitem(verify._COUPLES, route, draw)
+    rng = np.random.default_rng(27)
+    ts = 2.0 ** np.arange(-40.0, 41.0)
+    for _ in range(600):
+        sizes = verify._rand_sizes(rng, 6, 3)
+        layers = [np.zeros(m) for m in sizes]
+        j = int(rng.integers(0, len(sizes)))
+        c = layers[j][int(rng.integers(0, sizes[j]))] = float(2.0 ** rng.uniform(-300.0, 300.0))
+        field = _field(layers, n=int(rng.choice((1, 2))))
+        i0, i1 = verify._rand_couple(rng, route)
+        method = "oracle" if route == "oracle" else "formula"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            plan = k_plan(field, InterpQuery(i0, i1), method)
+            got = plan.k(ts)
+        assert plan.label == label
+        want = c * np.minimum(layer_weight(field.spec, i0, j), ts * layer_weight(field.spec, i1, j))
+        np.testing.assert_allclose(got, want, rtol=1e-9, atol=0.0)
+
+
 # --- prepared plans ---------------------------------------------------------
 
 _PLAN_FIELD = [(1.0, 0.3), (0.7,), (0.2, 0.9), (0.5, 0.1, 0.4, 0.8)]
@@ -893,11 +947,11 @@ def test_composed_split_quadratures_the_hull_once(monkeypatch):
     monkeypatch.setattr(kfunc, "_grid_integral", counting)
     plan = k_plan(field, query)
     assert plan.label == "formula:p-equal:composed-split"
-    # the build makes one pass, over the single range [lo, hi], with both
-    # integrands as two rows on its nodes, and nothing for the limits
+    # the build makes one pass, over [lo, hi] once per live piece with
+    # one integrand row, and nothing for the limits
     assert len(passes) == 1
-    [((lo, hi),), rows] = passes[0]
-    assert rows == [2] and lo < hi
+    [((lo, hi), (lo2, hi2)), rows] = passes[0]
+    assert rows == [1] and lo < hi and (lo2, hi2) == (lo, hi)
 
     # split points outside the hull cost no quadrature at all
     assert passes_of(lambda: plan.k(2.0 ** np.array([-40.0, -30.0, 30.0, 40.0]))) == []
@@ -908,14 +962,14 @@ def test_composed_split_quadratures_the_hull_once(monkeypatch):
     assert (lo1, hi1) == (lo, hi) and x == x2 and lo < x < hi and rows == [1]
     c = x ** (1.0 / 3.0) / t_mid
 
-    # k_curve makes two passes: the plan's full hull, then one holding
-    # [lo, X] and [X, hi] for every t of the default grid inside the hull
+    # k_curve makes two passes: the plan's hull for each piece, then one
+    # holding [lo, X] and [X, hi] for every t of the default grid inside it
     grid = default_t_grid()
     xs = (c * grid) ** 3
     inside = (lo < xs) & (xs < hi)
     assert 0 < inside.sum() < len(grid)
     got = passes_of(lambda: k_curve(field, query))
-    assert len(got) == 2 and got[0] == passes[0] == ([(lo, hi)], [2])
+    assert len(got) == 2 and got[0] == passes[0] == ([(lo, hi), (lo, hi)], [1])
     (ranges, rows), n = got[1], int(inside.sum())
     assert rows == [1] and len(ranges) == 2 * n
     assert all(a == lo for a, _ in ranges[:n]) and all(b == hi for _, b in ranges[n:])
