@@ -4,8 +4,8 @@ Subcommands: norm, kcurve, interpnorm, verify, generate.  Outputs are
 byte-stable for fixed inputs and seeds: JSON is emitted with indent=2
 and round-trip float formatting, CSV uses repr() floats and '.' decimal
 regardless of locale.  Exit codes: 0 success, 1 verification failure,
-2 usage or data errors, 3 numeric (including any ArithmeticError) or
-budget errors.
+2 usage or data errors (a negative seed among them), 3 numeric
+(including any ArithmeticError), budget or out-of-memory errors.
 """
 
 from __future__ import annotations
@@ -235,10 +235,10 @@ def main(argv=None) -> int:
     except (UsageError, DataError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (BudgetError, NumericError, ArithmeticError) as exc:
-        # ArithmeticError: overflow, division by zero or a floating-point
-        # trap left in a numeric route is a numeric failure, not a crash
-        print(f"error: {exc}", file=sys.stderr)
+    except (BudgetError, NumericError, ArithmeticError, MemoryError) as exc:
+        # an ArithmeticError left in a numeric route, or an allocation the
+        # machine refuses, is a failure, not a crash; a bare MemoryError has no text
+        print(f"error: {str(exc) or repr(exc)}", file=sys.stderr)
         return 3
 
 

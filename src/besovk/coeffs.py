@@ -93,6 +93,8 @@ def generate(spec: GridSpec, kind: str, seed: int) -> CoeffField:
     """
     if kind not in GENERATOR_KINDS:
         raise UsageError(f"unknown generator kind {kind!r}; pick from {GENERATOR_KINDS}")
+    if int(seed) < 0:
+        raise UsageError(f"seed must be a nonnegative integer, got {seed}")
     rng = np.random.default_rng(int(seed))
     layers = []
     if kind == "uniform-random":

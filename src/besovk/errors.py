@@ -1,7 +1,7 @@
 """Error taxonomy shared across the package.
 
 Four failure modes, kept deliberately coarse: bad data, bad usage,
-numerical non-convergence, and oracle budget refusals.  Everything
+numeric failures, and oracle budget refusals.  Everything
 derives from BesovkError so callers can catch the lot in one clause.
 """
 
@@ -21,7 +21,8 @@ class UsageError(BesovkError):
 
 
 class NumericError(BesovkError):
-    """A numerical routine failed to converge within its budget."""
+    """A value left double range, or an interpolation window reached its
+    cap short of its tail tolerance."""
 
 
 class BudgetError(BesovkError):

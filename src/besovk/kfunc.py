@@ -33,7 +33,7 @@ fractional integral, which is classical and exact.  At a single
 coefficient c, K is c min(w0, t*w1) on the degenerate, weighted-split,
 rearrangement, layer-sum and GENERAL routes (to 1e-9 at exponents in
 {1/2, 1, 2, inf}); the composed split meets it only at both ends.  Each
-kernel takes one orientation: _SplitSum p0 <= p1, _WCurve and
+kernel takes one orientation: _SplitSum p0 < p1, _WCurve and
 _holmstedt the smaller smoothness first.  _seq_route and _layer_fn
 orient each couple once and commute the other order (_commuted).
 
@@ -229,22 +229,18 @@ def _zeros(ts: np.ndarray) -> np.ndarray:
 
 
 class _SplitSum:
-    """Sum-form K of a fixed vector between l^p0 and l^p1, p0 <= p1,
+    """Sum-form K of a fixed vector between l^p0 and l^p1, p0 < p1,
     evaluated on a t array.
 
-    p0 = p1 gives min(1, t) times the norm.  Against a sup norm the
-    exact fractional integral applies; two finite exponents split at
-    the integer rank floor(t^alpha), the smaller exponent taking the
-    largest entries.  Power sums of the rearrangement are tabulated
-    once, so each t costs one lookup.
+    Against a sup norm the exact fractional integral applies; two
+    finite exponents split at the integer rank floor(t^alpha), the
+    smaller exponent taking the largest entries.  Power sums of the
+    rearrangement are tabulated once, so each t costs one lookup.
     """
 
     def __init__(self, v, p0: float, p1: float):
         r = rearrangement(v)
         self.p0, self.p1, self.m = p0, p1, len(r)
-        if p0 == p1:
-            self.norm = lp_norm(r, p0)
-            return
         # head[k]: sum of the k largest p0-th powers; tail[k]: the rest in p1
         self.top, self.pow0 = float(r[0]), r**p0
         self.head = np.concatenate(([0.0], np.cumsum(self.pow0)))
@@ -253,8 +249,6 @@ class _SplitSum:
             self.tail = np.concatenate((np.cumsum((r**p1)[::-1])[::-1], [0.0]))
 
     def __call__(self, t: np.ndarray) -> np.ndarray:
-        if self.p0 == self.p1:
-            return np.minimum(1.0, t) * self.norm
         m, p0 = self.m, self.p0
         if math.isinf(self.p1):
             T = t**p0
@@ -458,7 +452,8 @@ class _WCurve:
     flips one layer at each breakpoint sigma_j = 2^(-j*(b-a)); W is
     continuous there, linear between breakpoints, exactly linear below
     the smallest and constant above the largest.  At q = 1 it is the
-    exact decoupled sum of per-layer minima.  It takes a < b.
+    exact decoupled sum of per-layer minima.  It takes a <= b; at a = b
+    every breakpoint is 1 and W is min(1, sigma) times the norm.
     """
 
     def __init__(self, x: np.ndarray, a: float, b: float, q: float = 1.0):
@@ -655,10 +650,10 @@ def _seq_route(a: np.ndarray, s_a: float, q0: float, s_b: float, q1: float):
     (s_a, q0) > (s_b, q1) is commuted."""
     if (s_a, q0) > (s_b, q1):
         return _commuted(_seq_route(a, s_b, q1, s_a, q0), lambda: lp_norm(_weighted(a, s_a), q0))
-    if s_a == s_b:
-        return _SplitSum(_weighted(a, s_a), q0, q1)
     if q0 == q1:
         return _WCurve(a, s_a, s_b, q0)
+    if s_a == s_b:
+        return _SplitSum(_weighted(a, s_a), q0, q1)
     return _holmstedt(a, s_a, q0, s_b, q1)
 
 
@@ -671,9 +666,10 @@ def _fold_layers(batches: list) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     Folded one batch (_batches) at a time, smallest layers first: merge
     the batch's breaks into the running ones, carry the running piece
     over to each merged piece, evaluate the batch on the merged pieces in
-    one pass and add its live rows in turn.  A step whose rows x pieces
-    matrices would pass _FOLD_CELLS cells takes its pieces in bands,
-    which changes no operation.  Every term is nonnegative
+    one pass and add every row in turn (a row that is not live reads 0
+    and -inf, which add nothing).  A step whose rows x pieces matrices
+    would pass _FOLD_CELLS cells takes its pieces in bands, which
+    changes no operation.  Every term is nonnegative
     (constants add, log slopes combine by logaddexp), so nothing cancels,
     and the work is that of the breaks seen so far.
     """
@@ -688,10 +684,9 @@ def _fold_layers(batches: list) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         step = max(1, _FOLD_CELLS // len(env.live))
         for at in range(0, len(reps), step):
             c_band, lb_band = const[at:at + step], lslope[at:at + step]
-            for c, lb, live in zip(*env.parts(reps[at:at + step]), env.live):
-                if live:
-                    c_band += c
-                    np.logaddexp(lb_band, lb, out=lb_band)
+            for c, lb in zip(*env.parts(reps[at:at + step])):
+                c_band += c
+                np.logaddexp(lb_band, lb, out=lb_band)
         lv = merged
     return lv, const, lslope
 

@@ -86,6 +86,8 @@ def _suite(name: str, seed: int, size: int):
     with seed and reports the checks with the time they took."""
     def register(body):
         def run(seed: int = seed) -> dict:
+            if int(seed) < 0:
+                raise UsageError(f"seed must be a nonnegative integer, got {seed}")
             t0 = time.perf_counter()
             checks = body(np.random.default_rng(seed), size)
             return {

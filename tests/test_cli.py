@@ -315,6 +315,36 @@ def test_numeric_overflow_exit_3(capsys, monkeypatch):
     assert capsys.readouterr().err.startswith("error: ")
 
 
+@pytest.mark.parametrize("argv", [
+    ["generate", "--generate", "uniform-random", "--spec", "1,1,2", "--seed", "-1"],
+    ["kcurve", "--generate", "uniform-random", "--spec", "1,1,2", "--seed", "-1"],
+    ["verify", "--suite", "endpoints", "--seed", "-3"],
+])
+def test_negative_seed_exit_2(capsys, argv):
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert re.fullmatch(r"error: seed must be a nonnegative integer, got -\d\n", err)
+
+
+@pytest.mark.parametrize("cmd, target", [("kcurve", "k_curve"),
+                                         ("interpnorm", "interp_norm_report")])
+@pytest.mark.parametrize("args, text", [
+    (("Unable to allocate 29.8 GiB for an array with shape (4000000001,) "
+      "and data type float64",), "Unable to allocate 29.8 GiB"),
+    ((), "MemoryError()"),  # a bare MemoryError has no text of its own
+])
+def test_refused_allocation_exit_3(capsys, monkeypatch, cmd, target, args, text):
+    # stands in for a t window too dense to allocate, on the default one:
+    # nothing large is allocated for real
+    def refuse(*_, **kwargs):
+        raise MemoryError(*args)
+
+    monkeypatch.setattr(besovk.cli, target, refuse)
+    assert main([cmd, "--generate", "uniform-random", "--spec", "1,1,2"]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {text}") and err.count("\n") == 1
+
+
 def test_generate_rejects_input_flag(capsys, tmp_path):
     path = tmp_path / "f.json"
     path.write_text("{}", encoding="utf-8")

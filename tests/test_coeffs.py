@@ -93,6 +93,12 @@ def test_generate_unknown_kind():
         generate(GridSpec(n=1, J=1, layer_sizes=(1,)), "bogus", 0)
 
 
+@pytest.mark.parametrize("kind", GENERATOR_KINDS)
+def test_generate_refuses_a_negative_seed(kind):
+    with pytest.raises(UsageError, match="seed must be a nonnegative integer, got -1"):
+        generate(GridSpec(n=1, J=1, layer_sizes=(2,)), kind, -1)
+
+
 def test_write_read_round_trip(tmp_path):
     spec = GridSpec(n=2, J=2, layer_sizes=(3, 1))
     field = CoeffField(spec, [np.array([0.5, 0.0, 2.25]), np.array([1.0])])

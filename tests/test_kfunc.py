@@ -229,13 +229,30 @@ def test_holmstedt_route_band_vs_oracle():
 
 
 def test_p_equal_single_spike_matches_k_layer():
+    # one coefficient c: K = c min(w0, t w1) with its layer's weights
     field = _field([(0.0, 0.0), (2.2,)])
     i0 = BesovIndex(0.9, 1.5, 1.0)
     i1 = BesovIndex(-0.2, 1.5, 1.0)
     query = InterpQuery(i0, i1)
+    w0, w1 = layer_weight(field.spec, i0, 1), layer_weight(field.spec, i1, 1)
     for t in (0.3, 1.0, 6.0):
-        assert _k(field, query, t) == pytest.approx(
-            _at(_layer_fn(field, query, 1), t), rel=1e-12)
+        assert _k(field, query, t) == pytest.approx(2.2 * min(w0, t * w1), rel=1e-12)
+
+
+@pytest.mark.parametrize("flip", [False, True])
+def test_weight_exponents_that_round_equal_give_min_1_t_norm(flip):
+    # s0 != s1, but s + n/2 - n/p rounds to the same double on both sides:
+    # the weighted split with both weights equal is min(1, t) ||f||
+    field = _field([(1.0,), (0.5, 0.25)])
+    i0, i1 = BesovIndex(1e-20, 2.0, 2.0), BesovIndex(0.0, 2.0, 2.0)
+    assert i0.weight_exponent(1) == i1.weight_exponent(1)
+    if flip:
+        i0, i1 = i1, i0
+    plan = k_plan(field, InterpQuery(i0, i1))
+    assert plan.label == "formula:p-equal:weighted-split"
+    ts = 2.0 ** np.arange(-30.0, 31.0)
+    np.testing.assert_allclose(plan.k(ts), np.minimum(1.0, ts) * besov_norm(field, i0),
+                               rtol=1e-12, atol=0.0)
 
 
 # --- shared-q route ---------------------------------------------------------

@@ -8,7 +8,8 @@ import pytest
 from besovk.errors import UsageError
 from besovk.kfunc import CaseTag, InterpQuery
 from besovk.oracle import vertex_tables
-from besovk.verify import _COUPLES, _T_GRID, _form_ratios, _rand_couple, _rand_field, run_suite
+from besovk.verify import (SUITES, _COUPLES, _T_GRID, _form_ratios, _rand_couple, _rand_field,
+                           run_suite)
 
 _ROUTE_CASES = {
     "degenerate": CaseTag.DEGENERATE,
@@ -37,6 +38,12 @@ def test_rand_couple_stays_in_its_route(route):
 def test_run_suite_refuses_an_unknown_name():
     with pytest.raises(UsageError, match="unknown suite 'bogus'; choose from axioms, "):
         run_suite("bogus")
+
+
+@pytest.mark.parametrize("name", sorted(SUITES))
+def test_every_suite_refuses_a_negative_seed(name):
+    with pytest.raises(UsageError, match="seed must be a nonnegative integer, got -3"):
+        run_suite(name, seed=-3)
 
 
 @pytest.mark.parametrize("route, form, xi", [("general", "max", math.inf),
