@@ -72,15 +72,13 @@ def _parse_grid_spec(text: str) -> GridSpec:
 
 
 def _load_field(args) -> CoeffField:
-    if args.input and args.generate:
+    if bool(args.input) == bool(args.generate):
         raise UsageError("give exactly one of --input and --generate")
     if args.input:
         return read_field(args.input)
-    if args.generate:
-        if not args.spec:
-            raise UsageError("--generate requires --spec J,n,m0,m1,...")
-        return generate(_parse_grid_spec(args.spec), args.generate, args.seed)
-    raise UsageError("give exactly one of --input and --generate")
+    if not args.spec:
+        raise UsageError("--generate requires --spec J,n,m0,m1,...")
+    return generate(_parse_grid_spec(args.spec), args.generate, args.seed)
 
 
 def _query(args) -> InterpQuery:

@@ -47,7 +47,8 @@ class QuadratureSpec:
 
     Exponents are binary: the grid spans [2^t_min_exp, 2^t_max_exp]
     with points_per_decade nodes per factor of 2, which need not be a
-    whole number.  The window expands until the closed-form tails carry
+    whole number, and 2^22 nodes at most (_check_t_window, which a
+    widened window meets too).  The window expands until the tails carry
     at most _TAIL_REL_TOL of the integral.
     """
 
@@ -90,7 +91,8 @@ def _interp_scaled(plan: KPlan, theta: float, r: float, quad: QuadratureSpec | N
     sup detaches from the window edge), as long as it stays inside
     2^(+-_WINDOW_LIMIT), in double range.  A widened window reuses K at
     every node equal, bit for bit, to one already evaluated, and
-    evaluates it on the rest only.
+    evaluates it on the rest only.  t^-theta K of 0 at every node gives
+    the zero report; r-th powers that all underflow refuse (NumericError).
     """
     quad = quad or QuadratureSpec()
     e = math.frexp(plan.fac)[1] - 1  # plan.fac = 2^e
@@ -109,10 +111,10 @@ def _interp_scaled(plan: KPlan, theta: float, r: float, quad: QuadratureSpec | N
         ks = np.empty(len(ts))
         ks[seen] = old_ks[pos[seen]]
         ks[~seen] = plan.k_scaled(ts[~seen])
-        if not ks.any():
+        vals = ts**-theta * ks
+        if not vals.any():
             return InterpReport(0.0, method, lo_exp, hi_exp, len(ts),
                                 0.0, 0.0, 0.0), e
-        vals = ts**-theta * ks
         if math.isinf(r):
             imax = int(np.argmax(vals))
             if 0 < imax < len(ts) - 1:
@@ -127,9 +129,8 @@ def _interp_scaled(plan: KPlan, theta: float, r: float, quad: QuadratureSpec | N
         tail_lo = gs[0] / ((1.0 - theta) * r)
         tail_hi = gs[-1] / (theta * r)
         total = mid + tail_lo + tail_hi
-        if total == 0.0:
-            return InterpReport(0.0, method, lo_exp, hi_exp, len(ts),
-                                0.0, 0.0, 0.0), e
+        if total == 0.0:  # some value is not 0, but every r-th power underflowed
+            raise NumericError(f"the {r:g}-th powers of t^-theta K underflow at every node")
         frac = float((tail_lo + tail_hi) / total)
         if frac <= _TAIL_REL_TOL:
             return InterpReport(total ** (1.0 / r), method, lo_exp, hi_exp,
@@ -142,12 +143,11 @@ def _interp_scaled(plan: KPlan, theta: float, r: float, quad: QuadratureSpec | N
 def _unscale(x, e: int, r: float = 1.0) -> float:
     """x / 2^(e r) as a Python float, for a quantity of degree r in K at
     the scale 2^e (_interp_scaled); NumericError past double range."""
-    if e:
-        e = e * r
-        try:
-            x = math.ldexp(x * 2.0 ** (math.floor(e) - e), -math.floor(e))
-        except OverflowError:
-            x = math.inf
+    e = e * r
+    try:
+        x = math.ldexp(x * 2.0 ** (math.floor(e) - e), -math.floor(e))
+    except OverflowError:
+        x = math.inf
     if not math.isfinite(x):
         raise NumericError("interpolation result leaves double range")
     return float(x)

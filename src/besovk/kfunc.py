@@ -151,11 +151,11 @@ class KCurve:
         object.__setattr__(self, "k", k)
 
 
-def _check_t_window(t_min_exp: float, t_max_exp: float, points_per_decade: float) -> None:
+def _check_t_window(t_min_exp: float, t_max_exp: float, points_per_decade: float) -> int:
     """The one t window rule: refuse [2^t_min_exp, 2^t_max_exp] unless both
-    end points are positive finite doubles and t_min_exp <= t_max_exp, and
-    a density of points_per_decade nodes per binary decade unless it is
-    positive and finite."""
+    end points are positive finite doubles and t_min_exp <= t_max_exp, a
+    density of points_per_decade nodes per binary decade unless it is
+    positive and finite, and a grid of more than _MAX_T_NODES nodes; returns its count."""
     for name, e in (("t_min_exp", t_min_exp), ("t_max_exp", t_max_exp)):
         try:
             end = 2.0 ** float(e)
@@ -167,13 +167,17 @@ def _check_t_window(t_min_exp: float, t_max_exp: float, points_per_decade: float
         raise UsageError(f"need t_min_exp <= t_max_exp, got {t_min_exp} > {t_max_exp}")
     if not 0 < points_per_decade < math.inf:
         raise UsageError(f"points_per_decade must be positive and finite, got {points_per_decade}")
+    span = (t_max_exp - t_min_exp) * points_per_decade
+    if not span < _MAX_T_NODES - 0.5:  # a float compare, so an inf product refuses too
+        raise UsageError(f"[2^{t_min_exp}, 2^{t_max_exp}] at {points_per_decade} per decade "
+                         f"holds more than {_MAX_T_NODES} nodes")
+    return int(round(span)) + 1
 
 
 def default_t_grid(t_min_exp: float = -20.0, t_max_exp: float = 20.0,
                    points_per_decade: float = 2.0) -> np.ndarray:
-    """Log-spaced t grid, points_per_decade per binary decade (81 by default)."""
-    _check_t_window(t_min_exp, t_max_exp, points_per_decade)
-    count = int(round((t_max_exp - t_min_exp) * points_per_decade)) + 1
+    """Log-spaced t grid, points_per_decade per binary decade (81 by default, 2^22 at most)."""
+    count = _check_t_window(t_min_exp, t_max_exp, points_per_decade)
     return np.logspace(t_min_exp, t_max_exp, count, base=2.0)
 
 
@@ -285,6 +289,14 @@ def _commuted(fn, norm0):
 _PAD_CELLS = 512
 _FOLD_CELLS = 1 << 16  # the most cells of a rows x pieces matrix in _fold_layers
 _PPD = 8.0  # cells per binary decade of _holmstedt's hull quadrature
+_MAX_T_NODES = 1 << 22  # the most nodes of a t grid (_check_t_window): 32 MiB of doubles
+
+
+def _running_norm(x: np.ndarray, p: float, axis: int) -> np.ndarray:
+    """The l^p norm of every prefix of x along axis (the running max at p = inf)."""
+    if math.isinf(p):
+        return np.maximum.accumulate(x, axis)
+    return np.cumsum(x**p, axis) ** (1.0 / p)
 
 
 def _batches(sizes) -> list[list[int]]:
@@ -340,17 +352,12 @@ class _LayerKinf:
         z, inf = np.zeros((rows, 1)), np.full((rows, 1), np.inf)
         halves = np.concatenate((z, r[:, ::-1], z, r), 1).reshape(rows, 2, -1)
 
-        def rank_norms(p: float) -> np.ndarray:
-            # ||k largest entries||_p, then ||k smallest||_p, k = 0..m, from
-            # the halves: 0 and the entries descending, 0 and them ascending
-            if math.isinf(p):
-                return np.maximum.accumulate(halves, 2).reshape(rows, -1)
-            return (halves**p).cumsum(2).reshape(rows, -1) ** (1.0 / p)
-
-        # side-0 takes the k largest or the k smallest, side-1 the
-        # complement: the m - k smallest or largest, the table read backwards
-        a = rank_norms(p0) ** q0
-        b = rank_norms(p1)[:, ::-1] ** q1
+        # ||k largest entries||_p, then ||k smallest||_p, k = 0..m, from the
+        # halves (0 and the entries descending, 0 and them ascending); side-0
+        # takes the k largest or the k smallest, side-1 the complement: the
+        # m - k smallest or largest, the table read backwards
+        a = _running_norm(halves, p0, 2).reshape(rows, -1) ** q0
+        b = _running_norm(halves, p1, 2).reshape(rows, -1)[:, ::-1] ** q1
         width = a.shape[1]
         sh = np.asarray(shifts, dtype=float)[:, None]
         with np.errstate(divide="ignore", invalid="ignore"):
@@ -459,14 +466,8 @@ class _WCurve:
     def __init__(self, x: np.ndarray, a: float, b: float, q: float = 1.0):
         wa, wb = _weighted(x, a), _weighted(x, b)
         # l^q norms of layers j >= k (side a) and of layers j < k (side b)
-        if math.isinf(q):
-            suffix_a = np.maximum.accumulate(wa[::-1])[::-1]
-            prefix_b = np.maximum.accumulate(wb)
-        else:
-            suffix_a = np.cumsum((wa**q)[::-1])[::-1] ** (1.0 / q)
-            prefix_b = np.cumsum(wb**q) ** (1.0 / q)
-        self._suffix_a = np.concatenate((suffix_a, [0.0]))
-        self._prefix_b = np.concatenate(([0.0], prefix_b))
+        self._suffix_a = np.concatenate((_running_norm(wa[::-1], q, 0)[::-1], [0.0]))
+        self._prefix_b = np.concatenate(([0.0], _running_norm(wb, q, 0)))
         self.breaks = 2.0 ** (-np.arange(len(x), dtype=float)[::-1] * (b - a))  # ascending
         self.lo = float(self.breaks[0])   # below: W = sigma * norm_b
         self.hi = float(self.breaks[-1])  # above: W = norm_a
@@ -481,24 +482,24 @@ class _WCurve:
 
 
 def _logcell_integral(u_lo, u_hi, g_lo, g_hi) -> np.ndarray:
-    """Integral of g over each cell [u_lo, u_hi] in log coordinates,
-    modeling g as an exponential between its endpoint values (exact for
-    power-law g); the trapezoid where an endpoint value is not positive
-    or the two nearly agree, and zero on an empty cell.  Arrays in, one
-    entry per cell out."""
+    """Integral of g over each cell [u_lo, u_hi], u_lo < u_hi, in log
+    coordinates, modeling g as an exponential between its endpoint
+    values (exact for power-law g); the trapezoid where an endpoint
+    value is not positive or the two nearly agree.  Arrays in, one entry
+    per cell out."""
     h = u_hi - u_lo
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         lr = np.log(g_hi / g_lo)
         expo = (g_hi - g_lo) * h / lr
     trap = 0.5 * (g_lo + g_hi) * h
     exact = (g_lo > 0.0) & (g_hi > 0.0) & (np.abs(lr) >= 1e-9)
-    return np.where(h > 0, np.where(exact, expo, trap), 0.0)
+    return np.where(exact, expo, trap)
 
 
-def _grid_integral(fun, lo, hi, ppd: float) -> np.ndarray:
+def _grid_integral(fun, lo, hi) -> np.ndarray:
     """One log-grid quadrature pass of an integrand d sigma/sigma over
     the ranges [lo_i, hi_i] (arrays, lo < hi), one integral per range.
-    A range of D binary decades gets ceil(D * ppd) cells (at least one)
+    A range of D binary decades gets ceil(D * _PPD) cells (at least one)
     with nodes spaced as np.linspace spaces them.  The ranges are laid
     end to end, and fun(sigma, first), given the first node of each
     range, maps all nodes at once to the integrand values, so a range
@@ -506,7 +507,7 @@ def _grid_integral(fun, lo, hi, ppd: float) -> np.ndarray:
     """
     u_lo, u_hi = np.log(lo), np.log(hi)
     span = u_hi - u_lo
-    cells = np.maximum(1, np.ceil(span / math.log(2.0) * ppd)).astype(np.intp)
+    cells = np.maximum(1, np.ceil(span / math.log(2.0) * _PPD)).astype(np.intp)
     nodes = cells + 1
     first = np.cumsum(nodes) - nodes  # first node of each range
     last = first + cells
@@ -515,7 +516,7 @@ def _grid_integral(fun, lo, hi, ppd: float) -> np.ndarray:
     us[last] = u_hi
     gs = fun(np.exp(us), first)
     # every pair of neighbouring nodes is a cell, and the pair that joins
-    # two ranges a stray one, summed on its own and dropped
+    # two ranges a stray one (of any width), summed on its own and dropped
     vals = _logcell_integral(us[:-1], us[1:], gs[:-1], gs[1:])
     return np.add.reduceat(vals, np.sort(np.concatenate((first, last)))[:-1])[::2]
 
@@ -597,11 +598,11 @@ def _holmstedt(a: np.ndarray, s0: float, q0: float, s1: float, q1: float):
     band, and makes K(inf) = N0 and K(t)/t -> N1 exact.  A raw limit of
     0 (W^q underflowed) cannot calibrate: the build raises ArithmeticError.
 
-    Each quadrature pass holds every live (finite q) piece's ranges with
-    its own integrand (split) on shared nodes, exp and W.  The build's
-    covers the hull [W.lo, W.hi] once per live piece and, with the
-    closed-form tails, gives M0 and M1; a t array's covers [W.lo, X]
-    (low) and [X, W.hi] (high) for each X inside the hull.
+    Each quadrature pass (hull) holds the live (finite q) pieces' ranges,
+    [W.lo, x_low] low and [x_high, W.hi] high, each with its own
+    integrand (split) on shared nodes, exp and W.  The build's, at (W.hi,
+    W.lo), gives M0 and M1 with the closed-form tails; a t array's, at
+    (X, X), covers [W.lo, X] and [X, W.hi] for each X inside the hull.
     """
     W = _WCurve(a, 2.0 * s0 - s1, 2.0 * s1 - s0)
     n0, n1 = lp_norm(_weighted(a, s0), q0), lp_norm(_weighted(a, s1), q1)
@@ -612,19 +613,19 @@ def _holmstedt(a: np.ndarray, s0: float, q0: float, s1: float, q1: float):
         w, cut = W(sig), [*first[::len(first) // len(live)], len(sig)]
         return np.concatenate([p.g(sig[i:j], w[i:j]) for p, i, j in zip(live, cut, cut[1:])])
 
+    def hull(x_low, x_high):  # each live piece's quadrature, a row per piece
+        lo = np.concatenate([np.full(len(x_low), W.lo) if p is low else x_high for p in live])
+        hi = np.concatenate([x_low if p is low else np.full(len(x_high), W.hi) for p in live])
+        return _grid_integral(split, lo, hi).reshape(len(live), -1)
+
     def raw(X):
         mid = (W.lo < X) & (X < W.hi)
         xm = X[mid]
-        parts = {}  # live piece -> its part at xm; an empty xm is every part
-        if len(xm):
-            lo = np.concatenate([np.full(len(xm), W.lo) if p is low else xm for p in live])
-            hi = np.concatenate([xm if p is low else np.full(len(xm), W.hi) for p in live])
-            parts = dict(zip(live, _grid_integral(split, lo, hi, _PPD).reshape(len(live), -1)))
+        parts = dict(zip(live, hull(xm, xm))) if len(xm) else {}  # else every part is xm
         return low(X, mid, parts.get(low, xm)), high(X, mid, parts.get(high, xm))
 
     if W.lo < W.hi:  # the hull once per live piece
-        lo, hi = np.full(len(live), W.lo), np.full(len(live), W.hi)
-        for p, val in zip(live, _grid_integral(split, lo, hi, _PPD).tolist()):
+        for p, val in zip(live, hull(np.array([W.hi]), np.array([W.lo]))[:, 0].tolist()):
             p.full = val
     m0, m1 = low.limit(), high.limit()  # raw K(inf), raw K(t)/t at 0
     if not (m0 > 0.0 and m1 > 0.0):  # a power of W underflowed: no calibration
@@ -811,7 +812,11 @@ def k_plan(field: CoeffField, query: InterpQuery, method: str = "formula") -> KP
     """
     if method not in ("formula", "oracle"):
         raise UsageError(f"unknown method {method!r}; use 'formula' or 'oracle'")
-    label, form, build = _ROUTES[query.case if method == "formula" else CaseTag.ORACLE_ONLY]
+    case = query.case if method == "formula" else CaseTag.ORACLE_ONLY
+    w0, w1 = (i.weight_exponent(field.spec.n) for i in (query.idx0, query.idx1))
+    if case is CaseTag.P_EQUAL_S_DIFF_Q_DIFF and w0 == w1:  # _seq_route runs the rearrangement
+        case = CaseTag.P_EQUAL_S_EQUAL
+    label, form, build = _ROUTES[case]
     if form is None:  # the oracle computes the form that xi selects
         form = {1.0: "sum", math.inf: "max"}.get(query.xi, f"xi={query.xi:g}")
     elif query.xi not in (1.0, math.inf):

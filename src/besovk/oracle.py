@@ -69,8 +69,7 @@ class VertexTables:
     def __init__(self, field: CoeffField, idx0: BesovIndex, idx1: BesovIndex):
         field, self.fac = _budgeted(field, "enumeration")
         self.a = self._side_table(field, idx0)
-        self.b = self._side_table(field, idx1)
-        self.b_comp = self.b[::-1]
+        self.b_comp = self._side_table(field, idx1)[::-1]
 
     @staticmethod
     def _side_table(field: CoeffField, idx: BesovIndex) -> np.ndarray:

@@ -42,9 +42,7 @@ def distribution_count(v, lam: float) -> int:
 
 def rearrangement(v) -> np.ndarray:
     """Entries sorted in nonincreasing order."""
-    arr = _as_clean_array(v)
-    out = np.sort(arr)[::-1]
-    return out
+    return np.sort(_as_clean_array(v))[::-1]
 
 
 def _split_limit(r: np.ndarray, T: float) -> tuple[int, float]:

@@ -345,6 +345,22 @@ def test_refused_allocation_exit_3(capsys, monkeypatch, cmd, target, args, text)
     assert err.startswith(f"error: {text}") and err.count("\n") == 1
 
 
+@pytest.mark.parametrize("cmd", ["kcurve", "interpnorm"])
+@pytest.mark.parametrize("ppd", ["1e8", "1e308"])
+def test_t_window_past_the_node_bound_exit_2(capsys, monkeypatch, cmd, ppd):
+    # refused before the grid is allocated: 1e8 per decade once asked
+    # np.logspace for 4*10^9 doubles, and 1e308 exited 3 on int(inf)
+    def logspace(*args, **kwargs):
+        raise AssertionError("the grid was allocated")
+
+    monkeypatch.setattr(np, "logspace", logspace)
+    argv = [cmd, "--generate", "uniform-random", "--spec", "1,1,2", "--points-per-decade", ppd]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert re.fullmatch(r"error: \[2\^-20\.0, 2\^20\.0\] at .* per decade holds more than "
+                        r"4194304 nodes\n", err)
+
+
 def test_generate_rejects_input_flag(capsys, tmp_path):
     path = tmp_path / "f.json"
     path.write_text("{}", encoding="utf-8")

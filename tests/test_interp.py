@@ -277,6 +277,24 @@ def test_refusal_names_the_window_it_integrated():
         _interp_scaled(plan, 0.5, 1.0, None, "formula")
 
 
+@pytest.mark.parametrize("r", [2.0, math.inf])
+def test_zero_rule_holds_at_every_r(r):
+    # K is not 0 past t = 4, but t^-theta K underflows at every node: r =
+    # inf gives the zero report finite r gives, where it once widened 61
+    # times and raised NumericError
+    plan = KPlan("stub", lambda ts: np.where(ts > 4, 5e-324, 0.0))
+    rep, e = _interp_scaled(plan, 0.5, r, None, "formula")
+    assert (rep.value, rep.t_min_exp, rep.t_max_exp, rep.n_points, e) == (0.0, -20.0, 20.0, 321, 0)
+
+
+def test_r_th_powers_that_underflow_refuse():
+    # at r = 2000 the largest value 0.5 of t^-theta K has its r-th power
+    # 2^-2000 below the least subnormal, and the rescaling rule leaves it
+    # there: the norm refuses, where it once read 0
+    with pytest.raises(NumericError, match="2000-th powers of t\\^-theta K underflow"):
+        interp_norm(_field([(0.5,)]), _unit_query(r=2000.0))
+
+
 @pytest.mark.parametrize("r", [60.0, 200.0])
 def test_interp_norm_is_homogeneous_at_large_r(r):
     # the r-th powers of t^-theta K are taken at the rescaling rule's scale
@@ -300,6 +318,13 @@ def test_quadrature_spec_validation():
     for lo, hi in ((-20.0, 1030.0), (-1080.0, 20.0)):
         with pytest.raises(UsageError, match="positive finite double"):
             QuadratureSpec(t_min_exp=lo, t_max_exp=hi)
+
+
+@pytest.mark.parametrize("ppd", [2.0**22, 1e8, 1e308])
+def test_quadrature_spec_takes_the_node_bound(ppd):
+    # the default window of 40 binary decades holds 2^22 nodes at most
+    with pytest.raises(UsageError, match="holds more than 4194304 nodes"):
+        QuadratureSpec(points_per_decade=ppd)
 
 
 def test_quadrature_spec_takes_the_window_rule_of_default_t_grid():

@@ -1,5 +1,6 @@
 import json
 import math
+import re
 import warnings
 from pathlib import Path
 
@@ -101,6 +102,23 @@ def test_plan_refuses_t_not_positive(bad):
     for evaluate in (plan.k, plan.k_scaled):
         with pytest.raises(UsageError, match=f"t must be positive, got {bad}"):
             evaluate([1.0, bad])
+
+
+def test_default_t_grid_has_a_node_bound(monkeypatch):
+    # the node count is refused past 2^22 before anything is allocated:
+    # 1e8 per decade once asked np.logspace for 4*10^9 doubles, and an inf
+    # product of span and density refuses too
+    assert kfunc._check_t_window(0.0, 1.0, kfunc._MAX_T_NODES - 1) == kfunc._MAX_T_NODES
+    assert len(default_t_grid(-1000.0, 1000.0, 8.0)) == 16001  # interpolation's widest
+
+    def logspace(*args, **kwargs):
+        raise AssertionError("the grid was allocated")
+
+    monkeypatch.setattr(np, "logspace", logspace)
+    for lo, hi, ppd in ((0.0, 1.0, kfunc._MAX_T_NODES), (-20.0, 20.0, 1e8),
+                        (-20.0, 20.0, 1e308)):
+        with pytest.raises(UsageError, match=re.escape(f"at {ppd} per decade holds more than")):
+            default_t_grid(lo, hi, ppd)
 
 
 def test_default_t_grid_refuses_ends_off_the_doubles():
@@ -253,6 +271,24 @@ def test_weight_exponents_that_round_equal_give_min_1_t_norm(flip):
     ts = 2.0 ** np.arange(-30.0, 31.0)
     np.testing.assert_allclose(plan.k(ts), np.minimum(1.0, ts) * besov_norm(field, i0),
                                rtol=1e-12, atol=0.0)
+
+
+@pytest.mark.parametrize("flip", [False, True])
+def test_weight_exponents_that_round_equal_label_the_rearrangement(flip):
+    # s and q both differ, but s + n/2 - n/p rounds to the same double on
+    # both sides: the plan runs the rearrangement split, and says so
+    field = _field([(1.0,), (0.5, 0.25)])
+    pairs = [(BesovIndex(1e-20, 2.0, 2.0), BesovIndex(0.0, 2.0, 1.0)),
+             (BesovIndex(0.0, 2.0, 2.0), BesovIndex(0.0, 2.0, 1.0))]
+    if flip:
+        pairs = [(b, a) for a, b in pairs]
+    assert InterpQuery(*pairs[0]).case is CaseTag.P_EQUAL_S_DIFF_Q_DIFF
+    plan, ref = (k_plan(field, InterpQuery(*pair)) for pair in pairs)
+    assert plan.label == ref.label == "formula:p-equal:rearrangement"
+    ts = np.array([0.5, 1.0, 2.0])
+    assert plan.k(ts).tolist() == ref.k(ts).tolist()
+    if not flip:
+        assert plan.k(ts).tolist() == pytest.approx([0.7795, 1.5590, 1.1456], abs=1e-4)
 
 
 # --- shared-q route ---------------------------------------------------------
@@ -733,6 +769,28 @@ def test_formula_routes_commute(layers, s0, p0, q0, s1, p1, q1, t):
     assert fwd == pytest.approx(t * rev, rel=1e-9, abs=1e-300)
 
 
+_EVERY_ROUTE = [*verify._COUPLES, "oracle-only"]
+
+
+@pytest.mark.parametrize("route", _EVERY_ROUTE)
+def test_k_at_one_t_does_not_depend_on_the_other_t(route):
+    # interpolation reuses K at the nodes a widened window shares with the
+    # last one, so K at each t must be the same whatever t come with it
+    rng = np.random.default_rng([29, _EVERY_ROUTE.index(route)])
+    for _ in range(1 if route == "oracle-only" else 60):
+        field = verify._rand_field(rng)
+        if route == "oracle-only":
+            couple = (BesovIndex(0.3, 1.0, math.inf), BesovIndex(-0.2, 2.0, 1.0))
+        else:
+            couple = verify._rand_couple(rng, route)
+        plan = k_plan(field, InterpQuery(*couple))
+        ts = 2.0 ** rng.uniform(-30.0, 30.0, 25)
+        ks = plan.k(ts)
+        assert np.array_equal(ks, [plan.k(ts[i:i + 1])[0] for i in range(len(ts))])
+        order = rng.permutation(len(ts))
+        assert np.array_equal(ks[order], plan.k(ts[order]))
+
+
 # One seeded field and, per commuting route, one couple in both orders,
 # on the default grid plus 2^-1000 and 2^1000.  data/commutation_guard.json
 # holds the values of the kernels that each commuted their own couple;
@@ -944,7 +1002,7 @@ def test_composed_split_quadratures_the_hull_once(monkeypatch):
     real = kfunc._grid_integral
     passes = []  # (ranges, integrand rows) of each quadrature pass
 
-    def counting(fun, lo, hi, ppd):
+    def counting(fun, lo, hi):
         rows = []
 
         def fun_rows(sig, first):
@@ -952,7 +1010,7 @@ def test_composed_split_quadratures_the_hull_once(monkeypatch):
             rows.append(len(gs) if gs.ndim == 2 else 1)
             return gs
 
-        out = real(fun_rows, lo, hi, ppd)
+        out = real(fun_rows, lo, hi)
         passes.append((list(zip(np.asarray(lo).tolist(), np.asarray(hi).tolist())), rows))
         return out
 
@@ -1015,9 +1073,9 @@ def test_composed_split_sup_piece_makes_no_quadrature(monkeypatch, i0, i1):
     real = kfunc._grid_integral
     passes = []
 
-    def counting(fun, lo, hi, ppd):
+    def counting(fun, lo, hi):
         passes.append(list(zip(np.asarray(lo).tolist(), np.asarray(hi).tolist())))
-        return real(fun, lo, hi, ppd)
+        return real(fun, lo, hi)
 
     monkeypatch.setattr(kfunc, "_grid_integral", counting)
     curve = k_curve(field, InterpQuery(i0, i1))
