@@ -83,7 +83,11 @@ def _interp_scaled(plan: KPlan, theta: float, r: float, quad: QuadratureSpec | N
     power r from its largest value on the grid.  Returns the report at
     that combined scale 2^e, and e: its value is 2^e times the norm, a
     tail 2^(e r) times its own; callers unscale (_unscale).  Cells
-    integrate in closed form under the log-linear model.  Past the
+    integrate in closed form under the log-linear model.  Where the
+    largest r-th power at that scale is not a normal double (below
+    2^-1022), every r-th power is taken over the largest value instead,
+    and that value multiplies back into the report (its r-th power into
+    the tails, which may then read 0).  Past the
     window K follows its asymptotes (t ||f||_A1 below, ||f||_A0 above),
     so each tail is the integrand at its window edge over its exponent,
     (1-theta) r below and theta r above.  The window expands until the
@@ -92,7 +96,7 @@ def _interp_scaled(plan: KPlan, theta: float, r: float, quad: QuadratureSpec | N
     2^(+-_WINDOW_LIMIT), in double range.  A widened window reuses K at
     every node equal, bit for bit, to one already evaluated, and
     evaluates it on the rest only.  t^-theta K of 0 at every node gives
-    the zero report; r-th powers that all underflow refuse (NumericError).
+    the zero report.
     """
     quad = quad or QuadratureSpec()
     e = math.frexp(plan.fac)[1] - 1  # plan.fac = 2^e
@@ -122,19 +126,23 @@ def _interp_scaled(plan: KPlan, theta: float, r: float, quad: QuadratureSpec | N
                 return InterpReport(peak, method, lo_exp, hi_exp, len(ts), edge_lo, edge_hi,
                                     max(edge_lo, edge_hi) / peak), e
             continue
-        gfac = _pow2_factor(float(vals.max()), r)
+        vmax = float(vals.max())
+        gfac = _pow2_factor(vmax, r)
+        peak = vmax * gfac
+        if peak**r < 2.0**-1022:  # not normal: powers over the largest value
+            gs = (vals / vmax) ** r
+        else:
+            peak, gs = 1.0, (vals * gfac) ** r
         us = np.log(ts)
-        gs = (vals * gfac) ** r
         mid = float(np.sum(_logcell_integral(us[:-1], us[1:], gs[:-1], gs[1:])))
         tail_lo = gs[0] / ((1.0 - theta) * r)
         tail_hi = gs[-1] / (theta * r)
         total = mid + tail_lo + tail_hi
-        if total == 0.0:  # some value is not 0, but every r-th power underflowed
-            raise NumericError(f"the {r:g}-th powers of t^-theta K underflow at every node")
         frac = float((tail_lo + tail_hi) / total)
         if frac <= _TAIL_REL_TOL:
-            return InterpReport(total ** (1.0 / r), method, lo_exp, hi_exp,
-                                len(ts), tail_lo, tail_hi, frac), e + math.frexp(gfac)[1] - 1
+            return InterpReport(total ** (1.0 / r) * peak, method, lo_exp, hi_exp, len(ts),
+                                tail_lo * peak**r, tail_hi * peak**r,
+                                frac), e + math.frexp(gfac)[1] - 1
     raise NumericError(
         f"interpolation window grew to [2^{lo_exp}, 2^{hi_exp}] without "
         f"meeting tail tolerance {_TAIL_REL_TOL}")

@@ -17,6 +17,7 @@ after _MAX_SWEEPS sweeps.
 
 from __future__ import annotations
 
+import itertools
 import math
 
 import numpy as np
@@ -111,15 +112,14 @@ def vertex_tables(field: CoeffField, idx0: BesovIndex, idx1: BesovIndex) -> Vert
 class _SideAccum:
     """Incremental one-sided Besov norm under single-coordinate edits.
 
-    An exponent of 1 takes no power: float ** calls libm pow, and
-    pow(x, 1.0) is x exactly, so r + x is bit for bit (r + x**1.0)**1.0.
-    No other exponent has a shortcut (x**2.0 and x*x, x**0.5 and
-    sqrt(x) differ in the last bit for some x)."""
+    Every power is a plain power, an exponent of 1 too: float ** calls
+    libm pow, and pow(x, 1.0) is x exactly, so r + x**1.0 is bit for bit
+    r + x.  Only _golden_min, where the powers are the cost, skips
+    them."""
 
     def __init__(self, consts: tuple, vecs):
         self.w, self.exps = consts
-        (self.p, self.ip, self.q, self.iq,
-         self.p_inf, self.q_inf, self.p_one, self.q_one) = self.exps
+        self.p, self.ip, self.q, self.iq, self.p_inf, self.q_inf = self.exps[:6]
         self.base = [float(v.max()) if self.p_inf else float(np.sum(v**self.p))
                      for v in vecs]
         self.vecs = [v.tolist() for v in vecs]
@@ -134,14 +134,11 @@ class _SideAccum:
         return [layer_weight(field.spec, idx, j) for j in range(field.spec.J)], exps
 
     def _term(self, j: int, base: float) -> float:
-        lp = base if self.p_inf or self.p_one else base**self.ip
-        wlp = self.w[j] * lp
-        return wlp if self.q_inf or self.q_one else wlp**self.q
+        wlp = self.w[j] * (base if self.p_inf else base**self.ip)
+        return wlp if self.q_inf else wlp**self.q
 
     def norm(self) -> float:
-        if self.q_inf:
-            return max(self.terms)
-        return sum(self.terms) if self.q_one else sum(self.terms) ** self.iq
+        return max(self.terms) if self.q_inf else sum(self.terms) ** self.iq
 
     def prepare(self, j: int, i: int) -> tuple:
         """Stash layer-j state with coordinate i removed; returns what a
@@ -152,7 +149,7 @@ class _SideAccum:
         if self.p_inf:
             rest = max(v[:i] + v[i + 1 :], default=0.0)
         else:
-            rest = self.base[j] - (v[i] if self.p_one else v[i] ** self.p)
+            rest = self.base[j] - v[i] ** self.p
             if rest < 0.0:
                 rest = 0.0
         self._rest = rest
@@ -165,10 +162,7 @@ class _SideAccum:
     def commit(self, x: float):
         j = self._j
         self.vecs[j][self._i] = x
-        if self.p_inf:
-            self.base[j] = max(self._rest, x)
-        else:
-            self.base[j] = self._rest + (x if self.p_one else x**self.p)
+        self.base[j] = max(self._rest, x) if self.p_inf else self._rest + x**self.p
         self.terms[j] = self._term(j, self.base[j])
 
 
@@ -182,7 +176,9 @@ def _golden_min(fi: float, xtol: float, t: float, side0: tuple, side1: tuple) ->
     side1 are _SideAccum.prepare's tuples.  The objective is evaluated
     inline at one site, once per probe: c and d to start, one new c or
     d per step, and at the end each endpoint no probe has moved onto.
-    An exponent of 1 takes no power, as in _SideAccum.
+    An exponent of 1 takes no power: pow(x, 1.0) is x exactly, and this
+    is the one place where skipping it pays, the objective evaluations
+    being most of a line search.
     Needs fi > xtol.  Returns the first of a, b, c, d with the least
     value."""
     r0, w0, a0, p0, ip0, q0, iq0, p0_inf, q0_inf, p0_one, q0_one = side0
@@ -255,16 +251,13 @@ def _golden_min(fi: float, xtol: float, t: float, side0: tuple, side1: tuple) ->
     return a
 
 
-def _vertex_start(flat: np.ndarray, mask: int) -> np.ndarray | None:
-    """g of the vertex split `mask` over the flat field (bit k keeps
-    coefficient k in g), or None when it repeats a descent start: g = 0
-    when mask & nz == 0 and g = f when mask & nz == nz, with nz the mask
-    of the nonzero coefficients."""
-    ks = np.arange(len(flat))
-    nz = int(np.sum((flat != 0.0) << ks))
-    if mask & nz in (0, nz):
-        return None
-    return np.where((mask >> ks) & 1 == 1, flat, 0.0)
+def _start_masks(flat: np.ndarray, best: int) -> list[int]:
+    """The descent's start masks over the flat field (bit k keeps
+    coefficient k in g): 0 (g = 0), nz (g = f), with nz the mask of the
+    nonzero coefficients, and the best vertex split unless best & nz is
+    0 or nz: descent is deterministic, and it would repeat one of them."""
+    nz = sum(1 << k for k, x in enumerate(flat.tolist()) if x != 0.0)
+    return [0, nz] + ([best] if best & nz not in (0, nz) else [])
 
 
 def k_cuboid_continuous(field: CoeffField, idx0: BesovIndex, idx1: BesovIndex,
@@ -274,11 +267,11 @@ def k_cuboid_continuous(field: CoeffField, idx0: BesovIndex, idx1: BesovIndex,
     Convex regime only (all indices >= 1): the objective
     ||g||_A0 + t ||f - g||_A1 is then jointly convex and cyclic
     coordinate descent with exact line searches converges.  Descent is
-    multi-started from g = 0, g = f, and the best vertex split, so the
-    returned value never exceeds the vertex minimum.  A field of more
-    than _MAX_COEFFS coefficients is refused (BudgetError).  A vertex
-    split equal to g = 0 or g = f is not descended again: descent is
-    deterministic and would repeat its value.  At t = inf only g = f is finite, and K is ||f||_A0.
+    multi-started from the masks of _start_masks, g = 0, g = f and the
+    best vertex split, so the returned value never exceeds the vertex
+    minimum; each g is the field where its mask's bit is set, 0
+    elsewhere.  A field of more than _MAX_COEFFS coefficients is refused
+    (BudgetError).  At t = inf only g = f is finite, and K is ||f||_A0.
 
     The descent runs on the field scaled by the one rescaling rule
     (norms._scaled_field) and unscales at the end.  Each line search is
@@ -306,12 +299,11 @@ def k_cuboid_continuous(field: CoeffField, idx0: BesovIndex, idx1: BesovIndex,
     field = scaled
     floor = min(1.0, field.max_abs())
 
-    starts = [tuple(np.zeros_like(v) for v in field.layers),
-              tuple(v.copy() for v in field.layers)]
-    mask = vertex_tables(field, idx0, idx1).best_split(t)
-    g = _vertex_start(np.concatenate(field.layers), mask)
-    if g is not None:
-        starts.append(tuple(np.split(g, np.cumsum(field.spec.layer_sizes)[:-1])))
+    flat = np.concatenate(field.layers)
+    masks = _start_masks(flat, vertex_tables(field, idx0, idx1).best_split(t))
+    gs = np.where((np.array(masks)[:, None] >> np.arange(len(flat))) & 1 == 1, flat, 0.0)
+    cuts = [0, *itertools.accumulate(field.spec.layer_sizes)]
+    starts = [[g[a:b] for a, b in zip(cuts, cuts[1:])] for g in gs]
 
     best = math.inf
     live = [(j, i, fi, 1e-10 * max(floor, fi)) for j, v in enumerate(field.layers)

@@ -287,12 +287,14 @@ def test_zero_rule_holds_at_every_r(r):
     assert (rep.value, rep.t_min_exp, rep.t_max_exp, rep.n_points, e) == (0.0, -20.0, 20.0, 321, 0)
 
 
-def test_r_th_powers_that_underflow_refuse():
+@pytest.mark.parametrize("r", [2000.0, 1e4])
+def test_r_th_powers_below_normal_take_the_peak_out(r):
     # at r = 2000 the largest value 0.5 of t^-theta K has its r-th power
-    # 2^-2000 below the least subnormal, and the rescaling rule leaves it
-    # there: the norm refuses, where it once read 0
-    with pytest.raises(NumericError, match="2000-th powers of t\\^-theta K underflow"):
-        interp_norm(_field([(0.5,)]), _unit_query(r=2000.0))
+    # 2^-2000 below the least subnormal at the rescaling rule's scale; the
+    # powers are taken over the peak instead, and the norm is the closed
+    # form 0.5 (4/r)^(1/r), where it once refused
+    assert interp_norm(_field([(0.5,)]), _unit_query(r=r)) == pytest.approx(
+        0.5 * (4.0 / r) ** (1.0 / r), rel=1e-12)
 
 
 @pytest.mark.parametrize("r", [60.0, 200.0])

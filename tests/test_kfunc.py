@@ -17,6 +17,7 @@ from besovk.kfunc import (
     CaseTag,
     InterpQuery,
     KCurve,
+    KPlan,
     default_t_grid,
     k_curve,
     k_dispatch,
@@ -878,6 +879,16 @@ def test_plan_whose_build_overflows_refuses():
         k_plan(field, _overflow_query(1024.0))
     k = _at(k_plan(field, _overflow_query(256.0)).k, 2.0**-12)
     assert k == pytest.approx(0.0004375054369884474, rel=1e-12)
+
+
+def test_plan_whose_evaluation_raises_refuses_naming_the_route():
+    # a Python float divided by 0 inside the evaluation is an
+    # ArithmeticError, which refuses as NumericError with the label
+    def fn(ts):
+        return np.full(len(ts), 1.0 / 0.0)
+
+    with pytest.raises(NumericError, match="route stub leaves double range: float division"):
+        KPlan("stub", fn).k(np.array([1.0, 2.0]))
 
 
 # route -> the exponent set to E: the shared q, or that of the A1 index

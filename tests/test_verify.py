@@ -8,8 +8,8 @@ import pytest
 from besovk.errors import UsageError
 from besovk.kfunc import CaseTag, InterpQuery
 from besovk.oracle import vertex_tables
-from besovk.verify import (SUITES, _COUPLES, _T_GRID, _form_ratios, _rand_couple, _rand_field,
-                           run_suite)
+from besovk.verify import (SUITES, _COUPLES, _T_GRID, _band, _form_ratios, _rand_couple,
+                           _rand_field, run_suite)
 
 _ROUTE_CASES = {
     "degenerate": CaseTag.DEGENERATE,
@@ -61,3 +61,12 @@ def test_form_ratios_divide_by_the_oracle_of_the_plans_form(route, form, xi):
         oracle = vertex_tables(field, query.idx0, query.idx1).curve(_T_GRID, xi)
         want = plan.k(_T_GRID) / oracle
         assert ratios.tolist() == want[oracle != 0.0].tolist()
+
+
+@pytest.mark.parametrize("ratios", [[0.5, 0.0], [1.0, -2.0], [math.nan, 1.0]])
+def test_band_is_inf_at_a_ratio_not_positive_or_nan(ratios):
+    assert _band(np.array(ratios)) == math.inf
+
+
+def test_band_is_the_worst_factor_either_way():
+    assert _band(np.array([0.5, 2.0])) == 2.0
