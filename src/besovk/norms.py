@@ -52,7 +52,10 @@ def lp_norm(v, p: float) -> float:
 
     The p-th powers are taken at the scale _pow2_factor picks for power
     p, so that they neither underflow nor overflow; in range it is 1,
-    and the result is bit for bit the unscaled one."""
+    and the result is bit for bit the unscaled one.  UsageError for
+    p <= 0 or NaN."""
+    if not p > 0:
+        raise UsageError(f"lp_norm requires p > 0, got p = {p}")
     arr = np.asarray(v, dtype=float)
     if len(arr) == 0:
         return 0.0
@@ -92,10 +95,13 @@ def lorentz_seq_norm(v, p: float, q: float) -> float:
     rearrangement: sum_i f*[i]^q ((i+1)^(q/p) - i^(q/p)) to the 1/q,
     and sup_i (i+1)^(1/p) f*[i] when q = inf.  At p = q it telescopes
     to the plain l^p norm.  The q-th powers are taken at the scale
-    _pow2_factor picks for power q, as in lp_norm.
+    _pow2_factor picks for power q, as in lp_norm.  UsageError unless
+    0 < p < inf and q > 0 (NaN fails both).
     """
-    if math.isinf(p):
-        raise UsageError("lorentz_seq_norm requires finite p")
+    if not 0 < p < math.inf:
+        raise UsageError(f"lorentz_seq_norm requires finite p > 0, got p = {p}")
+    if not q > 0:
+        raise UsageError(f"lorentz_seq_norm requires q > 0, got q = {q}")
     r = rearrangement(v)
     if len(r) == 0:
         return 0.0
@@ -165,7 +171,7 @@ def besov_lorentz_norm(field: CoeffField, s: float, p: float, q: float, r: float
     factor shifts every dyadic level exactly.  NumericError when a layer
     term or a layer weight leaves double range.
     """
-    if p <= 0 or q <= 0 or r <= 0:
+    if not (p > 0 and q > 0 and r > 0):
         raise UsageError("indices must be positive")
     field, fac = _scaled_field(field)
     n, terms = field.spec.n, []

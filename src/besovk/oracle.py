@@ -49,13 +49,13 @@ def _budgeted(field: CoeffField, what: str) -> tuple[CoeffField, float]:
 
 
 def _layer_norm_table(v: np.ndarray, p: float) -> np.ndarray:
-    """l^p norm of every sub-multiset of v, indexed by bitmask."""
-    m = len(v)
-    masks = np.arange(2**m, dtype=np.int64)
-    bits = (masks[:, None] >> np.arange(m)) & 1
-    if math.isinf(p):
-        return np.max(bits * v[None, :], axis=1)
-    return (bits @ (v**p)) ** (1.0 / p)
+    """l^p norm of every sub-multiset of v, indexed by bitmask (bit k
+    selects v[k]): from the empty split, each v[k] doubles the filled
+    prefix, so every mask sums its powers in bit order from 0.0."""
+    inf, tot = math.isinf(p), np.zeros(1 << len(v))
+    for k, x in enumerate(v if inf else v**p):
+        (np.maximum if inf else np.add)(tot[: 1 << k], x, out=tot[1 << k : 2 << k])
+    return tot if inf else tot ** (1.0 / p)
 
 
 class VertexTables:

@@ -59,8 +59,11 @@ def _split_limit(r: np.ndarray, T: float) -> tuple[int, float]:
 def partial_power_integral(r, p: float, T: float) -> float:
     """Integral of (f*)^p over [0, T] for the step function of r.
 
-    r must already be nonincreasing (a rearrangement); p > 0 finite.
+    r must already be nonincreasing (a rearrangement); p > 0 finite,
+    else UsageError.
     """
+    if not 0 < p < math.inf:
+        raise UsageError(f"partial_power_integral requires finite p > 0, got p = {p}")
     arr = np.asarray(r, dtype=float)
     k, frac = _split_limit(arr, T)
     total = float(np.sum(arr[:k] ** p))
@@ -70,7 +73,10 @@ def partial_power_integral(r, p: float, T: float) -> float:
 
 
 def tail_power_integral(r, p: float, T: float) -> float:
-    """Integral of (f*)^p over [T, inf); zero once T passes len(r)."""
+    """Integral of (f*)^p over [T, inf); zero once T passes len(r).
+    p > 0 finite, else UsageError."""
+    if not 0 < p < math.inf:
+        raise UsageError(f"tail_power_integral requires finite p > 0, got p = {p}")
     arr = np.asarray(r, dtype=float)
     k, frac = _split_limit(arr, T)
     total = float(np.sum(arr[k:] ** p))

@@ -64,8 +64,9 @@ def test_norm_lorentz_to_file(capsys, tmp_path):
     code, printed = run(capsys, argv + ["--out", str(path)])
     assert (code, printed) == (0, "")
     assert path.read_text(encoding="utf-8") == out
-    assert main(["norm"] + SPIKE + ["--lorentz-r", "0"]) == 2
-    assert capsys.readouterr().err == "error: indices must be positive\n"
+    for r in ("0", "nan"):
+        assert main(["norm"] + SPIKE + ["--lorentz-r", r]) == 2
+        assert capsys.readouterr().err == "error: indices must be positive\n"
 
 
 @pytest.mark.parametrize("doc, match", [

@@ -281,6 +281,14 @@ def test_empty_vectors_and_lorentz_p_inf_refusal():
     assert lorentz_seq_norm([], 2.0, 1.0) == 0.0
     with pytest.raises(UsageError, match="requires finite p"):
         lorentz_seq_norm([1.0], math.inf, 1.0)
+    # nonpositive and NaN exponents refuse, naming the exponent
+    for e in (0.0, -1.0, math.nan):
+        with pytest.raises(UsageError, match=f"lp_norm requires p > 0, got p = {e}"):
+            lp_norm([1.0, 2.0], e)
+        with pytest.raises(UsageError, match=f"requires finite p > 0, got p = {e}"):
+            lorentz_seq_norm([1.0, 2.0], e, 1.0)
+        with pytest.raises(UsageError, match=f"requires q > 0, got q = {e}"):
+            lorentz_seq_norm([1.0, 2.0], 1.0, e)
 
 
 def test_besov_lorentz_at_a_power_of_two_height():

@@ -1,6 +1,10 @@
 import itertools
 import json
 import math
+import os
+import subprocess
+import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -112,6 +116,71 @@ def test_budget_refusal(monkeypatch):
         vertex_tables(field, idx0, idx1)
     with pytest.raises(BudgetError, match=r"6 coefficients exceed the descent budget \(4\)"):
         k_cuboid_continuous(field, idx0, idx1, 1.0)
+
+
+def _per_mask_table(v, p):
+    """Each mask's sum of v**p over its set bits, left to right in bit
+    order from 0.0 (max at p = inf), then to the 1/p."""
+    inf = math.isinf(p)
+    w = v if inf else v**p
+    out = []
+    for mask in range(1 << len(v)):
+        acc = 0.0
+        for k in range(len(v)):
+            if mask >> k & 1:
+                acc = max(acc, w[k]) if inf else acc + w[k]
+        out.append(acc)
+    out = np.array(out)
+    return out if inf else out ** (1.0 / p)
+
+
+@pytest.mark.parametrize("p", [0.5, 1.0, 1.5, 2.0, 3.0, math.inf])
+def test_layer_norm_table_sums_each_mask_in_bit_order(p):
+    rng = np.random.default_rng(11)
+    for _ in range(12):
+        v = rng.random(int(rng.integers(1, 11)))
+        v[rng.random(len(v)) < 0.3] = 0.0
+        assert np.array_equal(oracle_mod._layer_norm_table(v, p), _per_mask_table(v, p))
+
+
+_CORE_SCRIPT = r"""
+import sys
+import numpy as np
+from besovk.coeffs import CoeffField
+from besovk.grid import BesovIndex, GridSpec
+from besovk.oracle import VertexTables
+rng = np.random.default_rng(0)
+field = CoeffField(GridSpec(1, 2, (3, 7)), [rng.random(3), rng.random(7)])
+tabs = VertexTables(field, BesovIndex(0.5, 1.5, 2.0), BesovIndex(-0.5, 3.0, 1.0))
+sys.stdout.write((tabs.a.tobytes() + tabs.b_comp.tobytes()).hex())
+"""
+
+
+def test_vertex_tables_do_not_depend_on_the_openblas_core_type():
+    # as a bit-matrix product, this field's tables differed between
+    # OpenBLAS's SkylakeX and Prescott kernels
+    outs = []
+    for core in (None, "Prescott"):
+        env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+        env.pop("OPENBLAS_CORETYPE", None)
+        if core:
+            env["OPENBLAS_CORETYPE"] = core
+        proc = subprocess.run([sys.executable, "-c", _CORE_SCRIPT], env=env,
+                              capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        outs.append(proc.stdout)
+    assert outs[0] == outs[1] != ""
+
+
+def test_vertex_tables_of_one_layer_of_twenty_stay_under_64_mb():
+    field = _field([np.random.default_rng(0).random(20)])
+    tracemalloc.start()
+    try:
+        vertex_tables(field, BesovIndex(0.0, 1.5, 2.0), BesovIndex(0.5, 2.0, 1.0))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 64 * 2**20
 
 
 def test_cuboid_single_coefficient():

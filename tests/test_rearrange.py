@@ -121,7 +121,22 @@ def test_vector_refusals(v, err, match):
         rearrangement(v)
 
 
-@pytest.mark.parametrize("T", [-1.0, math.nan])
-def test_integral_limit_refusals(T):
-    with pytest.raises(UsageError, match="integral limit must be >= 0"):
-        partial_power_integral([2.0, 1.0], 1.0, T)
+@pytest.mark.parametrize("fn, p, T, match", [
+    pytest.param(partial_power_integral, 1.0, -1.0, "integral limit must be >= 0", id="-1.0"),
+    pytest.param(partial_power_integral, 1.0, math.nan, "integral limit must be >= 0", id="nan"),
+    pytest.param(partial_power_integral, math.inf, 1.0, "requires finite p > 0, got p = inf",
+                 id="p=inf"),
+    pytest.param(partial_power_integral, 0.0, 1.0, "requires finite p > 0, got p = 0.0",
+                 id="p=0"),
+    pytest.param(partial_power_integral, -1.0, 1.0, "requires finite p > 0, got p = -1.0",
+                 id="p=-1"),
+    pytest.param(partial_power_integral, math.nan, 1.0, "requires finite p > 0, got p = nan",
+                 id="p=nan"),
+    pytest.param(tail_power_integral, math.inf, 0.5, "tail_power_integral requires finite p > 0",
+                 id="tail-p=inf"),
+    pytest.param(tail_power_integral, 0.0, 0.5, "tail_power_integral requires finite p > 0",
+                 id="tail-p=0"),
+])
+def test_integral_limit_refusals(fn, p, T, match):
+    with pytest.raises(UsageError, match=match):
+        fn([2.0, 1.0], p, T)
