@@ -12,7 +12,10 @@ Two independent references for the closed-form engine:
 
 Both refuse a field of more than _MAX_COEFFS coefficients rather than
 truncating (a fixed cap: 2^20 masks at most), and a descent start stops
-after _MAX_SWEEPS sweeps.
+after _MAX_SWEEPS sweeps.  The descent starts run in lockstep, one sweep
+each per round, and a start that at its recent pace could not reach the
+least value of any start before the cap is retired; a retired start's
+value still enters the minimum.
 """
 
 from __future__ import annotations
@@ -34,6 +37,7 @@ __all__ = [
 
 _MAX_COEFFS = 20  # coefficients an oracle takes
 _MAX_SWEEPS = 500  # coordinate-descent sweeps per start
+_PACE = 20  # sweeps a start makes before it can retire, and its window of gains
 
 
 def _budgeted(field: CoeffField, what: str) -> tuple[CoeffField, float]:
@@ -85,9 +89,12 @@ class VertexTables:
     def _split_values(self, t: float, xi: float) -> np.ndarray:
         """(||f 1_S||_A0^xi + t^xi ||f 1_Sc||_A1^xi)^(1/xi) for every mask S.
         At t = inf, t * 0 is the limit 0: a split with nothing left for
-        A1 keeps its A0 norm, so K(inf) = ||f||_A0."""
+        A1 keeps its A0 norm, so K(inf) = ||f||_A0.  An xi outside
+        [1, inf], nan included, is refused as InterpQuery refuses it."""
         if not t >= 0:
             raise UsageError(f"t must be nonnegative, got {t}")
+        if not xi >= 1.0:
+            raise UsageError(f"xi must lie in [1, inf], got {xi}")
         tb = t * self.b_comp if t < math.inf else np.where(self.b_comp > 0.0, math.inf, 0.0)
         if math.isinf(xi):
             return np.maximum(self.a, tb)
@@ -287,6 +294,21 @@ def k_cuboid_continuous(field: CoeffField, idx0: BesovIndex, idx1: BesovIndex,
     and one below 1 gets tolerances relative to vmax, which scale with
     the field.  Non-smooth couples (a p or q = inf) can stall
     coordinate descent and run the full _MAX_SWEEPS.
+
+    The starts run in lockstep: each round makes one sweep of every
+    running start, each start on its own _SideAccum pair, so a start
+    makes the line searches and values it would make alone.  After a
+    round the leader is the least value of any start, and a running
+    start that has made at least _PACE sweeps retires when its value
+    exceeds the leader by more than its sweeps left times its largest
+    gain over its last _PACE sweeps: at that pace it could not reach the
+    leader before the cap.  K is the least value of every start, retired
+    ones included.  A lone start, or the leader, is never retired, so a
+    stalled start that keeps the lead still runs the full _MAX_SWEEPS.
+    A retired start could in principle have gone on to end lower: a
+    start whose gains shrink toward a plateau can escape it, its gains
+    growing again, and win.  A window of _PACE sweeps waits out every such
+    escape measured; that K never changes is measured, not proved.
     """
     for name, v in (("p0", idx0.p), ("q0", idx0.q), ("p1", idx1.p), ("q1", idx1.q)):
         if v < 1.0:
@@ -305,22 +327,27 @@ def k_cuboid_continuous(field: CoeffField, idx0: BesovIndex, idx1: BesovIndex,
     cuts = [0, *itertools.accumulate(field.spec.layer_sizes)]
     starts = [[g[a:b] for a, b in zip(cuts, cuts[1:])] for g in gs]
 
-    best = math.inf
     live = [(j, i, fi, 1e-10 * max(floor, fi)) for j, v in enumerate(field.layers)
             for i, fi in enumerate(v.tolist()) if fi > 1e-10 * floor]
     consts0, consts1 = _SideAccum.consts(field, idx0), _SideAccum.consts(field, idx1)
-    for g0 in starts:
-        side0 = _SideAccum(consts0, g0)
-        side1 = _SideAccum(consts1, [f - g for f, g in zip(field.layers, g0)])
-        val = side0.norm() + t * side1.norm()
-        for _ in range(_MAX_SWEEPS):
-            prev = val
+    sides = [(_SideAccum(consts0, g0),
+              _SideAccum(consts1, [f - g for f, g in zip(field.layers, g0)])) for g0 in starts]
+    vals = [side0.norm() + t * side1.norm() for side0, side1 in sides]
+    gains = [[] for _ in sides]
+    running, sweep = range(len(sides)), 0
+    while running and sweep < _MAX_SWEEPS:
+        sweep, moving = sweep + 1, []
+        for s in running:
+            side0, side1 = sides[s]
             for j, i, fi, xtol in live:
                 x_star = _golden_min(fi, xtol, t, side0.prepare(j, i), side1.prepare(j, i))
                 side0.commit(x_star)
                 side1.commit(fi - x_star)
-            val = side0.norm() + t * side1.norm()
-            if prev - val <= 1e-12 * max(floor, abs(prev)):
-                break
-        best = min(best, val)
-    return best / fac
+            prev, vals[s] = vals[s], side0.norm() + t * side1.norm()
+            if prev - vals[s] > 1e-12 * max(floor, abs(prev)):
+                gains[s].append(prev - vals[s])
+                moving.append(s)
+        leader, left = min(vals), _MAX_SWEEPS - sweep
+        running = [s for s in moving if sweep < _PACE
+                   or vals[s] - leader <= left * max(gains[s][-_PACE:])]
+    return min(vals) / fac

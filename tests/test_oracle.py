@@ -16,6 +16,7 @@ from besovk.errors import BudgetError, NumericError, UsageError
 from besovk.grid import BesovIndex, GridSpec
 from besovk.kfunc import InterpQuery, k_plan
 from besovk import oracle as oracle_mod
+from besovk import verify
 from besovk.norms import besov_norm
 from besovk.oracle import (
     k_cuboid_continuous,
@@ -316,6 +317,78 @@ def test_cuboid_continuous_line_search_count(monkeypatch):
     assert len(calls) == 2020
 
 
+def test_cuboid_continuous_retires_a_start_that_cannot_catch_the_leader(monkeypatch):
+    # g = 0 converges after one sweep of the 2 live coordinates; g = f
+    # creeps far above it, and alone would run all 500 sweeps (1002
+    # line searches in all); after 21 sweeps it could not reach g = 0's
+    # value at its best pace over the last 20, so it retires, and K is
+    # g = 0's value
+    calls = []
+    golden = oracle_mod._golden_min
+
+    def counted(*args):
+        calls.append(1)
+        return golden(*args)
+
+    monkeypatch.setattr(oracle_mod, "_golden_min", counted)
+    k = k_cuboid_continuous(_field([[0.5244417086835418, 0.8486017052609618]]),
+                            BesovIndex(1.2198459446706904, 1.5, 1.0),
+                            BesovIndex(-1.3344850876739498, math.inf, math.inf),
+                            32.70052556723579)
+    assert k == 1.1049718521513432
+    assert len(calls) == 44
+
+
+def test_retirement_waits_out_a_start_that_stalls_then_escapes():
+    # the start g = 0 has gains that shrink for 10 sweeps, down to
+    # 7e-11 at a value of 1.857, then grow again until it drops below 1
+    # at sweep 20 and ends at 0.949, under g = f (0.999) and the best
+    # vertex split 0b11000 (0.986), both converged after 3 sweeps;
+    # judged on its last 3 sweeps it retired at sweep 6, and K was
+    # 0.9856922702970794
+    field = _field([[1.0291914369581543, 0.7720016549444593, 0.0], [1.289253223594271],
+                    [0.9117868590774738, 0.0]], n=2)
+    k = k_cuboid_continuous(field, BesovIndex(-1.9204997852187895, 1.0, math.inf),
+                            BesovIndex(1.5812081141748897, 1.5, math.inf), 0.6294769930637233)
+    assert k == 0.9492681879960215
+
+
+def test_retirement_never_changes_k(monkeypatch):
+    # K equals, with ==, the least value of the starts each run alone
+    # (a lone start is never retired), on convex instances drawn as the
+    # vertex-band suite draws them; retirement cuts line searches on
+    # some of them, so the comparison is not vacuous
+    rng = np.random.default_rng(11)
+    start_masks, golden = oracle_mod._start_masks, oracle_mod._golden_min
+    masks, calls = [], []
+
+    def recorded(flat, best):
+        masks[:] = start_masks(flat, best)
+        return masks
+
+    def counted(*args):
+        calls.append(1)
+        return golden(*args)
+
+    monkeypatch.setattr(oracle_mod, "_golden_min", counted)
+    cut = 0
+    for _ in range(100):
+        field = verify._rand_field(rng)
+        idx0, idx1 = (verify._rand_index(rng, verify._CONVEX_POOL, verify._CONVEX_POOL)
+                      for _ in range(2))
+        t = float(2.0 ** rng.uniform(-6.0, 6.0))
+        monkeypatch.setattr(oracle_mod, "_start_masks", recorded)
+        calls.clear()
+        k = k_cuboid_continuous(field, idx0, idx1, t)
+        lockstep, alone = len(calls), []
+        for mask in list(masks):
+            monkeypatch.setattr(oracle_mod, "_start_masks", lambda flat, best, m=mask: [m])
+            alone.append(k_cuboid_continuous(field, idx0, idx1, t))
+        assert k == min(alone), (field.layers, idx0, idx1, t)
+        cut += len(calls) - lockstep > lockstep
+    assert cut > 0, cut
+
+
 def _vertex_start_by_array_equal(layers, mask):
     """The vertex start as built per coefficient and compared with the
     starts g = 0 and g = f by np.array_equal: None when it repeats one."""
@@ -452,6 +525,25 @@ def test_oracles_refuse_nan_t():
             k_cuboid_continuous(field, idx0, idx1, t)
     assert vertex_tables(field, idx0, idx1).k(0.0) == tabs.k(0.0) == 0.0
     assert k_cuboid_continuous(field, idx0, idx1, 0.0) == 0.0
+
+
+def test_vertex_tables_refuse_an_xi_below_one():
+    # once xi = 0 raised a raw ZeroDivisionError, xi = nan returned nan
+    # and xi = -1 warned; xi in {1, 2, inf} keeps its values bit for bit
+    field = _field([[1.4, 0.0, 0.7], [1.9], [0.3, 1.1]])
+    tabs = vertex_tables(field, BesovIndex(0.6, 1.5, 2.0), BesovIndex(-0.4, 2.0, 1.0))
+    for xi in (math.nan, 0.0, -1.0, 0.5):
+        with pytest.raises(UsageError, match="xi must lie in"):
+            tabs.k(1.0, xi)
+        with pytest.raises(UsageError, match="xi must lie in"):
+            tabs.curve([1.0], xi)
+    want = {1.0: [1.098011142013333, 3.784453613234797, 3.784453613234797],
+            2.0: [1.098011142013333, 3.279731096505715, 3.784453613234797],
+            math.inf: [1.0415144500299742, 2.7408003354385366, 3.6797390773700562]}
+    for xi, ks in want.items():
+        assert tabs.curve([0.3, 1.7, 9.0], xi).tolist() == ks, xi
+        assert [tabs.k(t, xi) for t in (0.3, 1.7, 9.0)] == ks, xi
+    assert [tabs.best_split(t) for t in (0.3, 1.7, 9.0)] == [0, 61, 61]
 
 
 def test_oracles_at_t_inf_give_the_a0_norm():
