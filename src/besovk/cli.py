@@ -5,7 +5,8 @@ byte-stable for fixed inputs and seeds: JSON is emitted with indent=2
 and round-trip float formatting, CSV uses repr() floats and '.' decimal
 regardless of locale.  Exit codes: 0 success, 1 verification failure,
 2 usage or data errors (a negative seed among them), 3 numeric
-(including any ArithmeticError), budget or out-of-memory errors.
+(including any ArithmeticError and a result past double range), budget
+or out-of-memory errors.
 """
 
 from __future__ import annotations

@@ -62,7 +62,11 @@ class QuadratureSpec:
 
 @dataclass(frozen=True)
 class InterpReport:
-    """Value of one interpolation-norm computation plus how it was won."""
+    """Value of one interpolation-norm computation plus how it was won.
+
+    value (the norm), tail_low and tail_high (the L^r pieces of t^-theta K
+    below 2^t_min_exp and above 2^t_max_exp) are of degree 1 in the field;
+    tail_fraction, the tails' share of the norm's r-th power, is a ratio."""
 
     value: float
     method: str
@@ -81,22 +85,22 @@ def _interp_scaled(plan: KPlan, theta: float, r: float, quad: QuadratureSpec | N
     Integrates K of the plan's scaled field, and takes the r-th powers of
     t^-theta K at the scale the rescaling rule (_pow2_factor) picks for
     power r from its largest value on the grid.  Returns the report at
-    that combined scale 2^e, and e: its value is 2^e times the norm, a
-    tail 2^(e r) times its own; callers unscale (_unscale).  Cells
-    integrate in closed form under the log-linear model.  Where the
-    largest r-th power at that scale is not a normal double (below
+    that combined scale 2^e, and e: its value and both tails are 2^e
+    times their own, all of degree 1 in K; callers unscale (_unscale).
+    Cells integrate in closed form under the log-linear model.  Where
+    the largest r-th power at that scale is not a normal double (below
     2^-1022), every r-th power is taken over the largest value instead,
-    and that value multiplies back into the report (its r-th power into
-    the tails, which may then read 0).  Past the
-    window K follows its asymptotes (t ||f||_A1 below, ||f||_A0 above),
-    so each tail is the integrand at its window edge over its exponent,
-    (1-theta) r below and theta r above.  The window expands until the
-    tails carry under _TAIL_REL_TOL of the total (for r = inf, until the
-    sup detaches from the window edge), as long as it stays inside
-    2^(+-_WINDOW_LIMIT), in double range.  A widened window reuses K at
-    every node equal, bit for bit, to one already evaluated, and
-    evaluates it on the rest only.  t^-theta K of 0 at every node gives
-    the zero report.
+    and that value multiplies back into the report.  Past the window K
+    follows its asymptotes (t ||f||_A1 below, ||f||_A0 above), so each
+    tail mass is the integrand at its window edge over its exponent,
+    (1-theta) r below and theta r above; the report gives its L^r piece,
+    the edge value over that exponent to the 1/r, which takes no r-th
+    power.  The window expands until the tails carry under
+    _TAIL_REL_TOL of the total (for r = inf, until the sup detaches from
+    the window edge), as long as it stays inside 2^(+-_WINDOW_LIMIT).  A
+    widened window reuses K at every node equal, bit for bit, to one
+    already evaluated, and evaluates it on the rest only.  t^-theta K of
+    0 at every node gives the zero report.
     """
     quad = quad or QuadratureSpec()
     e = math.frexp(plan.fac)[1] - 1  # plan.fac = 2^e
@@ -141,53 +145,48 @@ def _interp_scaled(plan: KPlan, theta: float, r: float, quad: QuadratureSpec | N
         frac = float((tail_lo + tail_hi) / total)
         if frac <= _TAIL_REL_TOL:
             return InterpReport(total ** (1.0 / r) * peak, method, lo_exp, hi_exp, len(ts),
-                                tail_lo * peak**r, tail_hi * peak**r,
+                                vals[0] * gfac / ((1.0 - theta) * r) ** (1.0 / r),
+                                vals[-1] * gfac / (theta * r) ** (1.0 / r),
                                 frac), e + math.frexp(gfac)[1] - 1
     raise NumericError(
         f"interpolation window grew to [2^{lo_exp}, 2^{hi_exp}] without "
         f"meeting tail tolerance {_TAIL_REL_TOL}")
 
 
-def _unscale(x, e: int, r: float = 1.0) -> float:
-    """x / 2^(e r) as a Python float, for a quantity of degree r in K at
-    the scale 2^e (_interp_scaled); NumericError past double range."""
-    e = e * r
+def _unscale(x, e: int) -> float:
+    """x / 2^e as a Python float, for a report quantity at the scale 2^e
+    (_interp_scaled); NumericError past double range."""
     try:
-        x = math.ldexp(x * 2.0 ** (math.floor(e) - e), -math.floor(e))
+        x = math.ldexp(x, -e)
     except OverflowError:
         x = math.inf
     if not math.isfinite(x):
         raise NumericError("interpolation result leaves double range")
-    return float(x)
+    return x
 
 
 def interp_norm_report(field: CoeffField, query: InterpQuery,
                        method: str = "formula",
                        quad: QuadratureSpec | None = None) -> InterpReport:
-    """interp_norm plus window and tail diagnostics; NumericError when a
-    tail mass (of degree r in K) leaves double range."""
-    plan = k_plan(field, query, method)
-    rep, e = _interp_scaled(plan, query.theta, query.r, quad, method)
-    deg = 1.0 if math.isinf(query.r) else query.r
-    return replace(rep, value=_unscale(rep.value, e),
-                   tail_low=_unscale(rep.tail_low, e, deg),
-                   tail_high=_unscale(rep.tail_high, e, deg))
+    """Interpolation norm of the field for the query's couple and (theta,
+    r), with its window and tails.
+
+    Evaluates K by the requested method on the quad window (default
+    QuadratureSpec()), integrates cells in closed form under log-linear
+    K, adds the exact power-law tails, and widens the window until the
+    tails carry less than _TAIL_REL_TOL of the total (or, for r = inf,
+    until the sup detaches from the window edge).  The oracle method
+    refuses a field of more than 20 coefficients (BudgetError).
+    NumericError when the norm leaves double range.
+    """
+    rep, e = _interp_scaled(k_plan(field, query, method), query.theta, query.r, quad, method)
+    return replace(rep, value=_unscale(rep.value, e), tail_low=_unscale(rep.tail_low, e),
+                   tail_high=_unscale(rep.tail_high, e))
 
 
 def interp_norm(field: CoeffField, query: InterpQuery, method: str = "formula") -> float:
-    """Interpolation norm of the field for the query's couple and (theta, r).
-
-    Evaluates K by the requested method on the default QuadratureSpec
-    window, integrates cells in closed form under log-linear K, adds the
-    exact power-law tails, and widens the window until the tails carry
-    less than _TAIL_REL_TOL of the total (or, for r = inf, until the
-    sup detaches from the window edge).  The oracle method refuses a
-    field of more than 20 coefficients (BudgetError).  NumericError when
-    the norm leaves double range.
-    """
-    rep, e = _interp_scaled(k_plan(field, query, method=method), query.theta, query.r,
-                            None, method)
-    return _unscale(rep.value, e)
+    """interp_norm_report's value on the default QuadratureSpec window."""
+    return interp_norm_report(field, query, method).value
 
 
 def intermediate_index(query: InterpQuery) -> BesovIndex:

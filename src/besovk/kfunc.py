@@ -219,9 +219,13 @@ class KPlan:
         # branches; neither is worth a warning
         try:
             with np.errstate(all="ignore"):
-                return self._fn(ts) / fac
+                ks = self._fn(ts) / fac
         except ArithmeticError as exc:  # a Python float overflowed or divided by 0
             raise NumericError(f"route {self.label} leaves double range: {exc}") from None
+        bad = ts[~np.isfinite(ks)]
+        if len(bad):
+            raise NumericError(f"route {self.label} leaves double range at t = {float(bad[0])!r}")
+        return ks
 
 
 def _zeros(ts: np.ndarray) -> np.ndarray:

@@ -47,6 +47,15 @@ def _scaled_field(field: CoeffField) -> tuple[CoeffField, float]:
     return (field.scaled(fac) if fac != 1.0 else field), fac
 
 
+def _unscaled(x: float, fac: float, what: str) -> float:
+    """x / fac for a result of degree 1 in data scaled by fac, refused
+    (NumericError naming what) where it leaves double range."""
+    x = x / fac
+    if not math.isfinite(x):
+        raise NumericError(f"{what} leaves double range")
+    return x
+
+
 def lp_norm(v, p: float) -> float:
     """l^p quasi-norm of a nonnegative vector; sup at p = inf.
 
@@ -60,11 +69,11 @@ def lp_norm(v, p: float) -> float:
     if len(arr) == 0:
         return 0.0
     if math.isinf(p):
-        return float(arr.max())
+        return _unscaled(float(arr.max()), 1.0, "lp_norm")
     fac = _pow2_factor(float(arr.max()), p)
     if fac != 1.0:
         arr = arr * fac
-    return float((arr**p).sum() ** (1.0 / p)) / fac
+    return _unscaled(float((arr**p).sum() ** (1.0 / p)), fac, "lp_norm")
 
 
 def besov_norm(field: CoeffField, index: BesovIndex) -> float:
@@ -107,12 +116,14 @@ def lorentz_seq_norm(v, p: float, q: float) -> float:
         return 0.0
     i = np.arange(len(r), dtype=float)
     if math.isinf(q):
-        return float(np.max((i + 1.0) ** (1.0 / p) * r))
+        with np.errstate(over="ignore"):  # an overflow reads inf, which _unscaled refuses
+            top = float(np.max((i + 1.0) ** (1.0 / p) * r))
+        return _unscaled(top, 1.0, "lorentz_seq_norm")
     cells = (i + 1.0) ** (q / p) - i ** (q / p)
     fac = _pow2_factor(float(r[0]), q)
     if fac != 1.0:
         r = r * fac
-    return float(np.sum(r**q * cells) ** (1.0 / q)) / fac
+    return _unscaled(float(np.sum(r**q * cells) ** (1.0 / q)), fac, "lorentz_seq_norm")
 
 
 def _layer_dyadic_lorentz(values: np.ndarray, nj_scale: float, meas: float, p: float, r: float) -> float:
@@ -183,4 +194,5 @@ def besov_lorentz_norm(field: CoeffField, s: float, p: float, q: float, r: float
         if not math.isfinite(L):
             raise NumericError(f"layer {j} Lorentz term at r={r:g} leaves double range")
         terms.append(L)
-    return besov_norm(_seq_field(terms), BesovIndex(s - 0.5, math.inf, q)) / fac
+    return _unscaled(besov_norm(_seq_field(terms), BesovIndex(s - 0.5, math.inf, q)), fac,
+                     "besov_lorentz_norm")

@@ -28,7 +28,7 @@ import numpy as np
 from .coeffs import CoeffField
 from .errors import BudgetError, UsageError
 from .grid import BesovIndex, layer_weight
-from .norms import _scaled_field, besov_norm
+from .norms import _scaled_field, _unscaled, besov_norm
 
 __all__ = [
     "vertex_tables",
@@ -89,19 +89,33 @@ class VertexTables:
     def _split_values(self, t: float, xi: float) -> np.ndarray:
         """(||f 1_S||_A0^xi + t^xi ||f 1_Sc||_A1^xi)^(1/xi) for every mask S.
         At t = inf, t * 0 is the limit 0: a split with nothing left for
-        A1 keeps its A0 norm, so K(inf) = ||f||_A0.  An xi outside
-        [1, inf], nan included, is refused as InterpQuery refuses it."""
+        A1 keeps its A0 norm, so K(inf) = ||f||_A0.  Where the power sum
+        is not a normal double (below 2^-1022, or inf) and the larger
+        term m is positive and finite, the sum is taken over m instead,
+        m ((a/m)^xi + (tb/m)^xi)^(1/xi), as a large xi needs.  An xi
+        outside [1, inf], nan included, is refused as InterpQuery
+        refuses it."""
         if not t >= 0:
             raise UsageError(f"t must be nonnegative, got {t}")
         if not xi >= 1.0:
             raise UsageError(f"xi must lie in [1, inf], got {xi}")
-        tb = t * self.b_comp if t < math.inf else np.where(self.b_comp > 0.0, math.inf, 0.0)
-        if math.isinf(xi):
-            return np.maximum(self.a, tb)
-        return (self.a**xi + tb**xi) ** (1.0 / xi)
+        with np.errstate(over="ignore"):  # an overflow reads inf, which k refuses
+            tb = t * self.b_comp if t < math.inf else np.where(self.b_comp > 0.0, math.inf, 0.0)
+            if math.isinf(xi):
+                return np.maximum(self.a, tb)
+            if xi == 1.0:
+                return self.a + tb
+            tot = self.a**xi + tb**xi
+            out = tot ** (1.0 / xi)
+            m = np.maximum(self.a, tb)
+            redo = ~((tot >= 2.0**-1022) & (tot < math.inf)) & (m > 0.0) & (m < math.inf)
+            if redo.any():
+                m = m[redo]
+                out[redo] = m * ((self.a[redo] / m)**xi + (tb[redo] / m)**xi) ** (1.0 / xi)
+        return out
 
     def k(self, t: float, xi: float = 1.0) -> float:
-        return float(self._split_values(t, xi).min()) / self.fac
+        return _unscaled(float(self._split_values(t, xi).min()), self.fac, "vertex oracle K")
 
     def best_split(self, t: float) -> int:
         """The lowest mask that attains the sum-form (xi = 1) minimum."""
@@ -350,4 +364,4 @@ def k_cuboid_continuous(field: CoeffField, idx0: BesovIndex, idx1: BesovIndex,
         leader, left = min(vals), _MAX_SWEEPS - sweep
         running = [s for s in moving if sweep < _PACE
                    or vals[s] - leader <= left * max(gains[s][-_PACE:])]
-    return min(vals) / fac
+    return _unscaled(min(vals), fac, "continuous oracle K")

@@ -452,6 +452,37 @@ def test_norm_lorentz_term_past_double_range_exit_3(capsys):
     assert captured.err == "error: layer 0 Lorentz term at r=0.001 leaves double range\n"
 
 
+_HUGE_DOC = {"n": 1, "layers": [{"j": 0, "coeffs": [1.7e308, 1.7e308]}]}
+
+
+@pytest.mark.parametrize("argv, label", [
+    (["kcurve", "--s1", "1", "--t-min-exp", "0", "--t-max-exp", "2"],
+     "route formula:p-equal:weighted-split leaves double range at t = 1.0"),
+    (["kcurve", "--s1", "1", "--t-min-exp", "0", "--t-max-exp", "2", "--method", "oracle"],
+     "route oracle:vertex-enumeration leaves double range at t = 1.0"),
+    (["norm"], "lp_norm leaves double range"),
+])
+def test_result_past_double_range_exit_3(capsys, tmp_path, argv, label):
+    # 2 * 1.7e308: kcurve once printed K = inf and norm "Infinity", which
+    # is not JSON, and both exited 0
+    path = tmp_path / "huge.json"
+    path.write_text(json.dumps(_HUGE_DOC), encoding="utf-8")
+    code = main([argv[0], "--input", str(path), "--p0", "1", "--q0", "1", *argv[1:]])
+    captured = capsys.readouterr()
+    assert (code, captured.out, captured.err) == (3, "", f"error: {label}\n")
+
+
+def test_interpnorm_far_from_one_exit_0(capsys, tmp_path):
+    # its tails, once of degree r = 10 in K (1e1000 here), exited 3
+    path = tmp_path / "big.json"
+    path.write_text('{"n": 1, "layers": [{"j": 0, "coeffs": [1e100]}]}', encoding="utf-8")
+    code, out = run(capsys, ["interpnorm", "--input", str(path), "--r", "10"])
+    assert code == 0
+    doc = json.loads(out)
+    assert doc["value"] == 9.124435365554808e+99
+    assert 0.0 < doc["tails"]["low"] < doc["value"] and 0.0 < doc["tails"]["high"] < doc["value"]
+
+
 def test_bad_spec_exit_2(capsys):
     assert main(["generate", "--generate", "single-spike",
                  "--spec", "2,1,2"]) == 2

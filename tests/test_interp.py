@@ -104,10 +104,43 @@ def test_interp_norm_finite_at_both_ends_of_double_range():
     assert math.isfinite(got_big) and got_big > 0
     assert math.isfinite(got_small) and got_small > 0
     assert got_big / 1e300 == pytest.approx(got_small * 1e300, rel=1e-9)
-    # the report's tail masses are of degree r = 2 in K, about 1e594 here
-    with pytest.raises(NumericError):
-        interp_norm_report(big, query)
-    assert interp_norm_report(small, query).value == got_small
+    # the report's tails, of degree 1 in K as its value, stay in range
+    # where their r-th powers, about 1e594 here, once made it refuse
+    for field, got in ((big, got_big), (small, got_small)):
+        rep = interp_norm_report(field, query)
+        assert rep.value == got
+        assert math.isfinite(rep.tail_low) and math.isfinite(rep.tail_high)
+
+
+@pytest.mark.parametrize("route", [*_COUPLES, "oracle"])
+def test_interp_norm_is_the_reports_value(route):
+    # one driver in one unit: the norm and both tails are of degree 1 in
+    # K, so the report gives interp_norm's value at every scale and r,
+    # where its tails, once of degree r, refused past 2^300 at r = 2
+    rng = np.random.default_rng(33)
+    method = "oracle" if route == "oracle" else "formula"
+    i0, i1 = _rand_couple(rng, "general" if route == "oracle" else route)
+    base = _field([(1.0, 0.3), (0.7,), (0.2, 0.9)])
+    for r in (1.0, 2.0, 60.0, 2000.0, math.inf):
+        query = InterpQuery(i0, i1, theta=float(rng.uniform(0.1, 0.9)), r=r)
+        for k in (0, 300, 900):
+            field = base.scaled(2.0**k)
+            rep = interp_norm_report(field, query, method)
+            assert interp_norm(field, query, method) == rep.value, (r, k)
+            for tail in (rep.tail_low, rep.tail_high):
+                assert math.isfinite(tail) and 0.0 <= tail <= rep.value, (r, k)
+
+
+@pytest.mark.parametrize("r", [1.0, 2.0, 60.0, 2000.0, math.inf])
+def test_tails_are_the_edge_pieces_in_the_norms_unit(r):
+    # K = 0.5 min(1, t): past the window t^-theta K is 0.5 t^(-+1/2), whose
+    # L^r piece is the edge value over (r/2)^(1/r) (the edge value at r =
+    # inf).  The tails were masses of degree r, and read 0 at r = 2000,
+    # where their r-th powers underflow
+    rep = interp_norm_report(_field([(0.5,)]), _unit_query(r=r))
+    piece = 1.0 if math.isinf(r) else (r / 2.0) ** (1.0 / r)
+    assert rep.tail_low == pytest.approx(0.5 * 2.0 ** (rep.t_min_exp / 2.0) / piece, rel=1e-12)
+    assert rep.tail_high == pytest.approx(0.5 * 2.0 ** (-rep.t_max_exp / 2.0) / piece, rel=1e-12)
 
 
 def test_intermediate_index_interpolates_s():

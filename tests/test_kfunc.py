@@ -891,6 +891,17 @@ def test_plan_whose_evaluation_raises_refuses_naming_the_route():
         KPlan("stub", fn).k(np.array([1.0, 2.0]))
 
 
+@pytest.mark.parametrize("method, label", [("formula", "formula:p-equal:weighted-split"),
+                                           ("oracle", "oracle:vertex-enumeration")])
+def test_plan_refuses_k_past_double_range_naming_the_t(method, label):
+    # K(t) = 2 * 1.7e308 * min(1, t) here: k once returned inf from t = 1 on
+    query = InterpQuery(BesovIndex(0.0, 1.0, 1.0), BesovIndex(1.0, 1.0, 1.0))
+    plan = k_plan(_field([(1.7e308, 1.7e308)]), query, method)
+    assert plan.k([0.25]).tolist() == [8.5e307]
+    with pytest.raises(NumericError, match=rf"^route {label} leaves double range at t = 1\.0$"):
+        plan.k([0.25, 1.0, 2.0])
+
+
 # route -> the exponent set to E: the shared q, or that of the A1 index
 _LARGE_EXPONENT = {"weighted-split": "q", "composed-split": "q1", "rearrangement": "q1",
                    "layer-sum": "p1", "general": "q1"}
@@ -946,11 +957,18 @@ _ONE_COEFFICIENT_ROUTES = {
 }
 
 
-@pytest.mark.parametrize("route", list(_ONE_COEFFICIENT_ROUTES))
-def test_one_coefficient_law(route, monkeypatch):
+# (route, xi): the oracle alone takes an xi other than 1, and a large one
+# once read K = 0 or inf where the power sum left the normal doubles
+_ONE_COEFFICIENT_CASES = ([(route, 1.0) for route in _ONE_COEFFICIENT_ROUTES]
+                          + [("oracle", xi) for xi in (16.0, 300.0, 2000.0, 1e308)])
+
+
+@pytest.mark.parametrize("route, xi", _ONE_COEFFICIENT_CASES,
+                         ids=[r if xi == 1.0 else f"{r}-xi{xi:g}" for r, xi in _ONE_COEFFICIENT_CASES])
+def test_one_coefficient_law(route, xi, monkeypatch):
     # K = c min(w0, t w1) for one nonzero coefficient c of layer j (w0, w1
-    # its weights), as the module docstring states; the composed split
-    # meets it only at both ends
+    # its weights) at every xi, as the module docstring states; the
+    # composed split meets it only at both ends
     label, draw = _ONE_COEFFICIENT_ROUTES[route]
     monkeypatch.setitem(verify._COUPLES, route, draw)
     rng = np.random.default_rng(27)
@@ -965,8 +983,11 @@ def test_one_coefficient_law(route, monkeypatch):
         method = "oracle" if route == "oracle" else "formula"
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            plan = k_plan(field, InterpQuery(i0, i1), method)
+            plan = k_plan(field, InterpQuery(i0, i1, xi=xi), method)
             got = plan.k(ts)
+            if xi != 1.0:  # the tables called directly, outside the plan's errstate
+                got_direct = vertex_tables(field, i0, i1).curve(ts, xi)
+                np.testing.assert_array_equal(got_direct, got)
         assert plan.label == label
         want = c * np.minimum(layer_weight(field.spec, i0, j), ts * layer_weight(field.spec, i1, j))
         np.testing.assert_allclose(got, want, rtol=1e-9, atol=0.0)

@@ -334,3 +334,28 @@ def test_besov_lorentz_refuses_a_layer_term_past_double_range(monkeypatch):
     monkeypatch.setattr(norms, "_layer_dyadic_lorentz", lambda *args: math.inf)
     with pytest.raises(NumericError, match="layer 0 Lorentz term"):
         besov_lorentz_norm(field, 0.3, 2.0, 1.0, 2.0)
+
+
+_HUGE = (1.7e308, 1.7e308)
+
+
+@pytest.mark.parametrize("name, norm", [
+    pytest.param("lp_norm", lambda: lp_norm(_HUGE, 1.0), id="lp_norm-p1"),
+    pytest.param("lp_norm", lambda: lp_norm(_HUGE, 2.0), id="lp_norm-p2"),
+    # layer 1 weighs 2^1.5 at p = q = inf: the l^inf norm of the terms
+    pytest.param("lp_norm", lambda: besov_norm(_field([(0.0,), (1.7e308,)]),
+                                               BesovIndex(1.0, math.inf, math.inf)),
+                 id="besov_norm-qinf"),
+    pytest.param("lorentz_seq_norm", lambda: lorentz_seq_norm(_HUGE, 1.0, 1.0),
+                 id="lorentz_seq_norm-q1"),
+    pytest.param("lorentz_seq_norm", lambda: lorentz_seq_norm(_HUGE, 1.0, math.inf),
+                 id="lorentz_seq_norm-qinf"),
+    pytest.param("besov_lorentz_norm",
+                 lambda: besov_lorentz_norm(_field([_HUGE]), 0.0, 1.0, 1.0, 1.0),
+                 id="besov_lorentz_norm"),
+])
+def test_norms_refuse_a_result_past_double_range(name, norm):
+    # 2 * 1.7e308 leaves double range: each once returned inf, and
+    # besov_norm printed "Infinity", which is not JSON
+    with pytest.raises(NumericError, match=f"^{name} leaves double range$"):
+        norm()

@@ -601,3 +601,18 @@ def test_vertex_tables_refuse_a_layer_weight_past_double_range():
     field = _field([(1.0,), (1.0,)])
     with pytest.raises(NumericError, match="layer 1"):
         vertex_tables(field, BesovIndex(2000.0, 2.0, 2.0), BesovIndex(0.0, 2.0, 2.0)).k(1.0)
+
+
+def test_oracles_refuse_k_past_double_range():
+    # K(1) = 2 * 1.7e308 here: both once returned inf
+    field = _field([(1.7e308, 1.7e308)])
+    idx0, idx1 = BesovIndex(0.0, 1.0, 1.0), BesovIndex(1.0, 1.0, 1.0)
+    tabs = vertex_tables(field, idx0, idx1)
+    assert tabs.k(0.25) == pytest.approx(8.5e307, rel=1e-12)
+    for t in (1.0, math.inf):
+        with pytest.raises(NumericError, match="vertex oracle K leaves double range"):
+            tabs.k(t)
+    with pytest.raises(NumericError, match="continuous oracle K leaves double range"):
+        k_cuboid_continuous(field, idx0, idx1, 1.0)
+    with pytest.raises(NumericError, match="lp_norm leaves double range"):
+        k_cuboid_continuous(field, idx0, idx1, math.inf)
