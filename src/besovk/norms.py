@@ -104,8 +104,10 @@ def lorentz_seq_norm(v, p: float, q: float) -> float:
     rearrangement: sum_i f*[i]^q ((i+1)^(q/p) - i^(q/p)) to the 1/q,
     and sup_i (i+1)^(1/p) f*[i] when q = inf.  At p = q it telescopes
     to the plain l^p norm.  The q-th powers are taken at the scale
-    _pow2_factor picks for power q, as in lp_norm.  UsageError unless
-    0 < p < inf and q > 0 (NaN fails both).
+    _pow2_factor picks for power q, as in lp_norm.  Where the cells
+    (i+1)^(q/p) - i^(q/p) or the sum leave double range, the sum is
+    retaken in logs (_lorentz_log_sum).  UsageError unless 0 < p < inf
+    and q > 0 (NaN fails both).
     """
     if not 0 < p < math.inf:
         raise UsageError(f"lorentz_seq_norm requires finite p > 0, got p = {p}")
@@ -119,11 +121,32 @@ def lorentz_seq_norm(v, p: float, q: float) -> float:
         with np.errstate(over="ignore"):  # an overflow reads inf, which _unscaled refuses
             top = float(np.max((i + 1.0) ** (1.0 / p) * r))
         return _unscaled(top, 1.0, "lorentz_seq_norm")
-    cells = (i + 1.0) ** (q / p) - i ** (q / p)
     fac = _pow2_factor(float(r[0]), q)
-    if fac != 1.0:
-        r = r * fac
-    return _unscaled(float(np.sum(r**q * cells) ** (1.0 / q)), fac, "lorentz_seq_norm")
+    with np.errstate(over="ignore", invalid="ignore"):  # a cell past double range is retaken
+        cells = (i + 1.0) ** (q / p) - i ** (q / p)
+        total = float(np.sum((r * fac if fac != 1.0 else r) ** q * cells))
+    if not math.isfinite(total):
+        return _unscaled(_lorentz_log_sum(r, p, q), 1.0, "lorentz_seq_norm")
+    return _unscaled(total ** (1.0 / q), fac, "lorentz_seq_norm")
+
+
+def _lorentz_log_sum(r: np.ndarray, p: float, q: float) -> float:
+    """lorentz_seq_norm over the positive entries of the rearrangement
+    r: each term (r_i/r_0)^q ((i+1)^e - i^e), e = q/p, is taken as its
+    log, q log(r_i/r_0) + e log(i+1) + log(1 - (1 - 1/(i+1))^e), and the
+    terms are summed over the largest; the norm is r_0 times the sum to
+    the 1/q."""
+    r = r[r > 0.0]
+    if len(r) == 0:
+        return 0.0
+    e, i = q / p, np.arange(len(r), dtype=float)
+    # at i = 0, log1p(-1) = -inf and the cell is 1; an r_i/r_0 that
+    # underflows to 0 reads log 0 = -inf, a term too small to count
+    with np.errstate(divide="ignore"):
+        logs = (q * np.log(r / r[0]) + e * np.log1p(i)
+                + np.log(-np.expm1(e * np.log1p(-1.0 / (i + 1.0)))))
+    top = float(logs.max())
+    return float(r[0]) * math.exp((top + math.log(float(np.sum(np.exp(logs - top))))) / q)
 
 
 def _layer_dyadic_lorentz(values: np.ndarray, nj_scale: float, meas: float, p: float, r: float) -> float:

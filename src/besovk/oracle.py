@@ -135,12 +135,13 @@ class _SideAccum:
 
     Every power is a plain power, an exponent of 1 too: float ** calls
     libm pow, and pow(x, 1.0) is x exactly, so r + x**1.0 is bit for bit
-    r + x.  Only _golden_min, where the powers are the cost, skips
-    them."""
+    r + x.  Only the line-search kernels, where the powers are the cost,
+    skip them."""
 
     def __init__(self, consts: tuple, vecs):
         self.w, self.exps = consts
-        self.p, self.ip, self.q, self.iq, self.p_inf, self.q_inf = self.exps[:6]
+        self.p, self.ip, self.q, self.iq, (pk, qk) = self.exps
+        self.p_inf, self.q_inf = pk == "inf", qk == "inf"
         self.base = [float(v.max()) if self.p_inf else float(np.sum(v**self.p))
                      for v in vecs]
         self.vecs = [v.tolist() for v in vecs]
@@ -148,11 +149,13 @@ class _SideAccum:
 
     @staticmethod
     def consts(field: CoeffField, idx: BesovIndex) -> tuple:
-        """(layer weights, exponent tuple) of one side, shared by every
-        descent start."""
+        """(layer weights, (p, 1/p, q, 1/q, kind)) of one side, shared by
+        every descent start; kind is (p's kind, q's kind), each "inf",
+        "one" or "pow" (a plain power), and picks the line-search kernel."""
         p, q = idx.p, idx.q
-        exps = (p, 1.0 / p, q, 1.0 / q, math.isinf(p), math.isinf(q), p == 1.0, q == 1.0)
-        return [layer_weight(field.spec, idx, j) for j in range(field.spec.J)], exps
+        kind = tuple("inf" if math.isinf(e) else "one" if e == 1.0 else "pow" for e in (p, q))
+        return ([layer_weight(field.spec, idx, j) for j in range(field.spec.J)],
+                (p, 1.0 / p, q, 1.0 / q, kind))
 
     def _term(self, j: int, base: float) -> float:
         wlp = self.w[j] * (base if self.p_inf else base**self.ip)
@@ -190,86 +193,90 @@ class _SideAccum:
 _INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
 _INVPHI2 = _INVPHI * _INVPHI
 
+# The golden-section loop on [0, fi] as one straight-line function; {x}
+# stands for the objective at probe x (y is fi - x).  The constants are
+# spelled by repr, which gives back the same double.
+_GOLDEN = """
+def kernel(fi, xtol, t, side0, side1):
+    r0, w0, a0, p0, ip0, q0, iq0, _ = side0
+    r1, w1, a1, p1, ip1, q1, iq1, _ = side1
+    a, b = 0.0, fi
+    h = b - a
+    c = a + {invphi2!r} * h
+    d = a + {invphi!r} * h
+    y = fi - c
+    fc = {c}
+    y = fi - d
+    fd = {d}
+    while h > xtol:
+        if fc < fd:
+            b, d = d, c
+            fd = fc
+            h = b - a
+            c = a + {invphi2!r} * h
+            y = fi - c
+            fc = {c}
+        else:
+            a, c = c, d
+            fc = fd
+            h = b - a
+            d = a + {invphi!r} * h
+            y = fi - d
+            fd = {d}
+    y = fi - a
+    fa = {a}
+    y = fi - b
+    fb = {b}
+    if fb < fa:
+        a, fa = b, fb
+    if fc < fa:
+        a, fa = c, fc
+    if fd < fa:
+        a = d
+    return a
+"""
+
+# One side's norm as an expression in its coordinate {x}: the layer's
+# l^p norm by p's kind, then the aggregate by q's kind.
+_P_FORM = {"inf": "w{s} * ({x} if {x} > r{s} else r{s})",
+           "one": "w{s} * (r{s} + {x})",
+           "pow": "w{s} * (r{s} + {x} ** p{s}) ** ip{s}"}
+_Q_FORM = {"inf": "(u{s} if (u{s} := {u}) > a{s} else a{s})",
+           "one": "(a{s} + {u})",
+           "pow": "(a{s} + ({u}) ** q{s}) ** iq{s}"}
+
+_KERNELS: dict = {}  # (side-0 kind, side-1 kind) -> kernel, compiled when first met
+
+
+def _kernel(kind0: tuple, kind1: tuple):
+    """The golden-section kernel of one kind pair, from _GOLDEN."""
+    def side(s, x, kind):
+        u = _P_FORM[kind[0]].format(s=s, x=x)
+        return _Q_FORM[kind[1]].format(s=s, u=u)
+
+    code = _GOLDEN.format(invphi=_INVPHI, invphi2=_INVPHI2,
+                          **{x: f"{side(0, x, kind0)} + t * {side(1, 'y', kind1)}"
+                             for x in "abcd"})
+    scope: dict = {}
+    exec(compile(code, f"<golden {kind0} {kind1}>", "exec"), scope)
+    return scope["kernel"]
+
 
 def _golden_min(fi: float, xtol: float, t: float, side0: tuple, side1: tuple) -> float:
     """Golden-section minimiser on [0, fi] of x -> N0(x) + t N1(fi - x),
     both sides' norms with one coordinate split x | fi - x; side0 and
-    side1 are _SideAccum.prepare's tuples.  The objective is evaluated
-    inline at one site, once per probe: c and d to start, one new c or
-    d per step, and at the end each endpoint no probe has moved onto.
-    An exponent of 1 takes no power: pow(x, 1.0) is x exactly, and this
-    is the one place where skipping it pays, the objective evaluations
-    being most of a line search.
-    Needs fi > xtol.  Returns the first of a, b, c, d with the least
-    value."""
-    r0, w0, a0, p0, ip0, q0, iq0, p0_inf, q0_inf, p0_one, q0_one = side0
-    r1, w1, a1, p1, ip1, q1, iq1, p1_inf, q1_inf, p1_one, q1_one = side1
-    invphi, invphi2 = _INVPHI, _INVPHI2
-    a, b = 0.0, fi
-    h = b - a
-    c = a + invphi2 * h
-    d = a + invphi * h
-    fa = fb = fd = None
-    x, left = c, True  # left: x is c; False: x is d; None: x is a or b
-    while True:
-        y = fi - x
-        if p0_inf:
-            u0 = w0 * (x if x > r0 else r0)
-        elif p0_one:
-            u0 = w0 * (r0 + x)
-        else:
-            u0 = w0 * (r0 + x**p0) ** ip0
-        if p1_inf:
-            u1 = w1 * (y if y > r1 else r1)
-        elif p1_one:
-            u1 = w1 * (r1 + y)
-        else:
-            u1 = w1 * (r1 + y**p1) ** ip1
-        if q0_inf:
-            u0 = u0 if u0 > a0 else a0
-        elif q0_one:
-            u0 = a0 + u0
-        else:
-            u0 = (a0 + u0**q0) ** iq0
-        if q1_inf:
-            u1 = u1 if u1 > a1 else a1
-        elif q1_one:
-            u1 = a1 + u1
-        else:
-            u1 = (a1 + u1**q1) ** iq1
-        fx = u0 + t * u1
-        if left:
-            fc = fx
-            if fd is None:
-                x, left = d, False
-                continue
-        elif left is False:
-            fd = fx
-        elif fa is None:
-            fa = fx
-        else:
-            fb = fx
-        if h > xtol:
-            if fc < fd:
-                b, d, fb, fd = d, c, fd, fc
-                h = b - a
-                x = c = a + invphi2 * h
-                left = True
-            else:
-                a, c, fa, fc = c, d, fc, fd
-                h = b - a
-                x = d = a + invphi * h
-                left = False
-        elif fa is None:
-            x, left = a, None
-        elif fb is None:
-            x, left = b, None
-        else:
-            break
-    for z, fz in ((b, fb), (c, fc), (d, fd)):
-        if fz < fa:
-            a, fa = z, fz
-    return a
+    side1 are _SideAccum.prepare's tuples.  Runs the kernel of the two
+    sides' exponent kinds, compiled the first time the pair is met: it
+    probes c and d, one new c or d per step while the bracket is wider
+    than xtol, then a and b, and takes no power for an exponent of 1
+    (pow(x, 1.0) is x exactly).  Needs fi > xtol.  Returns the first of
+    a, b, c, d with the least value."""
+    key = side0[7], side1[7]
+    try:
+        kernel = _KERNELS[key]
+    except KeyError:
+        kernel = _KERNELS[key] = _kernel(*key)
+    return kernel(fi, xtol, t, side0, side1)
 
 
 def _start_masks(flat: np.ndarray, best: int) -> list[int]:
@@ -296,12 +303,14 @@ def k_cuboid_continuous(field: CoeffField, idx0: BesovIndex, idx1: BesovIndex,
 
     The descent runs on the field scaled by the one rescaling rule
     (norms._scaled_field) and unscales at the end.  Each line search is
-    one golden-section loop (_golden_min) that evaluates one fused
-    scalar objective inline: both sides' norms with the other
-    coordinates held fixed, from per-side (layer rest, layer weight,
-    other layers) state.  With vmax the scaled field's largest entry
-    and floor = min(1, vmax), a start stops when a sweep improves by at
-    most 1e-12 * max(floor, |previous value|), or after
+    a golden-section search (_golden_min) in the straight-line kernel of
+    the couple's exponent kinds (p and q of each side inf, 1 or a plain
+    power; _SideAccum.consts), compiled the first time a process meets
+    the pair: its objective, inline at each probe, is both sides' norms
+    with the other coordinates held fixed, from per-side (layer rest,
+    layer weight, other layers) state.  With vmax the scaled field's
+    largest entry and floor = min(1, vmax), a start stops when a sweep
+    improves by at most 1e-12 * max(floor, |previous value|), or after
     _MAX_SWEEPS sweeps; line searches stop at
     1e-10 * max(floor, f_i), and a coefficient f_i at or below that
     tolerance keeps its start value.  A field with vmax >= 1 keeps the floor 1,

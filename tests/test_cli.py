@@ -483,6 +483,16 @@ def test_interpnorm_far_from_one_exit_0(capsys, tmp_path):
     assert 0.0 < doc["tails"]["low"] < doc["value"] and 0.0 < doc["tails"]["high"] < doc["value"]
 
 
+def test_interpnorm_past_double_range_exit_3(capsys, tmp_path):
+    # the (1/2, 1) norm of the one coefficient 1e308 is 4e308
+    path = tmp_path / "big.json"
+    path.write_text('{"n": 1, "layers": [{"j": 0, "coeffs": [1e308]}]}', encoding="utf-8")
+    code = main(["interpnorm", "--input", str(path), "--r", "1"])
+    captured = capsys.readouterr()
+    assert (code, captured.out, captured.err) == (
+        3, "", "error: interpolation result leaves double range\n")
+
+
 def test_bad_spec_exit_2(capsys):
     assert main(["generate", "--generate", "single-spike",
                  "--spec", "2,1,2"]) == 2

@@ -112,6 +112,17 @@ def test_interp_norm_finite_at_both_ends_of_double_range():
         assert math.isfinite(rep.tail_low) and math.isfinite(rep.tail_high)
 
 
+def test_interp_norm_refuses_a_result_past_double_range():
+    # K(t) = 1e308 min(1, t) on the degenerate couple, whose (1/2, 1)
+    # norm is 4e308: the unscaling overflows and refuses; at r = 2 the
+    # norm, 1e308 sqrt(2), stays in range
+    field = _field([(1e308,)])
+    for get in (interp_norm, lambda f, q: interp_norm_report(f, q).value):
+        with pytest.raises(NumericError, match="^interpolation result leaves double range$"):
+            get(field, _unit_query(theta=0.5, r=1.0))
+    assert interp_norm(field, _unit_query(theta=0.5, r=2.0)) == 1.4142135623730951e308
+
+
 @pytest.mark.parametrize("route", [*_COUPLES, "oracle"])
 def test_interp_norm_is_the_reports_value(route):
     # one driver in one unit: the norm and both tails are of degree 1 in

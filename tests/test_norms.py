@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -184,6 +185,33 @@ def test_lorentz_matches_fine_quadrature():
     integrand = (taus ** (1.0 / p) * f) ** q / taus
     want = (q / p * np.trapezoid(integrand, taus)) ** (1.0 / q)
     assert lorentz_seq_norm(v, p, q) == pytest.approx(want, rel=1e-6)
+
+
+@pytest.mark.parametrize("q", [60.0, 300.0])
+def test_lorentz_cells_past_double_range(q):
+    # the cells (i+1)^(q/p) - i^(q/p) of 1000 entries pass 1e308 (they
+    # read inf - inf and the norm refused); they telescope to
+    # 1000^(q/p), so the norm of the ones is 1000^(1/p)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = lorentz_seq_norm(np.ones(1000), 0.5, q)
+        assert lorentz_seq_norm(np.zeros(1000), 0.5, q) == 0.0
+    assert got == pytest.approx(1e6, rel=1e-12)
+
+
+@pytest.mark.parametrize("v0", [0.0, 1e-10])
+def test_lorentz_two_levels_past_double_range(v0):
+    # [a]*k + [b]*(m - k) telescopes to (a^q k^e + b^q (m^e - k^e))^(1/q),
+    # e = q/p: here b m^(1/p) ((a/b)^q s + 1 - s)^(1/q), s = (k/m)^e,
+    # in which the top entries' term (a/b)^q s = 1 doubles the sum; a
+    # tail of zeros or of entries 1e-10 below b adds nothing at this
+    # precision
+    a, b, k, m, p, q = 1e4, 1.0, 10, 1000, 0.5, 60.0
+    s = (k / m) ** (q / p)
+    want = b * m ** (1.0 / p) * ((a / b) ** q * s + 1.0 - s) ** (1.0 / q)
+    assert want / (b * m ** (1.0 / p)) == pytest.approx(2.0 ** (1.0 / q), rel=1e-12)
+    got = lorentz_seq_norm([a] * k + [b] * (m - k) + [v0] * 20, p, q)
+    assert got == pytest.approx(want, rel=1e-12)
 
 
 @pytest.mark.parametrize("p", [1.0, 2.0])

@@ -563,7 +563,7 @@ def test_oracles_at_t_inf_give_the_a0_norm():
 # finite values cycling through 1, 1.5 and 2, on a field with a zero
 # coefficient and on one with a zero layer, plus the stalled couple.
 # data/cuboid_guard.json holds the values of the line search that
-# called an objective closure per evaluation; the fused loop keeps
+# called an objective closure per evaluation; the per-kind kernels keep
 # every floating-point operation, so they match with ==.  Both fields
 # have largest coefficient >= 1, where the tolerances keep floor 1.
 _GUARD_FIELDS = ([[1.4, 0.0, 0.7], [1.9], [0.3, 1.1]], [[0.0, 0.0], [1.2, 0.5, 0.8]])
@@ -616,3 +616,139 @@ def test_oracles_refuse_k_past_double_range():
         k_cuboid_continuous(field, idx0, idx1, 1.0)
     with pytest.raises(NumericError, match="lp_norm leaves double range"):
         k_cuboid_continuous(field, idx0, idx1, math.inf)
+
+
+# --- line-search kernels ---------------------------------------------------
+
+def _fused_golden_min(fi, xtol, t, side0, side1):
+    """The line search as one loop that re-tests each side's exponent
+    flags at every probe: the reference the per-kind kernels must match
+    bit for bit.  side = (rest, weight, aggregate, p, 1/p, q, 1/q,
+    p_inf, q_inf, p_one, q_one)."""
+    r0, w0, a0, p0, ip0, q0, iq0, p0_inf, q0_inf, p0_one, q0_one = side0
+    r1, w1, a1, p1, ip1, q1, iq1, p1_inf, q1_inf, p1_one, q1_one = side1
+    invphi, invphi2 = oracle_mod._INVPHI, oracle_mod._INVPHI2
+    a, b = 0.0, fi
+    h = b - a
+    c = a + invphi2 * h
+    d = a + invphi * h
+    fa = fb = fd = None
+    x, left = c, True  # left: x is c; False: x is d; None: x is a or b
+    while True:
+        y = fi - x
+        if p0_inf:
+            u0 = w0 * (x if x > r0 else r0)
+        elif p0_one:
+            u0 = w0 * (r0 + x)
+        else:
+            u0 = w0 * (r0 + x**p0) ** ip0
+        if p1_inf:
+            u1 = w1 * (y if y > r1 else r1)
+        elif p1_one:
+            u1 = w1 * (r1 + y)
+        else:
+            u1 = w1 * (r1 + y**p1) ** ip1
+        if q0_inf:
+            u0 = u0 if u0 > a0 else a0
+        elif q0_one:
+            u0 = a0 + u0
+        else:
+            u0 = (a0 + u0**q0) ** iq0
+        if q1_inf:
+            u1 = u1 if u1 > a1 else a1
+        elif q1_one:
+            u1 = a1 + u1
+        else:
+            u1 = (a1 + u1**q1) ** iq1
+        fx = u0 + t * u1
+        if left:
+            fc = fx
+            if fd is None:
+                x, left = d, False
+                continue
+        elif left is False:
+            fd = fx
+        elif fa is None:
+            fa = fx
+        else:
+            fb = fx
+        if h > xtol:
+            if fc < fd:
+                b, d, fb, fd = d, c, fd, fc
+                h = b - a
+                x = c = a + invphi2 * h
+                left = True
+            else:
+                a, c, fa, fc = c, d, fc, fd
+                h = b - a
+                x = d = a + invphi * h
+                left = False
+        elif fa is None:
+            x, left = a, None
+        elif fb is None:
+            x, left = b, None
+        else:
+            break
+    for z, fz in ((b, fb), (c, fc), (d, fd)):
+        if fz < fa:
+            a, fa = z, fz
+    return a
+
+
+_KIND_EXPONENTS = {"one": (1.0,), "inf": (math.inf,), "pow": (1.5, 2.0, 3.7)}
+_KIND_PAIRS = list(itertools.product(itertools.product(_KIND_EXPONENTS, repeat=2), repeat=2))
+
+
+def _line_search_cases(rng, kinds):
+    """(fi, xtol, t, side0, side1) in the kernels' form and the fused
+    reference's, drawn for one kind pair: random states, a zero layer
+    rest and aggregate, fi just above xtol, and zero weights, which tie
+    every probe."""
+    exps = [(float(rng.choice(_KIND_EXPONENTS[pk])), float(rng.choice(_KIND_EXPONENTS[qk])))
+            for pk, qk in kinds]
+    consts = [oracle_mod._SideAccum.consts(_field([[1.0]]), BesovIndex(0.0, p, q))[1]
+              for p, q in exps]
+    assert [c[-1] for c in consts] == list(kinds)
+    for case in range(8):
+        fi = float(rng.uniform(0.01, 3.0))
+        xtol = float(np.nextafter(fi, 0.0)) if case == 5 else 1e-10 * max(1.0, fi)
+        t = float(2.0 ** rng.uniform(-6.0, 6.0))
+        states = [(0.0 if case in (1, 3) else float(rng.uniform(0.0, 2.0)),
+                   0.0 if case == 6 else float(rng.uniform(0.1, 3.0)),
+                   0.0 if case in (2, 3) else float(rng.uniform(0.0, 5.0))) for _ in kinds]
+        if case == 7:  # a layer rest above fi: an inf-p side is flat in x
+            states = [(fi + 1.0, w, a) for _, w, a in states]
+        new = [s + c for s, c in zip(states, consts)]
+        old = [s + (p, 1.0 / p, q, 1.0 / q, math.isinf(p), math.isinf(q), p == 1.0, q == 1.0)
+               for s, (p, q) in zip(states, exps)]
+        yield (fi, xtol, t, *new), (fi, xtol, t, *old)
+
+
+@pytest.mark.parametrize("kinds", _KIND_PAIRS, ids=lambda k: "-".join(map("".join, k)))
+def test_line_search_kernel_matches_the_fused_loop(kinds):
+    rng = np.random.default_rng(sum(map(ord, repr(kinds))))
+    for new, old in _line_search_cases(rng, kinds):
+        assert oracle_mod._golden_min(*new) == _fused_golden_min(*old), (new, old)
+    assert kinds in oracle_mod._KERNELS
+
+
+_COMPILE_SCRIPT = r"""
+import math
+import besovk
+from besovk import oracle
+assert oracle._KERNELS == {}, sorted(oracle._KERNELS)
+field = besovk.CoeffField(besovk.GridSpec(1, 2, (2, 1)), [[0.7, 0.3], [1.1]])
+besovk.k_cuboid_continuous(field, besovk.BesovIndex(1.0, 1.0, math.inf),
+                           besovk.BesovIndex(-0.5, 1.5, 2.0), 2.0)
+print(sorted(oracle._KERNELS))
+"""
+
+
+def test_line_search_kernels_compile_when_first_met():
+    # importing besovk (as every CLI process does) compiles no kernel,
+    # and a descent compiles the one kernel of its couple's kinds
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+    proc = subprocess.run([sys.executable, "-c", _COMPILE_SCRIPT], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "[(('one', 'inf'), ('pow', 'pow'))]\n"
