@@ -24,7 +24,7 @@ from .errors import NumericError, UsageError
 from .grid import BesovIndex
 from .kfunc import (InterpQuery, KPlan, _check_t_window, _logcell_integral, default_t_grid,
                     k_plan)
-from .norms import _pow2_factor, _seq_field, besov_norm
+from .norms import _powers, _seq_field, besov_norm
 
 __all__ = [
     "QuadratureSpec",
@@ -83,24 +83,21 @@ def _interp_scaled(plan: KPlan, theta: float, r: float, quad: QuadratureSpec | N
     """Quadrature driver of the interpolation norm.
 
     Integrates K of the plan's scaled field, and takes the r-th powers of
-    t^-theta K at the scale the rescaling rule (_pow2_factor) picks for
-    power r from its largest value on the grid.  Returns the report at
-    that combined scale 2^e, and e: its value and both tails are 2^e
-    times their own, all of degree 1 in K; callers unscale (_unscale).
-    Cells integrate in closed form under the log-linear model.  Where
-    the largest r-th power at that scale is not a normal double (below
-    2^-1022), every r-th power is taken over the largest value instead,
-    and that value multiplies back into the report.  Past the window K
-    follows its asymptotes (t ||f||_A1 below, ||f||_A0 above), so each
-    tail mass is the integrand at its window edge over its exponent,
-    (1-theta) r below and theta r above; the report gives its L^r piece,
-    the edge value over that exponent to the 1/r, which takes no r-th
-    power.  The window expands until the tails carry under
-    _TAIL_REL_TOL of the total (for r = inf, until the sup detaches from
-    the window edge), as long as it stays inside 2^(+-_WINDOW_LIMIT).  A
-    widened window reuses K at every node equal, bit for bit, to one
-    already evaluated, and evaluates it on the rest only.  t^-theta K of
-    0 at every node gives the zero report.
+    t^-theta K on the grid through norms._powers, whose peak multiplies
+    back into the value.  Returns the report at the combined scale 2^e of
+    the plan's factor and _powers' factor, and e: its value and both tails
+    are 2^e times their own, all of degree 1 in K; callers unscale
+    (_unscale).  Cells integrate in closed form under the log-linear
+    model.  Past the window K follows its asymptotes (t ||f||_A1 below,
+    ||f||_A0 above), so each tail mass is the integrand at its window edge
+    over its exponent, (1-theta) r below and theta r above; the report
+    gives its L^r piece, the edge value over that exponent to the 1/r,
+    which takes no r-th power.  The window expands until the tails carry
+    under _TAIL_REL_TOL of the total (for r = inf, until the sup detaches
+    from the window edge), as long as it stays inside 2^(+-_WINDOW_LIMIT).
+    A widened window reuses K at every node equal, bit for bit, to one
+    already evaluated, and evaluates it on the rest only.  t^-theta K of 0
+    at every node gives the zero report.
     """
     quad = quad or QuadratureSpec()
     e = math.frexp(plan.fac)[1] - 1  # plan.fac = 2^e
@@ -130,13 +127,7 @@ def _interp_scaled(plan: KPlan, theta: float, r: float, quad: QuadratureSpec | N
                 return InterpReport(peak, method, lo_exp, hi_exp, len(ts), edge_lo, edge_hi,
                                     max(edge_lo, edge_hi) / peak), e
             continue
-        vmax = float(vals.max())
-        gfac = _pow2_factor(vmax, r)
-        peak = vmax * gfac
-        if peak**r < 2.0**-1022:  # not normal: powers over the largest value
-            gs = (vals / vmax) ** r
-        else:
-            peak, gs = 1.0, (vals * gfac) ** r
+        gs, gfac, peak = _powers(vals, r)
         us = np.log(ts)
         mid = float(np.sum(_logcell_integral(us[:-1], us[1:], gs[:-1], gs[1:])))
         tail_lo = gs[0] / ((1.0 - theta) * r)

@@ -40,6 +40,24 @@ def _pow2_factor(vmax: float, power: float) -> float:
     return 2.0 ** max(min(-math.frexp(vmax)[1], 1000), -1000)
 
 
+def _powers(x: np.ndarray, power: float) -> tuple[np.ndarray, float, float]:
+    """x ** power at the rescaling rule's scale, fac = _pow2_factor(vmax,
+    power): the powers of x * fac and peak 1, or, where (vmax * fac)^power
+    is not a normal double (past an exponent of about 1000, or at a
+    clamped fac), those of x / vmax and peak vmax * fac, vmax the largest
+    entry.  The l^power norm of x is sum(powers)^(1/power) * peak / fac."""
+    vmax = float(x.max())
+    fac = _pow2_factor(vmax, power)
+    peak = vmax * fac
+    try:
+        small = 0.0 < peak < math.inf and peak**power < 2.0**-1022
+    except OverflowError:
+        small = True
+    if small:
+        return (x / vmax) ** power, fac, peak
+    return (x * fac) ** power, fac, 1.0
+
+
 def _scaled_field(field: CoeffField) -> tuple[CoeffField, float]:
     """The field scaled by the rescaling rule at power 1, and the
     factor; a quantity of degree d in the field divides by factor^d."""
@@ -59,10 +77,9 @@ def _unscaled(x: float, fac: float, what: str) -> float:
 def lp_norm(v, p: float) -> float:
     """l^p quasi-norm of a nonnegative vector; sup at p = inf.
 
-    The p-th powers are taken at the scale _pow2_factor picks for power
-    p, so that they neither underflow nor overflow; in range it is 1,
-    and the result is bit for bit the unscaled one.  UsageError for
-    p <= 0 or NaN."""
+    The p-th powers are taken through _powers, so that the largest is a
+    normal double; where its factor is 1 and its peak 1, the result is
+    bit for bit the unscaled one.  UsageError for p <= 0 or NaN."""
     if not p > 0:
         raise UsageError(f"lp_norm requires p > 0, got p = {p}")
     arr = np.asarray(v, dtype=float)
@@ -70,10 +87,8 @@ def lp_norm(v, p: float) -> float:
         return 0.0
     if math.isinf(p):
         return _unscaled(float(arr.max()), 1.0, "lp_norm")
-    fac = _pow2_factor(float(arr.max()), p)
-    if fac != 1.0:
-        arr = arr * fac
-    return _unscaled(float((arr**p).sum() ** (1.0 / p)), fac, "lp_norm")
+    powers, fac, peak = _powers(arr, p)
+    return _unscaled(float(powers.sum() ** (1.0 / p)) * peak, fac, "lp_norm")
 
 
 def besov_norm(field: CoeffField, index: BesovIndex) -> float:
@@ -103,11 +118,10 @@ def lorentz_seq_norm(v, p: float, q: float) -> float:
     Exact integral of (tau^(1/p) f*(tau))^q dtau/tau over the step
     rearrangement: sum_i f*[i]^q ((i+1)^(q/p) - i^(q/p)) to the 1/q,
     and sup_i (i+1)^(1/p) f*[i] when q = inf.  At p = q it telescopes
-    to the plain l^p norm.  The q-th powers are taken at the scale
-    _pow2_factor picks for power q, as in lp_norm.  Where the cells
-    (i+1)^(q/p) - i^(q/p) or the sum leave double range, the sum is
-    retaken in logs (_lorentz_log_sum).  UsageError unless 0 < p < inf
-    and q > 0 (NaN fails both).
+    to the plain l^p norm.  The q-th powers are taken through _powers.
+    Where the cells (i+1)^(q/p) - i^(q/p) or the sum leave double
+    range, the sum is retaken in logs (_lorentz_log_sum).  UsageError
+    unless 0 < p < inf and q > 0 (NaN fails both).
     """
     if not 0 < p < math.inf:
         raise UsageError(f"lorentz_seq_norm requires finite p > 0, got p = {p}")
@@ -121,13 +135,13 @@ def lorentz_seq_norm(v, p: float, q: float) -> float:
         with np.errstate(over="ignore"):  # an overflow reads inf, which _unscaled refuses
             top = float(np.max((i + 1.0) ** (1.0 / p) * r))
         return _unscaled(top, 1.0, "lorentz_seq_norm")
-    fac = _pow2_factor(float(r[0]), q)
+    powers, fac, peak = _powers(r, q)
     with np.errstate(over="ignore", invalid="ignore"):  # a cell past double range is retaken
         cells = (i + 1.0) ** (q / p) - i ** (q / p)
-        total = float(np.sum((r * fac if fac != 1.0 else r) ** q * cells))
+        total = float(np.sum(powers * cells))
     if not math.isfinite(total):
         return _unscaled(_lorentz_log_sum(r, p, q), 1.0, "lorentz_seq_norm")
-    return _unscaled(total ** (1.0 / q), fac, "lorentz_seq_norm")
+    return _unscaled(total ** (1.0 / q) * peak, fac, "lorentz_seq_norm")
 
 
 def _lorentz_log_sum(r: np.ndarray, p: float, q: float) -> float:

@@ -483,6 +483,17 @@ def test_interpnorm_far_from_one_exit_0(capsys, tmp_path):
     assert 0.0 < doc["tails"]["low"] < doc["value"] and 0.0 < doc["tails"]["high"] < doc["value"]
 
 
+def test_norm_and_interpnorm_past_an_exponent_of_1000(capsys, tmp_path):
+    # 0.5^2000 is below the least subnormal: both printed 0.0 and exited 0
+    path = tmp_path / "half.json"
+    path.write_text('{"n": 1, "layers": [{"j": 0, "coeffs": [0.5]}]}', encoding="utf-8")
+    code, out = run(capsys, ["norm", "--input", str(path), "--p0", "2000"])
+    assert (code, json.loads(out)) == (0, {"besov_norm": 0.5})
+    # K = 0.5 min(1, t): at theta = 1/2, r = 2 the norm is 0.5 sqrt(2)
+    code, out = run(capsys, ["interpnorm", "--input", str(path), "--q0", "2000"])
+    assert (code, json.loads(out)["value"]) == (0, 0.7071067811865476)
+
+
 def test_interpnorm_past_double_range_exit_3(capsys, tmp_path):
     # the (1/2, 1) norm of the one coefficient 1e308 is 4e308
     path = tmp_path / "big.json"

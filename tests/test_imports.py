@@ -185,6 +185,29 @@ def test_signatures_hold_only_settings_a_caller_sets(monkeypatch):
     monkeypatch.setattr(kfunc, "_pow2_factor", lambda v, power: powers.append(power) or 1.0)
     kfunc._lq_across([np.array([1.0, 2.0]), np.array([3.0, 4.0])], 20.0)
     assert powers == [20.0, 20.0]
+    # the l^power norms take their powers through one helper, norms._powers:
+    # only it and _scaled_field ask for the factor, and it runs once per
+    # lp_norm, once per lorentz_seq_norm and once per window of the
+    # interpolation driver
+    assert not hasattr(besovk.interp, "_pow2_factor")
+    tree = ast.parse(inspect.getsource(norms))
+    askers = [fn.name for fn in tree.body if isinstance(fn, ast.FunctionDef)
+              and any(isinstance(node, ast.Call) and ast.unparse(node.func) == "_pow2_factor"
+                      for node in ast.walk(fn))]
+    assert askers == ["_powers", "_scaled_field"]
+    helper, calls = norms._powers, {"norms": [], "interp": []}
+    for name in calls:
+        monkeypatch.setattr(getattr(besovk, name), "_powers", lambda x, power, name=name:
+                            calls[name].append(power) or helper(x, power))
+    norms.lp_norm([1.0, 0.5], 3.0)
+    norms.lorentz_seq_norm([1.0, 0.5], 1.0, 3.0)
+    assert calls["norms"] == [3.0, 3.0]
+    quad = besovk.QuadratureSpec()
+    # theta near 0: the upper tail decays slowly and the window widens
+    rep = besovk.interp_norm_report(field, besovk.InterpQuery(idx, idx, theta=0.05, r=2.0),
+                                    quad=quad)
+    windows = int((quad.t_min_exp - rep.t_min_exp) / besovk.interp._EXPAND_STEP) + 1
+    assert windows > 1 and calls["interp"] == [2.0] * windows
     # one K plan constructor: reiteration_check measures its sequence as a
     # field, through the same plan as every other norm
     assert not hasattr(kfunc, "_seq_plan")

@@ -940,10 +940,13 @@ def test_composed_split_without_calibration_refuses_at_build():
 
 
 _HALF_TO_INF = (0.5, 1.0, 2.0, math.inf)
+_LARGE = (1100.0, 2000.0, 1e4, 1e300)
 # route -> (label, its couple draw in the form of verify._COUPLES); the
 # oracle takes any couple
 _ONE_COEFFICIENT_ROUTES = {
     "degenerate": ("formula:degenerate", ((("p", _HALF_TO_INF), ("q", _HALF_TO_INF)), "same")),
+    # past an exponent of 1000 its N0 = N1 once read 0, and so K
+    "degenerate-large": ("formula:degenerate", ((("p", _LARGE), ("q", _LARGE)), "same")),
     "weighted-split": ("formula:p-equal:weighted-split",
                        ((("p", _HALF_TO_INF), ("q", _HALF_TO_INF)), "apart")),
     "rearrangement": ("formula:p-equal:rearrangement",

@@ -85,6 +85,12 @@ def test_norms_scale_robust_at_both_extremes():
     assert lp_norm([1e200, 1e200], 2.0) == pytest.approx(math.sqrt(2.0) * 1e200, rel=1e-15)
     assert lp_norm([5e-324, 5e-324], 0.5) == 2e-323
     assert lp_norm([1e30], 11.0) == 1e30
+    # the factor is clamped to 2^(+-1000), so 1.7e308 still sits near 2^24
+    # at its scale and its 50th power overflowed (a RuntimeWarning, then a
+    # refusal); 2^-1074 sits at 2^-74 and its 20th power read 0
+    assert lp_norm([1.7e308], 50.0) == 1.7e308
+    assert lp_norm([5e-324], 20.0) == 5e-324
+    assert lorentz_seq_norm([1.7e308], 1.0, 50.0) == 1.7e308
     assert lp_norm([1e-30, 1e-30], 11.0) == pytest.approx(2.0 ** (1.0 / 11.0) * 1e-30,
                                                           rel=1e-15)
     idx = BesovIndex(0.5, 2.0, 1.5)
@@ -387,3 +393,47 @@ def test_norms_refuse_a_result_past_double_range(name, norm):
     # besov_norm printed "Infinity", which is not JSON
     with pytest.raises(NumericError, match=f"^{name} leaves double range$"):
         norm()
+
+
+_LARGE = (1100.0, 2000.0, 1e4, 1e300)
+
+
+@pytest.mark.parametrize("E", _LARGE)
+def test_norms_past_an_exponent_of_1000_read_their_closed_forms(E):
+    # past E = 1000 no power of two keeps the largest E-th power a normal
+    # double, so _powers takes the powers over the largest entry; at the
+    # rescaling rule's scale alone a largest entry of mantissa 1/2 (2^300
+    # here) read 0, and so did every entry at E = 1e300
+    rng = np.random.default_rng(35)
+    cs = [2.0**-300, 0.5, 1.0, 2.0**300, *(2.0 ** rng.uniform(-300.0, 300.0, 8))]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for c in map(float, cs):
+            assert lp_norm([c], E) == pytest.approx(c, rel=1e-15)
+            for p in (0.5, 1.0, 2.0):
+                assert lorentz_seq_norm([c], p, E) == pytest.approx(c, rel=1e-15)
+            # two levels a > b with (b/a)^E near 1/2: l^E over a is
+            # a (k + (m - k) (b/a)^E)^(1/E), and at q = 2p the Lorentz
+            # cells of three entries are 1, 3, 5, so [b, a, b], whose
+            # rearrangement is [a, b, b], reads a (1 + 8 (b/a)^q)^(1/q)
+            a, b = c, c * 2.0 ** (-1.0 / E)
+            h = (b / a) ** E
+            assert lp_norm([a] * 3 + [b] * 4, E) == pytest.approx(
+                a * (3.0 + 4.0 * h) ** (1.0 / E), rel=1e-15)
+            assert lorentz_seq_norm([b, a, b], E / 2.0, E) == pytest.approx(
+                a * (1.0 + 8.0 * h) ** (1.0 / E), rel=1e-15)
+        assert lp_norm(np.zeros(5), E) == 0.0
+        assert lorentz_seq_norm(np.zeros(5), 1.0, E) == 0.0
+
+
+def test_lorentz_scales_by_a_power_of_two_bit_for_bit():
+    # the powers are always taken of a scaled copy, whatever the factor:
+    # numpy's ** gave other last bits on the reversed sort view (factor 1)
+    # than on a copy (factor 2^-200), so the norm of 2^200 v was not
+    # always 2^200 times that of v
+    rng = np.random.default_rng(1)
+    for _ in range(5000):
+        v = rng.uniform(0.0, 1.0, int(rng.integers(2, 200)))
+        v[0] = rng.uniform(0.5, 1.0)  # the largest entry lies in [0.5, 1)
+        p, q = float(rng.choice([0.5, 1.0, 2.0, 3.0])), float(rng.choice([1.5, 2.0, 5.0, 30.0]))
+        assert lorentz_seq_norm(2.0**200 * v, p, q) == 2.0**200 * lorentz_seq_norm(v, p, q)
