@@ -43,7 +43,9 @@ rearrangements, split tables, calibration limits, hinge envelopes) is
 built once; the plan then evaluates K on a whole t array.  k_plan is
 the one constructor of a plan; a weighted main-grid sequence is a field
 (norms._seq_field).  k_dispatch evaluates one t from a plan, k_curve a
-t grid.
+t grid.  _ROUTES declares each route once: its label, form and
+builder, and the couples and band (K's factor from the vertex oracle of
+its form) that the verify suites hold it to.
 """
 
 from __future__ import annotations
@@ -58,7 +60,7 @@ import numpy as np
 from .coeffs import CoeffField
 from .errors import NumericError, UsageError
 from .grid import BesovIndex, layer_weight
-from .norms import _pow2_factor, _scaled_field, besov_norm, lp_norm, main_grid_reduce
+from .norms import _pow2_factor, _scaled_field, _trapped, besov_norm, lp_norm, main_grid_reduce
 from .rearrange import rearrangement
 
 __all__ = [
@@ -211,17 +213,14 @@ class KPlan:
 
     def _eval(self, ts, fac: float) -> np.ndarray:
         ts = np.asarray(ts, dtype=float)
+        if ts.ndim != 1:
+            raise UsageError(f"t must be a 1-d array, got {ts.ndim} dimensions")
         bad = ts[~(ts > 0.0)]
         if len(bad):
             raise UsageError(f"t must be positive, got {bad[0]}")
-        # powers of t overflow to inf and underflow to 0 by design (the
-        # closed forms take those limits), and np.where evaluates both
-        # branches; neither is worth a warning
-        try:
-            with np.errstate(all="ignore"):
-                ks = self._fn(ts) / fac
-        except ArithmeticError as exc:  # a Python float overflowed or divided by 0
-            raise NumericError(f"route {self.label} leaves double range: {exc}") from None
+        # powers of t overflow and underflow by design (the closed forms take those
+        # limits) and np.where runs both branches: no warning, but a Python float error refuses
+        ks = _trapped(f"route {self.label}", lambda: self._fn(ts) / fac, all="ignore")
         bad = ts[~np.isfinite(ks)]
         if len(bad):
             raise NumericError(f"route {self.label} leaves double range at t = {float(bad[0])!r}")
@@ -779,24 +778,40 @@ def _general_route(field, query):
 
 
 def _vertex_route(field, query):
-    from .oracle import vertex_tables
+    from .oracle import VertexTables
 
-    tables = vertex_tables(field, query.idx0, query.idx1)
+    tables = VertexTables(field, query.idx0, query.idx1)
     return lambda ts: tables.curve(ts, query.xi)
 
 
-# case -> (route label, form, builder(field, query) -> evaluator of
-# a t array); the oracle's form (None) follows the query's xi
+# case -> (route label, form, builder(field, query) -> evaluator of a t
+# array, couples, band); the oracle's form (None) follows the query's xi.
+# The verify suites draw a formula route's couples as it declares them:
+# exponent draws in order ("p" or "q" one value for both indices, "p2" or
+# "q2" two distinct ones from a pool) and a smoothness rule, "same", "free"
+# or "apart" (redrawn until 0.5 apart, so breakpoint hulls stay short).
+# The composed split's aggregation exponents stay at 1 or above: below 1 its
+# constants degrade fast (one spike already shows a factor 81 at 0.5).  A
+# band (None: unbanded) bounds K's factor from the vertex oracle of the
+# route's form: an engineering tolerance, not a sharp constant.
+_FULL_POOL = (0.5, 1.0, 1.5, 2.0, math.inf)
+_CONVEX_POOL = (1.0, 1.5, 2.0, math.inf)
+_SPLIT_POOL = (0.5, 1.0, 2.0, math.inf)
 _ROUTES = {
-    CaseTag.DEGENERATE: ("formula:degenerate", "sum", _degenerate_route),
-    CaseTag.P_EQUAL_S_DIFF_Q_EQUAL: ("formula:p-equal:weighted-split", "sum",
-                                     _p_equal_route),
-    CaseTag.P_EQUAL_S_DIFF_Q_DIFF: ("formula:p-equal:composed-split", "sum",
-                                    _p_equal_route),
-    CaseTag.P_EQUAL_S_EQUAL: ("formula:p-equal:rearrangement", "sum", _p_equal_route),
-    CaseTag.Q_EQUAL_P_DIFF: ("formula:q-equal:layer-sum", "sum", _q_equal_route),
-    CaseTag.GENERAL: ("formula:general:power-composition-kinf", "max", _general_route),
-    CaseTag.ORACLE_ONLY: ("oracle:vertex-enumeration", None, _vertex_route),
+    CaseTag.DEGENERATE: ("formula:degenerate", "sum", _degenerate_route,
+                         ((("p", _FULL_POOL), ("q", _FULL_POOL)), "same"), None),
+    CaseTag.P_EQUAL_S_DIFF_Q_EQUAL: ("formula:p-equal:weighted-split", "sum", _p_equal_route,
+                                     ((("p", _FULL_POOL), ("q", _SPLIT_POOL)), "apart"), 8.0),
+    CaseTag.P_EQUAL_S_DIFF_Q_DIFF: ("formula:p-equal:composed-split", "sum", _p_equal_route,
+                                    ((("p", _FULL_POOL), ("q2", _CONVEX_POOL)), "apart"), 8.0),
+    CaseTag.P_EQUAL_S_EQUAL: ("formula:p-equal:rearrangement", "sum", _p_equal_route,
+                              ((("p", _FULL_POOL), ("q2", _SPLIT_POOL)), "same"), 8.0),
+    CaseTag.Q_EQUAL_P_DIFF: ("formula:q-equal:layer-sum", "sum", _q_equal_route,
+                             ((("q", _FULL_POOL), ("p2", _SPLIT_POOL)), "free"), 8.0),
+    CaseTag.GENERAL: ("formula:general:power-composition-kinf", "max", _general_route,
+                      ((("p2", (1.0, 2.0, math.inf)), ("q2", (0.5, 1.0, 2.0, 3.0))), "free"),
+                      16.0),
+    CaseTag.ORACLE_ONLY: ("oracle:vertex-enumeration", None, _vertex_route, None, None),
 }
 
 
@@ -820,7 +835,7 @@ def k_plan(field: CoeffField, query: InterpQuery, method: str = "formula") -> KP
     w0, w1 = (i.weight_exponent(field.spec.n) for i in (query.idx0, query.idx1))
     if case is CaseTag.P_EQUAL_S_DIFF_Q_DIFF and w0 == w1:  # _seq_route runs the rearrangement
         case = CaseTag.P_EQUAL_S_EQUAL
-    label, form, build = _ROUTES[case]
+    label, form, build = _ROUTES[case][:3]
     if form is None:  # the oracle computes the form that xi selects
         form = {1.0: "sum", math.inf: "max"}.get(query.xi, f"xi={query.xi:g}")
     elif query.xi not in (1.0, math.inf):
@@ -829,11 +844,8 @@ def k_plan(field: CoeffField, query: InterpQuery, method: str = "formula") -> KP
     if field.max_abs() == 0.0:
         return KPlan(label, _zeros, form=form)
     field, fac = _scaled_field(field)
-    try:
-        with np.errstate(over="raise"):  # a build that overflows gives a wrong K
-            return KPlan(label, build(field, query), fac, form)
-    except ArithmeticError as exc:
-        raise NumericError(f"route {label} leaves double range: {exc}") from None
+    return _trapped(f"route {label}", lambda: KPlan(label, build(field, query), fac, form),
+                    over="raise")  # a build that overflows gives a wrong K
 
 
 def k_dispatch(field: CoeffField, query: InterpQuery, t: float) -> tuple[float, str]:

@@ -74,6 +74,15 @@ def _unscaled(x: float, fac: float, what: str) -> float:
     return x
 
 
+def _trapped(what: str, fn, **errstate):
+    """fn() under numpy's errstate as given, an ArithmeticError refused as NumericError(what)."""
+    try:
+        with np.errstate(**errstate):
+            return fn()
+    except ArithmeticError as exc:
+        raise NumericError(f"{what} leaves double range: {exc}") from None
+
+
 def lp_norm(v, p: float) -> float:
     """l^p quasi-norm of a nonnegative vector; sup at p = inf.
 

@@ -28,7 +28,7 @@ import numpy as np
 from .coeffs import CoeffField
 from .errors import BudgetError, UsageError
 from .grid import BesovIndex, layer_weight
-from .norms import _scaled_field, _unscaled, besov_norm
+from .norms import _scaled_field, _trapped, _unscaled, besov_norm
 
 __all__ = [
     "vertex_tables",
@@ -127,7 +127,7 @@ class VertexTables:
 
 
 def vertex_tables(field: CoeffField, idx0: BesovIndex, idx1: BesovIndex) -> VertexTables:
-    return VertexTables(field, idx0, idx1)
+    return _trapped("vertex oracle", lambda: VertexTables(field, idx0, idx1), over="raise")
 
 
 class _SideAccum:
@@ -292,14 +292,14 @@ def k_cuboid_continuous(field: CoeffField, idx0: BesovIndex, idx1: BesovIndex,
                         t: float) -> float:
     """Continuous decomposition infimum over the box 0 <= g <= f.
 
-    Convex regime only (all indices >= 1): the objective
-    ||g||_A0 + t ||f - g||_A1 is then jointly convex and cyclic
-    coordinate descent with exact line searches converges.  Descent is
-    multi-started from the masks of _start_masks, g = 0, g = f and the
-    best vertex split, so the returned value never exceeds the vertex
-    minimum; each g is the field where its mask's bit is set, 0
-    elsewhere.  A field of more than _MAX_COEFFS coefficients is refused
-    (BudgetError).  At t = inf only g = f is finite, and K is ||f||_A0.
+    Convex regime only (all indices >= 1): ||g||_A0 + t ||f - g||_A1 is
+    then jointly convex and cyclic coordinate descent with exact line
+    searches converges.  Descent is multi-started from the masks of
+    _start_masks, g = 0, g = f and the best vertex split, so the returned
+    value never exceeds the vertex minimum; each g is the field where its
+    mask's bit is set, 0 elsewhere.  A field of more than _MAX_COEFFS
+    coefficients is refused (BudgetError), and one whose powers overflow
+    (NumericError).  At t = inf only g = f is finite, and K is ||f||_A0.
 
     The descent runs on the field scaled by the one rescaling rule
     (norms._scaled_field) and unscales at the end.  Each line search is
@@ -338,6 +338,11 @@ def k_cuboid_continuous(field: CoeffField, idx0: BesovIndex, idx1: BesovIndex,
             raise UsageError(f"continuous oracle needs the convex regime; {name} = {v} < 1")
     if not t >= 0:
         raise UsageError(f"t must be nonnegative, got {t}")
+    return _trapped("continuous oracle", lambda: _descent(field, idx0, idx1, t), over="raise")
+
+
+def _descent(field: CoeffField, idx0: BesovIndex, idx1: BesovIndex, t: float) -> float:
+    """k_cuboid_continuous on arguments it has checked."""
     scaled, fac = _budgeted(field, "descent")
     if math.isinf(t):
         return besov_norm(field, idx0)
@@ -345,7 +350,7 @@ def k_cuboid_continuous(field: CoeffField, idx0: BesovIndex, idx1: BesovIndex,
     floor = min(1.0, field.max_abs())
 
     flat = np.concatenate(field.layers)
-    masks = _start_masks(flat, vertex_tables(field, idx0, idx1).best_split(t))
+    masks = _start_masks(flat, VertexTables(field, idx0, idx1).best_split(t))
     gs = np.where((np.array(masks)[:, None] >> np.arange(len(flat))) & 1 == 1, flat, 0.0)
     cuts = [0, *itertools.accumulate(field.spec.layer_sizes)]
     starts = [[g[a:b] for a, b in zip(cuts, cuts[1:])] for g in gs]

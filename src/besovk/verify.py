@@ -9,17 +9,8 @@ where it is defined, in its `_suite` decorator; the decorator seeds the
 generator, times the suite, builds its report and registers it in
 SUITES, and the public run_* takes the seed alone.
 
-Band limits are engineering tolerances for the equivalence constants,
-not sharp theory constants.  Every suite that tests a K route draws its
-index couples with `_rand_couple` from one table, `_COUPLES`, keyed by
-route name.  An entry lists the exponent draws in order ("p" or "q" is
-one value shared by both indices, "p2" or "q2" two distinct values from
-a pool) and a smoothness rule: "same" for both indices, "free", or
-"apart", which redraws the pair until the two differ by at least 0.5 so
-breakpoint hulls stay short.  Instance pools matter: the composed-split
-route keeps its aggregation exponents at 1 or above because its
-constants degrade rapidly below 1 (a single-spike computation already
-shows a factor 81 at exponent 0.5).
+A suite that tests a K route draws its couples (`_rand_couple`) and reads
+its band from the route's entry in the one route table, kfunc._ROUTES.
 """
 
 from __future__ import annotations
@@ -33,7 +24,7 @@ from .coeffs import CoeffField
 from .errors import UsageError
 from .grid import BesovIndex, GridSpec, layer_weight
 from .interp import besov_identity_check, interp_norm, reiteration_check
-from .kfunc import InterpQuery, KPlan, k_plan
+from .kfunc import _CONVEX_POOL, _FULL_POOL, _ROUTES, CaseTag, InterpQuery, KPlan, k_plan
 from .norms import besov_norm, main_grid_reduce
 from .oracle import k_cuboid_continuous, vertex_tables
 
@@ -49,20 +40,7 @@ __all__ = [
     "run_endpoints",
 ]
 
-_FULL_POOL = (0.5, 1.0, 1.5, 2.0, math.inf)
-_CONVEX_POOL = (1.0, 1.5, 2.0, math.inf)
-_SPLIT_POOL = (0.5, 1.0, 2.0, math.inf)
 _T_GRID = 2.0 ** np.arange(-12, 13, 2)  # 13 points, log step 2
-
-# route -> (exponent draws in order, smoothness rule); see the module docstring
-_COUPLES = {
-    "degenerate": ((("p", _FULL_POOL), ("q", _FULL_POOL)), "same"),
-    "weighted-split": ((("p", _FULL_POOL), ("q", _SPLIT_POOL)), "apart"),
-    "composed-split": ((("p", _FULL_POOL), ("q2", _CONVEX_POOL)), "apart"),
-    "rearrangement": ((("p", _FULL_POOL), ("q2", _SPLIT_POOL)), "same"),
-    "layer-sum": ((("q", _FULL_POOL), ("p2", _SPLIT_POOL)), "free"),
-    "general": ((("p2", (1.0, 2.0, math.inf)), ("q2", (0.5, 1.0, 2.0, 3.0))), "free"),
-}
 
 
 def _band(ratios: np.ndarray) -> float:
@@ -138,9 +116,9 @@ def _rand_index(rng, p_pool=_FULL_POOL, q_pool=_FULL_POOL) -> BesovIndex:
                       q=float(rng.choice(q_pool)))
 
 
-def _rand_couple(rng, route: str) -> tuple[BesovIndex, BesovIndex]:
-    """An index couple of the route's regime, drawn as _COUPLES says."""
-    draws, smooth = _COUPLES[route]
+def _rand_couple(rng, case: CaseTag) -> tuple[BesovIndex, BesovIndex]:
+    """An index couple of the case's route, drawn as its _ROUTES entry says."""
+    draws, smooth = _ROUTES[case][3]
     e0, e1 = {}, {}
     for name, pool in draws:
         if name.endswith("2"):
@@ -158,8 +136,8 @@ def _rand_couple(rng, route: str) -> tuple[BesovIndex, BesovIndex]:
             BesovIndex(float(s1), e1["p"], e1["q"]))
 
 
-def _single_worst(rng, route: str, count: int, ts) -> float:
-    """Worst relative error of the route's K against the exact
+def _single_worst(rng, case: CaseTag, count: int, ts) -> float:
+    """Worst relative error of the case's route K against the exact
     c * min(w0, t * w1) on count fields with one nonzero coefficient c
     (w0, w1 the weights of its layer)."""
     worst = 0.0
@@ -170,7 +148,7 @@ def _single_worst(rng, route: str, count: int, ts) -> float:
         j = int(rng.integers(0, len(sizes)))
         i = int(rng.integers(0, sizes[j]))
         c = layers[j][i] = float(rng.uniform(0.2, 3.0))
-        idx0, idx1 = _rand_couple(rng, route)
+        idx0, idx1 = _rand_couple(rng, case)
         w0, w1 = layer_weight(spec, idx0, j), layer_weight(spec, idx1, j)
         got = k_plan(CoeffField(spec, layers), InterpQuery(idx0, idx1)).k(ts)
         exact = c * np.minimum(w0, ts * w1)
@@ -263,19 +241,19 @@ def run_vertex_band(rng, count: int) -> list[dict]:
 def run_p_equal(rng, count: int) -> list[dict]:
     """Shared-p routes against the vertex oracle, a third of the count
     per subcase, plus the exact decoupled check for the q = 1 split sum."""
-    worst = {"weighted-split-band": 0.0, "composed-split-band": 0.0,
-             "rearrangement-band": 0.0, "q1-decoupled-exact": 0.0}
-    for route in ("weighted-split", "composed-split", "rearrangement"):
+    weighted = CaseTag.P_EQUAL_S_DIFF_Q_EQUAL
+    cases = (weighted, CaseTag.P_EQUAL_S_DIFF_Q_DIFF, CaseTag.P_EQUAL_S_EQUAL)
+    worst = dict.fromkeys((*cases, "q1-decoupled-exact"), 0.0)
+    for case in cases:
         for i in range(count // 3):
             field = _rand_field(rng, j_max=4)
-            idx0, idx1 = _rand_couple(rng, route)
-            if route == "weighted-split" and i % 3 == 0:
+            idx0, idx1 = _rand_couple(rng, case)
+            if case is weighted and i % 3 == 0:
                 idx0 = BesovIndex(idx0.s, idx0.p, 1.0)
                 idx1 = BesovIndex(idx1.s, idx1.p, 1.0)
             plan, ratios = _form_ratios(field, InterpQuery(idx0, idx1))
-            key = f"{route}-band"
-            worst[key] = max(worst[key], _band(ratios))
-            if route == "weighted-split" and idx0.q == 1.0:
+            worst[case] = max(worst[case], _band(ratios))
+            if case is weighted and idx0.q == 1.0:
                 n = field.spec.n
                 a = main_grid_reduce(field, idx0.p)
                 sa, sb = idx0.weight_exponent(n), idx1.weight_exponent(n)
@@ -288,9 +266,8 @@ def run_p_equal(rng, count: int) -> list[dict]:
                         worst["q1-decoupled-exact"] = max(
                             worst["q1-decoupled-exact"],
                             abs(got - exact) / exact)
-    return [_check("weighted-split-band", worst["weighted-split-band"], 8.0),
-            _check("composed-split-band", worst["composed-split-band"], 8.0),
-            _check("rearrangement-band", worst["rearrangement-band"], 8.0),
+    return [*(_check(f"{_ROUTES[c][0].rsplit(':', 1)[1]}-band", worst[c], _ROUTES[c][4])
+              for c in cases),
             _check("q1-decoupled-exact", worst["q1-decoupled-exact"], 1e-9)]
 
 
@@ -298,31 +275,33 @@ def run_p_equal(rng, count: int) -> list[dict]:
 def run_q_equal(rng, count: int) -> list[dict]:
     """Shared-q layer-sum route against the vertex oracle, plus exact
     single-coefficient collapse."""
+    case = CaseTag.Q_EQUAL_P_DIFF
     worst_band = 0.0
     for _ in range(count):
         field = _rand_field(rng)
-        _, ratios = _form_ratios(field, InterpQuery(*_rand_couple(rng, "layer-sum")))
+        _, ratios = _form_ratios(field, InterpQuery(*_rand_couple(rng, case)))
         worst_band = max(worst_band, _band(ratios))
-    worst_single = _single_worst(rng, "layer-sum", 20, np.array([0.03125, 1.0, 19.7]))
-    return [_check("layer-sum-band", worst_band, 8.0),
+    worst_single = _single_worst(rng, case, 20, np.array([0.03125, 1.0, 19.7]))
+    return [_check("layer-sum-band", worst_band, _ROUTES[case][4]),
             _check("single-coefficient-exact", worst_single, 1e-9)]
 
 
 @_suite("general", seed=105, size=50)
 def run_general(rng, count: int) -> list[dict]:
-    """Power-composition route against the vertex oracle of its (max)
-    form: band, per-instance spread, and single-coefficient collapse."""
+    """Power-composition route against the vertex oracle of its (max) form:
+    band and per-instance spread, both to its band, and single-coefficient collapse."""
+    case = CaseTag.GENERAL
     worst_band = 0.0
     worst_spread = 0.0
     for _ in range(count):
         field = _rand_field(rng, max_total=10)
-        _, ratios = _form_ratios(field, InterpQuery(*_rand_couple(rng, "general")))
+        _, ratios = _form_ratios(field, InterpQuery(*_rand_couple(rng, case)))
         if len(ratios):
             worst_band = max(worst_band, _band(ratios))
             worst_spread = max(worst_spread, float(ratios.max() / ratios.min()))
-    worst_single = _single_worst(rng, "general", 10, np.array([0.0625, 1.0, 11.3]))
-    return [_check("composition-band", worst_band, 16.0),
-            _check("ratio-spread", worst_spread, 16.0),
+    worst_single = _single_worst(rng, case, 10, np.array([0.0625, 1.0, 11.3]))
+    return [_check("composition-band", worst_band, _ROUTES[case][4]),
+            _check("ratio-spread", worst_spread, _ROUTES[case][4]),
             _check("single-coefficient-collapse", worst_single, 1e-6)]
 
 
@@ -385,13 +364,13 @@ def run_identities(rng, count: int) -> list[dict]:
 
 @_suite("endpoints", seed=107, size=100)
 def run_endpoints(rng, count: int) -> list[dict]:
-    """Every formula route recovers ||f||_A0 at t = 2^40 and
-    ||f||_A1 from K(t)/t at t = 2^-40, to 1e-6 relative."""
-    routes = tuple(_COUPLES)
+    """Every formula route, in the order of _ROUTES, recovers ||f||_A0
+    at t = 2^40 and ||f||_A1 from K(t)/t at t = 2^-40, to 1e-6 relative."""
+    cases = [case for case, route in _ROUTES.items() if route[3]]
     worst = 0.0
     for i in range(count):
         field = _rand_field(rng, max_total=8, j_max=4, zero_prob=0.1)
-        idx0, idx1 = _rand_couple(rng, routes[i % len(routes)])
+        idx0, idx1 = _rand_couple(rng, cases[i % len(cases)])
         n0 = besov_norm(field, idx0)
         n1 = besov_norm(field, idx1)
         hi, lo = k_plan(field, InterpQuery(idx0, idx1)).k([2.0**40, 2.0**-40])

@@ -22,7 +22,9 @@ from besovk.interp import (
 )
 from besovk.kfunc import CaseTag, InterpQuery, KPlan, k_curve, k_dispatch
 from besovk.norms import besov_norm
-from besovk.verify import _COUPLES, _rand_couple, _rand_field
+from besovk.verify import _rand_couple, _rand_field
+
+from conftest import FORMULA_ROUTES
 
 
 def _field(layers, n=1):
@@ -123,14 +125,14 @@ def test_interp_norm_refuses_a_result_past_double_range():
     assert interp_norm(field, _unit_query(theta=0.5, r=2.0)) == 1.4142135623730951e308
 
 
-@pytest.mark.parametrize("route", [*_COUPLES, "oracle"])
+@pytest.mark.parametrize("route", [*FORMULA_ROUTES, "oracle"])
 def test_interp_norm_is_the_reports_value(route):
     # one driver in one unit: the norm and both tails are of degree 1 in
     # K, so the report gives interp_norm's value at every scale and r,
     # where its tails, once of degree r, refused past 2^300 at r = 2
     rng = np.random.default_rng(33)
     method = "oracle" if route == "oracle" else "formula"
-    i0, i1 = _rand_couple(rng, "general" if route == "oracle" else route)
+    i0, i1 = _rand_couple(rng, CaseTag.GENERAL if route == "oracle" else route)
     base = _field([(1.0, 0.3), (0.7,), (0.2, 0.9)])
     for r in (1.0, 2.0, 60.0, 2000.0, math.inf):
         query = InterpQuery(i0, i1, theta=float(rng.uniform(0.1, 0.9)), r=r)
@@ -381,10 +383,10 @@ def test_quadrature_spec_takes_the_window_rule_of_default_t_grid():
 
 
 @pytest.mark.parametrize("r", [1.0, 2.0, math.inf])
-@pytest.mark.parametrize("route", list(_COUPLES))
+@pytest.mark.parametrize("route", FORMULA_ROUTES)
 def test_one_node_window_widens_to_the_default_value(route, r):
     # from [2^0, 2^0] the window widens until its tails are negligible
-    rng = np.random.default_rng([9, list(_COUPLES).index(route)])
+    rng = np.random.default_rng([9, FORMULA_ROUTES.index(route)])
     field = _rand_field(rng)
     query = InterpQuery(*_rand_couple(rng, route), theta=0.4, r=r)
     want = interp_norm(field, query)

@@ -35,6 +35,8 @@ from besovk.kfunc import (
 from besovk.norms import besov_norm, lp_norm
 from besovk.oracle import vertex_tables
 
+from conftest import FORMULA_ROUTES
+
 
 def _field(layers, n=1):
     spec = GridSpec(n=n, J=len(layers), layer_sizes=tuple(len(v) for v in layers))
@@ -103,6 +105,27 @@ def test_plan_refuses_t_not_positive(bad):
     for evaluate in (plan.k, plan.k_scaled):
         with pytest.raises(UsageError, match=f"t must be positive, got {bad}"):
             evaluate([1.0, bad])
+
+
+@pytest.mark.parametrize("zero", [False, True], ids=["field", "zero-field"])
+@pytest.mark.parametrize("route", list(CaseTag))
+def test_plan_refuses_t_not_a_1d_array(route, zero):
+    # a plan takes a 1-d t array only: a scalar t once raised a raw
+    # TypeError or IndexError on some routes and gave a 0-d K on others,
+    # and a 2-d t gave a 2-d K, a K of shape (1,) or a raw error
+    rng = np.random.default_rng(41)
+    field = verify._rand_field(rng).scaled(0.0 if zero else 1.0)
+    couple = ((BesovIndex(0.3, 1.0, math.inf), BesovIndex(-0.2, 2.0, 1.0))
+              if route is CaseTag.ORACLE_ONLY else verify._rand_couple(rng, route))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        plan = k_plan(field, InterpQuery(*couple))
+        assert plan.label == kfunc._ROUTES[route][0]
+        assert plan.k([0.5, 2.0]).shape == (2,)
+        for t in (1.0, np.float64(2.0), np.array(0.5), [[0.5, 2.0]], np.ones((2, 3))):
+            for evaluate in (plan.k, plan.k_scaled):
+                with pytest.raises(UsageError, match="^t must be a 1-d array, got [02] dimensions$"):
+                    evaluate(t)
 
 
 def test_default_t_grid_has_a_node_bound(monkeypatch):
@@ -770,7 +793,7 @@ def test_formula_routes_commute(layers, s0, p0, q0, s1, p1, q1, t):
     assert fwd == pytest.approx(t * rev, rel=1e-9, abs=1e-300)
 
 
-_EVERY_ROUTE = [*verify._COUPLES, "oracle-only"]
+_EVERY_ROUTE = [*FORMULA_ROUTES, "oracle-only"]
 
 
 @pytest.mark.parametrize("route", _EVERY_ROUTE)
@@ -846,7 +869,7 @@ def test_layer_sum_does_not_underflow_at_tiny_t(q, t_exps):
 _EXTREME_T = np.array([2.0**-1074, 2.0**-1030, 2.0**1023, math.inf])
 
 
-@pytest.mark.parametrize("route", list(verify._COUPLES))
+@pytest.mark.parametrize("route", FORMULA_ROUTES)
 def test_formula_routes_finite_at_extreme_t(route):
     # t * K(1/t) of the other order reads inf * 0 at t = inf and where
     # 1/t or a shifted t overflows; every route takes the limits instead
@@ -855,7 +878,7 @@ def test_formula_routes_finite_at_extreme_t(route):
         field = verify._rand_field(rng, j_max=4)
         i0, i1 = verify._rand_couple(rng, route)
         plan = k_plan(field, InterpQuery(i0, i1))
-        assert route in plan.label
+        assert plan.label == kfunc._ROUTES[route][0]
         k = plan.k(_EXTREME_T)
         assert np.isfinite(k).all() and (k >= 0.0).all(), (i0, i1, k)
         assert k[-1] == pytest.approx(besov_norm(field, i0), rel=1e-12)
@@ -903,8 +926,9 @@ def test_plan_refuses_k_past_double_range_naming_the_t(method, label):
 
 
 # route -> the exponent set to E: the shared q, or that of the A1 index
-_LARGE_EXPONENT = {"weighted-split": "q", "composed-split": "q1", "rearrangement": "q1",
-                   "layer-sum": "p1", "general": "q1"}
+_LARGE_EXPONENT = {CaseTag.P_EQUAL_S_DIFF_Q_EQUAL: "q", CaseTag.P_EQUAL_S_DIFF_Q_DIFF: "q1",
+                   CaseTag.P_EQUAL_S_EQUAL: "q1", CaseTag.Q_EQUAL_P_DIFF: "p1",
+                   CaseTag.GENERAL: "q1"}
 
 
 @pytest.mark.parametrize("E", [256.0, 1024.0])
@@ -941,21 +965,21 @@ def test_composed_split_without_calibration_refuses_at_build():
 
 _HALF_TO_INF = (0.5, 1.0, 2.0, math.inf)
 _LARGE = (1100.0, 2000.0, 1e4, 1e300)
-# route -> (label, its couple draw in the form of verify._COUPLES); the
-# oracle takes any couple
+# route -> (its case, the couple draw patched into its kfunc._ROUTES
+# entry); the oracle takes any couple
 _ONE_COEFFICIENT_ROUTES = {
-    "degenerate": ("formula:degenerate", ((("p", _HALF_TO_INF), ("q", _HALF_TO_INF)), "same")),
+    "degenerate": (CaseTag.DEGENERATE, ((("p", _HALF_TO_INF), ("q", _HALF_TO_INF)), "same")),
     # past an exponent of 1000 its N0 = N1 once read 0, and so K
-    "degenerate-large": ("formula:degenerate", ((("p", _LARGE), ("q", _LARGE)), "same")),
-    "weighted-split": ("formula:p-equal:weighted-split",
+    "degenerate-large": (CaseTag.DEGENERATE, ((("p", _LARGE), ("q", _LARGE)), "same")),
+    "weighted-split": (CaseTag.P_EQUAL_S_DIFF_Q_EQUAL,
                        ((("p", _HALF_TO_INF), ("q", _HALF_TO_INF)), "apart")),
-    "rearrangement": ("formula:p-equal:rearrangement",
+    "rearrangement": (CaseTag.P_EQUAL_S_EQUAL,
                       ((("p", _HALF_TO_INF), ("q2", _HALF_TO_INF)), "same")),
-    "layer-sum": ("formula:q-equal:layer-sum",
+    "layer-sum": (CaseTag.Q_EQUAL_P_DIFF,
                   ((("q", _HALF_TO_INF), ("p2", _HALF_TO_INF)), "free")),
-    "general": ("formula:general:power-composition-kinf",
+    "general": (CaseTag.GENERAL,
                 ((("p2", (1.0, 2.0, math.inf)), ("q2", (0.5, 1.0, 2.0))), "free")),
-    "oracle": ("oracle:vertex-enumeration",
+    "oracle": (CaseTag.ORACLE_ONLY,
                ((("p2", _HALF_TO_INF), ("q2", _HALF_TO_INF)), "free")),
 }
 
@@ -972,8 +996,9 @@ def test_one_coefficient_law(route, xi, monkeypatch):
     # K = c min(w0, t w1) for one nonzero coefficient c of layer j (w0, w1
     # its weights) at every xi, as the module docstring states; the
     # composed split meets it only at both ends
-    label, draw = _ONE_COEFFICIENT_ROUTES[route]
-    monkeypatch.setitem(verify._COUPLES, route, draw)
+    case, draw = _ONE_COEFFICIENT_ROUTES[route]
+    label, form, build, _, band = kfunc._ROUTES[case]
+    monkeypatch.setitem(kfunc._ROUTES, case, (label, form, build, draw, band))
     rng = np.random.default_rng(27)
     ts = 2.0 ** np.arange(-40.0, 41.0)
     for _ in range(600):
@@ -982,7 +1007,7 @@ def test_one_coefficient_law(route, xi, monkeypatch):
         j = int(rng.integers(0, len(sizes)))
         c = layers[j][int(rng.integers(0, sizes[j]))] = float(2.0 ** rng.uniform(-300.0, 300.0))
         field = _field(layers, n=int(rng.choice((1, 2))))
-        i0, i1 = verify._rand_couple(rng, route)
+        i0, i1 = verify._rand_couple(rng, case)
         method = "oracle" if route == "oracle" else "formula"
         with warnings.catch_warnings():
             warnings.simplefilter("error")

@@ -5,6 +5,7 @@ import os
 import subprocess
 import sys
 import tracemalloc
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -616,6 +617,23 @@ def test_oracles_refuse_k_past_double_range():
         k_cuboid_continuous(field, idx0, idx1, 1.0)
     with pytest.raises(NumericError, match="lp_norm leaves double range"):
         k_cuboid_continuous(field, idx0, idx1, math.inf)
+
+
+def test_oracles_refuse_a_build_whose_powers_leave_double_range():
+    # 1e20^16 overflows the p0 = 16 table: the vertex tables once leaked
+    # a RuntimeWarning, the descent a raw OverflowError; the oracle plan
+    # was already refused, naming its route
+    field = _field([(1e20,)])
+    idx0, idx1 = BesovIndex(0.0, 16.0, 1.0), BesovIndex(0.0, 1.0, 1.0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(NumericError, match="^vertex oracle leaves double range: overflow"):
+            vertex_tables(field, idx0, idx1)
+        with pytest.raises(NumericError, match="^continuous oracle leaves double range: overflow"):
+            k_cuboid_continuous(field, idx0, idx1, 1.0)
+        with pytest.raises(NumericError,
+                           match="^route oracle:vertex-enumeration leaves double range: overflow"):
+            k_plan(field, InterpQuery(idx0, idx1), method="oracle")
 
 
 # --- line-search kernels ---------------------------------------------------
