@@ -60,7 +60,7 @@ import numpy as np
 from .coeffs import CoeffField
 from .errors import NumericError, UsageError
 from .grid import BesovIndex, layer_weight
-from .norms import _pow2_factor, _scaled_field, _trapped, besov_norm, lp_norm, main_grid_reduce
+from .norms import _pow2_factor, _scaled_field, _t_array, _trapped, besov_norm, lp_norm, main_grid_reduce
 from .rearrange import rearrangement
 
 __all__ = [
@@ -212,9 +212,7 @@ class KPlan:
         return self._eval(ts, self.fac)
 
     def _eval(self, ts, fac: float) -> np.ndarray:
-        ts = np.asarray(ts, dtype=float)
-        if ts.ndim != 1:
-            raise UsageError(f"t must be a 1-d array, got {ts.ndim} dimensions")
+        ts = _t_array(ts, 1)
         bad = ts[~(ts > 0.0)]
         if len(bad):
             raise UsageError(f"t must be positive, got {bad[0]}")
@@ -854,8 +852,9 @@ def k_dispatch(field: CoeffField, query: InterpQuery, t: float) -> tuple[float, 
     One-t use of k_plan, which describes the routes and the oracle's
     cap of 20 coefficients.
     """
+    ts = _t_array(t, 0)[None]
     plan = k_plan(field, query)
-    return float(plan.k(np.array([t], dtype=float))[0]), plan.label
+    return float(plan.k(ts)[0]), plan.label
 
 
 def k_curve(field: CoeffField, query: InterpQuery, ts=None, method: str = "formula") -> KCurve:

@@ -83,6 +83,16 @@ def _trapped(what: str, fn, **errstate):
         raise NumericError(f"{what} leaves double range: {exc}") from None
 
 
+def _t_array(t, ndim: int) -> np.ndarray:
+    """t as a float array, a real scalar at ndim 0 and a 1-d array at ndim 1, else UsageError."""
+    ts = np.asarray(t)
+    if ts.ndim != ndim:
+        raise UsageError(f"t must be {('a real scalar', 'a 1-d array')[ndim]}, got {ts.ndim} dimensions")
+    if ts.dtype.kind not in "iuf":
+        raise UsageError(f"t must be real, got {t!r}")
+    return ts.astype(float, copy=False)
+
+
 def lp_norm(v, p: float) -> float:
     """l^p quasi-norm of a nonnegative vector; sup at p = inf.
 
@@ -173,19 +183,20 @@ def _lorentz_log_sum(r: np.ndarray, p: float, q: float) -> float:
 
 
 def _layer_dyadic_lorentz(values: np.ndarray, nj_scale: float, meas: float, p: float, r: float) -> float:
-    """Dyadic Lorentz functional of one layer.
+    """Dyadic Lorentz functional of one layer: the l^r norm of its level heights.
 
-    values are the layer magnitudes, scaled to heights v = nj_scale * values;
-    level sets are measured by meas * #{v > 2^u}.  Returns
-    (sum_u (2^u)^r mu(u)^(r/p))^(1/r) with sums over all integers u,
-    the block below the smallest positive height summed as an exact
-    geometric series; sup form when r = inf.
+    Level u has the height x_u = 2^u (meas * c_u)^(1/p), or 2^u at p = inf,
+    c_u the count of heights nj_scale * values above 2^u, for u from u0,
+    the largest u below every height, to the largest u below the top one.
+    The levels below u0 count every height, a geometric block, so x_u0^r
+    is divided by 1 - 2^-r.  The r-th powers come from _powers; at r = inf
+    the norm is the largest x_u.  Past double range it reads inf or raises
+    OverflowError.
     """
     v = nj_scale * values[values > 0]
     if len(v) == 0:
         return 0.0
     asc = np.sort(v)
-    N = len(asc)
 
     def _below(x: float) -> int:
         # largest integer u with 2^u < x
@@ -194,28 +205,15 @@ def _layer_dyadic_lorentz(values: np.ndarray, nj_scale: float, meas: float, p: f
             u -= 1
         return u
 
-    umax = _below(float(asc[-1]))  # count > 0 iff u <= umax
-    u0 = _below(float(asc[0]))  # count == N for all u <= u0
-
-    def mu_pow(count: np.ndarray, expo: float) -> np.ndarray:
-        if math.isinf(p):
-            return (count > 0).astype(float)
-        return (meas * count) ** expo
-
-    if math.isinf(r):
-        us = np.arange(u0, umax + 1, dtype=float)
-        counts = N - np.searchsorted(asc, 2.0**us, side="right")
-        return float(np.max(2.0**us * mu_pow(counts, 1.0 / p)))
-
-    total = 0.0
-    if umax > u0:
-        us = np.arange(u0 + 1, umax + 1, dtype=float)
-        counts = N - np.searchsorted(asc, 2.0**us, side="right")
-        total += float(np.sum((2.0 ** (us * r)) * mu_pow(counts, r / p)))
-    # exact geometric block where every entry clears the level
-    head = 1.0 if math.isinf(p) else (meas * N) ** (r / p)
-    total += head * 2.0 ** (u0 * r) / (1.0 - 2.0 ** (-r))
-    return total ** (1.0 / r)
+    us = np.arange(_below(float(asc[0])), _below(float(asc[-1])) + 1, dtype=float)
+    counts = len(asc) - np.searchsorted(asc, 2.0**us, side="right")
+    with np.errstate(over="ignore"):  # an overflow reads inf, which the caller refuses
+        heights = 2.0**us if math.isinf(p) else 2.0**us * (meas * counts) ** (1.0 / p)
+        if math.isinf(r):
+            return float(np.max(heights))
+        powers, fac, peak = _powers(heights, r)
+        powers[0] /= -math.expm1(-r * math.log(2.0))  # 1 - 2^-r, positive at every r > 0
+        return float(np.sum(powers)) ** (1.0 / r) * peak / fac
 
 
 def besov_lorentz_norm(field: CoeffField, s: float, p: float, q: float, r: float) -> float:

@@ -28,7 +28,7 @@ import numpy as np
 from .coeffs import CoeffField
 from .errors import BudgetError, UsageError
 from .grid import BesovIndex, layer_weight
-from .norms import _scaled_field, _trapped, _unscaled, besov_norm
+from .norms import _scaled_field, _t_array, _trapped, _unscaled, besov_norm
 
 __all__ = [
     "vertex_tables",
@@ -95,6 +95,7 @@ class VertexTables:
         m ((a/m)^xi + (tb/m)^xi)^(1/xi), as a large xi needs.  An xi
         outside [1, inf], nan included, is refused as InterpQuery
         refuses it."""
+        t = float(_t_array(t, 0))
         if not t >= 0:
             raise UsageError(f"t must be nonnegative, got {t}")
         if not xi >= 1.0:
@@ -123,7 +124,7 @@ class VertexTables:
 
     def curve(self, ts, xi: float = 1.0) -> np.ndarray:
         """k at each t of ts."""
-        return np.array([self.k(float(t), xi) for t in np.asarray(ts, dtype=float)])
+        return np.array([self.k(t, xi) for t in _t_array(ts, 1)])
 
 
 def vertex_tables(field: CoeffField, idx0: BesovIndex, idx1: BesovIndex) -> VertexTables:
@@ -336,6 +337,7 @@ def k_cuboid_continuous(field: CoeffField, idx0: BesovIndex, idx1: BesovIndex,
     for name, v in (("p0", idx0.p), ("q0", idx0.q), ("p1", idx1.p), ("q1", idx1.q)):
         if v < 1.0:
             raise UsageError(f"continuous oracle needs the convex regime; {name} = {v} < 1")
+    t = float(_t_array(t, 0))
     if not t >= 0:
         raise UsageError(f"t must be nonnegative, got {t}")
     return _trapped("continuous oracle", lambda: _descent(field, idx0, idx1, t), over="raise")

@@ -484,11 +484,14 @@ def test_interpnorm_far_from_one_exit_0(capsys, tmp_path):
 
 
 def test_norm_and_interpnorm_past_an_exponent_of_1000(capsys, tmp_path):
-    # 0.5^2000 is below the least subnormal: both printed 0.0 and exited 0
+    # 0.5^2000 is below the least subnormal: each printed 0.0 and exited 0
     path = tmp_path / "half.json"
     path.write_text('{"n": 1, "layers": [{"j": 0, "coeffs": [0.5]}]}', encoding="utf-8")
     code, out = run(capsys, ["norm", "--input", str(path), "--p0", "2000"])
     assert (code, json.loads(out)) == (0, {"besov_norm": 0.5})
+    # the dyadic Lorentz term is the l^2000 norm of the one level height 1/4
+    code, out = run(capsys, ["norm", "--input", str(path), "--lorentz-r", "2000"])
+    assert (code, json.loads(out)) == (0, {"besov_norm": 0.5, "besov_lorentz_norm": 0.25})
     # K = 0.5 min(1, t): at theta = 1/2, r = 2 the norm is 0.5 sqrt(2)
     code, out = run(capsys, ["interpnorm", "--input", str(path), "--q0", "2000"])
     assert (code, json.loads(out)["value"]) == (0, 0.7071067811865476)

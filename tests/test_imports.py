@@ -24,6 +24,7 @@ import dataclasses
 import importlib
 import inspect
 import json
+import math
 import os
 import pkgutil
 import re
@@ -187,8 +188,9 @@ def test_signatures_hold_only_settings_a_caller_sets(monkeypatch):
     assert powers == [20.0, 20.0]
     # the l^power norms take their powers through one helper, norms._powers:
     # only it and _scaled_field ask for the factor, and it runs once per
-    # lp_norm, once per lorentz_seq_norm and once per window of the
-    # interpolation driver
+    # lp_norm, once per lorentz_seq_norm, once per nonzero layer of a
+    # finite-r besov_lorentz_norm and once per window of the interpolation
+    # driver
     assert not hasattr(besovk.interp, "_pow2_factor")
     tree = ast.parse(inspect.getsource(norms))
     askers = [fn.name for fn in tree.body if isinstance(fn, ast.FunctionDef)
@@ -202,6 +204,11 @@ def test_signatures_hold_only_settings_a_caller_sets(monkeypatch):
     norms.lp_norm([1.0, 0.5], 3.0)
     norms.lorentz_seq_norm([1.0, 0.5], 1.0, 3.0)
     assert calls["norms"] == [3.0, 3.0]
+    layers = besovk.CoeffField(besovk.GridSpec(1, 3, (2, 1, 1)), [[1.0, 0.5], [0.0], [0.25]])
+    for r, layer_powers in ((5.0, [5.0, 5.0]), (math.inf, [])):
+        calls["norms"].clear()
+        norms.besov_lorentz_norm(layers, 0.0, 2.0, 3.0, r)
+        assert calls["norms"] == layer_powers + [3.0]  # then the l^q aggregate of the terms
     quad = besovk.QuadratureSpec()
     # theta near 0: the upper tail decays slowly and the window widens
     rep = besovk.interp_norm_report(field, besovk.InterpQuery(idx, idx, theta=0.05, r=2.0),

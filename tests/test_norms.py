@@ -1,3 +1,4 @@
+import itertools
 import math
 import warnings
 
@@ -370,6 +371,48 @@ def test_besov_lorentz_refuses_a_layer_term_past_double_range(monkeypatch):
         besov_lorentz_norm(field, 0.3, 2.0, 1.0, 2.0)
 
 
+@pytest.mark.parametrize("r", [200.0, 700.0, 2000.0, 1e4])
+def test_besov_lorentz_at_a_large_r_lies_within_its_level_count_of_r_inf(r):
+    # a layer's term is the l^r norm of its level heights, at most L of
+    # them with L = ceil(log2(max / min)) + 1, the lowest weighed by
+    # 1/(1 - 2^-r) <= 2; so the norm lies between its r = inf value and
+    # that times (L + 2)^(1/r), L the largest over the layers.  The
+    # levels' r-th powers once overflowed from r = 200, and the norm
+    # leaked a RuntimeWarning, refused or read 0
+    rng = np.random.default_rng(int(r))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for _ in range(100):
+            layers = [rng.uniform(0.0, 2.0, int(rng.integers(1, 6)))
+                      * 2.0 ** rng.uniform(-30.0, 30.0) for _ in range(int(rng.integers(1, 4)))]
+            field = _field(layers, n=int(rng.integers(1, 3)))
+            s = float(rng.uniform(-1.0, 1.0))
+            p = float(rng.choice([0.5, 1.0, 2.0, 3.0, math.inf]))
+            q = float(rng.choice([0.5, 1.0, 2.0, math.inf]))
+            levels = max(math.ceil(math.log2(v.max() / v.min())) + 1 for v in layers)
+            top = besov_lorentz_norm(field, s, p, q, math.inf)
+            got = besov_lorentz_norm(field, s, p, q, r)
+            assert top * (1.0 - 1e-15) <= got <= top * (levels + 2.0) ** (1.0 / r) * (1.0 + 1e-15)
+
+
+@pytest.mark.parametrize("p", [1e-3, 0.5, 2.0, math.inf])
+def test_besov_lorentz_reads_a_value_or_refuses_at_every_r(p):
+    # at r = 1e-20, 1 - 2^-r rounds to 0: the block of levels below the
+    # lowest height once raised a raw ZeroDivisionError.  Its denominator
+    # stays positive down to the smallest positive double, and a term
+    # past double range refuses, naming its layer and r
+    fields = [_field([(0.3,), (0.5, 0.2)]), _field([(1e-300, 1.0, 3.0, 1e300), (5e-324,)], n=2)]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for field, r in itertools.product(fields, (5e-324, 1e-20, 1e-3, 2.0, 2000.0, 1e300,
+                                                   math.inf)):
+            try:
+                assert math.isfinite(besov_lorentz_norm(field, 0.3, p, 1.0, r))
+            except NumericError as exc:
+                assert str(exc) in (f"layer {j} Lorentz term at r={r:g} leaves double range"
+                                    for j in (0, 1))
+
+
 _HUGE = (1.7e308, 1.7e308)
 
 
@@ -422,6 +465,13 @@ def test_norms_past_an_exponent_of_1000_read_their_closed_forms(E):
                 a * (3.0 + 4.0 * h) ** (1.0 / E), rel=1e-15)
             assert lorentz_seq_norm([b, a, b], E / 2.0, E) == pytest.approx(
                 a * (1.0 + 8.0 * h) ** (1.0 / E), rel=1e-15)
+            # the dyadic Lorentz term of [[c]] is the l^E norm of one level
+            # height 2^u0, u0 the largest integer with 2^u0 < c, whose r-th
+            # power carries the block 1/(1 - 2^-E) of the levels below
+            m, e = math.frexp(c)
+            for p, q in itertools.product((0.5, 2.0, math.inf), repeat=2):
+                assert besov_lorentz_norm(_field([(c,)]), 0.0, p, q, E) == pytest.approx(
+                    2.0 ** (e - 2 if m == 0.5 else e - 1), rel=1e-15)
         assert lp_norm(np.zeros(5), E) == 0.0
         assert lorentz_seq_norm(np.zeros(5), 1.0, E) == 0.0
 

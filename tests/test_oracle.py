@@ -15,7 +15,7 @@ from hypothesis import example, given, settings, strategies as st
 from besovk.coeffs import CoeffField
 from besovk.errors import BudgetError, NumericError, UsageError
 from besovk.grid import BesovIndex, GridSpec
-from besovk.kfunc import InterpQuery, k_plan
+from besovk.kfunc import InterpQuery, k_dispatch, k_plan
 from besovk import oracle as oracle_mod
 from besovk import verify
 from besovk.norms import besov_norm
@@ -634,6 +634,34 @@ def test_oracles_refuse_a_build_whose_powers_leave_double_range():
         with pytest.raises(NumericError,
                            match="^route oracle:vertex-enumeration leaves double range: overflow"):
             k_plan(field, InterpQuery(idx0, idx1), method="oracle")
+
+
+def test_oracles_and_k_dispatch_refuse_t_of_the_wrong_shape():
+    # curve takes a 1-d t, and k, best_split, k_cuboid_continuous and
+    # k_dispatch a real scalar, the rule KPlan.k keeps: each once raised a
+    # raw TypeError or ValueError on another shape, or on None, and
+    # k_dispatch named a 1-d t as one of 2 dimensions
+    field = _field([(1.0, 0.5)])
+    idx0, idx1 = BesovIndex(0.0, 2.0, 2.0), BesovIndex(1.0, 2.0, 1.0)
+    tabs = vertex_tables(field, idx0, idx1)
+    scalars = (tabs.k, tabs.best_split, lambda t: k_cuboid_continuous(field, idx0, idx1, t),
+               lambda t: k_dispatch(field, InterpQuery(idx0, idx1), t))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert tabs.curve(np.array([0.0, 1.0])).shape == (2,)  # t = 0 stays legal
+        assert tabs.k(0.0) == 0.0 and k_cuboid_continuous(field, idx0, idx1, 0.0) == 0.0
+        for evaluate in scalars:
+            assert evaluate(1.0) == evaluate(np.float64(1.0)) == evaluate(np.array(1.0))
+            for t in (np.array([1.0, 2.0]), [[1.0]], None):
+                shape = np.shape(t)
+                with pytest.raises(UsageError, match=(
+                        f"^t must be a real scalar, got {len(shape)} dimensions$" if shape
+                        else "^t must be real, got None$")):
+                    evaluate(t)
+        for t in (1.0, np.array(1.0), np.ones((2, 3)), None):
+            with pytest.raises(UsageError,
+                               match=f"^t must be a 1-d array, got {np.ndim(t)} dimensions$"):
+                tabs.curve(t)
 
 
 # --- line-search kernels ---------------------------------------------------
