@@ -32,10 +32,13 @@ entries.  The one-sided formula against a sup norm keeps the exact
 fractional integral, which is classical and exact.  At a single
 coefficient c, K is c min(w0, t*w1) on the degenerate, weighted-split,
 rearrangement, layer-sum and GENERAL routes (to 1e-9 at exponents in
-{1/2, 1, 2, inf}); the composed split meets it only at both ends.  Each
-kernel takes one orientation: _SplitSum p0 < p1, _WCurve and
-_holmstedt the smaller smoothness first.  _seq_route and _layer_fn
-orient each couple once and commute the other order (_commuted).
+{1/2, 1, 2, inf}, and up to 2000 on the middle three: their every power
+sum of a finite exponent is one running norm, _running_norm, retaken in
+logs where it leaves the normal doubles); the composed split meets it
+only at both ends.  Each kernel takes one orientation: _SplitSum p0 <
+p1, _WCurve and _holmstedt the smaller smoothness first.  _seq_route
+and _layer_fn orient each couple once and commute the other order
+(_commuted).
 
 Every route is a plan (k_plan): the route is selected once per (field,
 query) and everything that does not depend on t (main-grid reduction,
@@ -239,35 +242,32 @@ class _SplitSum:
 
     Against a sup norm the exact fractional integral applies; two
     finite exponents split at the integer rank floor(t^alpha), the
-    smaller exponent taking the largest entries.  Power sums of the
-    rearrangement are tabulated once, so each t costs one lookup.
+    smaller exponent taking the largest entries.  One norm table per
+    exponent (_running_norm) is built once, so each t costs one lookup.
     """
 
     def __init__(self, v, p0: float, p1: float):
         r = rearrangement(v)
-        self.p0, self.p1, self.m = p0, p1, len(r)
-        # head[k]: sum of the k largest p0-th powers; tail[k]: the rest in p1
-        self.top, self.pow0 = float(r[0]), r**p0
-        self.head = np.concatenate(([0.0], np.cumsum(self.pow0)))
+        self.p0, self.p1, self.m, self.r = p0, p1, len(r), r
+        # head[k]: the l^p0 norm of the k largest entries; tail[k]: the rest in l^p1
+        self.head = np.concatenate(([0.0], _running_norm(r, p0, 0)))
+        self.alpha = p0 if math.isinf(p1) else 1.0 / (1.0 / p0 - 1.0 / p1)  # t^alpha: the split rank
         if not math.isinf(p1):
-            self.alpha = 1.0 / (1.0 / p0 - 1.0 / p1)
-            self.tail = np.concatenate((np.cumsum((r**p1)[::-1])[::-1], [0.0]))
+            # powers on a reversed view, as the head's (numpy's power kernel follows layout)
+            self.tail = np.concatenate((_running_norm(r.copy()[::-1], p1, 0)[::-1], [0.0]))
 
     def __call__(self, t: np.ndarray) -> np.ndarray:
         m, p0 = self.m, self.p0
-        if math.isinf(self.p1):
-            T = t**p0
-            k = np.minimum(T, m).astype(np.intp)
-            frac = np.where(T < m, T - k, 0.0)
-            total = self.head[k] + frac * self.pow0[np.minimum(k, m - 1)]
-            # T underflows at small t, where K is t r[0] (below the first cell)
-            lost = (T < 1.0) & (total < 2.0**-1022)
-            return np.where(lost, t * self.top, total ** (1.0 / p0))
         T = t**self.alpha
         k = np.minimum(T, m).astype(np.intp)
-        # tail[m] = 0, and t * 0 is nan at t = inf (1/t of a subnormal t)
-        tail = np.where(k < m, t * self.tail[k] ** (1.0 / self.p1), 0.0)
-        return self.head[k] ** (1.0 / p0) + tail
+        if not math.isinf(self.p1):
+            # tail[m] = 0, and t * 0 is nan at t = inf (1/t of a subnormal t)
+            return self.head[k] + np.where(k < m, t * self.tail[k], 0.0)
+        frac, head = np.where(T < m, T - k, 0.0), self.head[k]
+        # head is 0 below the first cell, where K is t r[0] (t < 1), and on a zero vector
+        with np.errstate(divide="ignore", invalid="ignore"):
+            grown = head * (1.0 + frac * (self.r[np.minimum(k, m - 1)] / head) ** p0) ** (1.0 / p0)
+        return np.where(head > 0.0, grown, np.minimum(t, 1.0) * self.r[0])
 
 
 def _commuted(fn, norm0):
@@ -294,10 +294,20 @@ _MAX_T_NODES = 1 << 22  # the most nodes of a t grid (_check_t_window): 32 MiB o
 
 
 def _running_norm(x: np.ndarray, p: float, axis: int) -> np.ndarray:
-    """The l^p norm of every prefix of x along axis (the running max at p = inf)."""
+    """The l^p norm of every prefix of x along axis (the running max at p =
+    inf), the split kernels' one power sum of a finite p.  A prefix whose
+    power sum is not a normal double (0, subnormal or inf) is retaken in
+    logs, exp(logaddexp.accumulate(p log x) / p); the rest keep their bits."""
     if math.isinf(p):
         return np.maximum.accumulate(x, axis)
-    return np.cumsum(x**p, axis) ** (1.0 / p)
+    with np.errstate(over="ignore"):  # an inf sum is retaken
+        sums = np.cumsum(x**p, axis)
+    out = sums ** (1.0 / p)
+    lost = (sums < 2.0**-1022) | (sums == np.inf)
+    if (lost & (x > 0.0)).any():  # iff some lost prefix holds a nonzero entry
+        with np.errstate(divide="ignore"):
+            out[lost] = np.exp(np.logaddexp.accumulate(p * np.log(x), axis)[lost] / p)
+    return out
 
 
 def _batches(sizes) -> list[list[int]]:
@@ -429,18 +439,14 @@ def _layer_fn(field: CoeffField, query: InterpQuery, j: int):
 
 
 def _lq_across(rows: list, q: float) -> np.ndarray:
-    """Elementwise l^q aggregate of equal-length arrays (sup at q = inf),
-    accumulated row by row so that no entry depends on the others.  Each
-    column is scaled by the one rescaling rule (_pow2_factor) for power
-    q of its largest entry before the q-th powers, so that a column
-    whose largest K lies far from 1 does not underflow."""
+    """Elementwise l^q aggregate of equal-length arrays (sup at q = inf):
+    the last row of _running_norm, so that no entry depends on the
+    others, on each column scaled by the one rescaling rule
+    (_pow2_factor) for power q of its largest entry."""
     if math.isinf(q):
         return np.max(rows, axis=0)
     fac = np.array([_pow2_factor(v, q) for v in np.max(rows, axis=0).tolist()])
-    total = 0.0
-    for row in rows:
-        total = total + (row * fac)**q
-    return total ** (1.0 / q) / fac
+    return _running_norm(rows * fac, q, 0)[-1] / fac
 
 
 # ---------------------------------------------------------------------------

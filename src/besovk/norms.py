@@ -16,7 +16,7 @@ import numpy as np
 from .coeffs import CoeffField
 from .errors import NumericError, UsageError
 from .grid import BesovIndex, GridSpec, layer_weight
-from .rearrange import rearrangement
+from .rearrange import _as_clean_array, rearrangement
 
 __all__ = [
     "lp_norm",
@@ -98,10 +98,14 @@ def lp_norm(v, p: float) -> float:
 
     The p-th powers are taken through _powers, so that the largest is a
     normal double; where its factor is 1 and its peak 1, the result is
-    bit for bit the unscaled one.  UsageError for p <= 0 or NaN."""
+    bit for bit the unscaled one.  UsageError for p <= 0 or NaN, and v
+    is refused as rearrangement refuses it (a vector that is not flat,
+    UsageError; a NaN or negative entry, DataError)."""
     if not p > 0:
         raise UsageError(f"lp_norm requires p > 0, got p = {p}")
     arr = np.asarray(v, dtype=float)
+    if arr.ndim != 1 or not arr.min(initial=0.0) >= 0.0:  # one reduction; nan fails it too
+        _as_clean_array(arr)  # raises
     if len(arr) == 0:
         return 0.0
     if math.isinf(p):

@@ -34,6 +34,14 @@ def _as_clean_array(v) -> np.ndarray:
     return arr
 
 
+def _as_rearrangement(r) -> np.ndarray:
+    """r as a clean vector (_as_clean_array), refused (UsageError) unless nonincreasing."""
+    arr = _as_clean_array(r)
+    if (arr[1:] > arr[:-1]).any():
+        raise UsageError("r must be nonincreasing (a rearrangement)")
+    return arr
+
+
 def distribution_count(v, lam: float) -> int:
     """Number of entries strictly above lam."""
     arr = _as_clean_array(v)
@@ -59,12 +67,13 @@ def _split_limit(r: np.ndarray, T: float) -> tuple[int, float]:
 def partial_power_integral(r, p: float, T: float) -> float:
     """Integral of (f*)^p over [0, T] for the step function of r.
 
-    r must already be nonincreasing (a rearrangement); p > 0 finite,
-    else UsageError.
+    r must already be a rearrangement: a flat, nonnegative and
+    nonincreasing vector, else UsageError (DataError for a NaN or a
+    negative entry); p > 0 finite, else UsageError.
     """
     if not 0 < p < math.inf:
         raise UsageError(f"partial_power_integral requires finite p > 0, got p = {p}")
-    arr = np.asarray(r, dtype=float)
+    arr = _as_rearrangement(r)
     k, frac = _split_limit(arr, T)
     total = float(np.sum(arr[:k] ** p))
     if frac > 0.0:
@@ -74,10 +83,10 @@ def partial_power_integral(r, p: float, T: float) -> float:
 
 def tail_power_integral(r, p: float, T: float) -> float:
     """Integral of (f*)^p over [T, inf); zero once T passes len(r).
-    p > 0 finite, else UsageError."""
+    r and p as partial_power_integral takes them."""
     if not 0 < p < math.inf:
         raise UsageError(f"tail_power_integral requires finite p > 0, got p = {p}")
-    arr = np.asarray(r, dtype=float)
+    arr = _as_rearrangement(r)
     k, frac = _split_limit(arr, T)
     total = float(np.sum(arr[k:] ** p))
     if frac > 0.0:

@@ -954,6 +954,58 @@ def test_large_exponent_plans_return_k_or_refuse(route, E):
         assert len(k) == len(verify._T_GRID)
 
 
+_SPLIT_LARGE_ROUTES = (CaseTag.P_EQUAL_S_DIFF_Q_EQUAL, CaseTag.P_EQUAL_S_EQUAL,
+                       CaseTag.Q_EQUAL_P_DIFF)
+
+
+@pytest.mark.parametrize("E", [256.0, 1024.0, 2000.0])
+@pytest.mark.parametrize("route", _SPLIT_LARGE_ROUTES)
+def test_large_exponent_split_routes_build_and_stay_in_bounds(route, E):
+    # the split kernels take their power sums through one running norm,
+    # retaken in logs past the normal doubles: no plan refuses, and K is
+    # finite, positive where min(N0, t N1) is, and within 3.5 of it; these
+    # once refused or read 0 on up to 158 of 200 such fields
+    rng = np.random.default_rng(7)
+    ts = verify._T_GRID
+    for _ in range(50):
+        field = verify._rand_field(rng, max_total=12)
+        i0, i1 = verify._rand_couple(rng, route)
+        if _LARGE_EXPONENT[route] == "q":
+            i0, i1 = BesovIndex(i0.s, i0.p, E), BesovIndex(i1.s, i1.p, E)
+        elif _LARGE_EXPONENT[route] == "q1":
+            i1 = BesovIndex(i1.s, i1.p, E)
+        else:
+            i1 = BesovIndex(i1.s, E, i1.q)
+        k = k_plan(field, InterpQuery(i0, i1)).k(ts)
+        bound = np.minimum(besov_norm(field, i0), ts * besov_norm(field, i1))
+        assert np.isfinite(k).all()
+        assert (k > 0.0)[bound > 0.0].all()
+        assert (k <= 3.5 * bound).all()
+
+
+_SQRT_5_16 = math.sqrt(0.3125)  # ||(0.5, 0.25)||_2
+
+
+@pytest.mark.parametrize("layers, i0, i1, want", [
+    ([(0.5, 0.25)], (0.0, 2.0, 2000.0), (1.0, 2.0, 2000.0),
+     lambda t: _SQRT_5_16 * np.minimum(1.0, t)),
+    # the l^2000 sum of the layer curves 0.5 min(1, t) and 0.3 min(2^-0.5, 2t),
+    # which is their max to double precision on this grid
+    ([(0.5,), (0.3,)], (0.0, 1.0, 2000.0), (1.0, 2.0, 2000.0),
+     lambda t: np.maximum(0.5 * np.minimum(1.0, t), 0.3 * np.minimum(2.0**-0.5, 2.0 * t))),
+    ([(0.5,)], (0.0, 2.0, 2000.0), (0.0, 2.0, 2.0), lambda t: 0.5 * np.minimum(1.0, t)),
+    ([(0.5,)], (0.0, 2.0, 2000.0), (0.0, 2.0, math.inf), lambda t: 0.5 * np.minimum(1.0, t)),
+    ([(0.5,)], (0.0, math.inf, 2.0), (1.0, 2000.0, 2.0), lambda t: 0.5 * np.minimum(1.0, t)),
+], ids=["weighted-split", "layer-sum", "rearrangement", "rearrangement-sup", "layer-sum-sup"])
+def test_split_kernels_at_an_exponent_of_2000_read_their_closed_forms(layers, i0, i1, want):
+    # N0 and N1 were right here, yet K read 0 on some or all of these t
+    ts = 2.0 ** np.arange(-3.0, 4.0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = k_plan(_field(layers), InterpQuery(BesovIndex(*i0), BesovIndex(*i1))).k(ts)
+    np.testing.assert_allclose(got, want(ts), rtol=1e-15, atol=0.0)
+
+
 def test_composed_split_without_calibration_refuses_at_build():
     # the raw limit M0 underflows to 0: the low piece raises W to q0 = 256
     field = _field([(0.0, 0.0), (0.0, 0.9216188052986237)], n=2)
@@ -965,6 +1017,7 @@ def test_composed_split_without_calibration_refuses_at_build():
 
 _HALF_TO_INF = (0.5, 1.0, 2.0, math.inf)
 _LARGE = (1100.0, 2000.0, 1e4, 1e300)
+_WIDE = (0.5, 1.0, 2.0, 16.0, 256.0, 2000.0, math.inf)
 # route -> (its case, the couple draw patched into its kfunc._ROUTES
 # entry); the oracle takes any couple
 _ONE_COEFFICIENT_ROUTES = {
@@ -977,6 +1030,11 @@ _ONE_COEFFICIENT_ROUTES = {
                       ((("p", _HALF_TO_INF), ("q2", _HALF_TO_INF)), "same")),
     "layer-sum": (CaseTag.Q_EQUAL_P_DIFF,
                   ((("q", _HALF_TO_INF), ("p2", _HALF_TO_INF)), "free")),
+    # from an exponent of about 200 their kernels' power sums once left the
+    # normal doubles, and K read 0 or refused
+    "weighted-split-large": (CaseTag.P_EQUAL_S_DIFF_Q_EQUAL, ((("p", _WIDE), ("q", _WIDE)), "apart")),
+    "rearrangement-large": (CaseTag.P_EQUAL_S_EQUAL, ((("p", _WIDE), ("q2", _WIDE)), "same")),
+    "layer-sum-large": (CaseTag.Q_EQUAL_P_DIFF, ((("q", _WIDE), ("p2", _WIDE)), "free")),
     "general": (CaseTag.GENERAL,
                 ((("p2", (1.0, 2.0, math.inf)), ("q2", (0.5, 1.0, 2.0))), "free")),
     "oracle": (CaseTag.ORACLE_ONLY,

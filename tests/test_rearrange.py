@@ -1,10 +1,12 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
 from besovk.errors import DataError, UsageError
+from besovk.norms import lp_norm
 from besovk.rearrange import (
     distribution_count,
     partial_power_integral,
@@ -119,6 +121,40 @@ def test_threshold_split_consistent_with_partial_integral(v, T, p):
 def test_vector_refusals(v, err, match):
     with pytest.raises(err, match=match):
         rearrangement(v)
+
+
+# the other public entry points that take a vector, refusing it as rearrangement does
+_VECTOR_TAKERS = {
+    "lp_norm-p1": lambda v: lp_norm(v, 1.0),
+    "lp_norm-p1.5": lambda v: lp_norm(v, 1.5),
+    "lp_norm-pinf": lambda v: lp_norm(v, math.inf),
+    "partial_power_integral": lambda v: partial_power_integral(v, 2.0, 1.5),
+    "tail_power_integral": lambda v: tail_power_integral(v, 2.0, 0.5),
+}
+
+
+@pytest.mark.parametrize("v, err, match", [
+    ([[1.0, 2.0]], UsageError, "expected a flat vector"),
+    ([-2.0, 1.0], DataError, "vector must be nonnegative"),
+    ([-1.0, 0.5], DataError, "vector must be nonnegative"),
+    ([-4.0], DataError, "vector must be nonnegative"),
+    ([1.0, math.nan], DataError, "vector contains NaN"),
+], ids=["2d", "neg-first", "neg-largest", "neg-only", "nan"])
+@pytest.mark.parametrize("taker", list(_VECTOR_TAKERS))
+def test_vector_entry_points_refuse_as_rearrangement(taker, v, err, match):
+    # lp_norm once read -1.0 on [-2, 1] at p = 1 and 0.5 on [-1, 0.5] at
+    # p = inf, leaked a RuntimeWarning on [-4] at p = 1.5 and flattened a
+    # 2-d vector; the integrals took any vector (1.125 on [-1, 0.5])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(err, match=match):
+            _VECTOR_TAKERS[taker](v)
+
+
+@pytest.mark.parametrize("fn", [partial_power_integral, tail_power_integral])
+def test_power_integrals_refuse_an_increasing_r(fn):
+    with pytest.raises(UsageError, match=r"r must be nonincreasing \(a rearrangement\)"):
+        fn([0.5, 1.0], 2.0, 1.5)
 
 
 @pytest.mark.parametrize("fn, p, T, match", [
