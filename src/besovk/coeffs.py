@@ -83,6 +83,13 @@ def abs_reduce(spec: GridSpec, raw_layers) -> CoeffField:
     return CoeffField(spec, tuple(np.abs(np.asarray(raw)) for raw in raw_layers))
 
 
+def _seed(seed) -> int:
+    """seed if it is a nonnegative integer (a bool is not one), else UsageError."""
+    if isinstance(seed, bool) or not isinstance(seed, (int, np.integer)) or seed < 0:
+        raise UsageError(f"seed must be a nonnegative integer, got {seed!r}")
+    return int(seed)
+
+
 def generate(spec: GridSpec, kind: str, seed: int) -> CoeffField:
     """Deterministic test fields.  Same (spec, kind, seed) -> same field.
 
@@ -93,9 +100,7 @@ def generate(spec: GridSpec, kind: str, seed: int) -> CoeffField:
     """
     if kind not in GENERATOR_KINDS:
         raise UsageError(f"unknown generator kind {kind!r}; pick from {GENERATOR_KINDS}")
-    if int(seed) < 0:
-        raise UsageError(f"seed must be a nonnegative integer, got {seed}")
-    rng = np.random.default_rng(int(seed))
+    rng = np.random.default_rng(_seed(seed))
     layers = []
     if kind == "uniform-random":
         for m in spec.layer_sizes:

@@ -33,20 +33,21 @@ fractional integral, which is classical and exact.  At a single
 coefficient c, K is c min(w0, t*w1) on the degenerate, weighted-split,
 rearrangement, layer-sum and GENERAL routes (to 1e-9 at exponents in
 {1/2, 1, 2, inf}, and up to 2000 on the middle three: their every power
-sum of a finite exponent is one running norm, _running_norm, retaken in
-logs where it leaves the normal doubles); the composed split meets it
-only at both ends.  Each kernel takes one orientation: _SplitSum p0 <
-p1, _WCurve and _holmstedt the smaller smoothness first.  _seq_route
-and _layer_fn orient each couple once and commute the other order
-(_commuted).
+sum is one running norm, _running_norm, the running max from p = 2^60
+on, retaken in logs where it leaves the normal doubles); the composed
+split meets it only at both ends.  Each kernel takes one orientation:
+_SplitSum p0 < p1, _WCurve and _holmstedt the smaller smoothness first.
+_seq_route and _layer_fn orient each couple once and commute the other
+order (_commuted).
 
 Every route is a plan (k_plan): the route is selected once per (field,
 query) and everything that does not depend on t (main-grid reduction,
 rearrangements, split tables, calibration limits, hinge envelopes) is
-built once; the plan then evaluates K on a whole t array.  k_plan is
-the one constructor of a plan; a weighted main-grid sequence is a field
-(norms._seq_field).  k_dispatch evaluates one t from a plan, k_curve a
-t grid.  _ROUTES declares each route once: its label, form and
+built once, on the field scaled at the couple's largest finite exponent
+(norms._scaled_field); the plan then evaluates K on a whole t array.
+k_plan is the one constructor of a plan; a weighted main-grid sequence
+is a field (norms._seq_field).  k_dispatch evaluates one t from a plan,
+k_curve a t grid.  _ROUTES declares each route once: its label, form and
 builder, and the couples and band (K's factor from the vertex oracle of
 its form) that the verify suites hold it to.
 """
@@ -294,11 +295,12 @@ _MAX_T_NODES = 1 << 22  # the most nodes of a t grid (_check_t_window): 32 MiB o
 
 
 def _running_norm(x: np.ndarray, p: float, axis: int) -> np.ndarray:
-    """The l^p norm of every prefix of x along axis (the running max at p =
-    inf), the split kernels' one power sum of a finite p.  A prefix whose
-    power sum is not a normal double (0, subnormal or inf) is retaken in
-    logs, exp(logaddexp.accumulate(p log x) / p); the rest keep their bits."""
-    if math.isinf(p):
+    """The l^p norm of every prefix of x along axis, the split kernels' one
+    power sum: the running max from p = 2^60 on, inf included, where any n
+    <= 2^63 entries have n^(1/p) - 1 < 2^-54.  Below, a prefix whose power
+    sum is not a normal double (0, subnormal or inf) is retaken in logs,
+    exp(logaddexp.accumulate(p log x) / p); the rest keep their bits."""
+    if p >= 2.0**60:
         return np.maximum.accumulate(x, axis)
     with np.errstate(over="ignore"):  # an inf sum is retaken
         sums = np.cumsum(x**p, axis)
@@ -439,12 +441,10 @@ def _layer_fn(field: CoeffField, query: InterpQuery, j: int):
 
 
 def _lq_across(rows: list, q: float) -> np.ndarray:
-    """Elementwise l^q aggregate of equal-length arrays (sup at q = inf):
+    """Elementwise l^q aggregate of equal-length arrays, sup at q = inf:
     the last row of _running_norm, so that no entry depends on the
     others, on each column scaled by the one rescaling rule
     (_pow2_factor) for power q of its largest entry."""
-    if math.isinf(q):
-        return np.max(rows, axis=0)
     fac = np.array([_pow2_factor(v, q) for v in np.max(rows, axis=0).tolist()])
     return _running_norm(rows * fac, q, 0)[-1] / fac
 
@@ -821,7 +821,9 @@ _ROUTES = {
 
 def k_plan(field: CoeffField, query: InterpQuery, method: str = "formula") -> KPlan:
     """Select the route for the query's index regime once and build its
-    t-independent state; the plan's k(ts) then evaluates K on t arrays.
+    t-independent state, on the field scaled at the couple's largest finite
+    exponent (norms._scaled_field); the plan's k(ts) then evaluates K on t
+    arrays and divides the factor out.
 
     The GENERAL route computes the max-form functional (within a factor
     2 of the sum form); other routes target the sum form.  Queries with
@@ -847,7 +849,7 @@ def k_plan(field: CoeffField, query: InterpQuery, method: str = "formula") -> KP
                          f"xi={query.xi:g}; use xi 1 or inf, or method 'oracle'")
     if field.max_abs() == 0.0:
         return KPlan(label, _zeros, form=form)
-    field, fac = _scaled_field(field)
+    field, fac = _scaled_field(field, query.idx0, query.idx1)
     return _trapped(f"route {label}", lambda: KPlan(label, build(field, query), fac, form),
                     over="raise")  # a build that overflows gives a wrong K
 
@@ -869,6 +871,6 @@ def k_curve(field: CoeffField, query: InterpQuery, ts=None, method: str = "formu
     The t-independent state is built once and the whole grid is
     evaluated from it.
     """
-    grid = default_t_grid() if ts is None else np.asarray(ts, dtype=float)
+    grid = default_t_grid() if ts is None else _t_array(ts, 1)
     plan = k_plan(field, query, method)
     return KCurve(grid, plan.k(grid), plan.label)

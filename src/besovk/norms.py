@@ -58,10 +58,12 @@ def _powers(x: np.ndarray, power: float) -> tuple[np.ndarray, float, float]:
     return (x * fac) ** power, fac, 1.0
 
 
-def _scaled_field(field: CoeffField) -> tuple[CoeffField, float]:
-    """The field scaled by the rescaling rule at power 1, and the
-    factor; a quantity of degree d in the field divides by factor^d."""
-    fac = _pow2_factor(field.max_abs(), 1.0)
+def _scaled_field(field: CoeffField, *indices: BesovIndex) -> tuple[CoeffField, float]:
+    """The field scaled by the rescaling rule at the power the caller raises
+    it to, the largest finite p or q of indices and at least 1 (1 for none),
+    and the factor; a quantity of degree d in the field divides by factor^d."""
+    power = max([1.0] + [e for i in indices for e in (i.p, i.q) if e < math.inf])
+    fac = _pow2_factor(field.max_abs(), power)
     return (field.scaled(fac) if fac != 1.0 else field), fac
 
 
@@ -226,9 +228,9 @@ def besov_lorentz_norm(field: CoeffField, s: float, p: float, q: float, r: float
     Layer j contributes 2^(j*s) times the dyadic Lorentz functional of
     its height function 2^(n*j/2) f_j under the measure 2^(-n*j) * #;
     layers aggregate in l^q as the sequence field (_seq_field) of their
-    terms, on the field scaled by _scaled_field, whose power-of-two
-    factor shifts every dyadic level exactly.  NumericError when a layer
-    term or a layer weight leaves double range.
+    terms, on the field scaled by _scaled_field at power 1 (its data enter
+    linearly), whose power-of-two factor shifts every dyadic level exactly.
+    NumericError when a layer term or a layer weight leaves double range.
     """
     if not (p > 0 and q > 0 and r > 0):
         raise UsageError("indices must be positive")

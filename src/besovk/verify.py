@@ -20,7 +20,7 @@ import time
 
 import numpy as np
 
-from .coeffs import CoeffField
+from .coeffs import CoeffField, _seed
 from .errors import UsageError
 from .grid import BesovIndex, GridSpec, layer_weight
 from .interp import besov_identity_check, interp_norm, reiteration_check
@@ -64,10 +64,8 @@ def _suite(name: str, seed: int, size: int):
     with seed and reports the checks with the time they took."""
     def register(body):
         def run(seed: int = seed) -> dict:
-            if int(seed) < 0:
-                raise UsageError(f"seed must be a nonnegative integer, got {seed}")
-            t0 = time.perf_counter()
-            checks = body(np.random.default_rng(seed), size)
+            rng, t0 = np.random.default_rng(_seed(seed)), time.perf_counter()
+            checks = body(rng, size)
             return {
                 "suite": name,
                 "seed": seed,

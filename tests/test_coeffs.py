@@ -1,5 +1,6 @@
 import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -97,6 +98,20 @@ def test_generate_unknown_kind():
 def test_generate_refuses_a_negative_seed(kind):
     with pytest.raises(UsageError, match="seed must be a nonnegative integer, got -1"):
         generate(GridSpec(n=1, J=1, layer_sizes=(2,)), kind, -1)
+
+
+@pytest.mark.parametrize("seed", [1.5, 2.0, "3", True, None, np.float64(4.0)])
+def test_generate_refuses_a_seed_that_is_not_an_integer(seed):
+    # 1.5 once drew seed 1's field and "3" seed 3's; a bool is not an
+    # integer, as read_field holds for n and j
+    with pytest.raises(UsageError, match=f"^seed must be a nonnegative integer, got {re.escape(repr(seed))}$"):
+        generate(GridSpec(n=1, J=1, layer_sizes=(2,)), "uniform-random", seed)
+
+
+def test_generate_takes_a_numpy_integer_seed():
+    spec = GridSpec(n=1, J=1, layer_sizes=(3,))
+    assert np.array_equal(generate(spec, "uniform-random", np.int64(5)).layers[0],
+                          generate(spec, "uniform-random", 5).layers[0])
 
 
 def test_write_read_round_trip(tmp_path):

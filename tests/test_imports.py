@@ -170,18 +170,19 @@ def test_signatures_hold_only_settings_a_caller_sets(monkeypatch):
         assert verify.SUITES[name] is run
         assert _params(run) == [f"seed={seed}"]
     # one rescaling rule, keyed by the power the caller raises the data to:
-    # the plan and both oracles scale a field through one function at
-    # power 1, and the layer-sum aggregate passes its q
+    # the plan and both oracles scale a field through one function, which
+    # each passes its couple, and the layer-sum aggregate passes its q
     assert _params(norms._pow2_factor) == ["vmax", "power"]
+    assert _params(norms._scaled_field) == ["field", "indices"]
     assert not hasattr(kfunc, "_scaled_plan")
     scaled = []
-    monkeypatch.setattr(kfunc, "_scaled_field", lambda f: scaled.append(f) or (f, 1.0))
-    monkeypatch.setattr(oracle, "_scaled_field", lambda f: scaled.append(f) or (f, 1.0))
+    monkeypatch.setattr(kfunc, "_scaled_field", lambda f, *ix: scaled.append((f, ix)) or (f, 1.0))
+    monkeypatch.setattr(oracle, "_scaled_field", lambda f, *ix: scaled.append((f, ix)) or (f, 1.0))
     field = besovk.CoeffField(besovk.GridSpec(1, 1, (2,)), [[1.0, 0.5]])
-    idx = besovk.BesovIndex(0.0, 2.0, 2.0)
-    besovk.k_plan(field, besovk.InterpQuery(idx, idx))
-    oracle._budgeted(field, "enumeration")
-    assert scaled == [field, field]
+    idx, idx1 = besovk.BesovIndex(0.0, 2.0, 2.0), besovk.BesovIndex(1.0, 16.0, 2.0)
+    besovk.k_plan(field, besovk.InterpQuery(idx, idx1))
+    oracle._budgeted(field, idx, idx1, "enumeration")
+    assert scaled == [(field, (idx, idx1)), (field, (idx, idx1))]
     powers = []
     monkeypatch.setattr(kfunc, "_pow2_factor", lambda v, power: powers.append(power) or 1.0)
     kfunc._lq_across([np.array([1.0, 2.0]), np.array([3.0, 4.0])], 20.0)

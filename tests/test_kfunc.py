@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 import re
@@ -11,6 +12,7 @@ from numpy._core._multiarray_umath import __cpu_features__
 
 from besovk import kfunc, verify
 from besovk.coeffs import CoeffField, generate
+from besovk.interp import interp_norm
 from besovk.errors import BesovkError, NumericError, UsageError
 from besovk.grid import BesovIndex, GridSpec, layer_weight
 from besovk.kfunc import (
@@ -1077,6 +1079,131 @@ def test_one_coefficient_law(route, xi, monkeypatch):
         assert plan.label == label
         want = c * np.minimum(layer_weight(field.spec, i0, j), ts * layer_weight(field.spec, i1, j))
         np.testing.assert_allclose(got, want, rtol=1e-9, atol=0.0)
+
+
+# route -> (the case whose couple draw is patched, method, p pool, q pool):
+# exponents past 10, where a factor keyed to power 1 let powers leave range
+_LAW_16_64 = {
+    "general": (CaseTag.GENERAL, "formula", (1.0, 2.0, 16.0, 64.0), (0.5, 1.0, 16.0, 64.0)),
+    "oracle": (CaseTag.GENERAL, "oracle", (0.5, 1.0, 16.0, 64.0, math.inf),
+               (0.5, 1.0, 16.0, 64.0, math.inf)),
+}
+
+
+@pytest.mark.parametrize("route", list(_LAW_16_64))
+def test_one_coefficient_law_at_exponents_16_and_64(route, monkeypatch):
+    # K = c min(w0, t w1), c over 2^(+-80): GENERAL once read 61 of these
+    # 300 draws wrong and refused 66, the vertex oracle 71 and 92
+    case, method, ps, qs = _LAW_16_64[route]
+    label, form, build, _, band = kfunc._ROUTES[case]
+    monkeypatch.setitem(kfunc._ROUTES, case,
+                        (label, form, build, ((("p2", ps), ("q2", qs)), "free"), band))
+    rng = np.random.default_rng(27)
+    ts = 2.0 ** np.arange(-40.0, 41.0)
+    for _ in range(300):
+        sizes = verify._rand_sizes(rng, 6, 3)
+        layers = [np.zeros(m) for m in sizes]
+        j = int(rng.integers(0, len(sizes)))
+        c = layers[j][int(rng.integers(0, sizes[j]))] = float(2.0 ** rng.uniform(-80.0, 80.0))
+        field = _field(layers, n=int(rng.choice((1, 2))))
+        i0, i1 = verify._rand_couple(rng, case)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = k_plan(field, InterpQuery(i0, i1), method).k(ts)
+        want = c * np.minimum(layer_weight(field.spec, i0, j), ts * layer_weight(field.spec, i1, j))
+        np.testing.assert_allclose(got, want, rtol=1e-9, atol=0.0)
+
+
+_SCALE_ROUTES = ("degenerate", "weighted-split", "rearrangement", "layer-sum", "general", "oracle")
+
+
+@pytest.mark.parametrize("route", _SCALE_ROUTES)
+def test_k_is_scale_covariant_at_exponents_16_and_64(route):
+    # K is 1-homogeneous: on a field scaled by 2^e a plan reads 2^e K to
+    # rounding.  Scaled at power 1, not at the couple's largest finite
+    # exponent, GENERAL and the oracle once refused or read a wrong K here
+    # at |e| >= 70.  One exponent of each drawn couple is 16 or 64, on both
+    # indices where the route's draw shares it; the oracle takes p0 and q0
+    # from {16, 64} and q1 = inf.  The composed split is left out: it is
+    # off by up to 3.5e-3 at q from 16 to 128 (CHANGES.md)
+    rng = np.random.default_rng(17)
+    method = "oracle" if route == "oracle" else "formula"
+    for _ in range(60):
+        field = verify._rand_field(rng)
+        if route == "oracle":
+            p0, q0 = (float(e) for e in rng.choice((16.0, 64.0), size=2))
+            i0 = BesovIndex(float(rng.uniform(-2.0, 2.0)), p0, q0)
+            i1 = BesovIndex(float(rng.uniform(-2.0, 2.0)), float(rng.choice(_HALF_TO_INF)), math.inf)
+        else:
+            case = _ONE_COEFFICIENT_ROUTES[route][0]
+            i0, i1 = verify._rand_couple(rng, case)
+            name = str(rng.choice([name for name, _ in kfunc._ROUTES[case][3][0]]))
+            big = {name[0]: float(rng.choice((16.0, 64.0)))}
+            i1 = dataclasses.replace(i1, **big)
+            if not name.endswith("2"):
+                i0 = dataclasses.replace(i0, **big)
+        query = InterpQuery(i0, i1)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            plan = k_plan(field, query, method)
+            want = plan.k(verify._T_GRID)
+            for e in (70, -70, 300, -300, 900, -900):
+                got = k_plan(field.scaled(2.0**e), query, method).k(verify._T_GRID)
+                np.testing.assert_allclose(got * 2.0**-e, want, rtol=1e-12, atol=0.0)
+        if route != "oracle":
+            assert plan.label == kfunc._ROUTES[case][0]
+
+
+def test_general_and_the_oracle_read_a_field_near_1e24_at_an_exponent_of_16():
+    # 4.7e24^16 leaves double range: scaled at power 1, both plans and the
+    # interpolation norm refused; scaled at 16 they read their K
+    field = _field([(4.672202010839261e24, 2.826026567579149e24)])
+    query = InterpQuery(BesovIndex(0.0, 16.0, 1.0), BesovIndex(0.0, 1.0, 16.0))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        plan = k_plan(field, query)
+        assert plan.label == "formula:general:power-composition-kinf"
+        assert plan.k([1.0]).tolist() == [4.672202010839261e24]
+        assert k_plan(field, query, method="oracle").k([1.0]).tolist() == [4.672295726106636e24]
+        assert math.isfinite(interp_norm(field, query))
+
+
+@pytest.mark.parametrize("layers, i0, i1, label", [
+    ([(1.0,), (1e-300,)], (0.0, 2.0, 1e306), (1.0, 2.0, 1e306), "formula:p-equal:weighted-split"),
+    ([(1.0, 1e-300)], (0.0, 1.0, 2.0), (1.0, 1e306, 2.0), "formula:q-equal:layer-sum"),
+], ids=["weighted-split", "layer-sum"])
+def test_split_kernels_at_an_exponent_of_1e306_read_their_closed_forms(layers, i0, i1, label):
+    # N0 = N1 = 1 and K = min(1, t); the log retake's p log x once
+    # overflowed here and the plan refused
+    ts = 2.0 ** np.arange(-3.0, 4.0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        plan = k_plan(_field(layers), InterpQuery(BesovIndex(*i0), BesovIndex(*i1)))
+        assert plan.label == label
+        np.testing.assert_array_equal(plan.k(ts), np.minimum(1.0, ts))
+
+
+@pytest.mark.parametrize("p", [2.0**60, 1e306, math.inf])
+def test_running_norm_is_the_running_max_from_p_2_to_the_60(p):
+    # at n <= 2^63 entries n^(1/p) - 1 < 2^-54, so every prefix norm rounds to the max
+    x = np.random.default_rng(3).uniform(0.0, 2.0, size=(5, 7))
+    x[1, 2], x[3, 4], x[0, 6] = 0.0, 5e-324, 1.7e308
+    for axis in (0, 1):
+        got = kfunc._running_norm(x, p, axis)
+        assert got.tobytes() == np.maximum.accumulate(x, axis).tobytes()
+
+
+def test_k_curve_takes_t_through_the_shape_rule_of_kplan_k():
+    # k_curve once read ts with np.asarray(ts, dtype=float): "abc" raised a raw ValueError
+    field = _field(_PLAN_FIELD)
+    query = InterpQuery(BesovIndex(0.8, 2.0, 1.5), BesovIndex(-0.4, 2.0, 1.5))
+    plan = k_plan(field, query)
+    for ts in ("abc", ["a", "b"], 2.0, [[1.0, 2.0]], [1.0, None]):
+        with pytest.raises(UsageError) as refusal:
+            plan.k(ts)
+        with pytest.raises(UsageError, match=f"^{re.escape(str(refusal.value))}$"):
+            k_curve(field, query, ts)
+    assert k_curve(field, query, [1, 2]).k.tolist() == plan.k([1.0, 2.0]).tolist()
 
 
 # --- prepared plans ---------------------------------------------------------

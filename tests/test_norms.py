@@ -80,6 +80,22 @@ def test_besov_norm_matches_double_loop():
         assert besov_norm(field, idx) == pytest.approx(want, rel=1e-12)
 
 
+@pytest.mark.parametrize("couple, power", [
+    ((), 1.0),  # besov_lorentz_norm: its data enter linearly
+    (((0.0, 0.5, math.inf), (1.0, math.inf, 0.5)), 1.0),  # at least 1, and inf is not finite
+    (((0.0, 16.0, 1.0), (0.0, 1.0, 64.0)), 64.0),
+    (((0.0, math.inf, 3.0), (0.0, 2.0, math.inf)), 3.0),
+])
+def test_scaled_field_keys_its_factor_to_the_largest_finite_exponent(couple, power):
+    # the field is raised to its couple's p and q, so its factor is the one
+    # rescaling rule's at the largest finite one: 2^80 lies inside the
+    # window 2^(+-100) of power 1 and 3, and outside 2^(+-1000/64)
+    field = _field([(2.0**80, 1.0)])
+    scaled, fac = norms._scaled_field(field, *(BesovIndex(*i) for i in couple))
+    assert fac == norms._pow2_factor(2.0**80, power) == (2.0**-81 if power == 64.0 else 1.0)
+    assert scaled.max_abs() == 2.0**80 * fac
+
+
 def test_norms_scale_robust_at_both_extremes():
     # p-th powers of entries far from 1 underflow to 0 or overflow to inf
     assert lp_norm([1e-200], 2.0) == pytest.approx(1e-200, rel=1e-15)

@@ -620,11 +620,21 @@ def test_oracles_refuse_k_past_double_range():
 
 
 def test_oracles_refuse_a_build_whose_powers_leave_double_range():
-    # 1e20^16 overflows the p0 = 16 table: the vertex tables once leaked
-    # a RuntimeWarning, the descent a raw OverflowError; the oracle plan
-    # was already refused, naming its route
+    # 1e20^16 overflowed the p0 = 16 table while the field was scaled at
+    # power 1: the vertex tables once leaked a RuntimeWarning, the descent a
+    # raw OverflowError, and then all three refused; scaled at the couple's
+    # largest finite exponent, 16, they read K = 1e20
     field = _field([(1e20,)])
     idx0, idx1 = BesovIndex(0.0, 16.0, 1.0), BesovIndex(0.0, 1.0, 1.0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert vertex_tables(field, idx0, idx1).k(1.0) == 1e20
+        assert k_cuboid_continuous(field, idx0, idx1, 1.0) == 1e20
+        assert k_plan(field, InterpQuery(idx0, idx1), method="oracle").k([1.0]).tolist() == [1e20]
+    # a layer weight of 2^70, raised to 16, still overflows: the factor
+    # follows the largest entry, not the weighted entries
+    field = _field([(1.0,), (1.0,)])
+    idx0, idx1 = BesovIndex(70.0, 16.0, 16.0), BesovIndex(0.0, 1.0, 1.0)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         with pytest.raises(NumericError, match="^vertex oracle leaves double range: overflow"):

@@ -73,6 +73,13 @@ def test_every_suite_refuses_a_negative_seed(name):
         run_suite(name, seed=-3)
 
 
+@pytest.mark.parametrize("seed", [1.5, "3", False])
+def test_run_suite_refuses_a_seed_that_is_not_an_integer(seed):
+    # 1.5 once raised a raw TypeError from numpy
+    with pytest.raises(UsageError, match="^seed must be a nonnegative integer, got "):
+        run_suite("endpoints", seed=seed)
+
+
 @pytest.mark.parametrize("route, form, xi", [(CaseTag.GENERAL, "max", math.inf),
                                              (CaseTag.Q_EQUAL_P_DIFF, "sum", 1.0),
                                              (CaseTag.P_EQUAL_S_DIFF_Q_DIFF, "sum", 1.0)])
