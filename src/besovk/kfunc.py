@@ -43,8 +43,10 @@ order (_commuted).
 Every route is a plan (k_plan): the route is selected once per (field,
 query) and everything that does not depend on t (main-grid reduction,
 rearrangements, split tables, calibration limits, hinge envelopes) is
-built once, on the field scaled at the couple's largest finite exponent
-(norms._scaled_field); the plan then evaluates K on a whole t array.
+built once, on the field scaled by the one rescaling rule at its largest
+entry raised to each exponent of the couple (norms._scaled_field; the
+oracle route's tables scale themselves); the plan then evaluates K on a
+whole t array.
 k_plan is the one constructor of a plan; a weighted main-grid sequence
 is a field (norms._seq_field).  k_dispatch evaluates one t from a plan,
 k_curve a t grid.  _ROUTES declares each route once: its label, form and
@@ -444,8 +446,8 @@ def _lq_across(rows: list, q: float) -> np.ndarray:
     """Elementwise l^q aggregate of equal-length arrays, sup at q = inf:
     the last row of _running_norm, so that no entry depends on the
     others, on each column scaled by the one rescaling rule
-    (_pow2_factor) for power q of its largest entry."""
-    fac = np.array([_pow2_factor(v, q) for v in np.max(rows, axis=0).tolist()])
+    (_pow2_factor) at its largest entry raised to q."""
+    fac = np.array([_pow2_factor((v, q)) for v in np.max(rows, axis=0).tolist()])
     return _running_norm(rows * fac, q, 0)[-1] / fac
 
 
@@ -784,8 +786,8 @@ def _general_route(field, query):
 def _vertex_route(field, query):
     from .oracle import VertexTables
 
-    tables = VertexTables(field, query.idx0, query.idx1)
-    return lambda ts: tables.curve(ts, query.xi)
+    tables = VertexTables(field, query.idx0, query.idx1)  # on its own scale, tables.fac
+    return lambda ts: np.array([tables._split_values(t, query.xi).min() for t in ts]) / tables.fac
 
 
 # case -> (route label, form, builder(field, query) -> evaluator of a t
@@ -821,9 +823,11 @@ _ROUTES = {
 
 def k_plan(field: CoeffField, query: InterpQuery, method: str = "formula") -> KPlan:
     """Select the route for the query's index regime once and build its
-    t-independent state, on the field scaled at the couple's largest finite
-    exponent (norms._scaled_field); the plan's k(ts) then evaluates K on t
-    arrays and divides the factor out.
+    t-independent state, on the field scaled by the one rescaling rule at
+    its largest entry raised to each finite p and q of the couple
+    (norms._scaled_field); the plan's k(ts) then evaluates K on t arrays
+    and divides the factor out.  The oracle route's tables scale
+    themselves (oracle._budgeted), and the plan keeps factor 1.
 
     The GENERAL route computes the max-form functional (within a factor
     2 of the sum form); other routes target the sum form.  Queries with
@@ -849,7 +853,10 @@ def k_plan(field: CoeffField, query: InterpQuery, method: str = "formula") -> KP
                          f"xi={query.xi:g}; use xi 1 or inf, or method 'oracle'")
     if field.max_abs() == 0.0:
         return KPlan(label, _zeros, form=form)
-    field, fac = _scaled_field(field, query.idx0, query.idx1)
+    fac, vmax = 1.0, field.max_abs()
+    if case is not CaseTag.ORACLE_ONLY:  # the oracle's tables scale themselves (oracle._budgeted)
+        exps = (e for i in (query.idx0, query.idx1) for e in (i.p, i.q))
+        field, fac = _scaled_field(field, *((vmax, e) for e in exps))
     return _trapped(f"route {label}", lambda: KPlan(label, build(field, query), fac, form),
                     over="raise")  # a build that overflows gives a wrong K
 

@@ -10,6 +10,7 @@ counting measure 2^(-n*j) * #.
 from __future__ import annotations
 
 import math
+import sys
 
 import numpy as np
 
@@ -27,27 +28,38 @@ __all__ = [
 ]
 
 
-def _pow2_factor(vmax: float, power: float) -> float:
-    """The one rescaling rule, for data raised to power: 1 when the
-    largest entry vmax lies within 2^(+-min(100, 1000/power)), so that
-    vmax^power is a normal double, else the exact power of two, clamped
-    to 2^(+-1000), that pulls vmax back toward 1.  Scaling by it is
-    exact, and a clamped two-power factor cannot overflow the way 1/vmax
-    can for subnormal data."""
-    window = min(100.0, 1000.0 / power)
-    if 2.0**-window < vmax < 2.0**window:
+def _pow2_factor(*sizes: tuple[float, float]) -> float:
+    """The one rescaling rule, for data raised to powers: each size (vmax,
+    power) names the largest entry of data the caller raises to power, and
+    its window 2^(+-w), w = min(100, 1000/power), inside which vmax^power
+    is a normal double (a size of vmax 0 or power inf has none).  1 when
+    every vmax lies in its window, else the power of two 2^k, clamped to
+    2^(+-1000), at the middle of the k that bring each into its window:
+    for one size, the k that pulls vmax to [1/2, 1).  Where no k brings
+    all, k is the least that lifts each to its window's floor, so that a
+    power leaves the doubles by an overflow, which callers trap, and not
+    by a silent underflow to 0.  Scaling by it is exact, and a clamped
+    two-power factor cannot overflow the way 1/vmax can for subnormal data."""
+    wins = [(v, min(100.0, 1000.0 / p)) for v, p in sizes if v > 0.0 and p < math.inf]
+    for v, w in wins:
+        if not 2.0**-w < v < 2.0**w:
+            break
+    else:
         return 1.0
-    return 2.0 ** max(min(-math.frexp(vmax)[1], 1000), -1000)
+    es = [(w, math.frexp(min(v, sys.float_info.max))[1]) for v, w in wins]
+    lo, hi = max(-w - e for w, e in es), min(w - e for w, e in es)
+    k = math.floor((lo + hi) / 2 + 0.5) if lo <= hi else math.ceil(lo) + 1
+    return 2.0 ** max(min(k, 1000), -1000)
 
 
 def _powers(x: np.ndarray, power: float) -> tuple[np.ndarray, float, float]:
-    """x ** power at the rescaling rule's scale, fac = _pow2_factor(vmax,
-    power): the powers of x * fac and peak 1, or, where (vmax * fac)^power
+    """x ** power at the rescaling rule's scale, fac = _pow2_factor((vmax,
+    power)): the powers of x * fac and peak 1, or, where (vmax * fac)^power
     is not a normal double (past an exponent of about 1000, or at a
     clamped fac), those of x / vmax and peak vmax * fac, vmax the largest
     entry.  The l^power norm of x is sum(powers)^(1/power) * peak / fac."""
     vmax = float(x.max())
-    fac = _pow2_factor(vmax, power)
+    fac = _pow2_factor((vmax, power))
     peak = vmax * fac
     try:
         small = 0.0 < peak < math.inf and peak**power < 2.0**-1022
@@ -58,12 +70,11 @@ def _powers(x: np.ndarray, power: float) -> tuple[np.ndarray, float, float]:
     return (x * fac) ** power, fac, 1.0
 
 
-def _scaled_field(field: CoeffField, *indices: BesovIndex) -> tuple[CoeffField, float]:
-    """The field scaled by the rescaling rule at the power the caller raises
-    it to, the largest finite p or q of indices and at least 1 (1 for none),
-    and the factor; a quantity of degree d in the field divides by factor^d."""
-    power = max([1.0] + [e for i in indices for e in (i.p, i.q) if e < math.inf])
-    fac = _pow2_factor(field.max_abs(), power)
+def _scaled_field(field: CoeffField, *sizes: tuple[float, float]) -> tuple[CoeffField, float]:
+    """The field scaled by the rescaling rule at its largest entry at power
+    1 and at the sizes its caller raises it to, and the factor; a quantity
+    of degree d in the field divides by factor^d."""
+    fac = _pow2_factor((field.max_abs(), 1.0), *sizes)
     return (field.scaled(fac) if fac != 1.0 else field), fac
 
 

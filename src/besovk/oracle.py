@@ -44,13 +44,20 @@ def _budgeted(field: CoeffField, idx0: BesovIndex, idx1: BesovIndex,
               what: str) -> tuple[CoeffField, float]:
     """The one cap site of both oracles: refuse a field of more than
     _MAX_COEFFS coefficients (BudgetError), else return the field scaled
-    by the one rescaling rule at the couple's largest finite exponent
-    (norms._scaled_field) and the factor, which K divides out."""
+    by the one rescaling rule (norms._scaled_field) and the factor, which
+    K divides out.  Its sizes are what the side norms raise: the largest
+    entry to each p, and the largest weighted entry, max_j w_j max f_j, to
+    each q.  A weight past double range is refused (NumericError), as the
+    side tables refuse it."""
     N = field.spec.total_coeffs
     if N > _MAX_COEFFS:
         raise BudgetError(f"{N} coefficients exceed the {what} budget ({_MAX_COEFFS}); "
                           "refusing rather than truncating")
-    return _scaled_field(field, idx0, idx1)
+    sizes = []
+    for idx in (idx0, idx1):
+        top = max(layer_weight(field.spec, idx, j) * m for j, m in enumerate(field.layer_maxima()))
+        sizes += [(field.max_abs(), idx.p), (top, idx.q)]
+    return _scaled_field(field, *sizes)
 
 
 def _layer_norm_table(v: np.ndarray, p: float) -> np.ndarray:
@@ -304,18 +311,18 @@ def k_cuboid_continuous(field: CoeffField, idx0: BesovIndex, idx1: BesovIndex,
     (NumericError).  At t = inf only g = f is finite, and K is ||f||_A0.
 
     The descent runs on the field scaled by the one rescaling rule at the
-    couple's largest finite exponent (norms._scaled_field) and unscales
-    at the end.  Each line search is a golden-section search (_golden_min)
-    in the straight-line kernel of the couple's exponent kinds (p and q of
-    each side inf, 1 or a plain power; _SideAccum.consts), compiled the
-    first time a process meets the pair: its objective, inline at each
-    probe, is both sides' norms with the other coordinates held fixed,
-    from per-side (layer rest, layer weight, other layers) state.  With
-    vmax the scaled field's largest entry and floor = min(1, vmax), a
-    start stops when a sweep improves by at most 1e-12 * max(floor,
-    |previous value|), or after _MAX_SWEEPS sweeps; line searches stop at
-    1e-10 * max(floor, f_i), and a coefficient f_i at or below that
-    tolerance keeps its start value.  A field with vmax >= 1 keeps the
+    sizes _budgeted names (norms._scaled_field) and unscales at the end.
+    Each line search is a golden-section search (_golden_min) in the
+    straight-line kernel of the couple's exponent kinds (p and q of each
+    side inf, 1 or a plain power; _SideAccum.consts), compiled the first
+    time a process meets the pair: its objective, inline at each probe, is
+    both sides' norms with the other coordinates held fixed, from per-side
+    (layer rest, layer weight, other layers) state.  With vmax the scaled
+    field's largest entry and floor = min(1, vmax), a start stops when a
+    sweep improves by at most 1e-12 * max(floor, |previous value|), or
+    after _MAX_SWEEPS sweeps; line searches stop at 1e-10 * max(floor,
+    f_i), and a coefficient f_i at or below that tolerance keeps its
+    start value.  A field with vmax >= 1 keeps the
     floor 1, and one below 1 gets tolerances relative to vmax, which scale
     with the field.  Non-smooth couples (a p or q = inf) can stall
     coordinate descent and run the full _MAX_SWEEPS.

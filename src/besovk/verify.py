@@ -64,7 +64,8 @@ def _suite(name: str, seed: int, size: int):
     with seed and reports the checks with the time they took."""
     def register(body):
         def run(seed: int = seed) -> dict:
-            rng, t0 = np.random.default_rng(_seed(seed)), time.perf_counter()
+            seed, t0 = _seed(seed), time.perf_counter()
+            rng = np.random.default_rng(seed)
             checks = body(rng, size)
             return {
                 "suite": name,

@@ -169,24 +169,33 @@ def test_signatures_hold_only_settings_a_caller_sets(monkeypatch):
         run = getattr(verify, "run_" + name.replace("-", "_"))
         assert verify.SUITES[name] is run
         assert _params(run) == [f"seed={seed}"]
-    # one rescaling rule, keyed by the power the caller raises the data to:
-    # the plan and both oracles scale a field through one function, which
-    # each passes its couple, and the layer-sum aggregate passes its q
-    assert _params(norms._pow2_factor) == ["vmax", "power"]
-    assert _params(norms._scaled_field) == ["field", "indices"]
+    # one rescaling rule, keyed by the sizes (largest entry, power) of the
+    # data a caller raises: a formula plan scales its field at the largest
+    # entry raised to each exponent of its couple, the oracles at the largest
+    # entry raised to each p and the largest weighted entry to each q, and
+    # the oracle plan leaves its tables to scale themselves; the layer-sum
+    # aggregate passes each column's largest entry and its q
+    assert _params(norms._pow2_factor) == ["sizes"]
+    assert _params(norms._scaled_field) == ["field", "sizes"]
     assert not hasattr(kfunc, "_scaled_plan")
     scaled = []
-    monkeypatch.setattr(kfunc, "_scaled_field", lambda f, *ix: scaled.append((f, ix)) or (f, 1.0))
-    monkeypatch.setattr(oracle, "_scaled_field", lambda f, *ix: scaled.append((f, ix)) or (f, 1.0))
-    field = besovk.CoeffField(besovk.GridSpec(1, 1, (2,)), [[1.0, 0.5]])
-    idx, idx1 = besovk.BesovIndex(0.0, 2.0, 2.0), besovk.BesovIndex(1.0, 16.0, 2.0)
+    monkeypatch.setattr(kfunc, "_scaled_field", lambda f, *sz: scaled.append((f, sz)) or (f, 1.0))
+    monkeypatch.setattr(oracle, "_scaled_field", lambda f, *sz: scaled.append((f, sz)) or (f, 1.0))
+    field = besovk.CoeffField(besovk.GridSpec(1, 2, (1, 1)), [[1.0], [0.5]])
+    idx, idx1 = besovk.BesovIndex(0.0, 2.0, 2.0), besovk.BesovIndex(1.0, 16.0, 3.0)
     besovk.k_plan(field, besovk.InterpQuery(idx, idx1))
+    assert scaled == [(field, ((1.0, 2.0), (1.0, 2.0), (1.0, 16.0), (1.0, 3.0)))]
+    scaled.clear()
     oracle._budgeted(field, idx, idx1, "enumeration")
-    assert scaled == [(field, (idx, idx1)), (field, (idx, idx1))]
+    # layer 1 weighs 2^(s + 1/2 - 1/p): 1 under idx, 2^(23/16) under idx1
+    assert scaled == [(field, ((1.0, 2.0), (1.0, 2.0), (1.0, 16.0), (0.5 * 2.0**(23 / 16), 3.0)))]
+    scaled.clear()
+    besovk.k_plan(field, besovk.InterpQuery(idx, idx1), method="oracle")
+    assert [sz for _, sz in scaled] == [((1.0, 2.0), (1.0, 2.0), (1.0, 16.0), (0.5 * 2.0**(23 / 16), 3.0))]
     powers = []
-    monkeypatch.setattr(kfunc, "_pow2_factor", lambda v, power: powers.append(power) or 1.0)
+    monkeypatch.setattr(kfunc, "_pow2_factor", lambda *sizes: powers.extend(sizes) or 1.0)
     kfunc._lq_across([np.array([1.0, 2.0]), np.array([3.0, 4.0])], 20.0)
-    assert powers == [20.0, 20.0]
+    assert powers == [(3.0, 20.0), (4.0, 20.0)]
     # the l^power norms take their powers through one helper, norms._powers:
     # only it and _scaled_field ask for the factor, and it runs once per
     # lp_norm, once per lorentz_seq_norm, once per nonzero layer of a

@@ -80,20 +80,47 @@ def test_besov_norm_matches_double_loop():
         assert besov_norm(field, idx) == pytest.approx(want, rel=1e-12)
 
 
-@pytest.mark.parametrize("couple, power", [
-    ((), 1.0),  # besov_lorentz_norm: its data enter linearly
-    (((0.0, 0.5, math.inf), (1.0, math.inf, 0.5)), 1.0),  # at least 1, and inf is not finite
-    (((0.0, 16.0, 1.0), (0.0, 1.0, 64.0)), 64.0),
-    (((0.0, math.inf, 3.0), (0.0, 2.0, math.inf)), 3.0),
-])
-def test_scaled_field_keys_its_factor_to_the_largest_finite_exponent(couple, power):
-    # the field is raised to its couple's p and q, so its factor is the one
-    # rescaling rule's at the largest finite one: 2^80 lies inside the
-    # window 2^(+-100) of power 1 and 3, and outside 2^(+-1000/64)
+@pytest.mark.parametrize("power", [0.5, 1.0, 3.0, 10.0, 16.0, 64.0, 2000.0, 1e306])
+def test_one_size_keeps_the_rule_of_one_power(power):
+    # one size (vmax, power): 1 inside the window 2^(+-min(100, 1000/power)),
+    # else the power of two, clamped to 2^(+-1000), that pulls vmax to [1/2, 1)
+    w = min(100.0, 1000.0 / power)
+    for vmax in (0.0, 5e-324, 1e-300, 2.0**-w, 2.0**(0.5 - w), 1.0, 3.0, 2.0**w,
+                 2.0**80, 2.0**80 * 1.5, 1e300, 1.7976931348623157e308):
+        want = 1.0 if 2.0**-w < vmax < 2.0**w or vmax == 0.0 else \
+            2.0 ** max(min(-math.frexp(vmax)[1], 1000), -1000)
+        assert norms._pow2_factor((vmax, power)) == want, vmax
+
+
+def test_several_sizes_meet_in_the_middle_of_their_windows():
+    # a size at power inf or of vmax 0 sets no window
+    assert norms._pow2_factor((2.0**80, math.inf), (0.0, 64.0), (1.0, 1.0)) == 1.0
+    # 2^80 at 64 wants k in [-96.6, -65.4] and 2^70 at 16 k in [-133.5, -8.5]:
+    # the middle of both is k = -81, where 2^80 alone is pulled to 1/2
+    assert norms._pow2_factor((2.0**80, 64.0), (2.0**70, 16.0)) == 2.0**-81
+    # 2^20 and 2^-5 at 64 want k in [-36.6, -5.4] and [-11.6, 19.6]: the
+    # middle, k = -8, keeps both powers normal, where either size's own
+    # factor, 2^-21 or 1, sends the other's power out of double range
+    fac = norms._pow2_factor((2.0**20, 64.0), (2.0**-5, 64.0))
+    assert fac == 2.0**-8 and 2.0**-1022 < (2.0**-5 * fac)**64 < (2.0**20 * fac)**64 < 2.0**1000
+    assert (2.0**-5 * 2.0**-21)**64 == 0.0
+    # no k brings 1 at 16 and 2^140 at 16 into their windows: k lifts 1 to
+    # its window's floor, 2^-62.5, so that 2^140 overflows at 16 rather than
+    # 1 underflowing to 0
+    fac = norms._pow2_factor((1.0, 16.0), (2.0**140, 16.0))
+    assert fac == 2.0**-62 and (1.0 * fac)**16 > 0.0
+    with pytest.raises(OverflowError):
+        (2.0**140 * fac)**16.0
+
+
+def test_scaled_field_takes_its_largest_entry_at_power_1_and_the_callers_sizes():
     field = _field([(2.0**80, 1.0)])
-    scaled, fac = norms._scaled_field(field, *(BesovIndex(*i) for i in couple))
-    assert fac == norms._pow2_factor(2.0**80, power) == (2.0**-81 if power == 64.0 else 1.0)
-    assert scaled.max_abs() == 2.0**80 * fac
+    assert norms._scaled_field(field) == (field, 1.0)  # 2^80 lies in 2^(+-100)
+    scaled, fac = norms._scaled_field(field, (2.0**80, 64.0))
+    assert fac == 2.0**-81 and scaled.max_abs() == 0.5
+    scaled, fac = norms._scaled_field(_field([(2.0**120,)]), (1.0, 3.0))
+    # 2^120 at 1 wants k in [-221, -21], 1 at 3 k in [-101, 99]: the middle is -61
+    assert fac == 2.0**-61 and scaled.max_abs() == 2.0**59
 
 
 def test_norms_scale_robust_at_both_extremes():

@@ -631,10 +631,19 @@ def test_oracles_refuse_a_build_whose_powers_leave_double_range():
         assert vertex_tables(field, idx0, idx1).k(1.0) == 1e20
         assert k_cuboid_continuous(field, idx0, idx1, 1.0) == 1e20
         assert k_plan(field, InterpQuery(idx0, idx1), method="oracle").k([1.0]).tolist() == [1e20]
-    # a layer weight of 2^70, raised to 16, still overflows: the factor
-    # follows the largest entry, not the weighted entries
+    # a layer weight of 2^70.4 raised to 16 overflowed too; the factor now
+    # follows the weighted entries as well, 2^-36, and K(1) = 1 + 2^-1/2,
+    # the split that gives the weighted coefficient to A1
     field = _field([(1.0,), (1.0,)])
     idx0, idx1 = BesovIndex(70.0, 16.0, 16.0), BesovIndex(0.0, 1.0, 1.0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert vertex_tables(field, idx0, idx1).k(1.0) == 1.0 + 2.0**-0.5
+        assert k_cuboid_continuous(field, idx0, idx1, 1.0) == pytest.approx(1.0 + 2.0**-0.5, rel=1e-8)
+        assert k_plan(field, InterpQuery(idx0, idx1), method="oracle").k([1.0]).tolist() == [1.0 + 2.0**-0.5]
+    # at a weight of 2^140.4 no factor keeps both 1^16 and (2^140.4)^16
+    # normal: the factor keeps 1^16 normal, and the weighted power overflows
+    idx0 = BesovIndex(140.0, 16.0, 16.0)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         with pytest.raises(NumericError, match="^vertex oracle leaves double range: overflow"):
@@ -644,6 +653,23 @@ def test_oracles_refuse_a_build_whose_powers_leave_double_range():
         with pytest.raises(NumericError,
                            match="^route oracle:vertex-enumeration leaves double range: overflow"):
             k_plan(field, InterpQuery(idx0, idx1), method="oracle")
+
+
+def test_oracles_scale_at_the_weighted_entries_a_layer_weight_cancels():
+    # the entry 2^20 weighs 2^-20 under A0 = (-19.5, 1, 64): keyed to the
+    # entry alone at 64, the factor 2^-21 sent the weighted entry's 64th
+    # power to 0, and all three read K = 0; K = min(1, t 2^19.5)
+    field = _field([(0.0,), (2.0**20,)])
+    idx0, idx1 = BesovIndex(-19.5, 1.0, 64.0), BesovIndex(0.0, 1.0, 1.0)
+    ts = 2.0 ** np.arange(-24.0, 4.0, 4.0)
+    want = np.minimum(1.0, ts * 2.0**19.5)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        np.testing.assert_allclose(vertex_tables(field, idx0, idx1).curve(ts), want, rtol=1e-15)
+        np.testing.assert_allclose(k_plan(field, InterpQuery(idx0, idx1), method="oracle").k(ts),
+                                   want, rtol=1e-15)
+        np.testing.assert_allclose([k_cuboid_continuous(field, idx0, idx1, t) for t in ts],
+                                   want, rtol=1e-5)
 
 
 def test_oracles_and_k_dispatch_refuse_t_of_the_wrong_shape():

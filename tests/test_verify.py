@@ -1,5 +1,6 @@
 """The verify suites' shared couple sampler, form-matched oracle and route table."""
 
+import json
 import math
 
 import numpy as np
@@ -78,6 +79,13 @@ def test_run_suite_refuses_a_seed_that_is_not_an_integer(seed):
     # 1.5 once raised a raw TypeError from numpy
     with pytest.raises(UsageError, match="^seed must be a nonnegative integer, got "):
         run_suite("endpoints", seed=seed)
+
+
+def test_run_suite_reports_a_numpy_integer_seed_as_an_int():
+    # the report once held the argument itself, np.int64(5), which json refuses
+    report = run_suite("endpoints", seed=np.int64(5))
+    assert type(report["seed"]) is int and json.loads(json.dumps(report))["seed"] == 5
+    assert {**report, "elapsed_s": 0} == {**run_suite("endpoints", seed=5), "elapsed_s": 0}
 
 
 @pytest.mark.parametrize("route, form, xi", [(CaseTag.GENERAL, "max", math.inf),
