@@ -14,7 +14,7 @@ at a breakpoint of t, and K can drop there (see README).
 import numpy as np
 
 from besovk import (BesovIndex, CaseTag, CoeffField, GridSpec, InterpQuery,
-                    besov_norm, default_t_grid, k_curve, k_dispatch)
+                    besov_norm, default_t_grid, k_plan)
 
 spec = GridSpec(n=1, J=3, layer_sizes=(1, 2, 4))
 field = CoeffField(spec, [np.array([0.9]),
@@ -33,27 +33,28 @@ couples = [
 print(f"{'couple':22s}{'case':26s}{'K(1)':>12s}  route")
 for name, i0, i1 in couples:
     q = InterpQuery(i0, i1)
-    v, tag = k_dispatch(field, q, 1.0)
-    print(f"{name:22s}{q.case.name:26s}{v:12.6f}  {tag}")
+    plan = k_plan(field, q)
+    print(f"{name:22s}{q.case.name:26s}{plan.k([1.0])[0]:12.6f}  {plan.label}")
 
 # the swap commutation holds to machine precision on every route
 q = InterpQuery(BesovIndex(0.0, 1.0, 1.0), BesovIndex(0.5, 2.0, 2.0))
+plan, swapped = k_plan(field, q), k_plan(field, q.swapped())
 for t in (0.01, 1.0, 100.0):
-    fwd, _ = k_dispatch(field, q, t)
-    rev, _ = k_dispatch(field, q.swapped(), 1.0 / t)
+    fwd = plan.k([t])[0]
+    rev = swapped.k([1.0 / t])[0]
     print(f"t={t:<7g} K={fwd:.9f}  t*K_swapped(1/t)={t * rev:.9f}")
 
 # the endpoints: K(t) -> ||f||_A0 as t -> inf, K(t)/t -> ||f||_A1 as t -> 0
 n0 = besov_norm(field, q.idx0)
 n1 = besov_norm(field, q.idx1)
-k_hi, _ = k_dispatch(field, q, 2.0 ** 40)
-k_lo, _ = k_dispatch(field, q, 2.0 ** -40)
+k_hi, k_lo = plan.k([2.0 ** 40, 2.0 ** -40])
 print(f"\n||f||_A0 = {n0:.9f}   K(2^40)       = {k_hi:.9f}")
 print(f"||f||_A1 = {n1:.9f}   K(2^-40)/2^-40 = {k_lo / 2.0 ** -40:.9f}")
 
-# sample a whole curve on a log grid
-curve = k_curve(field, q, default_t_grid(-6, 6, 0.5))
-print(f"\ncurve method {curve.method}, {len(curve.t)} points")
-for t, k in zip(curve.t, curve.k):
-    bar = "#" * int(round(40 * k / curve.k[-1]))
+# sample a whole curve on a log grid from the same plan
+ts = default_t_grid(-6, 6, 0.5)
+ks = plan.k(ts)
+print(f"\ncurve method {plan.label}, {len(ts)} points")
+for t, k in zip(ts, ks):
+    bar = "#" * int(round(40 * k / ks[-1]))
     print(f"  t=2^{np.log2(t):+5.1f}  K={k:9.6f}  {bar}")

@@ -11,7 +11,7 @@ it.
 import numpy as np
 
 from besovk import (BesovIndex, CoeffField, GridSpec, InterpQuery,
-                    generate, k_cuboid_continuous, k_dispatch, vertex_tables)
+                    generate, k_cuboid_continuous, k_plan, vertex_tables)
 from besovk.errors import BudgetError
 
 spec = GridSpec(n=1, J=2, layer_sizes=(2, 3))
@@ -20,10 +20,11 @@ i0 = BesovIndex(0.0, 1.0, 1.0)
 i1 = BesovIndex(0.5, 2.0, 2.0)
 
 # exact sum-form K by enumerating all 2^5 support splits
+plan = k_plan(field, InterpQuery(i0, i1))
 for t in (0.1, 1.0, 10.0):
     exact = vertex_tables(field, i0, i1).k(t)
-    approx, tag = k_dispatch(field, InterpQuery(i0, i1), t)
-    print(f"t={t:<5g} oracle={exact:.6f}  {tag}={approx:.6f}"
+    approx = plan.k([t])[0]
+    print(f"t={t:<5g} oracle={exact:.6f}  {plan.label}={approx:.6f}"
           f"  ratio={approx / exact:.4f}")
 
 # max-form variant (xi = inf) sandwiches the sum form within factor 2

@@ -19,7 +19,7 @@ from .coeffs import GENERATOR_KINDS, CoeffField, field_payload, generate, read_f
 from .errors import BudgetError, DataError, NumericError, UsageError
 from .grid import BesovIndex, GridSpec
 from .interp import QuadratureSpec, interp_norm_report
-from .kfunc import InterpQuery, default_t_grid, k_curve
+from .kfunc import InterpQuery, default_t_grid, k_plan
 from .norms import besov_lorentz_norm, besov_norm
 from .verify import SUITES, run_suite
 
@@ -32,7 +32,7 @@ def _add_field_args(p: argparse.ArgumentParser) -> None:
                    help="generator kind: " + ", ".join(GENERATOR_KINDS))
     p.add_argument("--spec", metavar="J,n,m0,m1,...",
                    help="grid for --generate: layer count, dimension, layer sizes")
-    p.add_argument("--seed", type=int, default=0, help="generator seed (default 0)")
+    p.add_argument("--seed", type=int, default=None, help="generator seed (default 0)")
 
 
 def _add_index_args(p: argparse.ArgumentParser, couple: bool = True) -> None:
@@ -76,10 +76,13 @@ def _load_field(args) -> CoeffField:
     if bool(args.input) == bool(args.generate):
         raise UsageError("give exactly one of --input and --generate")
     if args.input:
+        for flag, value in (("--spec", args.spec), ("--seed", args.seed)):
+            if value is not None:
+                raise UsageError(f"{flag} is for --generate; --input reads its grid from the file")
         return read_field(args.input)
     if not args.spec:
         raise UsageError("--generate requires --spec J,n,m0,m1,...")
-    return generate(_parse_grid_spec(args.spec), args.generate, args.seed)
+    return generate(_parse_grid_spec(args.spec), args.generate, args.seed or 0)
 
 
 def _query(args) -> InterpQuery:
@@ -121,18 +124,19 @@ def cmd_kcurve(args) -> int:
     field = _load_field(args)
     query = _query(args)
     ts = default_t_grid(args.t_min_exp, args.t_max_exp, args.points_per_decade)
-    curve = k_curve(field, query, ts=ts, method=args.method)
+    plan = k_plan(field, query, args.method)
+    ks = plan.k(ts)
     if args.format == "json":
         obj = {
-            "method": curve.method,
-            "t": [float(x) for x in curve.t],
-            "K": [float(x) for x in curve.k],
+            "method": plan.label,
+            "t": [float(x) for x in ts],
+            "K": [float(x) for x in ks],
         }
         _emit(_json_text(obj), args.out)
     else:
         lines = ["t,K,method"]
-        for t, k in zip(curve.t, curve.k):
-            lines.append(f"{float(t)!r},{float(k)!r},{curve.method}")
+        for t, k in zip(ts, ks):
+            lines.append(f"{float(t)!r},{float(k)!r},{plan.label}")
         _emit("\n".join(lines) + "\n", args.out)
     return 0
 

@@ -152,7 +152,7 @@ def read_field(path) -> CoeffField:
     try:
         with open(path, "r", encoding="utf-8") as fh:
             doc = json.load(fh, parse_int=lambda s: int(s) if np.isfinite(float(s)) else float(s))
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, UnicodeDecodeError, RecursionError) as exc:
         raise DataError(f"{path}: not valid JSON ({exc})") from exc
     if not isinstance(doc, dict) or "n" not in doc or "layers" not in doc:
         raise DataError(f"{path}: expected an object with 'n' and 'layers'")

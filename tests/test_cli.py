@@ -119,6 +119,19 @@ def test_norm_missing_file_exit_2(capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize("data", [b"\xff\xfe", b"[" * 100_000 + b"]" * 100_000],
+                         ids=["not-utf-8", "nested-past-the-recursion-limit"])
+def test_unreadable_field_file_exit_2(capsys, tmp_path, data):
+    # a UnicodeDecodeError or RecursionError from the JSON reader is a data
+    # error that names the file, not a traceback
+    path = tmp_path / "bad.json"
+    path.write_bytes(data)
+    with pytest.raises(DataError, match="not valid JSON"):
+        read_field(path)
+    assert main(["norm", "--input", str(path)]) == 2
+    assert capsys.readouterr().err.startswith(f"error: {path}: not valid JSON (")
+
+
 def test_norm_far_from_one_at_large_exponents(capsys, tmp_path):
     # p-th powers at the rescaling rule's scale for power p: one 1e30
     # coefficient at p = q = 11 printed Infinity, and the Lorentz norm of
@@ -310,7 +323,7 @@ def test_numeric_overflow_exit_3(capsys, monkeypatch):
     def overflow(*args, **kwargs):
         raise OverflowError("(34, 'Numerical result out of range')")
 
-    monkeypatch.setattr(besovk.cli, "k_curve", overflow)
+    monkeypatch.setattr(besovk.cli, "k_plan", overflow)
     code = main(["kcurve"] + SPIKE + ["--t-min-exp", "0", "--t-max-exp", "0"])
     assert code == 3
     assert capsys.readouterr().err.startswith("error: ")
@@ -327,7 +340,7 @@ def test_negative_seed_exit_2(capsys, argv):
     assert re.fullmatch(r"error: seed must be a nonnegative integer, got -\d\n", err)
 
 
-@pytest.mark.parametrize("cmd, target", [("kcurve", "k_curve"),
+@pytest.mark.parametrize("cmd, target", [("kcurve", "k_plan"),
                                          ("interpnorm", "interp_norm_report")])
 @pytest.mark.parametrize("args, text", [
     (("Unable to allocate 29.8 GiB for an array with shape (4000000001,) "
@@ -525,6 +538,28 @@ def test_field_source_refusals_exit_2(capsys, argv, message):
         args.func(args)
     assert main(argv) == 2
     assert capsys.readouterr() == ("", f"error: {message}\n")
+
+
+@pytest.mark.parametrize("cmd", ["norm", "kcurve", "interpnorm"])
+@pytest.mark.parametrize("flags, flag", [(["--spec", "1,1,1"], "--spec"), (["--seed", "7"], "--seed"),
+                                         (["--seed", "0"], "--seed"),
+                                         (["--spec", "2,1,1,1", "--seed", "7"], "--spec")])
+def test_input_refuses_generator_flags_exit_2(capsys, tmp_path, cmd, flags, flag):
+    # --input reads its grid from the file, so a generator flag beside it
+    # is refused, not silently dropped
+    path = tmp_path / "half.json"
+    path.write_text('{"n": 1, "layers": [{"j": 0, "coeffs": [0.5]}]}', encoding="utf-8")
+    assert main([cmd, "--input", str(path)] + flags) == 2
+    assert capsys.readouterr() == (
+        "", f"error: {flag} is for --generate; --input reads its grid from the file\n")
+    assert main([cmd, "--input", str(path)]) == 0
+
+
+def test_generate_seed_defaults_to_zero(capsys):
+    argv = ["generate", "--generate", "uniform-random", "--spec", "2,1,2,3"]
+    code, out = run(capsys, argv)
+    assert (code, out) == run(capsys, argv + ["--seed", "0"])
+    assert out != run(capsys, argv + ["--seed", "1"])[1]
 
 
 def test_python_dash_m_matches_main(capsys):
