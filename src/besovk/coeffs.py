@@ -56,17 +56,16 @@ class CoeffField:
             if v.ndim != 1:
                 raise DataError(f"layer {j} has shape {v.shape}; a layer is 1-D")
         validate_compat(self.spec, layers)
-        tops = []
+        vmax = 0.0
         for j, v in enumerate(layers):
             if not np.isfinite(v).all():
                 bad = "NaN" if np.isnan(v).any() else "inf"
                 raise DataError(f"layer {j} contains {bad}")
             if (v < 0).any():
                 raise DataError(f"layer {j} has negative magnitudes")
-            tops.append(float(v.max()))
+            vmax = max(vmax, float(v.max()))
         object.__setattr__(self, "layers", layers)
-        object.__setattr__(self, "_tops", tuple(tops))
-        object.__setattr__(self, "_max", max(0.0, *tops))
+        object.__setattr__(self, "_max", vmax)
 
     def scaled(self, c: float) -> "CoeffField":
         if c < 0:
@@ -76,10 +75,6 @@ class CoeffField:
     def max_abs(self) -> float:
         """The largest entry, found once when the field is built."""
         return self._max
-
-    def layer_maxima(self) -> tuple:
-        """The largest entry of each layer, found once when the field is built."""
-        return self._tops
 
 
 def abs_reduce(spec: GridSpec, raw_layers) -> CoeffField:

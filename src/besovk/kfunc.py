@@ -33,10 +33,11 @@ fractional integral, which is classical and exact.  At a single
 coefficient c, K is c min(w0, t*w1) on the degenerate, weighted-split,
 rearrangement, layer-sum and GENERAL routes (to 1e-9 at exponents in
 {1/2, 1, 2, inf}, and up to 2000 on the middle three: their every power
-sum is one running norm, _running_norm, the running max from p = 2^60
-on, retaken in logs where it leaves the normal doubles); the composed
-split meets it only at both ends.  Each kernel takes one orientation:
-_SplitSum p0 < p1, _WCurve and _holmstedt the smaller smoothness first.
+sum is one running norm, norms._running_norm, which the vertex oracle
+shares, the running max from p = 2^60 on, retaken in logs where it
+leaves the normal doubles); the composed split meets it only at both
+ends.  Each kernel takes one orientation: _SplitSum p0 < p1, _WCurve and
+_holmstedt the smaller smoothness first.
 _seq_route and _layer_fn orient each couple once and commute the other
 order (_commuted).
 
@@ -66,7 +67,8 @@ import numpy as np
 from .coeffs import CoeffField
 from .errors import NumericError, UsageError
 from .grid import BesovIndex, layer_weight
-from .norms import _pow2_factor, _scaled_field, _t_array, _trapped, besov_norm, lp_norm, main_grid_reduce
+from .norms import (_pow2_factor, _running_norm, _scaled_field, _t_array, _trapped, besov_norm, lp_norm,
+                    main_grid_reduce)
 from .rearrange import rearrangement
 
 __all__ = [
@@ -294,24 +296,6 @@ _PAD_CELLS = 512
 _FOLD_CELLS = 1 << 16  # the most cells of a rows x pieces matrix in _fold_layers
 _PPD = 8.0  # cells per binary decade of _holmstedt's hull quadrature
 _MAX_T_NODES = 1 << 22  # the most nodes of a t grid (_check_t_window): 32 MiB of doubles
-
-
-def _running_norm(x: np.ndarray, p: float, axis: int) -> np.ndarray:
-    """The l^p norm of every prefix of x along axis, the split kernels' one
-    power sum: the running max from p = 2^60 on, inf included, where any n
-    <= 2^63 entries have n^(1/p) - 1 < 2^-54.  Below, a prefix whose power
-    sum is not a normal double (0, subnormal or inf) is retaken in logs,
-    exp(logaddexp.accumulate(p log x) / p); the rest keep their bits."""
-    if p >= 2.0**60:
-        return np.maximum.accumulate(x, axis)
-    with np.errstate(over="ignore"):  # an inf sum is retaken
-        sums = np.cumsum(x**p, axis)
-    out = sums ** (1.0 / p)
-    lost = (sums < 2.0**-1022) | (sums == np.inf)
-    if (lost & (x > 0.0)).any():  # iff some lost prefix holds a nonzero entry
-        with np.errstate(divide="ignore"):
-            out[lost] = np.exp(np.logaddexp.accumulate(p * np.log(x), axis)[lost] / p)
-    return out
 
 
 def _batches(sizes) -> list[list[int]]:

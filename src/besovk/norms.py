@@ -70,6 +70,25 @@ def _powers(x: np.ndarray, power: float) -> tuple[np.ndarray, float, float]:
     return (x * fac) ** power, fac, 1.0
 
 
+def _running_norm(x: np.ndarray, p: float, axis: int) -> np.ndarray:
+    """The l^p norm of every prefix of x along axis, the one power sum of
+    the split kernels and of the vertex oracle's l^xi aggregation: the
+    running max from p = 2^60 on, inf included, where any n <= 2^63
+    entries have n^(1/p) - 1 < 2^-54.  Below, a prefix whose power sum is
+    not a normal double (0, subnormal or inf) is retaken in logs,
+    exp(logaddexp.accumulate(p log x) / p); the rest keep their bits."""
+    if p >= 2.0**60:
+        return np.maximum.accumulate(x, axis)
+    with np.errstate(over="ignore"):  # an inf sum is retaken
+        sums = np.cumsum(x**p, axis)
+    out = sums ** (1.0 / p)
+    lost = (sums < 2.0**-1022) | (sums == np.inf)
+    if (lost & (x > 0.0)).any():  # iff some lost prefix holds a nonzero entry
+        with np.errstate(divide="ignore"):
+            out[lost] = np.exp(np.logaddexp.accumulate(p * np.log(x), axis)[lost] / p)
+    return out
+
+
 def _scaled_field(field: CoeffField, *sizes: tuple[float, float]) -> tuple[CoeffField, float]:
     """The field scaled by the rescaling rule at its largest entry at power
     1 and at the sizes its caller raises it to, and the factor; a quantity

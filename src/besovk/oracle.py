@@ -28,7 +28,7 @@ import numpy as np
 from .coeffs import CoeffField
 from .errors import BudgetError, UsageError
 from .grid import BesovIndex, layer_weight
-from .norms import _scaled_field, _t_array, _trapped, _unscaled, besov_norm
+from .norms import _running_norm, _scaled_field, _t_array, _trapped, _unscaled, besov_norm
 
 __all__ = [
     "vertex_tables",
@@ -47,15 +47,15 @@ def _budgeted(field: CoeffField, idx0: BesovIndex, idx1: BesovIndex,
     by the one rescaling rule (norms._scaled_field) and the factor, which
     K divides out.  Its sizes are what the side norms raise: the largest
     entry to each p, and the largest weighted entry, max_j w_j max f_j, to
-    each q.  A weight past double range is refused (NumericError), as the
-    side tables refuse it."""
+    each q, each layer's largest entry read once per call.  A weight past
+    double range is refused (NumericError), as the side tables refuse it."""
     N = field.spec.total_coeffs
     if N > _MAX_COEFFS:
         raise BudgetError(f"{N} coefficients exceed the {what} budget ({_MAX_COEFFS}); "
                           "refusing rather than truncating")
-    sizes = []
+    sizes, tops = [], [v.max() for v in field.layers]
     for idx in (idx0, idx1):
-        top = max(layer_weight(field.spec, idx, j) * m for j, m in enumerate(field.layer_maxima()))
+        top = max(layer_weight(field.spec, idx, j) * m for j, m in enumerate(tops))
         sizes += [(field.max_abs(), idx.p), (top, idx.q)]
     return _scaled_field(field, *sizes)
 
@@ -97,10 +97,9 @@ class VertexTables:
     def _split_values(self, t: float, xi: float) -> np.ndarray:
         """(||f 1_S||_A0^xi + t^xi ||f 1_Sc||_A1^xi)^(1/xi) for every mask S.
         At t = inf, t * 0 is the limit 0: a split with nothing left for
-        A1 keeps its A0 norm, so K(inf) = ||f||_A0.  Where the power sum
-        is not a normal double (below 2^-1022, or inf) and the larger
-        term m is positive and finite, the sum is taken over m instead,
-        m ((a/m)^xi + (tb/m)^xi)^(1/xi), as a large xi needs.  An xi
+        A1 keeps its A0 norm, so K(inf) = ||f||_A0.  Beside the sum at
+        xi = 1 and the max at xi = inf, the l^xi norm of the two terms is
+        the split kernels' one power sum, norms._running_norm.  An xi
         outside [1, inf], nan included, is refused as InterpQuery
         refuses it."""
         t = float(_t_array(t, 0))
@@ -114,14 +113,7 @@ class VertexTables:
                 return np.maximum(self.a, tb)
             if xi == 1.0:
                 return self.a + tb
-            tot = self.a**xi + tb**xi
-            out = tot ** (1.0 / xi)
-            m = np.maximum(self.a, tb)
-            redo = ~((tot >= 2.0**-1022) & (tot < math.inf)) & (m > 0.0) & (m < math.inf)
-            if redo.any():
-                m = m[redo]
-                out[redo] = m * ((self.a[redo] / m)**xi + (tb[redo] / m)**xi) ** (1.0 / xi)
-        return out
+            return _running_norm(np.stack((self.a, tb)), xi, 0)[-1]
 
     def k(self, t: float, xi: float = 1.0) -> float:
         return _unscaled(float(self._split_values(t, xi).min()), self.fac, "vertex oracle K")

@@ -326,8 +326,6 @@ def run_identities(rng, count: int) -> list[dict]:
     for _ in range(count):
         sizes = tuple(int(m) for m in rng.integers(1, 17, size=rng.integers(1, 9)))
         layers = [rng.uniform(0.0, 2.0, size=m) for m in sizes]
-        if not any(v.any() for v in layers):
-            layers[0][0] = 1.0
         field = CoeffField(GridSpec(n=1, J=len(sizes), layer_sizes=sizes), layers)
         ratios.append(besov_identity_check(field, q_id))
     spread = max(ratios) / min(ratios)

@@ -16,7 +16,8 @@ cannot silently break it.  A weighted main-grid sequence is a field, so
 no public name weighs one apart; inside kfunc one function does.  Every
 optional parameter of the public functions is one some caller sets; the
 signatures pinned below hold no setting that every caller leaves at its
-default.
+default.  The split kernels and the vertex oracle share one running
+l^p norm, in norms, so the oracle imports nothing from kfunc.
 """
 
 import ast
@@ -256,3 +257,29 @@ def test_one_site_weighs_a_main_grid_sequence():
     sites = [fn.name for fn in ast.walk(tree) if isinstance(fn, ast.FunctionDef)
              and any(weighs(node) for node in ast.walk(fn))]
     assert sites == ["_weighted"]
+
+
+def test_one_running_norm_for_the_split_kernels_and_the_vertex_oracle():
+    # the split kernels and the vertex oracle's l^xi aggregation take their
+    # power sums through one function, which lives in norms; the oracle
+    # reaches it there, and imports nothing from the engine it checks
+    from besovk import kfunc, norms
+
+    assert kfunc._running_norm is norms._running_norm
+    tree = ast.parse((_SRC / "besovk" / "oracle.py").read_text(encoding="utf-8"))
+    imported = [node.module for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)]
+    imported += [alias.name for node in ast.walk(tree) if isinstance(node, ast.Import)
+                 for alias in node.names]
+    assert [m for m in imported if m and m.split(".")[-1] == "kfunc"] == []
+
+    def retakes(node):
+        return sum(isinstance(call, ast.Call) and ast.unparse(call.func) == "np.logaddexp.accumulate"
+                   for call in ast.walk(node))
+
+    sites, calls = [], 0
+    for path in sorted((_SRC / "besovk").glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        calls += retakes(tree)
+        sites += [f"{path.stem}.{fn.name}" for fn in ast.walk(tree)
+                  if isinstance(fn, ast.FunctionDef) and retakes(fn)]
+    assert sites == ["norms._running_norm"] and calls == 1

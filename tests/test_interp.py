@@ -95,7 +95,7 @@ def test_interp_norm_scale_robust(i0, i1, label, r):
     base = interp_norm(field, query)
     for k in (-1000, -900, 900):
         assert interp_norm(field.scaled(2.0**k), query) == pytest.approx(
-            2.0**k * base, rel=1e-9)
+            2.0**k * base, rel=1e-9, abs=0)
 
 
 def test_interp_norm_finite_at_both_ends_of_double_range():

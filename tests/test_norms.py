@@ -125,8 +125,8 @@ def test_scaled_field_takes_its_largest_entry_at_power_1_and_the_callers_sizes()
 
 def test_norms_scale_robust_at_both_extremes():
     # p-th powers of entries far from 1 underflow to 0 or overflow to inf
-    assert lp_norm([1e-200], 2.0) == pytest.approx(1e-200, rel=1e-15)
-    assert lp_norm([1e200, 1e200], 2.0) == pytest.approx(math.sqrt(2.0) * 1e200, rel=1e-15)
+    assert lp_norm([1e-200], 2.0) == pytest.approx(1e-200, rel=1e-15, abs=0)
+    assert lp_norm([1e200, 1e200], 2.0) == pytest.approx(math.sqrt(2.0) * 1e200, rel=1e-15, abs=0)
     assert lp_norm([5e-324, 5e-324], 0.5) == 2e-323
     assert lp_norm([1e30], 11.0) == 1e30
     # the factor is clamped to 2^(+-1000), so 1.7e308 still sits near 2^24
@@ -136,17 +136,17 @@ def test_norms_scale_robust_at_both_extremes():
     assert lp_norm([5e-324], 20.0) == 5e-324
     assert lorentz_seq_norm([1.7e308], 1.0, 50.0) == 1.7e308
     assert lp_norm([1e-30, 1e-30], 11.0) == pytest.approx(2.0 ** (1.0 / 11.0) * 1e-30,
-                                                          rel=1e-15)
+                                                          rel=1e-15, abs=0)
     idx = BesovIndex(0.5, 2.0, 1.5)
     base = _field([(3.0, 4.0), (1.0,)])
     for scale in (1e-250, 1e-200, 1e200, 1e250):
         for p in (0.5, 1.0, 2.0, 3.0):
             assert lp_norm([3.0 * scale, 4.0 * scale], p) == pytest.approx(
-                scale * lp_norm([3.0, 4.0], p), rel=1e-14)
+                scale * lp_norm([3.0, 4.0], p), rel=1e-14, abs=0)
         assert besov_norm(base.scaled(scale), idx) == pytest.approx(
-            scale * besov_norm(base, idx), rel=1e-14)
+            scale * besov_norm(base, idx), rel=1e-14, abs=0)
         assert _weighted_lq([scale, 2.0 * scale], 0.5, 2.0) == pytest.approx(
-            scale * _weighted_lq([1.0, 2.0], 0.5, 2.0), rel=1e-14)
+            scale * _weighted_lq([1.0, 2.0], 0.5, 2.0), rel=1e-14, abs=0)
     # within 2^(+-100) the value is the unscaled sum, bit for bit
     v = np.random.default_rng(4).uniform(1e-20, 1e20, 7)
     assert lp_norm(v, 1.5) == float(np.sum(v**1.5) ** (1.0 / 1.5))
@@ -342,16 +342,16 @@ def test_lorentz_norms_scale_exactly_across_double_range():
     # field, are taken at the rescaling rule's power-of-two scale: unscaled,
     # 1e-200 read 0 and 1e200 inf, and 2^700 times the field below raised
     # OverflowError while 2^-700 times it read 0
-    assert lorentz_seq_norm([1e-200], 1.0, 2.0) == pytest.approx(1e-200, rel=1e-15)
-    assert lorentz_seq_norm([1e200], 1.0, 2.0) == pytest.approx(1e200, rel=1e-15)
+    assert lorentz_seq_norm([1e-200], 1.0, 2.0) == pytest.approx(1e-200, rel=1e-15, abs=0)
+    assert lorentz_seq_norm([1e200], 1.0, 2.0) == pytest.approx(1e200, rel=1e-15, abs=0)
     field = _field([(1.0,), (0.5, 0.25)])
     assert besov_lorentz_norm(field, 0.3, 2.0, 1.0, 2.0) == pytest.approx(
-        1.1392882414691883, rel=1e-15)
+        1.1392882414691883, rel=1e-15, abs=0)
     for r in (1.0, 2.0, math.inf):
         want = besov_lorentz_norm(field, 0.3, 2.0, 1.0, r)
         for k in (-1000, -700, 700, 1000):
             got = besov_lorentz_norm(field.scaled(2.0**k), 0.3, 2.0, 1.0, r)
-            assert got * 2.0**-k == pytest.approx(want, rel=1e-15)
+            assert got * 2.0**-k == pytest.approx(want, rel=1e-15, abs=0)
 
 
 def test_empty_vectors_and_lorentz_p_inf_refusal():
@@ -495,9 +495,9 @@ def test_norms_past_an_exponent_of_1000_read_their_closed_forms(E):
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         for c in map(float, cs):
-            assert lp_norm([c], E) == pytest.approx(c, rel=1e-15)
+            assert lp_norm([c], E) == pytest.approx(c, rel=1e-15, abs=0)
             for p in (0.5, 1.0, 2.0):
-                assert lorentz_seq_norm([c], p, E) == pytest.approx(c, rel=1e-15)
+                assert lorentz_seq_norm([c], p, E) == pytest.approx(c, rel=1e-15, abs=0)
             # two levels a > b with (b/a)^E near 1/2: l^E over a is
             # a (k + (m - k) (b/a)^E)^(1/E), and at q = 2p the Lorentz
             # cells of three entries are 1, 3, 5, so [b, a, b], whose
@@ -505,16 +505,16 @@ def test_norms_past_an_exponent_of_1000_read_their_closed_forms(E):
             a, b = c, c * 2.0 ** (-1.0 / E)
             h = (b / a) ** E
             assert lp_norm([a] * 3 + [b] * 4, E) == pytest.approx(
-                a * (3.0 + 4.0 * h) ** (1.0 / E), rel=1e-15)
+                a * (3.0 + 4.0 * h) ** (1.0 / E), rel=1e-15, abs=0)
             assert lorentz_seq_norm([b, a, b], E / 2.0, E) == pytest.approx(
-                a * (1.0 + 8.0 * h) ** (1.0 / E), rel=1e-15)
+                a * (1.0 + 8.0 * h) ** (1.0 / E), rel=1e-15, abs=0)
             # the dyadic Lorentz term of [[c]] is the l^E norm of one level
             # height 2^u0, u0 the largest integer with 2^u0 < c, whose r-th
             # power carries the block 1/(1 - 2^-E) of the levels below
             m, e = math.frexp(c)
             for p, q in itertools.product((0.5, 2.0, math.inf), repeat=2):
                 assert besov_lorentz_norm(_field([(c,)]), 0.0, p, q, E) == pytest.approx(
-                    2.0 ** (e - 2 if m == 0.5 else e - 1), rel=1e-15)
+                    2.0 ** (e - 2 if m == 0.5 else e - 1), rel=1e-15, abs=0)
         assert lp_norm(np.zeros(5), E) == 0.0
         assert lorentz_seq_norm(np.zeros(5), 1.0, E) == 0.0
 

@@ -24,6 +24,8 @@ from besovk.oracle import (
     vertex_tables,
 )
 
+from _reference import k_vertex, side_norms
+
 
 def _field(layers, n=1):
     spec = GridSpec(n=n, J=len(layers), layer_sizes=tuple(len(v) for v in layers))
@@ -545,6 +547,26 @@ def test_vertex_tables_refuse_an_xi_below_one():
         assert tabs.curve([0.3, 1.7, 9.0], xi).tolist() == ks, xi
         assert [tabs.k(t, xi) for t in (0.3, 1.7, 9.0)] == ks, xi
     assert [tabs.best_split(t) for t in (0.3, 1.7, 9.0)] == [0, 61, 61]
+
+
+def test_vertex_tables_match_the_exact_reference():
+    # 40-digit decimal enumeration (tests/_reference.py) on small random
+    # fields, at the sum and the max and at xi = 2000, where a split's
+    # power sums leave the doubles and are retaken in logs; each mask's two
+    # side norms are built once per field and shared across t and xi
+    rng = np.random.default_rng(22)
+    exps = (0.5, 1.0, 2.0, 16.0, 64.0, math.inf)
+    ts = [2.0**k for k in range(-10, 11, 5)]
+    for _ in range(40):
+        field = verify._rand_field(rng, max_total=6)
+        idx0, idx1 = (BesovIndex(float(rng.uniform(-1.0, 1.0)), float(rng.choice(exps)),
+                                 float(rng.choice(exps))) for _ in range(2))
+        tabs = vertex_tables(field, idx0, idx1)
+        a, b = side_norms(field, idx0), side_norms(field, idx1)
+        for xi in (1.0, math.inf, 2000.0):
+            for t in ts:
+                want = float(k_vertex(a, b, t, xi))
+                assert abs(tabs.k(t, xi) - want) <= 1e-12 * want, (field, idx0, idx1, t, xi)
 
 
 def test_oracles_at_t_inf_give_the_a0_norm():
