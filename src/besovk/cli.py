@@ -6,13 +6,16 @@ and round-trip float formatting, CSV uses repr() floats and '.' decimal
 regardless of locale.  Exit codes: 0 success, 1 verification failure,
 2 usage or data errors (a negative seed among them), 3 numeric
 (including any ArithmeticError and a result past double range), budget
-or out-of-memory errors.
+or out-of-memory errors.  `entrypoint` freezes the import heap, which lives
+until exit, so no collection walks it; a closed stdout ends it by SIGPIPE.
 """
 
 from __future__ import annotations
 
 import argparse
+import gc
 import json
+import signal
 import sys
 
 from .coeffs import GENERATOR_KINDS, CoeffField, field_payload, generate, read_field
@@ -246,4 +249,7 @@ def main(argv=None) -> int:
 
 
 def entrypoint() -> None:
+    gc.freeze()
+    if hasattr(signal, "SIGPIPE"):
+        signal.signal(signal.SIGPIPE, signal.SIG_DFL)
     sys.exit(main())

@@ -1,7 +1,9 @@
+import gc
 import json
 import math
 import os
 import re
+import signal
 import subprocess
 import sys
 import warnings
@@ -562,26 +564,88 @@ def test_generate_seed_defaults_to_zero(capsys):
     assert out != run(capsys, argv + ["--seed", "1"])[1]
 
 
-def test_python_dash_m_matches_main(capsys):
-    # python -m besovk runs cli.main: same stdout, stderr and exit code
-    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
-    for argv in (["kcurve"] + SPIKE + ["--s1", "0.5"],
-                 ["kcurve"] + SPIKE + ["--points-per-decade", "-1"]):
-        proc = subprocess.run([sys.executable, "-m", "besovk", *argv], env=env,
-                              capture_output=True, text=True, timeout=120)
-        code = main(argv)
+_CHILD_ENV = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+
+
+def _python_dash_m(argv):
+    return subprocess.run([sys.executable, "-m", "besovk", *argv], env=_CHILD_ENV,
+                          capture_output=True, text=True, timeout=120)
+
+
+def test_python_dash_m_matches_main(capsys, tmp_path):
+    # python -m besovk runs cli.main through entrypoint, which freezes the
+    # import heap: on every exit path the child loses no output to its exit
+    huge = tmp_path / "huge.json"
+    huge.write_text(json.dumps(_HUGE_DOC), encoding="utf-8")
+    for argv, code in ((["kcurve"] + SPIKE + ["--s1", "0.5"], 0),
+                       (["kcurve"] + SPIKE + ["--points-per-decade", "-1"], 2),
+                       (["interpnorm"] + SPIKE + ["--s1", "0.5"], 0),
+                       (["norm", "--input", str(huge), "--p0", "1", "--q0", "1"], 3)):
+        proc = _python_dash_m(argv)
+        assert main(argv) == code
         captured = capsys.readouterr()
         assert (proc.returncode, proc.stdout, proc.stderr) == (code, captured.out,
                                                                captured.err)
-    assert code == 2 and captured.out == ""
+    argv = ["kcurve"] + SPIKE + ["--s1", "0.5", "--out"]
+    proc = _python_dash_m(argv + [str(tmp_path / "child.csv")])
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, "", "")
+    assert main(argv + [str(tmp_path / "main.csv")]) == 0
+    assert (tmp_path / "child.csv").read_bytes() == (tmp_path / "main.csv").read_bytes()
+
+
+@pytest.mark.skipif(not hasattr(signal, "SIGPIPE"), reason="no SIGPIPE here")
+def test_closed_stdout_ends_the_cli_by_sigpipe():
+    # over 64 KB of CSV, so the child is still writing when its reader
+    # leaves: once "error: [Errno 32] Broken pipe" and exit 2, or exit 0
+    # with the rest of the output dropped
+    argv = ["kcurve", "--generate", "uniform-random", "--spec", "3,1,1,2,4",
+            "--points-per-decade", "200"]
+    proc = subprocess.Popen([sys.executable, "-m", "besovk", *argv], env=_CHILD_ENV,
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+    try:
+        assert proc.stdout.read(5) == b"t,K,m"
+        proc.stdout.close()
+        _, err = proc.communicate(timeout=120)
+    finally:
+        proc.kill()
+        proc.wait()
+    assert (proc.returncode, err) == (-signal.SIGPIPE, b"")
+
+
+@pytest.fixture
+def entrypoint_state():
+    # entrypoint freezes the heap and resets SIGPIPE for the whole process:
+    # undo both, so the rest of the session runs as it did
+    handler = signal.getsignal(signal.SIGPIPE) if hasattr(signal, "SIGPIPE") else None
+    yield
+    gc.unfreeze()
+    if handler is not None:
+        signal.signal(signal.SIGPIPE, handler)
 
 
 @pytest.mark.parametrize("argv, code", [
     (["kcurve"] + SPIKE + ["--t-min-exp", "0", "--t-max-exp", "0"], 0),
     (["norm"], 2),
 ])
-def test_console_script_entrypoint_exits_with_main_code(capsys, monkeypatch, argv, code):
+def test_console_script_entrypoint_exits_with_main_code(capsys, monkeypatch, entrypoint_state,
+                                                        argv, code):
     monkeypatch.setattr(sys, "argv", ["besovk"] + argv)
     with pytest.raises(SystemExit) as exc:
         besovk.cli.entrypoint()
     assert exc.value.code == code
+
+
+def test_console_script_freezes_the_import_heap_first(monkeypatch, entrypoint_state):
+    # no collection, the interpreter's teardown among them, walks the heap
+    # that the imports built
+    frozen = []
+
+    def fake_main():
+        frozen.append(gc.get_freeze_count())
+        return 0
+
+    monkeypatch.setattr(besovk.cli, "main", fake_main)
+    with pytest.raises(SystemExit) as exc:
+        besovk.cli.entrypoint()
+    assert exc.value.code == 0
+    assert len(frozen) == 1 and frozen[0] > 0
